@@ -325,7 +325,9 @@ def _random_circuit_check(seed: int, cutoff: int = 3) -> tuple[float, str]:
     """Compare sparse engine vs dense pipeline on one random small circuit."""
     rng = np.random.default_rng(seed)
     labels = ["P", "Q"]
-    dumps = ["WP", "WQ"]
+    # A circuit has at most 4 elements; each loss needs a dump still in vacuum.
+    dumps = [f"W{lab}{k}" for lab in labels for k in range(4)]
+    losses = {lab: 0 for lab in labels}
     reg = make_registry(labels + dumps)
     sparse_modes = {f"{lab}{pol}": reg.index(Mode(lab, pol, MATCHED))
                     for lab in labels + dumps for pol in (H, V)}
@@ -386,7 +388,8 @@ def _random_circuit_check(seed: int, cutoff: int = 3) -> tuple[float, str]:
             rho = u @ rho @ u.conj().T
         else:
             t = float(rng.uniform(0.2, 1.0))
-            dump = "WP" if lab == "P" else "WQ"
+            dump = f"W{lab}{losses[lab]}"
+            losses[lab] += 1
             state = apply_transform(state, loss_channel(reg, lab, t, dump))
             for pol in (H, V):
                 rho = apply_kraus(rho, space.loss_kraus(didx[lab + pol], t))

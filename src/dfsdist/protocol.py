@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -44,12 +44,12 @@ from .optics import (
     overlap_at_delay,
     overlap_split,
     pbs,
-    phase_shifter,
 )
 from .sources import (
     CoherentParams,
     DetectorModel,
     SpdcParams,
+    charge_sectors,
     coherent_state,
     effective_qubit_dm,
     pair_state,
@@ -110,6 +110,12 @@ class ExperimentConfig:
     pair_cutoff: int = 2
 
     def __post_init__(self):
+        # NaN passes every range comparison below, so reject it first.
+        numbers = [v for v in vars(self).values() if isinstance(v, float)]
+        numbers += [*self.phase_delta, *(self.input_qubit or ()),
+                    *(p for point in self.phase_shifts for p in point)]
+        if not np.isfinite(np.asarray(numbers, dtype=complex)).all():
+            raise ValidationError("config values and phases must be finite")
         if self.variant not in VARIANTS:
             raise ConfigurationError(f"unknown variant {self.variant!r}")
         if self.source not in SOURCES:
@@ -216,6 +222,8 @@ class _Plan:
     herald: str | None
     pair_side_indices: list[int]
     detectors: dict[str, DetectorModel]
+    # H and V modes of the source labels that carry the collective phase.
+    charge_indices: tuple[list[int], list[int]]
 
 
 def _analyzer_matrix(setting: str) -> np.ndarray:
@@ -226,6 +234,12 @@ def _analyzer_matrix(setting: str) -> np.ndarray:
                      [np.conj(ket2[0]), np.conj(ket2[1])]], dtype=complex)
 
 
+def _charge_indices(reg: ModeRegistry,
+                    labels: Sequence[str]) -> tuple[list[int], list[int]]:
+    return ([i for lab in labels for i in reg.indices(lab, pol=H)],
+            [i for lab in labels for i in reg.indices(lab, pol=V)])
+
+
 def _build_plan(cfg: ExperimentConfig) -> _Plan:
     det_e = DetectorModel("D_E", cfg.eta, cfg.dark_e)
     det_f = DetectorModel("D_F", cfg.eta, cfg.dark_f)
@@ -233,31 +247,33 @@ def _build_plan(cfg: ExperimentConfig) -> _Plan:
 
     if cfg.variant == "direct_no_dfs":
         reg = make_registry(["A", "B", "G", "LB", "DB"])
-        plan = _Plan(reg, "A", "G", None, [], {"E": det_e, "G": det_g})
-        plan.pair_side_indices = (reg.indices("B") + reg.indices("G")
-                                  + reg.indices("LB") + reg.indices("DB"))
-        return plan
+        pair_side = ["B", "G", "LB", "DB"]
+        return _Plan(reg, "A", "G", None,
+                     [i for lab in pair_side for i in reg.indices(lab)],
+                     {"E": det_e, "G": det_g}, _charge_indices(reg, ["B"]))
 
     labels: list = [("A", True), ("R", True), ("E", True), ("F", True)]
     if cfg.variant == "forward_all_from_bob":
         labels += ["B", ("LA", True)]
         side_g = "B"
         pair_side = ["B"]
+        channel = "A"
     else:
         labels += ["B", "G", "LB", "DB"]
         side_g = "G"
         pair_side = ["B", "G", "LB", "DB"]
+        channel = "B"
     if cfg.variant == "single_photon_ancilla":
         labels += [("LR", True)]
     reg = make_registry(labels)
-    plan = _Plan(reg, "E", side_g, "F", [],
-                 {"E": det_e, "G": det_g, "F": det_f})
-    plan.pair_side_indices = [i for lab in pair_side for i in reg.indices(lab)]
-    return plan
+    return _Plan(reg, "E", side_g, "F",
+                 [i for lab in pair_side for i in reg.indices(lab)],
+                 {"E": det_e, "G": det_g, "F": det_f},
+                 _charge_indices(reg, [channel, "R"]))
 
 
-def _initial_state(cfg: ExperimentConfig, reg: ModeRegistry,
-                   phi_r: tuple[float, float]) -> FockStateVector:
+def _initial_state(cfg: ExperimentConfig, reg: ModeRegistry) -> FockStateVector:
+    """Sources at zero collective phase; the ancilla carries ``phase_delta``."""
     if cfg.source == "exact_pair":
         pair = pair_state(reg, cfg.cutoff, "A", "B", cfg.input_qubit)
     else:
@@ -266,33 +282,30 @@ def _initial_state(cfg: ExperimentConfig, reg: ModeRegistry,
     if cfg.variant == "direct_no_dfs":
         return pair
     if cfg.variant == "single_photon_ancilla":
-        # Launched at the sender; phases and loss are applied explicitly.
-        ancilla = single_photon_state(reg, cfg.cutoff, "R")
+        # Launched at the sender; loss is applied explicitly.
+        ancilla = single_photon_state(reg, cfg.cutoff, "R",
+                                      phases=cfg.phase_delta)
     else:
         mu_delivered = cfg.mu if cfg.transmittance > 0.0 else 0.0
         ancilla = coherent_state(CoherentParams(mu_delivered), reg, cfg.cutoff,
-                                 "R", phases=phi_r)
+                                 "R", phases=cfg.phase_delta)
     return tensor(pair, ancilla)
 
 
-def _transforms(cfg: ExperimentConfig, reg: ModeRegistry,
-                phi: tuple[float, float], phi_r: tuple[float, float]) -> list:
+def _transforms(cfg: ExperimentConfig, reg: ModeRegistry) -> list:
+    """The phase-independent optical train after the sources."""
     s = cfg.overlap_amplitude
     seq = []
     if cfg.variant == "direct_no_dfs":
-        seq.append(phase_shifter(reg, "B", *phi))
         seq.append(loss_channel(reg, "B", cfg.transmittance, "LB"))
         seq.append(attenuator(reg, "B", "G", "DB", 1.0 - cfg.gp_reflectance))
         return seq
     if cfg.variant == "forward_all_from_bob":
-        seq.append(phase_shifter(reg, "A", *phi))
         seq.append(loss_channel(reg, "A", cfg.transmittance, "LA"))
     else:
-        seq.append(phase_shifter(reg, "B", *phi))
         seq.append(loss_channel(reg, "B", cfg.transmittance, "LB"))
         seq.append(attenuator(reg, "B", "G", "DB", 1.0 - cfg.gp_reflectance))
     if cfg.variant == "single_photon_ancilla":
-        seq.append(phase_shifter(reg, "R", *phi_r))
         seq.append(loss_channel(reg, "R", cfg.transmittance, "LR"))
     seq.append(hwp(reg, "R", math.pi / 4.0))  # polarization flip before the PBS
     if s < 1.0:
@@ -304,20 +317,39 @@ def _transforms(cfg: ExperimentConfig, reg: ModeRegistry,
     return seq
 
 
+def _propagate(state: FockStateVector, transforms: Sequence) -> FockStateVector:
+    for t in transforms:
+        state = apply_transform(state, t)
+    return state
+
+
+def _superpose(states: Sequence[FockStateVector],
+               coeffs: Iterable[complex]) -> FockStateVector:
+    """sum_c coeffs[c] |states[c]>, keeping the largest truncated weight."""
+    terms: dict[tuple[int, ...], complex] = {}
+    for st, c in zip(states, coeffs):
+        for occ, amp in st.terms.items():
+            terms[occ] = terms.get(occ, 0.0) + c * amp
+    return FockStateVector(states[0].registry, states[0].cutoff, terms,
+                           max(st.truncated_weight for st in states))
+
+
 def prepare_final_state(cfg: ExperimentConfig, phi_h: float,
                         phi_v: float) -> tuple[_Plan, FockStateVector]:
     """Sources plus optical train for one collective phase setting.
 
-    The same fluctuation acts on both channel passes; an optional differential
+    The same fluctuation acts on both channel passes.  It reaches the source
+    modes before any element mixes them, so it is applied as e^{i k.phi} on
+    each charge sector k of the initial state.  An optional differential
     offset between the two directions comes from ``cfg.phase_delta``.
     """
     plan = _build_plan(cfg)
-    phi = (phi_h, phi_v)
-    phi_r = (phi_h + cfg.phase_delta[0], phi_v + cfg.phase_delta[1])
-    state = _initial_state(cfg, plan.registry, phi_r)
-    for t in _transforms(cfg, plan.registry, phi, phi_r):
-        state = apply_transform(state, t)
-    return plan, state
+    sectors = charge_sectors(_initial_state(cfg, plan.registry),
+                             *plan.charge_indices)
+    state = _superpose(list(sectors.values()),
+                       [np.exp(1j * (n_h * phi_h + n_v * phi_v))
+                        for n_h, n_v in sectors])
+    return plan, _propagate(state, _transforms(cfg, plan.registry))
 
 
 def run_fixed_phase(cfg: ExperimentConfig, phi_h: float,
@@ -467,10 +499,8 @@ def _measure(cfg: ExperimentConfig, plan: _Plan,
         triple += triple2
         for key, val in comps2.items():
             comps[key] = comps.get(key, 0.0) + val
-        plan2 = _Plan(reg, plan.side_e, plan.side_g, plan.herald,
-                      plan.pair_side_indices, plan.detectors)
-        zz2 = _setting_probs(state, plan2, Z_SETTINGS, herald_pol=V)
-        xx2 = _setting_probs(x_rot, plan2, X_SETTINGS, herald_pol=V)
+        zz2 = _setting_probs(state, plan, Z_SETTINGS, herald_pol=V)
+        xx2 = _setting_probs(x_rot, plan, X_SETTINGS, herald_pol=V)
         for key, val in zz2.items():
             zz[key] += val
         for (se, sg), val in xx2.items():
@@ -488,26 +518,74 @@ def _measure(cfg: ExperimentConfig, plan: _Plan,
                            state.truncated_weight)
 
 
-def run_phase_averaged(cfg: ExperimentConfig) -> ProtocolOutcome:
-    """Uniform mixture of fixed-phase runs over the configured phase set."""
+def _phase_ensemble(cfg: ExperimentConfig,
+                    plan: _Plan) -> Iterator[tuple[float, FockStateVector]]:
+    """(weight, final state) pairs whose weighted measurements sum to the
+    uniform average over ``cfg.phase_shifts``.
+
+    Charges with equal characters over the phase set form one class, and
+    each class is propagated once.  When the characters of distinct classes
+    are orthogonal, cross terms between classes average to zero and the
+    classes themselves are the ensemble.  Otherwise each phase point's state
+    is rebuilt from the propagated classes.
+    """
     n = len(cfg.phase_shifts)
+    phases = np.asarray(cfg.phase_shifts, dtype=float)
+    classes: list[tuple[np.ndarray, list[FockStateVector]]] = []
+    sectors = charge_sectors(_initial_state(cfg, plan.registry),
+                             *plan.charge_indices)
+    for k, sector in sectors.items():
+        chi = np.exp(1j * (phases @ k))
+        for c_chi, members in classes:
+            if np.allclose(c_chi, chi, rtol=0.0, atol=1e-9):
+                members.append(sector)
+                break
+        else:
+            classes.append((chi, [sector]))
+    initial = [_superpose(members, [1.0] * len(members))
+               for _, members in classes]
+    train = _transforms(cfg, plan.registry)
+    chis = np.array([chi for chi, _ in classes])
+    gram = chis.conj() @ chis.T / n
+    if np.allclose(gram, np.eye(len(classes)), rtol=0.0, atol=1e-12):
+        for state in initial:
+            yield 1.0, _propagate(state, train)
+        return
+    finals = [_propagate(state, train) for state in initial]
+    for j in range(n):
+        yield 1.0 / n, _superpose(finals, chis[:, j])
+
+
+def run_phase_averaged(cfg: ExperimentConfig) -> ProtocolOutcome:
+    """Uniform mixture over the configured collective phase set, exactly.
+
+    The phase acts as e^{i k.phi} on the photon-number charge k of the source
+    modes, so the average is taken over charge sectors rather than phase
+    points: each class of charges with equal characters over the set is
+    propagated and measured once.  This is exact when the characters of
+    distinct classes are orthogonal, as for the eight-point {n pi/4} set at
+    any cutoff <= 7.  Other sets, such as a partial ``phase_count``, average
+    the measurements of the phase-point states rebuilt from the propagated
+    classes.  ``truncated_weight`` is the largest over the ensemble.
+    """
+    plan = _build_plan(cfg)
     zz: dict[tuple[str, str], float] = {}
     xx: dict[tuple[str, str], float] = {}
     triple = 0.0
     comps: dict[tuple[int, int, str], float] = {}
     dm_accum = np.zeros((4, 4), dtype=complex)
     trunc = 0.0
-    for phi_h, phi_v in cfg.phase_shifts:
-        out = run_fixed_phase(cfg, phi_h, phi_v)
+    for w, state in _phase_ensemble(cfg, plan):
+        out = _measure(cfg, plan, state)
         for key, val in out.zz_probs.items():
-            zz[key] = zz.get(key, 0.0) + val / n
+            zz[key] = zz.get(key, 0.0) + val * w
         for key, val in out.xx_probs.items():
-            xx[key] = xx.get(key, 0.0) + val / n
-        triple += out.triple_probability / n
+            xx[key] = xx.get(key, 0.0) + val * w
+        triple += out.triple_probability * w
         for key, val in out.components.items():
-            comps[key] = comps.get(key, 0.0) + val / n
+            comps[key] = comps.get(key, 0.0) + val * w
         if out.dm is not None:
-            dm_accum += out.dm.matrix * (out.dm_weight / n)
+            dm_accum += out.dm.matrix * (out.dm_weight * w)
         trunc = max(trunc, out.truncated_weight)
     weight = float(np.real(np.trace(dm_accum)))
     dm = (PolarizationDensityMatrix(dm_accum).normalized()

@@ -165,6 +165,23 @@ def single_photon_state(registry: ModeRegistry, cutoff: int, spatial: str,
     return FockStateVector(registry, cutoff, terms)
 
 
+def charge_sectors(state: FockStateVector, h_indices: Sequence[int],
+                   v_indices: Sequence[int]) -> dict[tuple[int, int], FockStateVector]:
+    """Split a state by its photon numbers (n_H, n_V) on the given modes.
+
+    A collective phase (phi_H, phi_V) acting on those modes multiplies the
+    sector of charge k by e^{i k.phi}.  Every sector carries the state's
+    truncated weight, which no single sector owns.
+    """
+    split: dict[tuple[int, int], dict[tuple[int, ...], complex]] = {}
+    for occ, amp in state.terms.items():
+        k = (sum(occ[i] for i in h_indices), sum(occ[i] for i in v_indices))
+        split.setdefault(k, {})[occ] = amp
+    return {k: FockStateVector(state.registry, state.cutoff, terms,
+                               state.truncated_weight)
+            for k, terms in sorted(split.items())}
+
+
 @dataclass(frozen=True)
 class DetectorModel:
     """Threshold detector: click/no-click with efficiency and dark probability."""

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from dfsdist.oracle import (
     DenseFockSpace,
@@ -38,6 +39,13 @@ def test_random_circuit_agreement_twenty_seeds():
     report = oracle_check(None, n_seeds=20)
     assert report.passed, report.worst_case
     assert report.max_deviation < 1e-9
+
+
+@pytest.mark.parametrize("base_seed", [6845, 1, 100, 12345])
+def test_random_circuits_allow_repeated_loss_on_one_label(base_seed):
+    # Seed 6845 draws two losses on one label within its first circuits.
+    report = oracle_check(None, n_seeds=10, base_seed=base_seed)
+    assert report.passed, report.worst_case
 
 
 def test_protocol_agreement_small_config():

@@ -48,6 +48,64 @@ def test_config_validation():
     assert abs(cfg.mu_bob - cfg.mu / 0.05) < 1e-12
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(mu=math.nan),
+    dict(gamma=math.nan),
+    dict(overlap_sigma_um=math.nan),
+    dict(delay_um=math.nan),
+    dict(mu=math.inf),
+    dict(phase_delta=(0.0, math.nan)),
+    dict(phase_shifts=((0.0, 0.0), (math.nan, 0.5))),
+    dict(phase_shifts=((0.0, math.inf),)),
+    dict(input_qubit=(complex(math.nan, 0.0), 1.0)),
+], ids=["mu", "gamma", "overlap_sigma", "delay", "mu_inf", "phase_delta",
+        "phase_shift", "phase_shift_inf", "input_qubit"])
+def test_config_rejects_non_finite_values(overrides):
+    with pytest.raises(ValidationError, match="finite"):
+        ExperimentConfig(**overrides)
+
+
+def _assert_rel_close(got, want, tol=1e-12):
+    assert abs(got - want) <= tol * abs(want), (got, want)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(),
+    dict(cutoff=5),
+    dict(variant="forward_all_from_bob"),
+    dict(variant="single_photon_ancilla"),
+    dict(variant="direct_no_dfs"),
+    dict(include_feedforward_branch=True),
+    dict(phase_delta=(0.3, 1.1)),
+    # Characters not orthogonal; only the direct variant's fixed-phase runs
+    # differ from one another, so only it can tell the two ensembles apart.
+    dict(phase_shifts=PHASE_SET_8[:4]),
+    dict(variant="direct_no_dfs", phase_shifts=PHASE_SET_8[:4]),
+], ids=["reference", "cutoff5", "forward", "single_photon", "direct",
+        "feedforward", "phase_delta", "four_points", "direct_four_points"])
+def test_sector_average_equals_mean_of_fixed_phase_runs(overrides):
+    cfg = replace(PAPER, overlap_s0=0.94, transmittance=0.03, **overrides)
+    runs = [run_fixed_phase(cfg, *phi) for phi in cfg.phase_shifts]
+    n = len(runs)
+    got = run_phase_averaged(cfg)
+
+    _assert_rel_close(got.triple_probability,
+                      sum(r.triple_probability for r in runs) / n)
+    for attr in ("zz_probs", "xx_probs", "components"):
+        want = {}
+        for r in runs:
+            for key, val in getattr(r, attr).items():
+                want[key] = want.get(key, 0.0) + val / n
+        assert set(getattr(got, attr)) == set(want), attr
+        for key, val in want.items():
+            _assert_rel_close(getattr(got, attr)[key], val)
+    want_dm = sum(r.dm.matrix * r.dm_weight for r in runs) / n
+    assert (np.abs(got.dm.matrix * got.dm_weight - want_dm).max()
+            <= 1e-12 * np.abs(want_dm).max())
+    _assert_rel_close(got.truncated_weight,
+                      max(r.truncated_weight for r in runs))
+
+
 def test_three_photon_state_term_structure():
     """The post-channel state carries the four expected terms.
 
