@@ -18,11 +18,11 @@ from . import __version__
 from .fock import UndefinedFidelityError, ValidationError, fidelity_to_phi_plus
 from .protocol import (
     REP_RATE_HZ,
+    DelayEvaluator,
     ExperimentConfig,
-    analyzer_setting_probability,
     chsh_violated,
     f_low,
-    prepare_final_state,
+    phase_point_states,
     run_phase_averaged,
     visibilities,
 )
@@ -221,25 +221,13 @@ class DelayScanRow:
     visibility: float
 
 
-def _delay_point(cfg: ExperimentConfig, delay_um: float) -> tuple[float, float]:
-    """Coincidences in the circular/diagonal bases at one optical delay.
-
-    The retained photon is heralded into a circular polarization by analyzing
-    its partner in the orthogonal circular basis; the run uses a fixed channel
-    phase since single-run interference is only visible without averaging.
-    """
-    c = replace(cfg, delay_um=delay_um)
-    plan, state = prepare_final_state(c, 0.0, 0.0)
-    p_rd = analyzer_setting_probability(plan, state, "R", "L")
-    p_ld = analyzer_setting_probability(plan, state, "L", "L")
-    return p_rd, p_ld
-
-
 def delay_scan(cfg: ExperimentConfig,
                delays_um: Sequence[float]) -> list[DelayScanRow]:
+    """Circular-basis coincidences and their contrast at each delay."""
+    evaluate = DelayEvaluator(cfg)
     rows = []
     for dx in delays_um:
-        p_rd, p_ld = _delay_point(cfg, dx)
+        p_rd, p_ld = evaluate(dx)
         total = p_rd + p_ld
         vis = abs(p_rd - p_ld) / total if total > 0 else 0.0
         rows.append(DelayScanRow(float(dx), p_rd, p_ld, vis))
@@ -256,9 +244,10 @@ def delay_scan_csv(rows: Sequence[DelayScanRow]) -> str:
 
 def measure_dip_fwhm(cfg: ExperimentConfig) -> float:
     """Full width at half maximum of the interference contrast vs delay."""
+    evaluate = DelayEvaluator(cfg)
 
     def contrast(dx: float) -> float:
-        p_rd, p_ld = _delay_point(cfg, dx)
+        p_rd, p_ld = evaluate(dx)
         return abs(p_rd - p_ld)
 
     c0 = contrast(0.0)
@@ -327,6 +316,8 @@ class EventSample:
     g_click: np.ndarray
     exact_pattern_probabilities: dict[tuple[int, tuple[bool, ...]], float]
 
+    CSV_HEADER = "pulse,phase_index,e_click,f_click,g_click"
+
     def __len__(self) -> int:
         return len(self.phase_index)
 
@@ -335,11 +326,15 @@ class EventSample:
         return float(hits.sum()) / len(self) if len(self) else 0.0
 
     def to_csv_text(self) -> str:
-        lines = ["pulse,phase_index,e_click,f_click,g_click"]
-        for i in range(len(self)):
-            lines.append(f"{i},{self.phase_index[i]},{int(self.e_click[i])},"
-                         f"{int(self.f_click[i])},{int(self.g_click[i])}")
-        return "\n".join(lines) + "\n"
+        # Few distinct (phase, e, f, g) records repeat over many pulses, so
+        # each record's line suffix is formatted once, indexed by its code.
+        codes = (((self.phase_index * 2 + self.e_click) * 2 + self.f_click) * 2
+                 + self.g_click).tolist()
+        suffixes = [f",{c >> 3},{c >> 2 & 1},{c >> 1 & 1},{c & 1}"
+                    for c in range(max(codes, default=0) + 1)]
+        lines = map(str.__add__, map(str, range(len(codes))),
+                    map(suffixes.__getitem__, codes))
+        return "\n".join([self.CSV_HEADER, *lines]) + "\n"
 
 
 def sample_events(cfg: ExperimentConfig, n_pulses: int, seed: int) -> EventSample:
@@ -355,16 +350,16 @@ def sample_events(cfg: ExperimentConfig, n_pulses: int, seed: int) -> EventSampl
     flat_keys: list[tuple[int, tuple[bool, ...]]] = []
     flat_probs: list[float] = []
     exact: dict[tuple[int, tuple[bool, ...]], float] = {}
-    for k, (phi_h, phi_v) in enumerate(cfg.phase_shifts):
-        plan, state = prepare_final_state(cfg, phi_h, phi_v)
-        reg = state.registry
-        assignments = {
-            "E": (plan.detectors["E"], reg.indices(plan.side_e)),
-            "G": (plan.detectors["G"], reg.indices(plan.side_g)),
-        }
-        if plan.herald is not None:
-            assignments["F"] = (plan.detectors["F"],
-                                reg.indices(plan.herald, pol="H"))
+    plan, states = phase_point_states(cfg)
+    reg = plan.registry
+    assignments = {
+        "E": (plan.detectors["E"], reg.indices(plan.side_e)),
+        "G": (plan.detectors["G"], reg.indices(plan.side_g)),
+    }
+    if plan.herald is not None:
+        assignments["F"] = (plan.detectors["F"],
+                            reg.indices(plan.herald, pol="H"))
+    for k, state in enumerate(states):
         dist = pattern_distribution(state, assignments)
         norm = sum(dist.values())  # < 1 only by the recorded truncation weight
         for bits, p in sorted(dist.items()):

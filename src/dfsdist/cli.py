@@ -165,6 +165,8 @@ def _cmd_delay_scan(cfg: ExperimentConfig, extras: dict, out: str) -> int:
     lo = float(extras.get("delay_min_um", -300.0))
     hi = float(extras.get("delay_max_um", 300.0))
     steps = int(extras.get("delay_steps", 61))
+    if steps < 1:
+        raise ConfigurationError("delay_steps must be >= 1")
     delays = np.linspace(lo, hi, steps)
     rows = delay_scan(cfg, delays)
     csv_path, json_path = _out_paths(out)

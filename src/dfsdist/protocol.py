@@ -292,9 +292,8 @@ def _initial_state(cfg: ExperimentConfig, reg: ModeRegistry) -> FockStateVector:
     return tensor(pair, ancilla)
 
 
-def _transforms(cfg: ExperimentConfig, reg: ModeRegistry) -> list:
-    """The phase-independent optical train after the sources."""
-    s = cfg.overlap_amplitude
+def _head_transforms(cfg: ExperimentConfig, reg: ModeRegistry) -> list:
+    """The part of the train before the pulse meets the retained photon."""
     seq = []
     if cfg.variant == "direct_no_dfs":
         seq.append(loss_channel(reg, "B", cfg.transmittance, "LB"))
@@ -308,13 +307,30 @@ def _transforms(cfg: ExperimentConfig, reg: ModeRegistry) -> list:
     if cfg.variant == "single_photon_ancilla":
         seq.append(loss_channel(reg, "R", cfg.transmittance, "LR"))
     seq.append(hwp(reg, "R", math.pi / 4.0))  # polarization flip before the PBS
-    if s < 1.0:
-        seq.append(overlap_split(reg, "R", s))
+    return seq
+
+
+def _tail_transforms(cfg: ExperimentConfig, reg: ModeRegistry,
+                     s: float) -> list:
+    """Pulse-photon interference and the herald analyzer.
+
+    The only part of the train that depends on the optical delay, through
+    the overlap amplitude ``s``.
+    """
+    if cfg.variant == "direct_no_dfs":
+        return []
+    seq = [overlap_split(reg, "R", s)] if s < 1.0 else []
     seq.append(pbs(reg, "A", "R", "E", "F"))
     # Rotate the pulse output so its |D> component sits on the H modes watched
     # by the herald detector; the |Dbar> component leaves through the unused port.
     seq.append(jones_transform(reg, "F", _analyzer_matrix("D"), name="F analyzer"))
     return seq
+
+
+def _transforms(cfg: ExperimentConfig, reg: ModeRegistry) -> list:
+    """The phase-independent optical train after the sources."""
+    return (_head_transforms(cfg, reg)
+            + _tail_transforms(cfg, reg, cfg.overlap_amplitude))
 
 
 def _propagate(state: FockStateVector, transforms: Sequence) -> FockStateVector:
@@ -359,33 +375,45 @@ def run_fixed_phase(cfg: ExperimentConfig, phi_h: float,
     return _measure(cfg, plan, state)
 
 
-def analyzer_setting_probability(plan: _Plan, state: FockStateVector,
-                                 setting_e: str, setting_g: str) -> float:
-    """Coincidence click probability for one arbitrary analyzer pair."""
-    reg = state.registry
-    st = apply_transform(state, jones_transform(reg, plan.side_e,
-                                                _analyzer_matrix(setting_e)))
-    st = apply_transform(st, jones_transform(reg, plan.side_g,
-                                             _analyzer_matrix(setting_g)))
-    det_e = plan.detectors["E"]
-    det_g = plan.detectors["G"]
-    e_idx = reg.indices(plan.side_e, pol=H)
-    g_idx = reg.indices(plan.side_g, pol=H)
-    herald = None
-    if plan.herald is not None:
-        herald = (plan.detectors["F"], reg.indices(plan.herald, pol=H))
-    total = 0.0
-    for occ, amp in st.terms.items():
-        w = abs(amp) ** 2
-        w *= det_e.click_probability(sum(occ[k] for k in e_idx))
-        if w == 0.0:
-            continue
-        w *= det_g.click_probability(sum(occ[k] for k in g_idx))
-        if herald is not None:
-            det_f, f_idx = herald
-            w *= det_f.click_probability(sum(occ[k] for k in f_idx))
-        total += w
-    return total
+class DelayEvaluator:
+    """Circular-basis coincidences against optical delay for one config.
+
+    The retained photon is heralded into a circular polarization by
+    analyzing its partner in the orthogonal circular basis, at zero channel
+    phase, since single-run interference is only visible without averaging.
+    Only the overlap split depends on the delay.  So the sources and the
+    head of the train are propagated once, and the G-side analyzer is
+    applied to that prefix: it commutes with every tail element, which is
+    checked on each call.  A delay then costs the tail and one E-side
+    rotation.  Both sides are rotated to put R on the H modes, so the (R, L)
+    and (L, L) coincidences come from one state.
+    """
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+        self.plan = _build_plan(cfg)
+        reg = self.plan.registry
+        self._overlap = OverlapModel(cfg.overlap_s0, cfg.overlap_sigma_um)
+        rot_g = jones_transform(reg, self.plan.side_g, _analyzer_matrix("R"))
+        self._g_modes = set(rot_g.input_indices) | set(rot_g.output_indices)
+        head = _propagate(_initial_state(cfg, reg), _head_transforms(cfg, reg))
+        self._prefix = apply_transform(head, rot_g)
+
+    def __call__(self, delay_um: float) -> tuple[float, float]:
+        """(p_rd, p_ld): partner in L, retained photon in R or in L."""
+        reg = self.plan.registry
+        tail = _tail_transforms(self.cfg, reg,
+                                overlap_at_delay(self._overlap, delay_um))
+        for t in tail:
+            if self._g_modes & {*t.input_indices, *t.output_indices}:
+                raise ConfigurationError(
+                    f"{t.name} acts on the {self.plan.side_g} modes, so the "
+                    f"analyzer there cannot be applied before it")
+        state = apply_transform(_propagate(self._prefix, tail),
+                                jones_transform(reg, self.plan.side_e,
+                                                _analyzer_matrix("R")))
+        probs = _setting_probs(state, self.plan, ("R", "L"))
+        return probs[("R", "L")], probs[("L", "L")]
 
 
 def _click_terms(occupations: Iterable[tuple[tuple[int, ...], float]],
@@ -432,31 +460,35 @@ def _setting_probs(state: FockStateVector, plan: _Plan, settings: tuple[str, str
     reg = state.registry
     det_e = plan.detectors["E"]
     det_g = plan.detectors["G"]
-    e_pol = {p: reg.indices(plan.side_e, pol=p) for p in (H, V)}
-    g_pol = {p: reg.indices(plan.side_g, pol=p) for p in (H, V)}
-    herald = None
+    e_pols = [reg.indices(plan.side_e, pol=p) for p in (H, V)]
+    g_pols = [reg.indices(plan.side_g, pol=p) for p in (H, V)]
+    det_f = f_idx = None
     if plan.herald is not None:
-        herald = (plan.detectors["F"],
-                  reg.indices(plan.herald, pol=herald_pol))
-    out = {}
-    first, second = settings
-    for i, set_e in enumerate((first, second)):
-        for j, set_g in enumerate((first, second)):
-            p = 0.0
-            e_idx = e_pol[H if i == 0 else V]
-            g_idx = g_pol[H if j == 0 else V]
-            for occ, amp in state.terms.items():
-                w = abs(amp) ** 2
-                w *= det_e.click_probability(sum(occ[k] for k in e_idx))
-                if w == 0.0:
-                    continue
-                w *= det_g.click_probability(sum(occ[k] for k in g_idx))
-                if herald is not None:
-                    det_f, f_idx = herald
-                    w *= det_f.click_probability(sum(occ[k] for k in f_idx))
-                p += w
-            out[(set_e, set_g)] = p
-    return out
+        det_f = plan.detectors["F"]
+        f_idx = reg.indices(plan.herald, pol=herald_pol)
+    # One pass over the terms for all four pairs.  Each pair's sum takes the
+    # same products in the same order as a pass of its own would.
+    sums = [[0.0, 0.0], [0.0, 0.0]]
+    for occ, amp in state.terms.items():
+        w = abs(amp) ** 2
+        w_e = [w * det_e.click_probability(sum(map(occ.__getitem__, idx)))
+               for idx in e_pols]
+        if w_e[0] == 0.0 and w_e[1] == 0.0:
+            continue
+        c_g = [det_g.click_probability(sum(map(occ.__getitem__, idx)))
+               for idx in g_pols]
+        c_f = (None if det_f is None
+               else det_f.click_probability(sum(map(occ.__getitem__, f_idx))))
+        for w_i, row in zip(w_e, sums):
+            if w_i == 0.0:
+                continue
+            for j, c_j in enumerate(c_g):
+                x = w_i * c_j
+                if c_f is not None:
+                    x *= c_f
+                row[j] += x
+    return {(settings[i], settings[j]): sums[i][j]
+            for i in range(2) for j in range(2)}
 
 
 def _measure(cfg: ExperimentConfig, plan: _Plan,
@@ -518,18 +550,14 @@ def _measure(cfg: ExperimentConfig, plan: _Plan,
                            state.truncated_weight)
 
 
-def _phase_ensemble(cfg: ExperimentConfig,
-                    plan: _Plan) -> Iterator[tuple[float, FockStateVector]]:
-    """(weight, final state) pairs whose weighted measurements sum to the
-    uniform average over ``cfg.phase_shifts``.
+def _charge_classes(cfg: ExperimentConfig, plan: _Plan,
+                    ) -> tuple[np.ndarray, Iterator[FockStateVector]]:
+    """Characters over ``cfg.phase_shifts`` of each charge class, one row per
+    class, and the final state of each class, propagated on demand.
 
-    Charges with equal characters over the phase set form one class, and
-    each class is propagated once.  When the characters of distinct classes
-    are orthogonal, cross terms between classes average to zero and the
-    classes themselves are the ensemble.  Otherwise each phase point's state
-    is rebuilt from the propagated classes.
+    Charges with equal characters over the phase set form one class; the
+    state at phase point j is the sum over classes of chi[c, j] |final_c>.
     """
-    n = len(cfg.phase_shifts)
     phases = np.asarray(cfg.phase_shifts, dtype=float)
     classes: list[tuple[np.ndarray, list[FockStateVector]]] = []
     sectors = charge_sectors(_initial_state(cfg, plan.registry),
@@ -542,18 +570,45 @@ def _phase_ensemble(cfg: ExperimentConfig,
                 break
         else:
             classes.append((chi, [sector]))
-    initial = [_superpose(members, [1.0] * len(members))
-               for _, members in classes]
     train = _transforms(cfg, plan.registry)
     chis = np.array([chi for chi, _ in classes])
+    return chis, (_propagate(_superpose(members, [1.0] * len(members)), train)
+                  for _, members in classes)
+
+
+def phase_point_states(cfg: ExperimentConfig,
+                       ) -> tuple[_Plan, list[FockStateVector]]:
+    """Final state at each point of ``cfg.phase_shifts``, in order.
+
+    Each charge class is propagated once and every point's state is
+    rebuilt from the propagated classes with their characters.
+    """
+    plan = _build_plan(cfg)
+    chis, finals = _charge_classes(cfg, plan)
+    finals = list(finals)
+    return plan, [_superpose(finals, chi) for chi in chis.T]
+
+
+def _phase_ensemble(cfg: ExperimentConfig,
+                    plan: _Plan) -> Iterator[tuple[float, FockStateVector]]:
+    """(weight, final state) pairs whose weighted measurements sum to the
+    uniform average over ``cfg.phase_shifts``.
+
+    When the characters of distinct charge classes are orthogonal, cross
+    terms between classes average to zero and the classes themselves are
+    the ensemble, streamed one at a time.  Otherwise each phase point's
+    state is rebuilt from the propagated classes.
+    """
+    n = len(cfg.phase_shifts)
+    chis, finals = _charge_classes(cfg, plan)
     gram = chis.conj() @ chis.T / n
-    if np.allclose(gram, np.eye(len(classes)), rtol=0.0, atol=1e-12):
-        for state in initial:
-            yield 1.0, _propagate(state, train)
+    if np.allclose(gram, np.eye(len(chis)), rtol=0.0, atol=1e-12):
+        for state in finals:
+            yield 1.0, state
         return
-    finals = [_propagate(state, train) for state in initial]
-    for j in range(n):
-        yield 1.0 / n, _superpose(finals, chis[:, j])
+    finals = list(finals)
+    for chi in chis.T:
+        yield 1.0 / n, _superpose(finals, chi)
 
 
 def run_phase_averaged(cfg: ExperimentConfig) -> ProtocolOutcome:

@@ -167,6 +167,30 @@ def test_sample_events_csv_format():
     assert lines[1].startswith("0,")
 
 
+def _per_pulse_csv(sample) -> str:
+    lines = ["pulse,phase_index,e_click,f_click,g_click"]
+    for i in range(len(sample)):
+        lines.append(f"{i},{sample.phase_index[i]},{int(sample.e_click[i])},"
+                     f"{int(sample.f_click[i])},{int(sample.g_click[i])}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(),
+    dict(variant="direct_no_dfs"),  # no herald: f_click is always 0
+])
+def test_sample_csv_equals_per_pulse_formatting(overrides):
+    # Boosted rates so that many distinct click records occur.
+    cfg = replace(PAPER, eta=1.0, eta_g=1.0, gamma=0.05, transmittance=0.5,
+                  overlap_s0=1.0, dark_g=0.3, **overrides)
+    sample = sample_events(cfg, 20_000, 11)
+    text = sample.to_csv_text()
+    assert text == _per_pulse_csv(sample)
+    assert len({line.split(",", 1)[1] for line in text.splitlines()[1:]}) > 8
+    empty = sample_events(cfg, 0, 11)
+    assert empty.to_csv_text() == _per_pulse_csv(empty)
+
+
 def test_sample_events_reference_scale_ten_million():
     # At the reference parameters the per-pulse triple probability is ~1e-8,
     # so ten million pulses yield at most a few counts; the empirical rate

@@ -124,6 +124,18 @@ def test_cli_delay_scan(tmp_path):
     assert meta["zero_delay_visibility"] > 0.5
 
 
+@pytest.mark.parametrize("steps", ["0", "-1"])
+def test_cli_delay_scan_rejects_nonpositive_steps(tmp_path, capsys, steps):
+    cfg_file = tmp_path / "scan.cfg"
+    cfg_file.write_text(f"delay_steps = {steps}\n")
+    code = main(["delay-scan", "--config", str(cfg_file),
+                 "--out", str(tmp_path / "dip")])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    assert json.loads(err) == {"error": "delay_steps must be >= 1"}
+    assert not (tmp_path / "dip.csv").exists()
+
+
 def test_cli_oracle_check(tmp_path):
     cfg_file = tmp_path / "oracle.cfg"
     cfg_file.write_text("cutoff = 3\nphase_count = 1\noracle_seeds = 2\n")

@@ -5,25 +5,31 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dfsdist import protocol
 from dfsdist.fock import (
     H,
     MATCHED,
     V,
+    ConfigurationError,
     Mode,
     ValidationError,
+    apply_transform,
     fidelity_to_phi_plus,
+    states_allclose,
     trace_distance,
 )
+from dfsdist.optics import hwp, jones_transform
 from dfsdist.protocol import (
     PHASE_SET_8,
+    DelayEvaluator,
     ExperimentConfig,
-    analyzer_setting_probability,
     chsh_violated,
     component_scaling,
     distribute_qubit,
     dm_visibilities,
     f_low,
     forward_variant_scaling,
+    phase_point_states,
     prepare_final_state,
     run_fixed_phase,
     run_phase_averaged,
@@ -342,14 +348,76 @@ def test_distribute_qubit_rejects_zero():
         distribute_qubit(ExperimentConfig.ideal(), (0.0, 0.0))
 
 
-def test_analyzer_setting_probability_matches_basis_batch():
-    cfg = replace(PAPER, overlap_s0=0.94)
-    plan, state = prepare_final_state(cfg, 0.0, math.pi / 4.0)
-    out = run_fixed_phase(cfg, 0.0, math.pi / 4.0)
-    assert abs(analyzer_setting_probability(plan, state, "H", "V")
-               - out.zz_probs[("H", "V")]) < 1e-15
-    assert abs(analyzer_setting_probability(plan, state, "D", "Dbar")
-               - out.xx_probs[("D", "Dbar")]) < 1e-15
+def _full_train_coincidence(cfg, delay_um, setting_e, setting_g):
+    """Circular coincidence by the direct definition: the whole train at
+    this delay, separate E and G rotations putting each setting on the H
+    modes, then the product of the H-mode click probabilities."""
+    plan, state = prepare_final_state(replace(cfg, delay_um=delay_um), 0.0, 0.0)
+    reg = plan.registry
+    for side, setting in ((plan.side_e, setting_e), (plan.side_g, setting_g)):
+        state = apply_transform(state, jones_transform(
+            reg, side, protocol._analyzer_matrix(setting)))
+    groups = [(plan.detectors["E"], reg.indices(plan.side_e, pol=H)),
+              (plan.detectors["G"], reg.indices(plan.side_g, pol=H))]
+    if plan.herald is not None:
+        groups.append((plan.detectors["F"], reg.indices(plan.herald, pol=H)))
+    total = 0.0
+    for occ, amp in state.terms.items():
+        w = abs(amp) ** 2
+        for det, idx in groups:
+            w *= det.click_probability(sum(occ[k] for k in idx))
+        total += w
+    return total
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(),
+    dict(variant="single_photon_ancilla"),
+    dict(variant="forward_all_from_bob"),
+    dict(variant="direct_no_dfs"),
+    # At zero delay s = 1, so the tail has no overlap element.
+    dict(overlap_s0=1.0),
+])
+def test_delay_evaluator_matches_full_propagation(overrides):
+    cfg = replace(PAPER, **{"overlap_s0": 0.94, "overlap_sigma_um": 108.1,
+                            **overrides})
+    evaluate = DelayEvaluator(cfg)
+    for dx in (0.0, 60.0, -60.0, 250.0, -250.0):
+        p_rd, p_ld = evaluate(dx)
+        want_rd = _full_train_coincidence(cfg, dx, "R", "L")
+        want_ld = _full_train_coincidence(cfg, dx, "L", "L")
+        assert want_rd > 0.0 and want_ld > 0.0
+        assert abs(p_rd - want_rd) <= 1e-12 * want_rd
+        assert abs(p_ld - want_ld) <= 1e-12 * want_ld
+
+
+@pytest.mark.parametrize("variant", ["counter_propagating",
+                                     "forward_all_from_bob"])
+def test_delay_evaluator_rejects_tail_on_g_side(monkeypatch, variant):
+    tail = protocol._tail_transforms
+    cfg = replace(PAPER, overlap_s0=0.94, variant=variant)
+    side_g = protocol._build_plan(cfg).side_g
+    monkeypatch.setattr(protocol, "_tail_transforms", lambda c, reg, s: [
+        *tail(c, reg, s), hwp(reg, side_g, 0.3)])
+    evaluate = DelayEvaluator(cfg)
+    with pytest.raises(ConfigurationError, match=f"acts on the {side_g} modes"):
+        evaluate(0.0)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(),
+    dict(variant="forward_all_from_bob", overlap_s0=0.9),
+    dict(phase_shifts=PHASE_SET_8[:3], phase_delta=(0.2, -0.4)),
+])
+def test_phase_point_states_match_fixed_phase_preparation(overrides):
+    cfg = replace(PAPER, **overrides)
+    _, states = phase_point_states(cfg)
+    assert len(states) == len(cfg.phase_shifts)
+    for (phi_h, phi_v), state in zip(cfg.phase_shifts, states):
+        _, want = prepare_final_state(cfg, phi_h, phi_v)
+        assert states_allclose(state, want, tol=1e-15)
+        assert state.truncated_weight == pytest.approx(want.truncated_weight,
+                                                       rel=1e-12, abs=1e-300)
 
 
 def test_f_low_monotone_in_transmittance_on_grid():
