@@ -215,7 +215,10 @@ def _cmd_sample(cfg: ExperimentConfig, extras: dict, out: str,
 
 
 def _cmd_oracle_check(cfg: ExperimentConfig, extras: dict, out: str) -> int:
-    report = oracle_check(cfg, n_seeds=int(extras.get("oracle_seeds", 20)))
+    n_seeds = int(extras.get("oracle_seeds", 20))
+    if n_seeds < 1:
+        raise ConfigurationError("oracle_seeds must be >= 1")
+    report = oracle_check(cfg, n_seeds=n_seeds)
     payload = {
         "max_deviation": report.max_deviation,
         "n_checks": report.n_checks,

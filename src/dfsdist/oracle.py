@@ -5,6 +5,11 @@ dense vectors over an explicitly enumerated occupation basis, linear elements
 act through matrix exponentials of quadratic mode Hamiltonians, loss acts via
 Kraus maps (no dilation modes), and detection through diagonal POVM operators.
 Agreement with the sparse engine is asserted to 1e-9 on outcome probabilities.
+
+A ``DenseFockSpace`` builds each operator once and keeps it: ``oracle_check``
+passes one space to all its protocol points, so every mode unitary, loss
+Kraus set and click POVM is built once per check.  Nothing is cached at
+module level, so separate checks share no state.
 """
 
 from __future__ import annotations
@@ -48,7 +53,13 @@ def _enumerate_basis(n_modes: int, cutoff: int) -> list[tuple[int, ...]]:
 
 
 class DenseFockSpace:
-    """Dense truncated Fock space over a fixed number of modes."""
+    """Dense truncated Fock space over a fixed number of modes.
+
+    Mode unitaries, loss Kraus sets and click POVMs are built on first use
+    and kept for the life of the space, so the protocol points of one check
+    that share a space build each operator once.  Returned operators are
+    shared between callers and must not be modified.
+    """
 
     def __init__(self, n_modes: int, cutoff: int):
         self.n_modes = n_modes
@@ -57,6 +68,9 @@ class DenseFockSpace:
         self.index = {occ: i for i, occ in enumerate(self.basis)}
         self.dim = len(self.basis)
         self._annihilation: dict[int, np.ndarray] = {}
+        self._unitaries: dict[tuple, np.ndarray] = {}
+        self._kraus: dict[tuple[int, float], list] = {}
+        self._clicks: dict[tuple, np.ndarray] = {}
 
     def annihilation(self, mode: int) -> np.ndarray:
         op = self._annihilation.get(mode)
@@ -81,48 +95,82 @@ class DenseFockSpace:
 
     def mode_unitary(self, modes: Sequence[int], matrix: np.ndarray) -> np.ndarray:
         """Fock-space unitary implementing a unitary map on creation operators."""
-        k = logm(np.asarray(matrix, dtype=complex))
-        gen = np.zeros((self.dim, self.dim), dtype=complex)
-        for a, ma in enumerate(modes):
-            adag = self.creation(ma)
-            for b, mb in enumerate(modes):
-                if abs(k[a, b]) < 1e-16:
-                    continue
-                gen += k[a, b] * (adag @ self.annihilation(mb))
-        return expm(gen)
+        matrix = np.asarray(matrix, dtype=complex)
+        key = (tuple(map(int, modes)), matrix.shape, matrix.tobytes())
+        u = self._unitaries.get(key)
+        if u is None:
+            k = logm(matrix)
+            gen = np.zeros((self.dim, self.dim), dtype=complex)
+            for a, ma in enumerate(modes):
+                adag = self.creation(ma)
+                for b, mb in enumerate(modes):
+                    if abs(k[a, b]) < 1e-16:
+                        continue
+                    gen += k[a, b] * (adag @ self.annihilation(mb))
+            u = expm(gen)
+            u.flags.writeable = False
+            self._unitaries[key] = u
+        return u
 
-    def loss_kraus(self, mode: int, transmittance: float) -> list[np.ndarray]:
-        """Kraus operators of the pure-loss channel on one mode."""
-        ops = []
-        for k in range(self.cutoff + 1):
-            op = np.zeros((self.dim, self.dim))
-            for i, occ in enumerate(self.basis):
-                n = occ[mode]
-                if n < k:
-                    continue
-                coeff = math.sqrt(math.comb(n, k)
-                                  * transmittance ** (n - k)
-                                  * (1.0 - transmittance) ** k)
-                target = occ[:mode] + (n - k,) + occ[mode + 1:]
-                op[self.index[target], i] = coeff
-            ops.append(op)
+    def loss_kraus(self, mode: int, transmittance: float) -> list:
+        """Kraus operators of the pure-loss channel on one mode.
+
+        Each maps every basis state to at most one basis state, so they are
+        held as sparse matrices and ``apply_kraus`` costs O(dim^2) per
+        operator instead of a dense O(dim^3) product.
+        """
+        key = (mode, transmittance)
+        ops = self._kraus.get(key)
+        if ops is None:
+            # Imported here: the CLI loads this module, and only the oracle
+            # needs scipy.sparse.
+            from scipy.sparse import csr_array
+
+            ops = []
+            for k in range(self.cutoff + 1):
+                rows, cols, vals = [], [], []
+                for i, occ in enumerate(self.basis):
+                    n = occ[mode]
+                    if n < k:
+                        continue
+                    rows.append(self.index[occ[:mode] + (n - k,) + occ[mode + 1:]])
+                    cols.append(i)
+                    vals.append(math.sqrt(math.comb(n, k)
+                                          * transmittance ** (n - k)
+                                          * (1.0 - transmittance) ** k))
+                ops.append(csr_array((vals, (rows, cols)),
+                                     shape=(self.dim, self.dim)))
+            self._kraus[key] = ops
         return ops
 
-    def click_operator(self, modes: Sequence[int], efficiency: float,
-                       dark: float = 0.0) -> np.ndarray:
-        """Diagonal threshold-click POVM element on a mode group."""
-        diag = np.empty(self.dim)
-        for i, occ in enumerate(self.basis):
-            n = sum(occ[m] for m in modes)
-            diag[i] = 1.0 - (1.0 - dark) * (1.0 - efficiency) ** n
-        return np.diag(diag)
+    def click_povm(self, modes: Sequence[int], efficiency: float,
+                   dark: float = 0.0) -> np.ndarray:
+        """Diagonal of the threshold-click POVM element on a mode group.
+
+        The no-click element is ``1 - click_povm(...)``.
+        """
+        key = (tuple(map(int, modes)), efficiency, dark)
+        diag = self._clicks.get(key)
+        if diag is None:
+            diag = np.empty(self.dim)
+            for i, occ in enumerate(self.basis):
+                n = sum(occ[m] for m in modes)
+                diag[i] = 1.0 - (1.0 - dark) * (1.0 - efficiency) ** n
+            diag.flags.writeable = False
+            self._clicks[key] = diag
+        return diag
 
 
-def apply_kraus(rho: np.ndarray, kraus: Sequence[np.ndarray]) -> np.ndarray:
+def apply_kraus(rho: np.ndarray, kraus: Sequence) -> np.ndarray:
     out = np.zeros_like(rho)
     for op in kraus:
         out += op @ rho @ op.conj().T
     return out
+
+
+def diagonal_expectation(rho: np.ndarray, povm: np.ndarray) -> float:
+    """tr(rho E) for a POVM element E diagonal in the occupation basis."""
+    return float(np.real(np.diag(rho)) @ povm)
 
 
 def reduce_polarization_dense(space: DenseFockSpace, rho: np.ndarray,
@@ -197,17 +245,26 @@ _ORACLE_MODES = ("AH", "AV", "RH", "RV", "BH", "BV", "EH", "EV", "FH", "FV")
 
 
 def oracle_protocol_probabilities(cfg: ExperimentConfig, phi_h: float,
-                                  phi_v: float) -> dict[str, float]:
+                                  phi_v: float,
+                                  space: DenseFockSpace | None = None,
+                                  ) -> dict[str, float]:
     """Protocol statistics on ten modes via the dense pipeline.
 
     Matches the engine wiring with full temporal overlap (s0 = 1): dephasing
     and loss on the pair photon (loss and plate transmission as Kraus maps),
     the ancilla either prepared at the receiver (coherent) or launched and
     attenuated (single photon), polarization flip, parity-check PBS and the
-    diagonal-basis herald projection, then threshold statistics.
+    diagonal-basis herald projection, then threshold statistics.  Points
+    that pass one ``space`` (ten modes at ``cfg.cutoff``) share its
+    operators; by default a fresh space is built.
     """
     idx = {name: i for i, name in enumerate(_ORACLE_MODES)}
-    space = DenseFockSpace(len(_ORACLE_MODES), cfg.cutoff)
+    if space is None:
+        space = DenseFockSpace(len(_ORACLE_MODES), cfg.cutoff)
+    elif (space.n_modes, space.cutoff) != (len(_ORACLE_MODES), cfg.cutoff):
+        raise ValueError(f"oracle space has {space.n_modes} modes at cutoff "
+                         f"{space.cutoff}; the protocol needs "
+                         f"{len(_ORACLE_MODES)} at cutoff {cfg.cutoff}")
     pair = space.state(spdc_terms(cfg.gamma, cfg.pair_cutoff, cfg.cutoff, idx))
     phi_r = (phi_h + cfg.phase_delta[0], phi_v + cfg.phase_delta[1])
     single_photon = cfg.variant == "single_photon_ancilla"
@@ -226,36 +283,31 @@ def oracle_protocol_probabilities(cfg: ExperimentConfig, phi_h: float,
                                            idx["RV"], len(_ORACLE_MODES)))
     # Product state: the sources occupy disjoint mode sets.
     psi = np.zeros(space.dim, dtype=complex)
-    for i, occ_p in enumerate(space.basis):
-        if abs(pair[i]) < 1e-300:
-            continue
-        for j, occ_c in enumerate(space.basis):
-            if abs(pulse[j]) < 1e-300:
-                continue
-            occ = tuple(p + c for p, c in zip(occ_p, occ_c))
+    for i in np.flatnonzero(pair):
+        for j in np.flatnonzero(pulse):
+            occ = tuple(p + c for p, c in zip(space.basis[i], space.basis[j]))
             if sum(occ) <= cfg.cutoff:
                 psi[space.index[occ]] += pair[i] * pulse[j]
     rho = np.outer(psi, psi.conj())
 
-    phase_b = space.mode_unitary(
-        [idx["BH"], idx["BV"]],
-        np.diag([np.exp(1j * phi_h), np.exp(1j * phi_v)]))
-    rho = phase_b @ rho @ phase_b.conj().T
+    def rotate(r: np.ndarray, modes: Sequence[int], mat) -> np.ndarray:
+        u = space.mode_unitary(modes, mat)
+        return u @ r @ u.conj().T
+
+    rho = rotate(rho, [idx["BH"], idx["BV"]],
+                 np.diag([np.exp(1j * phi_h), np.exp(1j * phi_v)]))
     for mode in ("BH", "BV"):
         rho = apply_kraus(rho, space.loss_kraus(idx[mode], cfg.transmittance))
         rho = apply_kraus(rho, space.loss_kraus(idx[mode],
                                                 1.0 - cfg.gp_reflectance))
     if single_photon:
-        phase_r = space.mode_unitary(
-            [idx["RH"], idx["RV"]],
-            np.diag([np.exp(1j * phi_r[0]), np.exp(1j * phi_r[1])]))
-        rho = phase_r @ rho @ phase_r.conj().T
+        rho = rotate(rho, [idx["RH"], idx["RV"]],
+                     np.diag([np.exp(1j * phi_r[0]), np.exp(1j * phi_r[1])]))
         for mode in ("RH", "RV"):
             rho = apply_kraus(rho,
                               space.loss_kraus(idx[mode], cfg.transmittance))
-    flip = space.mode_unitary([idx["RH"], idx["RV"]],
-                              np.array([[0.0, 1.0], [1.0, 0.0]]))
-    rho = flip @ rho @ flip.conj().T
+    rho = rotate(rho, [idx["RH"], idx["RV"]],
+                 np.array([[0.0, 1.0], [1.0, 0.0]]))
     # PBS completed to a unitary with the vacuum output ports folded back.
     perm = np.zeros((8, 8))
     order = ["AH", "AV", "RH", "RV", "EH", "EV", "FH", "FV"]
@@ -264,36 +316,33 @@ def oracle_protocol_probabilities(cfg: ExperimentConfig, phi_h: float,
     pos = {name: k for k, name in enumerate(order)}
     for src, dst in pairs:
         perm[pos[dst], pos[src]] = 1.0
-    pbs_u = space.mode_unitary([idx[name] for name in order], perm)
-    rho = pbs_u @ rho @ pbs_u.conj().T
-    diag_rot = space.mode_unitary([idx["FH"], idx["FV"]], _analyzer_matrix("D"))
-    rho = diag_rot @ rho @ diag_rot.conj().T
+    rho = rotate(rho, [idx[name] for name in order], perm)
+    rho = rotate(rho, [idx["FH"], idx["FV"]], _analyzer_matrix("D"))
+    # Both X-basis analyzers put D on the H modes; rotate once per point.
+    rho_x = rho
+    for side in ("E", "B"):
+        rho_x = rotate(rho_x, [idx[side + "H"], idx[side + "V"]],
+                       _analyzer_matrix("D"))
 
-    def probability(extra_rotations, e_modes, g_modes) -> float:
-        r = rho
-        for modes, mat in extra_rotations:
-            u = space.mode_unitary(modes, mat)
-            r = u @ r @ u.conj().T
-        op = (space.click_operator(e_modes, cfg.eta, cfg.dark_e)
-              @ space.click_operator([idx["FH"]], cfg.eta, cfg.dark_f)
-              @ space.click_operator(g_modes, cfg.eta_g, cfg.dark_g))
-        return float(np.real(np.trace(r @ op)))
+    herald = space.click_povm([idx["FH"]], cfg.eta, cfg.dark_f)
+
+    def probability(r: np.ndarray, e_modes, g_modes) -> float:
+        povm = (space.click_povm(e_modes, cfg.eta, cfg.dark_e) * herald
+                * space.click_povm(g_modes, cfg.eta_g, cfg.dark_g))
+        return diagonal_expectation(r, povm)
 
     e_hv = {"H": [idx["EH"]], "V": [idx["EV"]]}
     g_hv = {"H": [idx["BH"]], "V": [idx["BV"]]}
     out: dict[str, float] = {
-        "triple": probability([], [idx["EH"], idx["EV"]],
+        "triple": probability(rho, [idx["EH"], idx["EV"]],
                               [idx["BH"], idx["BV"]]),
     }
     for se in ("H", "V"):
         for sg in ("H", "V"):
-            out[f"Z:{se}{sg}"] = probability([], e_hv[se], g_hv[sg])
-    xrot = [([idx["EH"], idx["EV"]], _analyzer_matrix("D")),
-            ([idx["BH"], idx["BV"]], _analyzer_matrix("D"))]
-    for i, se in enumerate(("D", "Dbar")):
-        for j, sg in enumerate(("D", "Dbar")):
-            out[f"X:{se}{sg}"] = probability(
-                xrot, e_hv["H" if i == 0 else "V"], g_hv["H" if j == 0 else "V"])
+            out[f"Z:{se}{sg}"] = probability(rho, e_hv[se], g_hv[sg])
+    for se, pe in (("D", "H"), ("Dbar", "V")):
+        for sg, pg in (("D", "H"), ("Dbar", "V")):
+            out[f"X:{se}{sg}"] = probability(rho_x, e_hv[pe], g_hv[pg])
     return out
 
 
@@ -406,15 +455,13 @@ def _random_circuit_check(seed: int, cutoff: int = 3) -> tuple[float, str]:
                 state,
                 {"P": (det_p, reg.indices("P")), "Q": (det_q, reg.indices("Q"))},
                 {"P": want_p, "Q": want_q})
-            op_p = space.click_operator([didx["PH"], didx["PV"]],
-                                        det_p.efficiency, det_p.dark)
-            op_q = space.click_operator([didx["QH"], didx["QV"]],
-                                        det_q.efficiency, det_q.dark)
-            if not want_p:
-                op_p = np.eye(space.dim) - op_p
-            if not want_q:
-                op_q = np.eye(space.dim) - op_q
-            dense_p = float(np.real(np.trace(rho @ op_p @ op_q)))
+            povm_p = space.click_povm([didx["PH"], didx["PV"]],
+                                      det_p.efficiency, det_p.dark)
+            povm_q = space.click_povm([didx["QH"], didx["QV"]],
+                                      det_q.efficiency, det_q.dark)
+            dense_p = diagonal_expectation(
+                rho, (povm_p if want_p else 1.0 - povm_p)
+                * (povm_q if want_q else 1.0 - povm_q))
             dev = abs(sparse_p - dense_p)
             if dev > worst:
                 worst, what = dev, f"pattern P={want_p} Q={want_q}"
@@ -442,13 +489,16 @@ def oracle_check(cfg: ExperimentConfig | None = None, n_seeds: int = 20,
         if dev > worst:
             worst, what = dev, f"random circuit seed {base_seed + k}: {label}"
     if cfg is not None:
+        # One space for every protocol point, so each operator is built once.
+        space = DenseFockSpace(len(_ORACLE_MODES), min(cfg.cutoff, 3))
         for variant in ("counter_propagating", "single_photon_ancilla"):
-            small = replace(cfg, cutoff=min(cfg.cutoff, 3), overlap_s0=1.0,
+            small = replace(cfg, cutoff=space.cutoff, overlap_s0=1.0,
                             delay_um=0.0, variant=variant,
                             include_feedforward_branch=False)
             for phi_h, phi_v in small.phase_shifts[:3]:
                 got = engine_protocol_probabilities(small, phi_h, phi_v)
-                want = oracle_protocol_probabilities(small, phi_h, phi_v)
+                want = oracle_protocol_probabilities(small, phi_h, phi_v,
+                                                     space)
                 for key in want:
                     dev = abs(got[key] - want[key])
                     n += 1

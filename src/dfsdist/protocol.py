@@ -310,6 +310,14 @@ def _head_transforms(cfg: ExperimentConfig, reg: ModeRegistry) -> list:
     return seq
 
 
+def _overlap_transforms(cfg: ExperimentConfig, reg: ModeRegistry,
+                        s: float) -> list:
+    """The delay-dependent part of the tail: empty at full overlap."""
+    if cfg.variant != "direct_no_dfs" and s < 1.0:
+        return [overlap_split(reg, "R", s)]
+    return []
+
+
 def _tail_transforms(cfg: ExperimentConfig, reg: ModeRegistry,
                      s: float) -> list:
     """Pulse-photon interference and the herald analyzer.
@@ -319,7 +327,7 @@ def _tail_transforms(cfg: ExperimentConfig, reg: ModeRegistry,
     """
     if cfg.variant == "direct_no_dfs":
         return []
-    seq = [overlap_split(reg, "R", s)] if s < 1.0 else []
+    seq = _overlap_transforms(cfg, reg, s)
     seq.append(pbs(reg, "A", "R", "E", "F"))
     # Rotate the pulse output so its |D> component sits on the H modes watched
     # by the herald detector; the |Dbar> component leaves through the unused port.
@@ -381,12 +389,14 @@ class DelayEvaluator:
     The retained photon is heralded into a circular polarization by
     analyzing its partner in the orthogonal circular basis, at zero channel
     phase, since single-run interference is only visible without averaging.
-    Only the overlap split depends on the delay.  So the sources and the
-    head of the train are propagated once, and the G-side analyzer is
-    applied to that prefix: it commutes with every tail element, which is
-    checked on each call.  A delay then costs the tail and one E-side
-    rotation.  Both sides are rotated to put R on the H modes, so the (R, L)
-    and (L, L) coincidences come from one state.
+    Only the overlap split depends on the delay, and only through the
+    overlap s(dx).  So the sources and the head of the train are propagated
+    once, and the G-side analyzer is applied to that prefix: it commutes
+    with every tail element, which is checked for each new s.  The rest of
+    the tail (the tail at full overlap) and the E-side rotation are built
+    once, and each distinct s is evaluated once.  Both sides are rotated to
+    put R on the H modes, so the (R, L) and (L, L) coincidences come from
+    one state.
     """
 
     def __init__(self, cfg: ExperimentConfig):
@@ -398,20 +408,29 @@ class DelayEvaluator:
         self._g_modes = set(rot_g.input_indices) | set(rot_g.output_indices)
         head = _propagate(_initial_state(cfg, reg), _head_transforms(cfg, reg))
         self._prefix = apply_transform(head, rot_g)
+        # At s = 1 the tail holds no overlap split: it is the part every
+        # delay shares.
+        self._herald = _tail_transforms(cfg, reg, 1.0)
+        self._rot_e = jones_transform(reg, self.plan.side_e,
+                                      _analyzer_matrix("R"))
+        self._by_overlap: dict[float, tuple[float, float]] = {}
 
     def __call__(self, delay_um: float) -> tuple[float, float]:
         """(p_rd, p_ld): partner in L, retained photon in R or in L."""
-        reg = self.plan.registry
-        tail = _tail_transforms(self.cfg, reg,
-                                overlap_at_delay(self._overlap, delay_um))
+        s = overlap_at_delay(self._overlap, delay_um)
+        probs = self._by_overlap.get(s)
+        if probs is None:
+            probs = self._by_overlap[s] = self._evaluate(s)
+        return probs
+
+    def _evaluate(self, s: float) -> tuple[float, float]:
+        tail = _overlap_transforms(self.cfg, self.plan.registry, s) + self._herald
         for t in tail:
             if self._g_modes & {*t.input_indices, *t.output_indices}:
                 raise ConfigurationError(
                     f"{t.name} acts on the {self.plan.side_g} modes, so the "
                     f"analyzer there cannot be applied before it")
-        state = apply_transform(_propagate(self._prefix, tail),
-                                jones_transform(reg, self.plan.side_e,
-                                                _analyzer_matrix("R")))
+        state = apply_transform(_propagate(self._prefix, tail), self._rot_e)
         probs = _setting_probs(state, self.plan, ("R", "L"))
         return probs[("R", "L")], probs[("L", "L")]
 

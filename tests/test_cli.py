@@ -136,6 +136,19 @@ def test_cli_delay_scan_rejects_nonpositive_steps(tmp_path, capsys, steps):
     assert not (tmp_path / "dip.csv").exists()
 
 
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_cli_oracle_check_rejects_nonpositive_seeds(tmp_path, capsys, seeds):
+    # Without this check zero seeds ran no random circuit and still passed.
+    cfg_file = tmp_path / "oracle.cfg"
+    cfg_file.write_text(f"oracle_seeds = {seeds}\n")
+    code = main(["oracle-check", "--config", str(cfg_file),
+                 "--out", str(tmp_path / "oracle")])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    assert json.loads(err) == {"error": "oracle_seeds must be >= 1"}
+    assert not (tmp_path / "oracle.json").exists()
+
+
 def test_cli_oracle_check(tmp_path):
     cfg_file = tmp_path / "oracle.cfg"
     cfg_file.write_text("cutoff = 3\nphase_count = 1\noracle_seeds = 2\n")

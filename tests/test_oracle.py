@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from dfsdist import oracle, protocol
 from dfsdist.oracle import (
     DenseFockSpace,
     engine_protocol_probabilities,
@@ -92,3 +94,80 @@ def test_protocol_agreement_randomized_parameters():
         want = oracle_protocol_probabilities(cfg, phi_h, phi_v)
         for key, val in want.items():
             assert abs(got[key] - val) < 1e-9, key
+
+
+def _oracle_points(cfg):
+    """The protocol configs and phase points oracle_check compares."""
+    for variant in ("counter_propagating", "single_photon_ancilla"):
+        small = replace(cfg, cutoff=3, overlap_s0=1.0, delay_um=0.0,
+                        variant=variant, include_feedforward_branch=False)
+        for phi_h, phi_v in small.phase_shifts[:3]:
+            yield small, phi_h, phi_v
+
+
+@pytest.mark.parametrize("transmittance", [0.1, 0.003])
+def test_protocol_agreement_is_relative(transmittance):
+    # Protocol probabilities are ~1e-8, where an absolute 1e-9 bound is blind.
+    cfg = ExperimentConfig(transmittance=transmittance)
+    space = DenseFockSpace(10, 3)
+    n_keys = 0
+    for small, phi_h, phi_v in _oracle_points(cfg):
+        got = engine_protocol_probabilities(small, phi_h, phi_v)
+        want = oracle_protocol_probabilities(small, phi_h, phi_v, space)
+        assert got.keys() == want.keys()
+        for key, val in want.items():
+            if val != 0.0:
+                n_keys += 1
+                assert abs(got[key] - val) <= 1e-10 * abs(val), (
+                    small.variant, phi_v, key)
+    assert n_keys == 6 * 9
+
+
+def test_shared_space_equals_fresh_space():
+    points = list(_oracle_points(ExperimentConfig()))
+    space = DenseFockSpace(10, 3)
+    for small, phi_h, phi_v in points:
+        oracle_protocol_probabilities(small, phi_h, phi_v, space)
+    # Every operator of the last point is now taken from the space's cache.
+    small, phi_h, phi_v = points[-1]
+    shared = oracle_protocol_probabilities(small, phi_h, phi_v, space)
+    fresh = oracle_protocol_probabilities(small, phi_h, phi_v)
+    for key, val in fresh.items():
+        assert abs(shared[key] - val) <= 1e-14 * abs(val), key
+    with pytest.raises(ValueError, match="cutoff"):
+        oracle_protocol_probabilities(small, phi_h, phi_v,
+                                      DenseFockSpace(10, 2))
+
+
+def test_mode_unitary_cache_keys_on_matrix_values():
+    space = DenseFockSpace(2, 3)
+    first = space.mode_unitary([0, 1], np.diag([np.exp(0.3j), 1.0]))
+    other = space.mode_unitary([0, 1], np.diag([np.exp(0.4j), 1.0]))
+    swapped = space.mode_unitary([1, 0], np.diag([np.exp(0.3j), 1.0]))
+    assert np.abs(first - other).max() > 0.1
+    assert np.abs(first - swapped).max() > 0.1
+    assert space.mode_unitary([0, 1], np.diag([np.exp(0.3j), 1.0])) is first
+    assert not first.flags.writeable
+
+
+def test_oracle_check_repeats_in_one_process():
+    cfg = ExperimentConfig(cutoff=3, phase_shifts=((0.0, 0.0),
+                                                   (0.0, math.pi / 4.0)))
+    first = oracle_check(cfg, n_seeds=2)
+    assert first.n_checks == 2 * 9 + 2 * 2 * 9
+    assert oracle_check(cfg, n_seeds=2) == first
+
+
+def test_oracle_protocol_does_not_call_the_engine(monkeypatch):
+    cfg = ExperimentConfig(cutoff=3, variant="single_photon_ancilla")
+    want = oracle_protocol_probabilities(cfg, 0.0, 0.3)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the dense oracle called the sparse engine")
+
+    for module in (oracle, protocol):
+        monkeypatch.setattr(module, "apply_transform", forbidden)
+        monkeypatch.setattr(module, "run_fixed_phase", forbidden)
+    assert oracle_protocol_probabilities(cfg, 0.0, 0.3) == want
+    with pytest.raises(AssertionError, match="sparse engine"):
+        engine_protocol_probabilities(cfg, 0.0, 0.3)

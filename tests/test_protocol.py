@@ -404,6 +404,34 @@ def test_delay_evaluator_rejects_tail_on_g_side(monkeypatch, variant):
         evaluate(0.0)
 
 
+def test_delay_evaluator_evaluates_each_overlap_once(monkeypatch):
+    cfg = replace(PAPER, overlap_s0=0.94, overlap_sigma_um=108.1)
+    evaluate = DelayEvaluator(cfg)
+    calls = {"measure": 0, "build": 0}
+    measure = protocol._setting_probs
+
+    def counted_measure(*args):
+        calls["measure"] += 1
+        return measure(*args)
+
+    def counted(build):
+        def wrapper(*args, **kwargs):
+            calls["build"] += 1
+            return build(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(protocol, "_setting_probs", counted_measure)
+    for name in ("pbs", "jones_transform", "overlap_split"):
+        monkeypatch.setattr(protocol, name, counted(getattr(protocol, name)))
+    got = [evaluate(dx) for dx in (0.0, 60.0, -60.0, 0.0, 60.0)]
+    # s(dx) is even in dx: two distinct overlaps, one overlap split each.
+    assert calls == {"measure": 2, "build": 2}
+    assert got[1] == got[2] == got[4] and got[0] == got[3]
+    assert got[0] != got[1]
+    fresh = DelayEvaluator(cfg)
+    assert [fresh(dx) for dx in (-60.0, 0.0)] == [got[1], got[0]]
+
+
 @pytest.mark.parametrize("overrides", [
     dict(),
     dict(variant="forward_all_from_bob", overlap_s0=0.9),
