@@ -12,7 +12,6 @@ Outputs under results/ (created next to the repository root):
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -21,19 +20,18 @@ import numpy as np
 
 from dfsdist.analysis import (
     SweepSpec,
-    calibrate_delay_width,
     calibrate_overlap,
-    delay_scan,
     delay_scan_csv,
-    fit_loglog_slope,
-    measure_dip_fwhm,
+    delay_study,
+    rate_crossing,
     sweep_transmittance,
-    tomography_experiment,
+    tomography_payload,
     write_json,
 )
 from dfsdist.protocol import (
     ExperimentConfig,
     component_scaling,
+    fit_loglog_slope,
     forward_variant_scaling,
     sharing_rate,
 )
@@ -78,10 +76,7 @@ def main() -> int:
     (out_dir / "rates.csv").write_text("\n".join(lines) + "\n")
     slope_c = fit_loglog_slope(coherent).slope
     slope_s = fit_loglog_slope(single).slope
-    lx = np.log([t for t, _ in coherent])
-    diff = np.log([r for _, r in coherent]) - np.log([r for _, r in single])
-    pf = np.polyfit(lx, diff, 1)
-    t_cross = math.exp(-pf[1] / pf[0])
+    t_cross = rate_crossing(coherent, single)
     print(f"  slopes: coherent {slope_c:.3f}, single-photon {slope_s:.3f}; "
           f"crossing at T = {t_cross:.4f} (ancilla mean photon number "
           f"{cfg.mu:.4f})")
@@ -110,24 +105,15 @@ def main() -> int:
         print(f"  {name}: {val:.4f}")
 
     print("delay scan ...")
-    sigma = calibrate_delay_width(cfg, 180.0)
-    cfg_d = replace(cfg, overlap_sigma_um=sigma)
-    rows = delay_scan(cfg_d, np.linspace(-300.0, 300.0, 61))
-    (out_dir / "delay_scan.csv").write_text(delay_scan_csv(rows))
-    vis0 = delay_scan(cfg_d, [0.0])[0].visibility
-    print(f"  sigma = {sigma:.1f} um, FWHM = {measure_dip_fwhm(cfg_d):.1f} um, "
-          f"zero-delay visibility = {vis0:.3f}")
+    study = delay_study(cfg, np.linspace(-300.0, 300.0, 61), 180.0)
+    (out_dir / "delay_scan.csv").write_text(delay_scan_csv(study.rows))
+    print(f"  sigma = {study.sigma_um:.1f} um, FWHM = {study.fwhm_um:.1f} um, "
+          f"zero-delay visibility = {study.zero_delay_visibility:.3f}")
 
     print("tomography without the ancilla ...")
-    payload = {}
-    for label, noise in (("phase_noise_off", False), ("phase_noise_on", True)):
-        res = tomography_experiment(cfg, noise)
-        payload[label] = {
-            "fidelity": res.fidelity,
-            "matrix_real": np.real(res.matrix).tolist(),
-            "matrix_imag": np.imag(res.matrix).tolist(),
-        }
-        print(f"  {label}: fidelity {res.fidelity:.4f}")
+    payload = tomography_payload(cfg)
+    for label, res in payload.items():
+        print(f"  {label}: fidelity {res['fidelity']:.4f}")
     write_json(out_dir / "tomography.json", payload)
 
     print(f"all outputs in {out_dir}")

@@ -17,12 +17,14 @@ import numpy as np
 from . import __version__
 from .fock import UndefinedFidelityError, ValidationError, fidelity_to_phi_plus
 from .protocol import (
+    PHASE_SET_8,
     REP_RATE_HZ,
     DelayEvaluator,
     ExperimentConfig,
     chsh_violated,
     f_low,
     phase_point_states,
+    run_fixed_phase,
     run_phase_averaged,
     visibilities,
 )
@@ -67,7 +69,12 @@ class CalibrationResult:
 def calibrate_overlap(cfg: ExperimentConfig, anchor_t: float = 0.1,
                       target_v_x: float = 0.82, tol: float = 1e-4,
                       max_iter: int = 80) -> CalibrationResult:
-    """Bisect the zero-delay overlap amplitude until V_X matches the target."""
+    """Bisect the zero-delay overlap amplitude until V_X matches the target.
+
+    Raises :class:`CalibrationError` if the target is above the V_X at full
+    overlap or if ``max_iter`` bisection steps do not bring V_X within
+    ``tol`` of it, as for a target below the V_X at zero overlap.
+    """
 
     def v_x_at(s0: float) -> float:
         out = run_phase_averaged(replace(cfg, transmittance=anchor_t,
@@ -81,8 +88,6 @@ def calibrate_overlap(cfg: ExperimentConfig, anchor_t: float = 0.1,
     if abs(top - target_v_x) <= tol:
         return CalibrationResult(1.0, top, anchor_t, target_v_x, 1)
     lo, hi = 0.0, 1.0
-    val = top
-    mid = 1.0
     for it in range(1, max_iter + 1):
         mid = 0.5 * (lo + hi)
         val = v_x_at(mid)
@@ -92,7 +97,8 @@ def calibrate_overlap(cfg: ExperimentConfig, anchor_t: float = 0.1,
             lo = mid
         else:
             hi = mid
-    return CalibrationResult(mid, val, anchor_t, target_v_x, max_iter)
+    raise CalibrationError(
+        f"target V_X={target_v_x} not met within {max_iter} bisection steps")
 
 
 @dataclass(frozen=True)
@@ -179,36 +185,25 @@ def sweep_transmittance(cfg: ExperimentConfig,
 
 def _config_dict(cfg: ExperimentConfig) -> dict:
     d = asdict(cfg)
-    d["phase_shifts"] = [list(p) for p in cfg.phase_shifts]
     d["phase_delta"] = list(cfg.phase_delta)
     if cfg.input_qubit is not None:
         d["input_qubit"] = [str(cfg.input_qubit[0]), str(cfg.input_qubit[1])]
     return d
 
 
-@dataclass(frozen=True)
-class SlopeFit:
-    slope: float
-    stderr: float
+def rate_crossing(coherent: Sequence[tuple[float, float]],
+                  single: Sequence[tuple[float, float]]) -> float:
+    """Transmittance at which the power-law fits of two rate curves cross.
 
-
-def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> SlopeFit:
-    """Least-squares slope of log(rate) against log(T)."""
-    if len(points) < 3:
-        raise ValidationError("slope fit needs at least three points")
-    xs, ys = zip(*points)
-    if min(xs) <= 0.0 or min(ys) <= 0.0:
-        raise ValidationError("slope fit requires positive coordinates")
-    lx = np.log(np.asarray(xs, dtype=float))
-    ly = np.log(np.asarray(ys, dtype=float))
-    design = np.vstack([lx, np.ones(len(lx))]).T
-    coef, _, _, _ = np.linalg.lstsq(design, ly, rcond=None)
-    resid = ly - design @ coef
-    dof = len(lx) - 2
-    sx = float(((lx - lx.mean()) ** 2).sum())
-    stderr = (math.sqrt(float(resid @ resid) / dof / sx)
-              if dof > 0 and sx > 0 else 0.0)
-    return SlopeFit(float(coef[0]), stderr)
+    Both curves are (T, rate) points on one grid; the log of their ratio is
+    fitted linearly in log T and its zero is returned.
+    """
+    if [t for t, _ in coherent] != [t for t, _ in single]:
+        raise ValidationError("rate curves must share one transmittance grid")
+    lx = np.log([t for t, _ in coherent])
+    diff = np.log([r for _, r in coherent]) - np.log([r for _, r in single])
+    pf = np.polyfit(lx, diff, 1)
+    return math.exp(-pf[1] / pf[0])
 
 
 # --- delay scan ---------------------------------------------------------------
@@ -221,10 +216,8 @@ class DelayScanRow:
     visibility: float
 
 
-def delay_scan(cfg: ExperimentConfig,
+def _scan_rows(evaluate: DelayEvaluator,
                delays_um: Sequence[float]) -> list[DelayScanRow]:
-    """Circular-basis coincidences and their contrast at each delay."""
-    evaluate = DelayEvaluator(cfg)
     rows = []
     for dx in delays_um:
         p_rd, p_ld = evaluate(dx)
@@ -232,6 +225,12 @@ def delay_scan(cfg: ExperimentConfig,
         vis = abs(p_rd - p_ld) / total if total > 0 else 0.0
         rows.append(DelayScanRow(float(dx), p_rd, p_ld, vis))
     return rows
+
+
+def delay_scan(cfg: ExperimentConfig,
+               delays_um: Sequence[float]) -> list[DelayScanRow]:
+    """Circular-basis coincidences and their contrast at each delay."""
+    return _scan_rows(DelayEvaluator(cfg), delays_um)
 
 
 def delay_scan_csv(rows: Sequence[DelayScanRow]) -> str:
@@ -242,9 +241,8 @@ def delay_scan_csv(rows: Sequence[DelayScanRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def measure_dip_fwhm(cfg: ExperimentConfig) -> float:
-    """Full width at half maximum of the interference contrast vs delay."""
-    evaluate = DelayEvaluator(cfg)
+def _dip_fwhm(evaluate: DelayEvaluator) -> float:
+    sigma_um = evaluate.cfg.overlap_sigma_um
 
     def contrast(dx: float) -> float:
         p_rd, p_ld = evaluate(dx)
@@ -254,7 +252,7 @@ def measure_dip_fwhm(cfg: ExperimentConfig) -> float:
     if c0 <= 0.0:
         raise ValidationError("no interference contrast at zero delay")
     half = 0.5 * c0
-    lo, hi = 0.0, cfg.overlap_sigma_um
+    lo, hi = 0.0, sigma_um
     while contrast(hi) > half:
         hi *= 2.0
         if hi > 1e6:
@@ -265,9 +263,14 @@ def measure_dip_fwhm(cfg: ExperimentConfig) -> float:
             lo = mid
         else:
             hi = mid
-        if hi - lo < 1e-9 * cfg.overlap_sigma_um:
+        if hi - lo < 1e-9 * sigma_um:
             break
     return lo + hi  # 2 * half-width
+
+
+def measure_dip_fwhm(cfg: ExperimentConfig) -> float:
+    """Full width at half maximum of the interference contrast vs delay."""
+    return _dip_fwhm(DelayEvaluator(cfg))
 
 
 def calibrate_delay_width(cfg: ExperimentConfig,
@@ -279,6 +282,31 @@ def calibrate_delay_width(cfg: ExperimentConfig,
     """
     ref = measure_dip_fwhm(cfg)
     return cfg.overlap_sigma_um * target_fwhm_um / ref
+
+
+@dataclass(frozen=True)
+class DelayStudy:
+    sigma_um: float
+    rows: list[DelayScanRow]
+    zero_delay_visibility: float
+    fwhm_um: float
+
+
+def delay_study(cfg: ExperimentConfig, delays_um: Sequence[float],
+                target_fwhm_um: float | None = None) -> DelayStudy:
+    """Delay scan, zero-delay visibility and dip FWHM from one evaluator.
+
+    With a target FWHM the overlap width is calibrated first, on an
+    evaluator of its own, since the width changes every overlap.
+    """
+    if target_fwhm_um is not None:
+        cfg = replace(cfg, overlap_sigma_um=calibrate_delay_width(
+            cfg, target_fwhm_um))
+    evaluate = DelayEvaluator(cfg)
+    rows = _scan_rows(evaluate, delays_um)
+    return DelayStudy(cfg.overlap_sigma_um, rows,
+                      _scan_rows(evaluate, [0.0])[0].visibility,
+                      _dip_fwhm(evaluate))
 
 
 # --- tomography ---------------------------------------------------------------
@@ -295,15 +323,31 @@ def tomography_experiment(cfg: ExperimentConfig,
     """Exact conditional pair state without the ancilla pulse.
 
     The retained photon is analyzed directly while its partner crosses the
-    channel; coincidences of the two detectors condition the state.
+    channel; coincidences of the two detectors condition the state.  With
+    phase noise the state is averaged over the collective phase, without it
+    the channel phase is zero.
     """
-    phases = cfg.phase_shifts if phase_noise else ((0.0, 0.0),)
-    run_cfg = replace(cfg, variant="direct_no_dfs", phase_shifts=tuple(phases))
-    out = run_phase_averaged(run_cfg)
+    run_cfg = replace(cfg, variant="direct_no_dfs")
+    out = (run_phase_averaged(run_cfg) if phase_noise
+           else run_fixed_phase(run_cfg, 0.0, 0.0))
     if out.dm is None:
         raise UndefinedFidelityError("no coincidences; state undefined")
     return TomographyResult(out.dm.matrix, fidelity_to_phi_plus(out.dm),
                             phase_noise)
+
+
+def tomography_payload(cfg: ExperimentConfig) -> dict:
+    """Fidelity and matrix of the conditional pair state with the phase
+    noise off and on, as JSON data."""
+    payload = {}
+    for label, noise in (("phase_noise_off", False), ("phase_noise_on", True)):
+        res = tomography_experiment(cfg, noise)
+        payload[label] = {
+            "fidelity": res.fidelity,
+            "matrix_real": np.real(res.matrix).tolist(),
+            "matrix_imag": np.imag(res.matrix).tolist(),
+        }
+    return payload
 
 
 # --- synthetic event sampling ---------------------------------------------------
@@ -340,13 +384,13 @@ class EventSample:
 def sample_events(cfg: ExperimentConfig, n_pulses: int, seed: int) -> EventSample:
     """Draw i.i.d. per-pulse click records from the exact outcome distribution.
 
-    Each pulse draws a phase uniformly from the configured set and then a
+    Each pulse draws a phase uniformly from ``PHASE_SET_8`` and then a
     click pattern for the three detectors from that phase's exact joint
     distribution.  Fixed seed gives an identical stream.
     """
     if n_pulses < 0:
         raise ValidationError("number of pulses must be >= 0")
-    n_phases = len(cfg.phase_shifts)
+    n_phases = len(PHASE_SET_8)
     flat_keys: list[tuple[int, tuple[bool, ...]]] = []
     flat_probs: list[float] = []
     exact: dict[tuple[int, tuple[bool, ...]], float] = {}

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,14 +18,12 @@ import numpy as np
 from . import __version__
 from .analysis import (
     SweepSpec,
-    calibrate_delay_width,
     calibrate_overlap,
-    delay_scan,
     delay_scan_csv,
-    measure_dip_fwhm,
+    delay_study,
     sample_events,
     sweep_transmittance,
-    tomography_experiment,
+    tomography_payload,
     write_json,
 )
 from .fock import ConfigurationError, ValidationError
@@ -46,7 +42,7 @@ _CONFIG_FIELDS = {
 }
 
 _EXTRA_FIELDS = {
-    "phase_count": int, "phase_delta_h": float, "phase_delta_v": float,
+    "phase_delta_h": float, "phase_delta_v": float,
     "alpha": complex, "beta": complex,
     "transmittance_list": "floats", "calibrate_anchor_t": float,
     "calibrate_target_vx": float, "auto_calibrate": "bool",
@@ -77,10 +73,15 @@ def _convert(key: str, raw: str, kind) -> object:
         if kind == "bool":
             return _BOOL[raw.lower()]
         if kind == "floats":
-            return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-        return kind(raw)
+            value = tuple(float(tok) for tok in raw.split(",") if tok.strip())
+        else:
+            value = kind(raw)
     except (ValueError, KeyError) as exc:
         raise ConfigurationError(f"bad value for {key!r}: {raw!r}") from exc
+    # float() accepts "nan" and "inf", which pass every range check.
+    if kind in (float, "floats") and not np.isfinite(value).all():
+        raise ConfigurationError(f"{key!r} must be finite, got {raw!r}")
+    return value
 
 
 def build_config(values: dict[str, str]) -> tuple[ExperimentConfig, dict]:
@@ -94,12 +95,6 @@ def build_config(values: dict[str, str]) -> tuple[ExperimentConfig, dict]:
             extras[key] = _convert(key, raw, _EXTRA_FIELDS[key])
         else:
             raise ConfigurationError(f"unknown config key {key!r}")
-    if "phase_count" in extras:
-        n = int(extras["phase_count"])
-        if n < 1:
-            raise ConfigurationError("phase_count must be >= 1")
-        kwargs["phase_shifts"] = tuple((0.0, k * math.pi / 4.0)
-                                       for k in range(n))
     if "phase_delta_h" in extras or "phase_delta_v" in extras:
         kwargs["phase_delta"] = (float(extras.get("phase_delta_h", 0.0)),
                                  float(extras.get("phase_delta_v", 0.0)))
@@ -159,40 +154,28 @@ def _cmd_calibrate(cfg: ExperimentConfig, extras: dict, out: str) -> int:
 
 
 def _cmd_delay_scan(cfg: ExperimentConfig, extras: dict, out: str) -> int:
-    if "delay_fwhm_target_um" in extras:
-        sigma = calibrate_delay_width(cfg, float(extras["delay_fwhm_target_um"]))
-        cfg = replace(cfg, overlap_sigma_um=sigma)
     lo = float(extras.get("delay_min_um", -300.0))
     hi = float(extras.get("delay_max_um", 300.0))
     steps = int(extras.get("delay_steps", 61))
     if steps < 1:
         raise ConfigurationError("delay_steps must be >= 1")
-    delays = np.linspace(lo, hi, steps)
-    rows = delay_scan(cfg, delays)
+    study = delay_study(cfg, np.linspace(lo, hi, steps),
+                        extras.get("delay_fwhm_target_um"))
     csv_path, json_path = _out_paths(out)
-    csv_path.write_text(delay_scan_csv(rows))
-    zero_vis = delay_scan(cfg, [0.0])[0].visibility
-    payload = {
-        "sigma_um": cfg.overlap_sigma_um,
-        "fwhm_um": measure_dip_fwhm(cfg),
-        "zero_delay_visibility": zero_vis,
+    csv_path.write_text(delay_scan_csv(study.rows))
+    write_json(json_path, {
+        "sigma_um": study.sigma_um,
+        "fwhm_um": study.fwhm_um,
+        "zero_delay_visibility": study.zero_delay_visibility,
         "version": __version__,
-    }
-    write_json(json_path, payload)
+    })
     print(f"wrote {csv_path} and {json_path}")
     return 0
 
 
 def _cmd_tomography(cfg: ExperimentConfig, extras: dict, out: str) -> int:
-    payload = {"version": __version__}
-    for label, noise in (("phase_noise_off", False), ("phase_noise_on", True)):
-        res = tomography_experiment(cfg, noise)
-        payload[label] = {
-            "fidelity": res.fidelity,
-            "matrix_real": np.real(res.matrix).tolist(),
-            "matrix_imag": np.imag(res.matrix).tolist(),
-        }
-    write_json(_out_paths(out, ".json")[1], payload)
+    write_json(_out_paths(out, ".json")[1],
+               {**tomography_payload(cfg), "version": __version__})
     print("wrote tomography results")
     return 0
 

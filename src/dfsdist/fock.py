@@ -25,9 +25,6 @@ POLARIZATIONS = (H, V)
 PRUNE_THRESHOLD = 1e-15
 ISOMETRY_TOL = 1e-12
 
-# Two-qubit polarization basis ordering used everywhere downstream.
-POL_BASIS = ((H, H), (H, V), (V, H), (V, V))
-
 
 class ConfigurationError(ValueError):
     """Bad registry/experiment configuration (duplicate labels, unknown modes)."""
@@ -62,18 +59,12 @@ class ModeRegistry:
     def n_modes(self) -> int:
         return len(self.modes)
 
-    def __len__(self) -> int:
-        return len(self.modes)
-
     def index(self, mode: Mode) -> int:
         mode = Mode(*mode)
         try:
             return self._index[mode]
         except KeyError:
             raise ConfigurationError(f"mode {mode} not in registry") from None
-
-    def __contains__(self, mode) -> bool:
-        return Mode(*mode) in self._index
 
     def indices(self, spatial: str, pol: str | None = None,
                 temporal: str | None = None) -> list[int]:
@@ -154,23 +145,8 @@ class FockStateVector:
         self.terms = pruned
         self.truncated_weight = float(truncated_weight)
 
-    @classmethod
-    def vacuum(cls, registry: ModeRegistry, cutoff: int) -> "FockStateVector":
-        return cls(registry, cutoff, {registry.vacuum_occupation(): 1.0})
-
-    @classmethod
-    def single_photon(cls, registry: ModeRegistry, cutoff: int,
-                      mode: Mode) -> "FockStateVector":
-        occ = list(registry.vacuum_occupation())
-        occ[registry.index(mode)] = 1
-        return cls(registry, cutoff, {tuple(occ): 1.0})
-
     def norm_squared(self) -> float:
         return sum(abs(a) ** 2 for a in self.terms.values())
-
-    def is_normalized(self, tol: float = 1e-9) -> bool:
-        """Flag for physically prepared states; intermediates may be smaller."""
-        return abs(self.norm_squared() - 1.0) <= tol
 
     def normalized(self) -> "FockStateVector":
         n2 = self.norm_squared()
@@ -244,51 +220,6 @@ class ModeTransform:
         gram = mat.conj().T @ mat
         if not np.allclose(gram, np.eye(n_in), atol=ISOMETRY_TOL):
             raise ValidationError(f"transform {self.name or mat!r} is not an isometry")
-
-    @property
-    def is_unitary(self) -> bool:
-        return set(self.input_indices) == set(self.output_indices)
-
-    def then(self, other: "ModeTransform") -> "ModeTransform":
-        """Composition other∘self as a single isometry.
-
-        Modes consumed by the first stage (inputs that are not among its
-        outputs) cannot reappear as inputs of the second stage.
-        """
-        in1, out1 = set(self.input_indices), set(self.output_indices)
-        in2, out2 = set(other.input_indices), set(other.output_indices)
-        if in2 & (in1 - out1):
-            raise ValidationError("second stage reads a mode the first stage "
-                                  "consumed")
-        comp_in = tuple(sorted(in1 | (in2 - out1)))
-        mid = tuple(sorted(out1 | (in2 - out1)))
-        comp_out = tuple(sorted(out2 | (set(mid) - in2)))
-        stage1 = np.zeros((len(mid), len(comp_in)), dtype=complex)
-        mid_pos = {idx: k for k, idx in enumerate(mid)}
-        for col, idx in enumerate(comp_in):
-            if idx in in1:
-                i = self.input_indices.index(idx)
-                for j, jdx in enumerate(self.output_indices):
-                    stage1[mid_pos[jdx], col] = self.matrix[j, i]
-            else:
-                stage1[mid_pos[idx], col] = 1.0
-        stage2 = np.zeros((len(comp_out), len(mid)), dtype=complex)
-        out_pos = {idx: k for k, idx in enumerate(comp_out)}
-        for col, idx in enumerate(mid):
-            if idx in in2:
-                i = other.input_indices.index(idx)
-                for j, jdx in enumerate(other.output_indices):
-                    stage2[out_pos[jdx], col] = other.matrix[j, i]
-            else:
-                stage2[out_pos[idx], col] = 1.0
-        return ModeTransform(self.registry, comp_in, comp_out,
-                             stage2 @ stage1,
-                             name=f"{other.name} after {self.name}")
-
-
-def identity_transform(registry: ModeRegistry, indices: Sequence[int]) -> ModeTransform:
-    idx = tuple(indices)
-    return ModeTransform(registry, idx, idx, np.eye(len(idx)), name="identity")
 
 
 _FACT_SQRT = [math.sqrt(math.factorial(n)) for n in range(40)]
@@ -395,10 +326,6 @@ def project_occupation(state: FockStateVector, mode: Mode | int,
                            state.truncated_weight)
 
 
-def norm_squared(state: FockStateVector) -> float:
-    return state.norm_squared()
-
-
 @dataclass(frozen=True)
 class PolarizationDensityMatrix:
     """4x4 polarization density matrix of two spatial modes, basis HH,HV,VH,VV.
@@ -433,10 +360,6 @@ class PolarizationDensityMatrix:
         if tr <= 1e-300:
             raise UndefinedFidelityError("cannot normalize a zero-trace matrix")
         return PolarizationDensityMatrix(self.matrix / tr)
-
-    def purity(self) -> float:
-        rho = self.normalized().matrix
-        return float(np.real(np.trace(rho @ rho)))
 
 
 PHI_PLUS = np.zeros(4, dtype=complex)
@@ -484,15 +407,6 @@ def fidelity_to_phi_plus(dm: PolarizationDensityMatrix) -> float:
     if tr <= 1e-300:
         raise UndefinedFidelityError("fidelity undefined for zero-trace matrix")
     val = float(np.real(PHI_PLUS.conj() @ dm.matrix @ PHI_PLUS)) / tr
-    return min(max(val, 0.0), 1.0)
-
-
-def fidelity_to_pure(dm: PolarizationDensityMatrix, ket: Sequence[complex]) -> float:
-    tr = dm.trace
-    if tr <= 1e-300:
-        raise UndefinedFidelityError("fidelity undefined for zero-trace matrix")
-    ket = np.asarray(ket, dtype=complex)
-    val = float(np.real(ket.conj() @ dm.matrix @ ket)) / tr
     return min(max(val, 0.0), 1.0)
 
 

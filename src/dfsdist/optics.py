@@ -145,54 +145,6 @@ def loss_channel(registry: ModeRegistry, spatial: str, transmittance: float,
     return attenuator(registry, spatial, spatial, loss_label, transmittance)
 
 
-def glass_plate(registry: ModeRegistry, transmit_in: str, reflect_in: str,
-                transmit_out: str, reflect_out: str, discard_transmit: str,
-                discard_reflect: str, reflectance: float) -> ModeTransform:
-    """Asymmetric plate: one beam transmits with sqrt(1-R), the other reflects
-    with sqrt(R); complementary ports route to discard labels.
-
-    The two beams traverse the plate in opposite directions and never
-    interfere, so the element factorizes into two attenuating routes.
-    """
-    if not 0.0 <= reflectance <= 1.0:
-        raise ValidationError("reflectance must lie in [0, 1]")
-    t_leg = attenuator(registry, transmit_in, transmit_out, discard_transmit,
-                       1.0 - reflectance)
-    r_leg = attenuator(registry, reflect_in, reflect_out, discard_reflect,
-                       reflectance)
-    inputs = t_leg.input_indices + r_leg.input_indices
-    outputs = t_leg.output_indices + r_leg.output_indices
-    n_t, n_r = len(t_leg.input_indices), len(r_leg.input_indices)
-    mat = np.zeros((len(outputs), len(inputs)), dtype=complex)
-    mat[: 2 * n_t, :n_t] = t_leg.matrix
-    mat[2 * n_t:, n_t:] = r_leg.matrix
-    return ModeTransform(registry, inputs, outputs, mat, name="glass_plate")
-
-
-def polarizer_projection(registry: ModeRegistry, spatial: str,
-                         pass_jones: np.ndarray, dump: str) -> ModeTransform:
-    """Polarizer: the pass component maps onto the label's H modes, the
-    orthogonal component routes into the dump label (absorbed, never detected)."""
-    p = np.asarray(pass_jones, dtype=complex)
-    p = p / np.linalg.norm(p)
-    q = np.array([-np.conj(p[1]), np.conj(p[0])], dtype=complex)
-    inputs: list[int] = []
-    outputs: list[int] = []
-    blocks: list[np.ndarray] = []
-    for tau in registry.temporals(spatial):
-        inputs += [registry.index(Mode(spatial, H, tau)),
-                   registry.index(Mode(spatial, V, tau))]
-        outputs += [registry.index(Mode(spatial, H, tau)),
-                    registry.index(Mode(dump, H, tau))]
-        blocks.append(np.array([[np.conj(p[0]), np.conj(p[1])],
-                                [np.conj(q[0]), np.conj(q[1])]], dtype=complex))
-    mat = np.zeros((len(outputs), len(inputs)), dtype=complex)
-    for k, block in enumerate(blocks):
-        mat[2 * k: 2 * k + 2, 2 * k: 2 * k + 2] = block
-    return ModeTransform(registry, tuple(inputs), tuple(outputs), mat,
-                         name="polarizer")
-
-
 def overlap_split(registry: ModeRegistry, spatial: str, s: float) -> ModeTransform:
     """Rotate each polarization of a pulse into s*(matched) + sqrt(1-s^2)*(orthogonal).
 
@@ -224,7 +176,6 @@ class OverlapModel:
 
     s0: float
     sigma_um: float
-    delay_um: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.s0 <= 1.0:
@@ -237,64 +188,3 @@ def overlap_at_delay(model: OverlapModel, delay_um: float) -> float:
     """s(dx) = s0 * exp(-dx^2 / (2 sigma^2))."""
     x = delay_um / model.sigma_um
     return model.s0 * math.exp(-0.5 * x * x)
-
-
-@dataclass(frozen=True)
-class ElementSpec:
-    """Declarative description of one optical element, buildable on a registry."""
-
-    kind: str
-    labels: tuple[str, ...] = ()
-    angle: float = 0.0
-    retardance: float = math.pi
-    transmittance: float = 1.0
-    reflectance: float = 0.0
-    phi_h: float = 0.0
-    phi_v: float = 0.0
-    overlap: float = 1.0
-
-    KINDS = ("PBS", "HWP", "QWP", "phase_shifter", "loss", "glass_plate",
-             "polarizer_projection", "overlap_split", "beamsplitter")
-
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ConfigurationError(f"unknown element kind {self.kind!r}")
-        if not 0.0 <= self.transmittance <= 1.0:
-            raise ValidationError("transmittance must lie in [0, 1]")
-        if not 0.0 <= self.reflectance <= 1.0:
-            raise ValidationError("reflectance must lie in [0, 1]")
-        for val in (self.angle, self.retardance, self.phi_h, self.phi_v):
-            if not math.isfinite(val):
-                raise ValidationError("element parameters must be finite")
-
-    def build(self, registry: ModeRegistry) -> ModeTransform:
-        if self.kind == "PBS":
-            return pbs(registry, *self.labels)
-        if self.kind == "HWP":
-            return hwp(registry, self.labels[0], self.angle)
-        if self.kind == "QWP":
-            return qwp(registry, self.labels[0], self.angle)
-        if self.kind == "phase_shifter":
-            return phase_shifter(registry, self.labels[0], self.phi_h, self.phi_v)
-        if self.kind == "loss":
-            return loss_channel(registry, self.labels[0], self.transmittance,
-                                self.labels[1])
-        if self.kind == "glass_plate":
-            return glass_plate(registry, *self.labels, self.reflectance)
-        if self.kind == "polarizer_projection":
-            jones = np.array([math.cos(self.angle), math.sin(self.angle)])
-            return polarizer_projection(registry, self.labels[0], jones,
-                                        self.labels[1])
-        if self.kind == "overlap_split":
-            return overlap_split(registry, self.labels[0], self.overlap)
-        return beamsplitter(registry,
-                            registry.index(Mode(*_parse_mode(self.labels[0]))),
-                            registry.index(Mode(*_parse_mode(self.labels[1]))),
-                            self.angle)
-
-
-def _parse_mode(token: str) -> tuple[str, str, str]:
-    parts = token.split(":")
-    if len(parts) == 2:
-        return parts[0], parts[1], MATCHED
-    return parts[0], parts[1], parts[2]

@@ -30,6 +30,7 @@ from .optics import (
     qwp as sparse_qwp,
 )
 from .protocol import (
+    PHASE_SET_8,
     ExperimentConfig,
     _analyzer_matrix,
     run_fixed_phase,
@@ -495,7 +496,7 @@ def oracle_check(cfg: ExperimentConfig | None = None, n_seeds: int = 20,
             small = replace(cfg, cutoff=space.cutoff, overlap_s0=1.0,
                             delay_um=0.0, variant=variant,
                             include_feedforward_branch=False)
-            for phi_h, phi_v in small.phase_shifts[:3]:
+            for phi_h, phi_v in PHASE_SET_8[:3]:
                 got = engine_protocol_probabilities(small, phi_h, phi_v)
                 want = oracle_protocol_probabilities(small, phi_h, phi_v,
                                                      space)

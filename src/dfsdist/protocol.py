@@ -60,6 +60,7 @@ from .sources import (
 REP_RATE_HZ = 82e6
 CHSH_FIDELITY_BOUND = 1.0 / math.sqrt(2.0)
 
+# Phases (phi_H, phi_V) for sampling; at cutoff <= 7 their mean is uniform.
 PHASE_SET_8 = tuple((0.0, n * math.pi / 4.0) for n in range(8))
 
 VARIANTS = ("counter_propagating", "forward_all_from_bob",
@@ -100,7 +101,6 @@ class ExperimentConfig:
     overlap_sigma_um: float = 100.0
     delay_um: float = 0.0
     gp_reflectance: float = 0.05
-    phase_shifts: tuple[tuple[float, float], ...] = PHASE_SET_8
     phase_delta: tuple[float, float] = (0.0, 0.0)
     cutoff: int = 4
     variant: str = "counter_propagating"
@@ -112,8 +112,7 @@ class ExperimentConfig:
     def __post_init__(self):
         # NaN passes every range comparison below, so reject it first.
         numbers = [v for v in vars(self).values() if isinstance(v, float)]
-        numbers += [*self.phase_delta, *(self.input_qubit or ()),
-                    *(p for point in self.phase_shifts for p in point)]
+        numbers += [*self.phase_delta, *(self.input_qubit or ())]
         if not np.isfinite(np.asarray(numbers, dtype=complex)).all():
             raise ValidationError("config values and phases must be finite")
         if self.variant not in VARIANTS:
@@ -135,8 +134,6 @@ class ExperimentConfig:
             raise ValidationError("overlap width must be positive")
         if self.cutoff < 1:
             raise ValidationError("cutoff must be >= 1")
-        if not self.phase_shifts:
-            raise ValidationError("phase set must be nonempty")
         if self.input_qubit is not None:
             a, b = self.input_qubit
             if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-9:
@@ -179,29 +176,14 @@ class ProtocolOutcome:
     components: dict[tuple[int, int, str], float]
     truncated_weight: float = 0.0
 
-    def component_sum(self, pairs: int | None = None, ancilla_min: int = 0,
-                      ancilla_max: int | None = None,
-                      origin: str | None = None) -> float:
-        total = 0.0
-        for (p, r, org), val in self.components.items():
-            if pairs is not None and p != pairs:
-                continue
-            if r < ancilla_min:
-                continue
-            if ancilla_max is not None and r > ancilla_max:
-                continue
-            if origin is not None and org != origin:
-                continue
-            total += val
-        return total
-
     @property
     def desired_probability(self) -> float:
         return self.components.get((1, 1, "photon"), 0.0)
 
     @property
     def ancilla_multiphoton_probability(self) -> float:
-        return self.component_sum(ancilla_min=2, origin="photon")
+        return sum(val for (_, r, org), val in self.components.items()
+                   if r >= 2 and org == "photon")
 
     @property
     def multi_pair_probability(self) -> float:
@@ -313,7 +295,8 @@ def _head_transforms(cfg: ExperimentConfig, reg: ModeRegistry) -> list:
 def _overlap_transforms(cfg: ExperimentConfig, reg: ModeRegistry,
                         s: float) -> list:
     """The delay-dependent part of the tail: empty at full overlap."""
-    if cfg.variant != "direct_no_dfs" and s < 1.0:
+    # Not "s < 1": a NaN overlap must reach overlap_split's range check.
+    if cfg.variant != "direct_no_dfs" and s != 1.0:
         return [overlap_split(reg, "R", s)]
     return []
 
@@ -570,77 +553,47 @@ def _measure(cfg: ExperimentConfig, plan: _Plan,
 
 
 def _charge_classes(cfg: ExperimentConfig, plan: _Plan,
-                    ) -> tuple[np.ndarray, Iterator[FockStateVector]]:
-    """Characters over ``cfg.phase_shifts`` of each charge class, one row per
-    class, and the final state of each class, propagated on demand.
+                    ) -> tuple[list[int], Iterator[FockStateVector]]:
+    """The V-photon number n_V of each charge class on the phase-carrying
+    modes, and the final state of each class, propagated on demand.
 
-    Charges with equal characters over the phase set form one class; the
-    state at phase point j is the sum over classes of chi[c, j] |final_c>.
+    A collective V-vs-H phase phi multiplies the class of n_V by
+    e^{i n_V phi}, so the state at phase phi is the sum over classes of
+    e^{i n_V phi} |final_{n_V}>.
     """
-    phases = np.asarray(cfg.phase_shifts, dtype=float)
-    classes: list[tuple[np.ndarray, list[FockStateVector]]] = []
+    classes: dict[int, list[FockStateVector]] = {}
     sectors = charge_sectors(_initial_state(cfg, plan.registry),
                              *plan.charge_indices)
-    for k, sector in sectors.items():
-        chi = np.exp(1j * (phases @ k))
-        for c_chi, members in classes:
-            if np.allclose(c_chi, chi, rtol=0.0, atol=1e-9):
-                members.append(sector)
-                break
-        else:
-            classes.append((chi, [sector]))
+    for (_, n_v), sector in sectors.items():
+        classes.setdefault(n_v, []).append(sector)
     train = _transforms(cfg, plan.registry)
-    chis = np.array([chi for chi, _ in classes])
-    return chis, (_propagate(_superpose(members, [1.0] * len(members)), train)
-                  for _, members in classes)
+    return list(classes), (_propagate(_superpose(members, [1.0] * len(members)),
+                                      train)
+                           for members in classes.values())
 
 
 def phase_point_states(cfg: ExperimentConfig,
                        ) -> tuple[_Plan, list[FockStateVector]]:
-    """Final state at each point of ``cfg.phase_shifts``, in order.
+    """Final state at each point of ``PHASE_SET_8``, in order.
 
     Each charge class is propagated once and every point's state is
     rebuilt from the propagated classes with their characters.
     """
     plan = _build_plan(cfg)
-    chis, finals = _charge_classes(cfg, plan)
+    n_vs, finals = _charge_classes(cfg, plan)
     finals = list(finals)
+    chis = np.exp(1j * np.outer(n_vs, [phi_v for _, phi_v in PHASE_SET_8]))
     return plan, [_superpose(finals, chi) for chi in chis.T]
 
 
-def _phase_ensemble(cfg: ExperimentConfig,
-                    plan: _Plan) -> Iterator[tuple[float, FockStateVector]]:
-    """(weight, final state) pairs whose weighted measurements sum to the
-    uniform average over ``cfg.phase_shifts``.
-
-    When the characters of distinct charge classes are orthogonal, cross
-    terms between classes average to zero and the classes themselves are
-    the ensemble, streamed one at a time.  Otherwise each phase point's
-    state is rebuilt from the propagated classes.
-    """
-    n = len(cfg.phase_shifts)
-    chis, finals = _charge_classes(cfg, plan)
-    gram = chis.conj() @ chis.T / n
-    if np.allclose(gram, np.eye(len(chis)), rtol=0.0, atol=1e-12):
-        for state in finals:
-            yield 1.0, state
-        return
-    finals = list(finals)
-    for chi in chis.T:
-        yield 1.0 / n, _superpose(finals, chi)
-
-
 def run_phase_averaged(cfg: ExperimentConfig) -> ProtocolOutcome:
-    """Uniform mixture over the configured collective phase set, exactly.
+    """Uniform average over the collective V-vs-H channel phase, exactly.
 
-    The phase acts as e^{i k.phi} on the photon-number charge k of the source
-    modes, so the average is taken over charge sectors rather than phase
-    points: each class of charges with equal characters over the set is
-    propagated and measured once.  This is exact when the characters of
-    distinct classes are orthogonal, as for the eight-point {n pi/4} set at
-    any cutoff <= 7.  Other sets, such as a partial ``phase_count``, average
-    the measurements of the phase-point states rebuilt from the propagated
-    classes.  ``truncated_weight`` is the largest over the ensemble.
+    The phase phi acts as e^{i n_V phi} on the V-photon number n_V of the
+    phase-carrying source modes.  Averaged uniformly over phi, every cross
+    term between different n_V vanishes, so the average is the sum of the
+    measurements of the n_V classes, each propagated and measured once, at
+    any cutoff.  ``truncated_weight`` is the largest over the classes.
     """
     plan = _build_plan(cfg)
     zz: dict[tuple[str, str], float] = {}
@@ -649,17 +602,17 @@ def run_phase_averaged(cfg: ExperimentConfig) -> ProtocolOutcome:
     comps: dict[tuple[int, int, str], float] = {}
     dm_accum = np.zeros((4, 4), dtype=complex)
     trunc = 0.0
-    for w, state in _phase_ensemble(cfg, plan):
+    for state in _charge_classes(cfg, plan)[1]:
         out = _measure(cfg, plan, state)
         for key, val in out.zz_probs.items():
-            zz[key] = zz.get(key, 0.0) + val * w
+            zz[key] = zz.get(key, 0.0) + val
         for key, val in out.xx_probs.items():
-            xx[key] = xx.get(key, 0.0) + val * w
-        triple += out.triple_probability * w
+            xx[key] = xx.get(key, 0.0) + val
+        triple += out.triple_probability
         for key, val in out.components.items():
-            comps[key] = comps.get(key, 0.0) + val * w
+            comps[key] = comps.get(key, 0.0) + val
         if out.dm is not None:
-            dm_accum += out.dm.matrix * (out.dm_weight * w)
+            dm_accum += out.dm.matrix * out.dm_weight
         trunc = max(trunc, out.truncated_weight)
     weight = float(np.real(np.trace(dm_accum)))
     dm = (PolarizationDensityMatrix(dm_accum).normalized()
@@ -715,21 +668,29 @@ class ScalingReport:
     stderr: float
 
 
-def _loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
+@dataclass(frozen=True)
+class SlopeFit:
+    slope: float
+    stderr: float
+
+
+def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> SlopeFit:
+    """Least-squares slope of log(y) against log(x)."""
+    if len(points) < 3:
+        raise ValidationError("slope fit needs at least three points")
+    xs, ys = zip(*points)
+    if min(xs) <= 0.0 or min(ys) <= 0.0:
+        raise ValidationError("slope fit requires positive coordinates")
+    if len(set(xs)) < 2:
+        raise ValidationError("slope fit needs two distinct x values")
     lx = np.log(np.asarray(xs, dtype=float))
     ly = np.log(np.asarray(ys, dtype=float))
-    n = len(lx)
-    design = np.vstack([lx, np.ones(n)]).T
-    coef, res, _, _ = np.linalg.lstsq(design, ly, rcond=None)
-    slope = float(coef[0])
-    if n > 2:
-        resid = ly - design @ coef
-        var = float(resid @ resid) / (n - 2)
-        sx = float(((lx - lx.mean()) ** 2).sum())
-        stderr = math.sqrt(var / sx) if sx > 0 else math.inf
-    else:
-        stderr = 0.0
-    return slope, stderr
+    sx = float(((lx - lx.mean()) ** 2).sum())
+    design = np.vstack([lx, np.ones(len(lx))]).T
+    coef, _, _, _ = np.linalg.lstsq(design, ly, rcond=None)
+    resid = ly - design @ coef
+    stderr = math.sqrt(float(resid @ resid) / (len(lx) - 2) / sx)
+    return SlopeFit(float(coef[0]), stderr)
 
 
 def component_scaling(cfg: ExperimentConfig, parameter: str,
@@ -748,11 +709,9 @@ def component_scaling(cfg: ExperimentConfig, parameter: str,
             "dark": out.dark_probability,
             "total": out.triple_probability,
         }[component])
-    if min(values) <= 0.0:
-        raise ValidationError("component vanished on the grid; cannot fit slope")
-    slope, err = _loglog_slope(grid, values)
+    fit = fit_loglog_slope(list(zip(grid, values)))
     return ScalingReport(parameter, component, tuple(grid), tuple(values),
-                         slope, err)
+                         fit.slope, fit.stderr)
 
 
 def forward_variant_scaling(cfg: ExperimentConfig,

@@ -199,9 +199,6 @@ class DetectorModel:
     def click_probability(self, n_photons: int) -> float:
         return 1.0 - (1.0 - self.dark) * (1.0 - self.efficiency) ** n_photons
 
-    def no_click_probability(self, n_photons: int) -> float:
-        return (1.0 - self.dark) * (1.0 - self.efficiency) ** n_photons
-
 
 def click_probabilities(state: FockStateVector,
                         assignments: Mapping[str, tuple[DetectorModel, Sequence[int]]],
@@ -353,31 +350,3 @@ def effective_qubit_dm(state: FockStateVector, side_a: str, side_b: str,
     rho += da * db * w00 * np.eye(4)
 
     return PolarizationDensityMatrix((rho + rho.conj().T) / 2.0)
-
-
-def conditioned_polarization_dm(state: FockStateVector, side_a: str, side_b: str,
-                                det_a: DetectorModel, det_b: DetectorModel,
-                                herald_indices: Sequence[int] | None = None,
-                                herald_det: DetectorModel | None = None,
-                                ) -> tuple[PolarizationDensityMatrix | None, float]:
-    """Normalized conditional two-qubit state plus the coincidence probability.
-
-    The probability is the exact threshold click coincidence (all assigned
-    detectors clicking, no polarization analysis) including every photon
-    sector; the state is the effective qubit reconstruction.
-    """
-    reg = state.registry
-    assignments = {
-        "a": (det_a, reg.indices(side_a)),
-        "b": (det_b, reg.indices(side_b)),
-    }
-    required = {"a": True, "b": True}
-    if herald_indices is not None and herald_det is not None:
-        assignments["herald"] = (herald_det, list(herald_indices))
-        required["herald"] = True
-    prob = click_probabilities(state, assignments, required)
-    dm = effective_qubit_dm(state, side_a, side_b, det_a, det_b,
-                            herald_indices, herald_det)
-    if dm.trace <= 1e-300:
-        return None, prob
-    return dm.normalized(), prob

@@ -124,16 +124,13 @@ def rate_curves(calibrated):
 
 
 def test_criterion_4_rate_scaling(rate_curves):
-    from dfsdist.analysis import fit_loglog_slope
+    from dfsdist.analysis import rate_crossing
+    from dfsdist.protocol import fit_loglog_slope
 
     coherent, single = rate_curves
     slope_c = fit_loglog_slope(coherent).slope
     slope_s = fit_loglog_slope(single).slope
-    # Crossing of the two power-law fits.
-    lx = np.log([t for t, _ in coherent])
-    diff = np.log([r for _, r in coherent]) - np.log([r for _, r in single])
-    pf = np.polyfit(lx, diff, 1)
-    t_cross = math.exp(-pf[1] / pf[0])
+    t_cross = rate_crossing(coherent, single)
     mu = ExperimentConfig().mu
     rel = abs(t_cross - mu) / mu
     ok = 0.95 <= slope_c <= 1.05 and 1.95 <= slope_s <= 2.05 and rel <= 0.10

@@ -13,14 +13,19 @@ from dfsdist.analysis import (
     calibrate_overlap,
     delay_scan,
     delay_scan_csv,
-    fit_loglog_slope,
     measure_dip_fwhm,
+    rate_crossing,
     sample_events,
     sweep_transmittance,
     tomography_experiment,
 )
 from dfsdist.fock import ValidationError
-from dfsdist.protocol import ExperimentConfig, run_phase_averaged, visibilities
+from dfsdist.protocol import (
+    ExperimentConfig,
+    fit_loglog_slope,
+    run_phase_averaged,
+    visibilities,
+)
 
 PAPER = ExperimentConfig()
 CAL_S0 = 0.940918  # reference calibration output, re-derived in tests below
@@ -40,6 +45,18 @@ def test_fit_loglog_slope_validation():
         fit_loglog_slope([(0.1, 1.0), (0.2, 2.0)])
     with pytest.raises(ValidationError):
         fit_loglog_slope([(0.1, 1.0), (0.2, -2.0), (0.3, 3.0)])
+    # Equal x values leave the slope undetermined, not exact.
+    with pytest.raises(ValidationError, match="two distinct x"):
+        fit_loglog_slope([(0.1, 1.0), (0.1, 2.0), (0.1, 3.0)])
+
+
+def test_rate_crossing_of_exact_power_laws():
+    grid = (0.003, 0.01, 0.03, 0.1)
+    coherent = [(t, 2.0 * t) for t in grid]
+    single = [(t, 2.0 * t * t / 0.07) for t in grid]
+    assert rate_crossing(coherent, single) == pytest.approx(0.07, rel=1e-12)
+    with pytest.raises(ValidationError, match="one transmittance grid"):
+        rate_crossing(coherent, single[:-1])
 
 
 def test_calibration_matches_target_and_is_idempotent():
@@ -65,6 +82,13 @@ def test_calibration_unreachable_target():
     with pytest.raises(CalibrationError) as err:
         calibrate_overlap(PAPER, target_v_x=0.999)
     assert "maximum attainable" in str(err.value)
+
+
+def test_calibration_raises_when_bisection_does_not_converge():
+    # V_X is near 0 at zero overlap and rises with it, so -0.5 is never
+    # met; unchecked, the bisection returns s0 -> 0 as if calibrated.
+    with pytest.raises(CalibrationError, match="not met within 4 bisection"):
+        calibrate_overlap(PAPER, target_v_x=-0.5, max_iter=4)
 
 
 def test_sweep_table_consistency(tmp_path):

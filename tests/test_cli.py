@@ -1,8 +1,8 @@
 import json
-import math
 
 import pytest
 
+from dfsdist import analysis
 from dfsdist.cli import build_config, load_config, main, parse_config_text
 from dfsdist.fock import ConfigurationError
 
@@ -38,11 +38,13 @@ def test_parse_rejects_bad_lines():
 
 
 def test_build_config_phases_and_qubit():
-    cfg, extras = build_config({"phase_count": "4", "alpha": "0.6",
+    cfg, extras = build_config({"phase_delta_v": "0.25", "alpha": "0.6",
                                 "beta": "0.8"})
-    assert len(cfg.phase_shifts) == 4
-    assert cfg.phase_shifts[3][1] == pytest.approx(3.0 * math.pi / 4.0)
+    assert cfg.phase_delta == (0.0, 0.25)
     assert extras["qubit"] == (0.6 + 0j, 0.8 + 0j)
+    # The collective phase is always averaged uniformly; there is no set.
+    with pytest.raises(ConfigurationError, match="unknown config key"):
+        build_config({"phase_count": "4"})
 
 
 def test_cli_sweep_and_calibrate(tmp_path):
@@ -124,6 +126,47 @@ def test_cli_delay_scan(tmp_path):
     assert meta["zero_delay_visibility"] > 0.5
 
 
+def test_cli_fwhm_targeted_delay_scan_builds_two_evaluators(tmp_path,
+                                                            monkeypatch):
+    # One evaluator calibrates the width; one at that width serves the
+    # scan, the zero-delay visibility and the FWHM.
+    widths = []
+
+    class CountedEvaluator(analysis.DelayEvaluator):
+        def __init__(self, cfg):
+            widths.append(cfg.overlap_sigma_um)
+            super().__init__(cfg)
+
+    monkeypatch.setattr(analysis, "DelayEvaluator", CountedEvaluator)
+    cfg_file = tmp_path / "scan.cfg"
+    cfg_file.write_text("overlap_s0 = 0.94\ndelay_fwhm_target_um = 180\n"
+                        "delay_steps = 5\n")
+    assert main(["delay-scan", "--config", str(cfg_file),
+                 "--out", str(tmp_path / "dip")]) == 0
+    meta = json.loads((tmp_path / "dip.json").read_text())
+    assert widths == [100.0, meta["sigma_um"]]
+    assert meta["fwhm_um"] == pytest.approx(180.0, abs=0.5)
+
+
+@pytest.mark.parametrize("command,line", [
+    ("calibrate", "calibrate_target_vx = nan"),
+    ("delay-scan", "delay_min_um = nan"),
+    ("sweep", "transmittance_list = 0.1,inf"),
+], ids=["calibrate_target_vx", "delay_min_um", "transmittance_list"])
+def test_cli_rejects_non_finite_extras(tmp_path, capsys, command, line):
+    # float() parses "nan" and "inf", and NaN passes every range check:
+    # unchecked, the calibration bisects to s0 ~ 1e-24 and writes a bare NaN,
+    # and the scan writes rows at delay nan evaluated at full overlap.
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(line + "\n")
+    code = main([command, "--config", str(cfg_file),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert "must be finite" in err["error"]
+    assert list(tmp_path.iterdir()) == [cfg_file]
+
+
 @pytest.mark.parametrize("steps", ["0", "-1"])
 def test_cli_delay_scan_rejects_nonpositive_steps(tmp_path, capsys, steps):
     cfg_file = tmp_path / "scan.cfg"
@@ -151,7 +194,7 @@ def test_cli_oracle_check_rejects_nonpositive_seeds(tmp_path, capsys, seeds):
 
 def test_cli_oracle_check(tmp_path):
     cfg_file = tmp_path / "oracle.cfg"
-    cfg_file.write_text("cutoff = 3\nphase_count = 1\noracle_seeds = 2\n")
+    cfg_file.write_text("cutoff = 3\noracle_seeds = 2\n")
     out = tmp_path / "oracle"
     assert main(["oracle-check", "--config", str(cfg_file),
                  "--out", str(out)]) == 0

@@ -20,14 +20,13 @@ from dfsdist.fock import (
     fidelity_to_phi_plus,
     inner_product,
     make_registry,
-    norm_squared,
     project_occupation,
     reduce_to_polarization_dm,
     states_allclose,
     tensor,
     trace_distance,
 )
-from dfsdist.optics import beamsplitter, loss_channel
+from dfsdist.optics import attenuator, beamsplitter, loss_channel
 
 
 def test_make_registry_counts():
@@ -103,7 +102,7 @@ def test_occupied_fresh_output_rejected():
 def test_tensor_basics():
     reg = make_registry(["A", "B"])
     one = FockStateVector(reg, 2, {(1, 0, 0, 0): 1.0})
-    vac = FockStateVector.vacuum(reg, 2)
+    vac = FockStateVector(reg, 2, {(0, 0, 0, 0): 1.0})
     prod = tensor(one, vac)
     assert states_allclose(prod, one)
     assert states_allclose(tensor(vac, vac), vac)
@@ -144,6 +143,25 @@ def test_tensor_norm_multiplies(data):
     assert abs(prod.norm_squared() - a.norm_squared() * b.norm_squared()) < 1e-10
 
 
+def _composed(first, second):
+    """second after first as one transform, from the product of the two
+    maps written out on every mode of the registry."""
+    n = first.registry.n_modes
+
+    def on_all_modes(t):
+        full = np.eye(n, dtype=complex)
+        full[:, list(t.input_indices)] = 0.0
+        full[np.ix_(t.output_indices, t.input_indices)] = t.matrix
+        return full
+
+    product = on_all_modes(second) @ on_all_modes(first)
+    inputs = sorted(set(first.input_indices)
+                    | (set(second.input_indices) - set(first.output_indices)))
+    outputs = [i for i in range(n) if np.any(product[i, inputs])]
+    return ModeTransform(first.registry, tuple(inputs), tuple(outputs),
+                         product[np.ix_(outputs, inputs)])
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000), st.floats(0.05, 0.95))
 def test_lossless_norm_preserved_and_composition(seed, theta):
@@ -158,7 +176,7 @@ def test_lossless_norm_preserved_and_composition(seed, theta):
     t2 = beamsplitter(reg, 1, 3, (1.0 - theta) * math.pi)
     stepwise = apply_transform(apply_transform(state, t1), t2)
     assert abs(stepwise.norm_squared() - 1.0) < 1e-10
-    composed = apply_transform(state, t1.then(t2))
+    composed = apply_transform(state, _composed(t1, t2))
     assert states_allclose(stepwise, composed, tol=1e-10)
 
 
@@ -257,7 +275,7 @@ def test_reduce_with_entangled_loss_mode_is_mixed():
     state = FockStateVector(reg, 3, terms)
     dm = reduce_to_polarization_dm(state, "A", "B")
     assert abs(dm.trace - 1.0) < 1e-12
-    assert dm.purity() < 1.0 - 1e-6
+    assert np.trace(dm.matrix @ dm.matrix).real < 1.0 - 1e-6
     assert abs(dm.matrix[0, 3]) < 1e-15
 
     space = DenseFockSpace(6, 3)
@@ -325,7 +343,7 @@ def test_fidelity_examples():
 def test_trace_distance_and_norm_helpers():
     reg = make_registry(["A", "B"])
     state = _phi_plus_state(reg)
-    assert abs(norm_squared(state) - 1.0) < 1e-12
+    assert abs(state.norm_squared() - 1.0) < 1e-12
     dm = reduce_to_polarization_dm(state, "A", "B")
     assert trace_distance(dm, dm) < 1e-14
     other = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
@@ -366,19 +384,21 @@ def test_tensor_records_truncated_weight():
 def test_is_normalized_flag():
     reg = make_registry(["A"])
     state = FockStateVector(reg, 2, {(1, 0): 1.0})
-    assert state.is_normalized()
-    assert not project_occupation(
-        FockStateVector(reg, 2, {(1, 0): 0.6, (0, 1): 0.8}), 0, 1
-    ).is_normalized()
+    assert abs(state.norm_squared() - 1.0) < 1e-12
+    projected = project_occupation(
+        FockStateVector(reg, 2, {(1, 0): 0.6, (0, 1): 0.8}), 0, 1)
+    assert abs(projected.norm_squared() - 0.36) < 1e-12
 
 
 def test_composition_through_loss_elements():
-    from dfsdist.optics import attenuator
-
     reg = make_registry(["A", "G", "W1", "W2"])
     first = attenuator(reg, "A", "G", "W1", 0.7)
     second = attenuator(reg, "G", "G", "W2", 0.5)
     state = FockStateVector(reg, 2, {(1, 0, 0, 0, 0, 0, 0, 0): 1.0})
     stepwise = apply_transform(apply_transform(state, first), second)
-    composed = apply_transform(state, first.then(second))
+    composed = apply_transform(state, _composed(first, second))
     assert states_allclose(stepwise, composed, tol=1e-12)
+    # Transmittances multiply: sqrt(0.7 * 0.5) survives into G.
+    survived = stepwise.amplitude(
+        tuple(int(i == reg.index(Mode("G", H))) for i in range(8)))
+    assert abs(survived - math.sqrt(0.35)) < 1e-12

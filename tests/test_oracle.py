@@ -11,7 +11,7 @@ from dfsdist.oracle import (
     oracle_check,
     oracle_protocol_probabilities,
 )
-from dfsdist.protocol import ExperimentConfig
+from dfsdist.protocol import PHASE_SET_8, ExperimentConfig
 
 
 def test_dense_space_counts():
@@ -101,7 +101,7 @@ def _oracle_points(cfg):
     for variant in ("counter_propagating", "single_photon_ancilla"):
         small = replace(cfg, cutoff=3, overlap_s0=1.0, delay_um=0.0,
                         variant=variant, include_feedforward_branch=False)
-        for phi_h, phi_v in small.phase_shifts[:3]:
+        for phi_h, phi_v in PHASE_SET_8[:3]:
             yield small, phi_h, phi_v
 
 
@@ -151,10 +151,9 @@ def test_mode_unitary_cache_keys_on_matrix_values():
 
 
 def test_oracle_check_repeats_in_one_process():
-    cfg = ExperimentConfig(cutoff=3, phase_shifts=((0.0, 0.0),
-                                                   (0.0, math.pi / 4.0)))
+    cfg = ExperimentConfig(cutoff=3)
     first = oracle_check(cfg, n_seeds=2)
-    assert first.n_checks == 2 * 9 + 2 * 2 * 9
+    assert first.n_checks == 2 * 9 + 2 * 3 * 9
     assert oracle_check(cfg, n_seeds=2) == first
 
 

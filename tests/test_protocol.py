@@ -61,8 +61,8 @@ def test_config_validation():
     dict(delay_um=math.nan),
     dict(mu=math.inf),
     dict(phase_delta=(0.0, math.nan)),
-    dict(phase_shifts=((0.0, 0.0), (math.nan, 0.5))),
-    dict(phase_shifts=((0.0, math.inf),)),
+    dict(phase_delta=(math.nan, 0.5)),
+    dict(phase_delta=(0.0, math.inf)),
     dict(input_qubit=(complex(math.nan, 0.0), 1.0)),
 ], ids=["mu", "gamma", "overlap_sigma", "delay", "mu_inf", "phase_delta",
         "phase_shift", "phase_shift_inf", "input_qubit"])
@@ -75,23 +75,26 @@ def _assert_rel_close(got, want, tol=1e-12):
     assert abs(got - want) <= tol * abs(want), (got, want)
 
 
-@pytest.mark.parametrize("overrides", [
-    dict(),
-    dict(cutoff=5),
-    dict(variant="forward_all_from_bob"),
-    dict(variant="single_photon_ancilla"),
-    dict(variant="direct_no_dfs"),
-    dict(include_feedforward_branch=True),
-    dict(phase_delta=(0.3, 1.1)),
-    # Characters not orthogonal; only the direct variant's fixed-phase runs
-    # differ from one another, so only it can tell the two ensembles apart.
-    dict(phase_shifts=PHASE_SET_8[:4]),
-    dict(variant="direct_no_dfs", phase_shifts=PHASE_SET_8[:4]),
+@pytest.mark.parametrize("overrides,phases", [
+    (dict(), PHASE_SET_8),
+    (dict(cutoff=5), PHASE_SET_8),
+    (dict(variant="forward_all_from_bob"), PHASE_SET_8),
+    (dict(variant="single_photon_ancilla"), PHASE_SET_8),
+    (dict(variant="direct_no_dfs"), PHASE_SET_8),
+    (dict(include_feedforward_branch=True), PHASE_SET_8),
+    (dict(phase_delta=(0.3, 1.1)), PHASE_SET_8),
+    (dict(), PHASE_SET_8[::2]),
+    (dict(variant="direct_no_dfs"), PHASE_SET_8[::2]),
 ], ids=["reference", "cutoff5", "forward", "single_photon", "direct",
         "feedforward", "phase_delta", "four_points", "direct_four_points"])
-def test_sector_average_equals_mean_of_fixed_phase_runs(overrides):
+def test_sector_average_equals_mean_of_fixed_phase_runs(overrides, phases):
+    # At cutoff <= 7 the eight points {n pi/4} average every e^{i m phi}
+    # with 0 < |m| <= 7 to zero, exactly as the uniform average does.  Four
+    # points {n pi/2} do so for |m| <= 3: enough for the direct variant,
+    # whose n_V never exceeds 2, and for the DFS, whose fixed-phase runs
+    # are all equal.
     cfg = replace(PAPER, overlap_s0=0.94, transmittance=0.03, **overrides)
-    runs = [run_fixed_phase(cfg, *phi) for phi in cfg.phase_shifts]
+    runs = [run_fixed_phase(cfg, *phi) for phi in phases]
     n = len(runs)
     got = run_phase_averaged(cfg)
 
@@ -110,6 +113,31 @@ def test_sector_average_equals_mean_of_fixed_phase_runs(overrides):
             <= 1e-12 * np.abs(want_dm).max())
     _assert_rel_close(got.truncated_weight,
                       max(r.truncated_weight for r in runs))
+
+
+@pytest.mark.parametrize("overrides,n_classes", [
+    (dict(), 5),
+    (dict(cutoff=6), 7),
+    (dict(variant="direct_no_dfs"), 3),
+], ids=["reference", "cutoff6", "direct"])
+def test_phase_average_measures_each_v_photon_number_once(monkeypatch,
+                                                          overrides,
+                                                          n_classes):
+    # Photon numbers on the two sides of the PBS are conserved separately,
+    # so sectors of equal n_V and unequal n_H never interfere in a count:
+    # splitting a class by n_H, or merging classes, leaves every number
+    # above unchanged to rounding and shows only in the work done.
+    cfg = replace(PAPER, overlap_s0=0.94, **overrides)
+    calls = []
+    measure = protocol._measure
+
+    def counted(*args):
+        calls.append(None)
+        return measure(*args)
+
+    monkeypatch.setattr(protocol, "_measure", counted)
+    run_phase_averaged(cfg)
+    assert len(calls) == n_classes  # n_V = 0, 1, ... up to the most V photons
 
 
 def test_three_photon_state_term_structure():
@@ -404,6 +432,12 @@ def test_delay_evaluator_rejects_tail_on_g_side(monkeypatch, variant):
         evaluate(0.0)
 
 
+def test_delay_evaluator_rejects_nan_delay():
+    evaluate = DelayEvaluator(replace(PAPER, overlap_s0=0.94))
+    with pytest.raises(ValidationError, match="overlap amplitude"):
+        evaluate(math.nan)
+
+
 def test_delay_evaluator_evaluates_each_overlap_once(monkeypatch):
     cfg = replace(PAPER, overlap_s0=0.94, overlap_sigma_um=108.1)
     evaluate = DelayEvaluator(cfg)
@@ -435,13 +469,13 @@ def test_delay_evaluator_evaluates_each_overlap_once(monkeypatch):
 @pytest.mark.parametrize("overrides", [
     dict(),
     dict(variant="forward_all_from_bob", overlap_s0=0.9),
-    dict(phase_shifts=PHASE_SET_8[:3], phase_delta=(0.2, -0.4)),
+    dict(phase_delta=(0.2, -0.4)),
 ])
 def test_phase_point_states_match_fixed_phase_preparation(overrides):
     cfg = replace(PAPER, **overrides)
     _, states = phase_point_states(cfg)
-    assert len(states) == len(cfg.phase_shifts)
-    for (phi_h, phi_v), state in zip(cfg.phase_shifts, states):
+    assert len(states) == len(PHASE_SET_8)
+    for (phi_h, phi_v), state in zip(PHASE_SET_8, states):
         _, want = prepare_final_state(cfg, phi_h, phi_v)
         assert states_allclose(state, want, tol=1e-15)
         assert state.truncated_weight == pytest.approx(want.truncated_weight,

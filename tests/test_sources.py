@@ -20,7 +20,6 @@ from dfsdist.sources import (
     SpdcParams,
     click_probabilities,
     coherent_state,
-    conditioned_polarization_dm,
     effective_qubit_dm,
     pair_state,
     pattern_distribution,
@@ -145,8 +144,16 @@ def test_detector_model_examples():
 @settings(max_examples=25, deadline=None)
 @given(st.floats(0.0, 1.0), st.floats(0.0, 0.1), st.integers(0, 4))
 def test_povm_completeness(eta, dark, n):
+    reg = make_registry(["D"])
+    occ = [0, 0]
+    occ[reg.index(Mode("D", H))] = n
+    state = FockStateVector(reg, 4, {tuple(occ): 1.0})
     det = DetectorModel("D", eta, dark)
-    assert abs(det.click_probability(n) + det.no_click_probability(n) - 1.0) < 1e-12
+    groups = {"D": (det, reg.indices("D"))}
+    click = click_probabilities(state, groups, {"D": True})
+    no_click = click_probabilities(state, groups, {"D": False})
+    assert abs(click - det.click_probability(n)) < 1e-12
+    assert abs(click + no_click - 1.0) < 1e-12
 
 
 def test_click_probabilities_pattern():
@@ -188,11 +195,25 @@ def _bell_with_labels(reg):
     return FockStateVector(reg, 2, {tuple(hh): r, tuple(vv): r})
 
 
+def _conditioned(state, det_e, det_g, herald=None):
+    """Normalized effective two-qubit state and the probability that E, G
+    (and the herald on F's H modes, if given) all click."""
+    reg = state.registry
+    groups = {"E": (det_e, reg.indices("E")), "G": (det_g, reg.indices("G"))}
+    herald_idx = None
+    if herald is not None:
+        herald_idx = reg.indices("F", pol=H)
+        groups["F"] = (herald, herald_idx)
+    prob = click_probabilities(state, groups, dict.fromkeys(groups, True))
+    dm = effective_qubit_dm(state, "E", "G", det_e, det_g, herald_idx, herald)
+    return dm.normalized(), prob
+
+
 def test_conditioned_dm_ideal_detectors():
     reg = make_registry(["E", "G"])
     state = _bell_with_labels(reg)
     det = DetectorModel("D", 1.0, 0.0)
-    dm, prob = conditioned_polarization_dm(state, "E", "G", det, det)
+    dm, prob = _conditioned(state, det, det)
     assert abs(prob - 1.0) < 1e-12
     assert abs(dm.matrix[0, 3] - 0.5) < 1e-12
 
@@ -202,7 +223,7 @@ def test_conditioned_dm_dark_only_is_maximally_mixed():
     reg = make_registry(["E", "G"])
     vac = FockStateVector(reg, 2, {(0,) * 4: 1.0})
     det = DetectorModel("D", 0.5, 1e-3)
-    dm, prob = conditioned_polarization_dm(vac, "E", "G", det, det)
+    dm, prob = _conditioned(vac, det, det)
     assert abs(prob - 1e-6) < 1e-15
     assert np.abs(dm.matrix - np.eye(4) / 4.0).max() < 1e-12
 
@@ -211,7 +232,7 @@ def test_conditioned_dm_efficiency_cancels_in_state():
     reg = make_registry(["E", "G"])
     state = _bell_with_labels(reg)
     lossy = DetectorModel("D", 0.25, 0.0)
-    dm, prob = conditioned_polarization_dm(state, "E", "G", lossy, lossy)
+    dm, prob = _conditioned(state, lossy, lossy)
     assert abs(prob - 0.25 ** 2) < 1e-12
     assert abs(dm.matrix[0, 3] - 0.5) < 1e-12
 
@@ -225,7 +246,7 @@ def test_conditioned_dm_dark_dilutes_correlations():
     state = FockStateVector(reg, 2, {tuple(occ): 1.0})
     det_e = DetectorModel("E", 0.5, 0.0)
     det_g = DetectorModel("G", 0.5, 1e-4)
-    dm, prob = conditioned_polarization_dm(state, "E", "G", det_e, det_g)
+    dm, prob = _conditioned(state, det_e, det_g)
     assert abs(prob - 0.5 * 1e-4) < 1e-15
     expect = np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2.0)
     assert np.abs(dm.matrix - expect).max() < 1e-12
@@ -253,9 +274,7 @@ def test_conditioned_dm_with_herald_weight():
     state = FockStateVector(reg, 3, {tuple(hh): r, tuple(vv): r})
     det = DetectorModel("D", 1.0, 0.0)
     herald = DetectorModel("F", 1.0, 0.0)
-    dm, prob = conditioned_polarization_dm(
-        state, "E", "G", det, det,
-        herald_indices=reg.indices("F", pol=H), herald_det=herald)
+    dm, prob = _conditioned(state, det, det, herald)
     # Only the branch with the herald photon survives.
     assert abs(prob - 0.5) < 1e-12
     assert abs(dm.matrix[0, 0] - 1.0) < 1e-12
