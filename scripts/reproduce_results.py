@@ -39,9 +39,8 @@ from dfsdist.protocol import (
 T_GRID = (0.1, 0.03, 0.01, 0.005, 0.003)
 
 
-def main() -> int:
-    out_dir = Path(__file__).resolve().parent.parent / "results"
-    out_dir.mkdir(exist_ok=True)
+def reproduce(out_dir: Path) -> None:
+    """Write every results file into ``out_dir``."""
     cfg = ExperimentConfig()
 
     print("calibrating pulse overlap against V_X = 0.82 at T = 0.1 ...")
@@ -116,6 +115,11 @@ def main() -> int:
         print(f"  {label}: fidelity {res['fidelity']:.4f}")
     write_json(out_dir / "tomography.json", payload)
 
+
+def main() -> int:
+    out_dir = Path(__file__).resolve().parent.parent / "results"
+    out_dir.mkdir(exist_ok=True)
+    reproduce(out_dir)
     print(f"all outputs in {out_dir}")
     return 0
 

@@ -6,6 +6,7 @@ sampling) produces byte-identical CSV/JSON files.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, replace
@@ -28,7 +29,7 @@ from .protocol import (
     run_phase_averaged,
     visibilities,
 )
-from .sources import pattern_distribution
+from .sources import click_table
 
 
 class CalibrationError(ValidationError):
@@ -66,14 +67,18 @@ class CalibrationResult:
         return self.s0 ** 2
 
 
+# The bisection stops once V_X is this close to the target; both ends of
+# the overlap range are checked first, so the step bound is only a guard.
+CALIBRATION_TOL = 1e-4
+CALIBRATION_MAX_STEPS = 80
+
+
 def calibrate_overlap(cfg: ExperimentConfig, anchor_t: float = 0.1,
-                      target_v_x: float = 0.82, tol: float = 1e-4,
-                      max_iter: int = 80) -> CalibrationResult:
+                      target_v_x: float = 0.82) -> CalibrationResult:
     """Bisect the zero-delay overlap amplitude until V_X matches the target.
 
-    Raises :class:`CalibrationError` if the target is above the V_X at full
-    overlap or if ``max_iter`` bisection steps do not bring V_X within
-    ``tol`` of it, as for a target below the V_X at zero overlap.
+    Raises :class:`CalibrationError` at once if the target lies above the
+    V_X at full overlap or below the V_X at zero overlap.
     """
 
     def v_x_at(s0: float) -> float:
@@ -82,23 +87,28 @@ def calibrate_overlap(cfg: ExperimentConfig, anchor_t: float = 0.1,
         return visibilities(out)[1]
 
     top = v_x_at(1.0)
-    if target_v_x > top + tol:
+    if target_v_x > top + CALIBRATION_TOL:
         raise CalibrationError(
             f"target V_X={target_v_x} unreachable; maximum attainable {top:.6f}")
-    if abs(top - target_v_x) <= tol:
+    if abs(top - target_v_x) <= CALIBRATION_TOL:
         return CalibrationResult(1.0, top, anchor_t, target_v_x, 1)
+    bottom = v_x_at(0.0)
+    if target_v_x < bottom - CALIBRATION_TOL:
+        raise CalibrationError(
+            f"target V_X={target_v_x} unreachable; minimum attainable "
+            f"{bottom:.6f}")
     lo, hi = 0.0, 1.0
-    for it in range(1, max_iter + 1):
+    for it in range(1, CALIBRATION_MAX_STEPS + 1):
         mid = 0.5 * (lo + hi)
         val = v_x_at(mid)
-        if abs(val - target_v_x) < tol:
+        if abs(val - target_v_x) < CALIBRATION_TOL:
             return CalibrationResult(mid, val, anchor_t, target_v_x, it)
         if val < target_v_x:
             lo = mid
         else:
             hi = mid
-    raise CalibrationError(
-        f"target V_X={target_v_x} not met within {max_iter} bisection steps")
+    raise CalibrationError(f"target V_X={target_v_x} not met within "
+                           f"{CALIBRATION_MAX_STEPS} bisection steps")
 
 
 @dataclass(frozen=True)
@@ -391,30 +401,32 @@ def sample_events(cfg: ExperimentConfig, n_pulses: int, seed: int) -> EventSampl
     if n_pulses < 0:
         raise ValidationError("number of pulses must be >= 0")
     n_phases = len(PHASE_SET_8)
-    flat_keys: list[tuple[int, tuple[bool, ...]]] = []
-    flat_probs: list[float] = []
     exact: dict[tuple[int, tuple[bool, ...]], float] = {}
     plan, states = phase_point_states(cfg)
     reg = plan.registry
-    assignments = {
-        "E": (plan.detectors["E"], reg.indices(plan.side_e)),
-        "G": (plan.detectors["G"], reg.indices(plan.side_g)),
-    }
+    # Detectors in pattern order (E, F, G); without a herald F never clicks.
+    detectors = [(plan.detectors["E"], reg.indices(plan.side_e)),
+                 (plan.detectors["G"], reg.indices(plan.side_g))]
     if plan.herald is not None:
-        assignments["F"] = (plan.detectors["F"],
-                            reg.indices(plan.herald, pol="H"))
+        detectors.insert(1, (plan.detectors["F"],
+                             reg.indices(plan.herald, pol="H")))
     for k, state in enumerate(states):
-        dist = pattern_distribution(state, assignments)
+        w, n = click_table(state, [idx for _, idx in detectors])
+        clicks = [det.click_probability(n[:, j])
+                  for j, (det, _) in enumerate(detectors)]
+        dist = {}
+        for bits in itertools.product((False, True), repeat=len(clicks)):
+            p = w
+            for b, c in zip(bits, clicks):
+                p = p * (c if b else 1.0 - c)
+            dist[bits if plan.herald is not None
+                 else (bits[0], False, bits[1])] = float(p.sum())
         norm = sum(dist.values())  # < 1 only by the recorded truncation weight
-        for bits, p in sorted(dist.items()):
-            key = (k, _canonical_bits(bits, "F" in assignments))
-            prob = p / (norm * n_phases)
-            exact[key] = exact.get(key, 0.0) + prob
-    for key in sorted(exact):
-        flat_keys.append(key)
-        flat_probs.append(exact[key])
+        for bits, p in dist.items():
+            exact[(k, bits)] = p / (norm * n_phases)
+    flat_keys = sorted(exact)
     rng = np.random.default_rng(seed)
-    probs = np.asarray(flat_probs)
+    probs = np.asarray([exact[key] for key in flat_keys])
     probs = probs / probs.sum()
     draws = rng.choice(len(flat_keys), size=n_pulses, p=probs)
     phase_of = np.array([k for k, _ in flat_keys], dtype=np.int64)
@@ -423,11 +435,3 @@ def sample_events(cfg: ExperimentConfig, n_pulses: int, seed: int) -> EventSampl
     g_of = np.array([bits[2] for _, bits in flat_keys], dtype=bool)
     return EventSample(phase_of[draws], e_of[draws], f_of[draws], g_of[draws],
                        exact)
-
-
-def _canonical_bits(bits: tuple[bool, ...], has_herald: bool) -> tuple[bool, bool, bool]:
-    if has_herald:
-        e, g, f = bits
-        return (e, f, g)
-    e, g = bits
-    return (e, False, g)

@@ -36,7 +36,7 @@ from .protocol import (
     run_fixed_phase,
 )
 from .fock import FockStateVector, apply_transform
-from .sources import DetectorModel, click_probabilities
+from .sources import DetectorModel, click_table
 
 
 def _enumerate_basis(n_modes: int, cutoff: int) -> list[tuple[int, ...]]:
@@ -51,6 +51,16 @@ def _enumerate_basis(n_modes: int, cutoff: int) -> list[tuple[int, ...]]:
 
     rec((), cutoff)
     return basis
+
+
+def _sparse(vals: Sequence[float], rows: Sequence[int], cols: Sequence[int],
+            dim: int):
+    """dim x dim CSR matrix with the given entries."""
+    # Imported here: the CLI loads this module, and only the oracle needs
+    # scipy.sparse.
+    from scipy.sparse import csr_array
+
+    return csr_array((vals, (rows, cols)), shape=(dim, dim))
 
 
 class DenseFockSpace:
@@ -68,25 +78,33 @@ class DenseFockSpace:
         self.basis = _enumerate_basis(n_modes, cutoff)
         self.index = {occ: i for i, occ in enumerate(self.basis)}
         self.dim = len(self.basis)
-        self._annihilation: dict[int, np.ndarray] = {}
+        self._annihilation: dict[int, object] = {}
+        self._creation: dict[int, object] = {}
         self._unitaries: dict[tuple, np.ndarray] = {}
         self._kraus: dict[tuple[int, float], list] = {}
         self._clicks: dict[tuple, np.ndarray] = {}
 
-    def annihilation(self, mode: int) -> np.ndarray:
+    def annihilation(self, mode: int):
+        """Sparse annihilation operator of one mode."""
         op = self._annihilation.get(mode)
         if op is None:
-            op = np.zeros((self.dim, self.dim))
+            rows, cols, vals = [], [], []
             for i, occ in enumerate(self.basis):
                 n = occ[mode]
                 if n:
                     target = occ[:mode] + (n - 1,) + occ[mode + 1:]
-                    op[self.index[target], i] = math.sqrt(n)
-            self._annihilation[mode] = op
+                    rows.append(self.index[target])
+                    cols.append(i)
+                    vals.append(math.sqrt(n))
+            op = self._annihilation[mode] = _sparse(vals, rows, cols, self.dim)
         return op
 
-    def creation(self, mode: int) -> np.ndarray:
-        return self.annihilation(mode).T.copy()
+    def creation(self, mode: int):
+        """Sparse creation operator of one mode, the annihilator's transpose."""
+        op = self._creation.get(mode)
+        if op is None:
+            op = self._creation[mode] = self.annihilation(mode).T.tocsr()
+        return op
 
     def state(self, terms: Mapping[tuple[int, ...], complex]) -> np.ndarray:
         vec = np.zeros(self.dim, dtype=complex)
@@ -107,7 +125,7 @@ class DenseFockSpace:
                 for b, mb in enumerate(modes):
                     if abs(k[a, b]) < 1e-16:
                         continue
-                    gen += k[a, b] * (adag @ self.annihilation(mb))
+                    gen += (k[a, b] * (adag @ self.annihilation(mb))).toarray()
             u = expm(gen)
             u.flags.writeable = False
             self._unitaries[key] = u
@@ -123,10 +141,6 @@ class DenseFockSpace:
         key = (mode, transmittance)
         ops = self._kraus.get(key)
         if ops is None:
-            # Imported here: the CLI loads this module, and only the oracle
-            # needs scipy.sparse.
-            from scipy.sparse import csr_array
-
             ops = []
             for k in range(self.cutoff + 1):
                 rows, cols, vals = [], [], []
@@ -139,8 +153,7 @@ class DenseFockSpace:
                     vals.append(math.sqrt(math.comb(n, k)
                                           * transmittance ** (n - k)
                                           * (1.0 - transmittance) ** k))
-                ops.append(csr_array((vals, (rows, cols)),
-                                     shape=(self.dim, self.dim)))
+                ops.append(_sparse(vals, rows, cols, self.dim))
             self._kraus[key] = ops
         return ops
 
@@ -450,20 +463,21 @@ def _random_circuit_check(seed: int, cutoff: int = 3) -> tuple[float, str]:
                           float(rng.uniform(0, 1e-3)))
     worst = 0.0
     what = ""
+    w, n = click_table(state, [reg.indices("P"), reg.indices("Q")])
+    sparse_p = det_p.click_probability(n[:, 0])
+    sparse_q = det_q.click_probability(n[:, 1])
+    povm_p = space.click_povm([didx["PH"], didx["PV"]],
+                              det_p.efficiency, det_p.dark)
+    povm_q = space.click_povm([didx["QH"], didx["QV"]],
+                              det_q.efficiency, det_q.dark)
     for want_p in (True, False):
         for want_q in (True, False):
-            sparse_p = click_probabilities(
-                state,
-                {"P": (det_p, reg.indices("P")), "Q": (det_q, reg.indices("Q"))},
-                {"P": want_p, "Q": want_q})
-            povm_p = space.click_povm([didx["PH"], didx["PV"]],
-                                      det_p.efficiency, det_p.dark)
-            povm_q = space.click_povm([didx["QH"], didx["QV"]],
-                                      det_q.efficiency, det_q.dark)
-            dense_p = diagonal_expectation(
+            sparse = float(w @ ((sparse_p if want_p else 1.0 - sparse_p)
+                                * (sparse_q if want_q else 1.0 - sparse_q)))
+            dense = diagonal_expectation(
                 rho, (povm_p if want_p else 1.0 - povm_p)
                 * (povm_q if want_q else 1.0 - povm_q))
-            dev = abs(sparse_p - dense_p)
+            dev = abs(sparse - dense)
             if dev > worst:
                 worst, what = dev, f"pattern P={want_p} Q={want_q}"
 

@@ -50,6 +50,7 @@ from .sources import (
     DetectorModel,
     SpdcParams,
     charge_sectors,
+    click_table,
     coherent_state,
     effective_qubit_dm,
     pair_state,
@@ -414,142 +415,121 @@ class DelayEvaluator:
                     f"{t.name} acts on the {self.plan.side_g} modes, so the "
                     f"analyzer there cannot be applied before it")
         state = apply_transform(_propagate(self._prefix, tail), self._rot_e)
-        probs = _setting_probs(state, self.plan, ("R", "L"))
-        return probs[("R", "L")], probs[("L", "L")]
+        w, n = click_table(state, _analyzed_groups(self.plan))
+        probs = _pair_probs(self.plan, w, n, _herald_clicks(self.plan, n)[0])
+        return float(probs[0, 1]), float(probs[1, 1])
 
 
-def _click_terms(occupations: Iterable[tuple[tuple[int, ...], float]],
-                 groups: Mapping[str, tuple[DetectorModel, Sequence[int]]],
-                 pair_side: Sequence[int],
-                 ) -> tuple[float, dict[tuple[int, int, str], float]]:
-    """Coincidence probability of all groups clicking plus the component split.
+def _analyzed_groups(plan: _Plan) -> list[list[int]]:
+    """Mode groups E_H, E_V, G_H, G_V and, with a herald, F_H, F_V.
 
-    Components are keyed by (pair count, ancilla photon count, click origin of
-    the pair-side detector: photon vs dark).
+    The herald analyzer puts |D> on F_H and |Dbar> on F_V.
     """
-    det_g, g_idx = groups["G"]
-    others = [(det, idx) for name, (det, idx) in groups.items() if name != "G"]
-    total = 0.0
-    comps: dict[tuple[int, int, str], float] = {}
-    for occ, w in occupations:
-        for det, idx in others:
-            w *= det.click_probability(sum(occ[i] for i in idx))
-        if w == 0.0:
-            continue
-        ng = sum(occ[i] for i in g_idx)
-        photon_part = 1.0 - (1.0 - det_g.efficiency) ** ng
-        dark_part = det_g.dark * (1.0 - det_g.efficiency) ** ng
-        pairs = sum(occ[i] for i in pair_side)
-        ancilla = sum(occ) - 2 * pairs
-        if photon_part:
-            key = (pairs, ancilla, "photon")
-            comps[key] = comps.get(key, 0.0) + w * photon_part
-        if dark_part:
-            key = (pairs, ancilla, "dark")
-            comps[key] = comps.get(key, 0.0) + w * dark_part
-        total += w * (photon_part + dark_part)
-    return total, comps
+    reg = plan.registry
+    sides = [plan.side_e, plan.side_g]
+    if plan.herald is not None:
+        sides.append(plan.herald)
+    return [reg.indices(side, pol=pol) for side in sides for pol in (H, V)]
 
 
-def _setting_probs(state: FockStateVector, plan: _Plan, settings: tuple[str, str],
-                   herald_pol: str = H) -> dict[tuple[str, str], float]:
-    """Click probabilities for the four analyzer pairs of one basis.
+def _herald_clicks(plan: _Plan, counts: np.ndarray) -> list:
+    """Per-term herald click probability for |D> and for |Dbar>, read from
+    columns 4 and 5 of a click table; [1.0] without a herald."""
+    if plan.herald is None:
+        return [1.0]
+    det_f = plan.detectors["F"]
+    return [det_f.click_probability(counts[:, 4]),
+            det_f.click_probability(counts[:, 5])]
 
-    The state must already be rotated so that the first setting of each side
+
+def _pair_probs(plan: _Plan, weights: np.ndarray, counts: np.ndarray,
+                herald) -> np.ndarray:
+    """Coincidences of E port i and G port j with the herald, as a 2x2 array.
+
+    ``counts`` holds E_H, E_V, G_H, G_V in its first four columns, and the
+    state must already be rotated so that the first setting of each side
     lies on the H modes.  Photons behind the orthogonal analyzer port are
     discarded, not detected.
     """
-    reg = state.registry
-    det_e = plan.detectors["E"]
-    det_g = plan.detectors["G"]
-    e_pols = [reg.indices(plan.side_e, pol=p) for p in (H, V)]
-    g_pols = [reg.indices(plan.side_g, pol=p) for p in (H, V)]
-    det_f = f_idx = None
-    if plan.herald is not None:
-        det_f = plan.detectors["F"]
-        f_idx = reg.indices(plan.herald, pol=herald_pol)
-    # One pass over the terms for all four pairs.  Each pair's sum takes the
-    # same products in the same order as a pass of its own would.
-    sums = [[0.0, 0.0], [0.0, 0.0]]
-    for occ, amp in state.terms.items():
-        w = abs(amp) ** 2
-        w_e = [w * det_e.click_probability(sum(map(occ.__getitem__, idx)))
-               for idx in e_pols]
-        if w_e[0] == 0.0 and w_e[1] == 0.0:
-            continue
-        c_g = [det_g.click_probability(sum(map(occ.__getitem__, idx)))
-               for idx in g_pols]
-        c_f = (None if det_f is None
-               else det_f.click_probability(sum(map(occ.__getitem__, f_idx))))
-        for w_i, row in zip(w_e, sums):
-            if w_i == 0.0:
-                continue
-            for j, c_j in enumerate(c_g):
-                x = w_i * c_j
-                if c_f is not None:
-                    x *= c_f
-                row[j] += x
-    return {(settings[i], settings[j]): sums[i][j]
-            for i in range(2) for j in range(2)}
+    e = (plan.detectors["E"].click_probability(counts[:, :2])
+         * (weights * herald)[:, None])
+    return e.T @ plan.detectors["G"].click_probability(counts[:, 2:4])
+
+
+def _labelled(probs: np.ndarray,
+              settings: tuple[str, str]) -> dict[tuple[str, str], float]:
+    return {(se, sg): p for se, row in zip(settings, probs.tolist())
+            for sg, p in zip(settings, row)}
+
+
+def _components(pairs: np.ndarray, photons: np.ndarray,
+                **origins: np.ndarray) -> dict[tuple[int, int, str], float]:
+    """Per-term coincidences summed by (pair count, ancilla photon count,
+    click origin of the pair-side detector)."""
+    keys, inverse = np.unique(np.stack([pairs, photons - 2 * pairs]), axis=1,
+                              return_inverse=True)
+    comps: dict[tuple[int, int, str], float] = {}
+    for origin, part in origins.items():
+        sums = np.bincount(inverse, part, keys.shape[1])
+        for (n_pairs, ancilla), val in zip(keys.T.tolist(), sums.tolist()):
+            if val:
+                comps[(n_pairs, ancilla, origin)] = val
+    return comps
 
 
 def _measure(cfg: ExperimentConfig, plan: _Plan,
              state: FockStateVector) -> ProtocolOutcome:
+    """Every coincidence statistic from two click tables: one on the final
+    state and one on the state rotated into the X basis on both sides."""
     reg = plan.registry
-    det_e = plan.detectors["E"]
-    det_g = plan.detectors["G"]
-    herald_idx = None
-    det_f = None
-    if plan.herald is not None:
-        det_f = plan.detectors["F"]
-        herald_idx = reg.indices(plan.herald, pol=H)
-
-    groups: dict[str, tuple[DetectorModel, Sequence[int]]] = {
-        "E": (det_e, reg.indices(plan.side_e)),
-        "G": (det_g, reg.indices(plan.side_g)),
-    }
-    if herald_idx is not None:
-        groups["F"] = (det_f, herald_idx)
-    occupations = [(occ, abs(amp) ** 2) for occ, amp in state.terms.items()]
-    triple, comps = _click_terms(occupations, groups, plan.pair_side_indices)
-
-    zz = _setting_probs(state, plan, Z_SETTINGS)
+    groups = _analyzed_groups(plan)
+    w, n = click_table(state, [*groups, plan.pair_side_indices,
+                               range(reg.n_modes)])
     x_rot = apply_transform(state, jones_transform(reg, plan.side_e,
                                                    _analyzer_matrix("D")))
     x_rot = apply_transform(x_rot, jones_transform(reg, plan.side_g,
                                                    _analyzer_matrix("D")))
-    xx = _setting_probs(x_rot, plan, X_SETTINGS)
+    w_x, n_x = click_table(x_rot, groups)
 
+    # The feed-forward branch also keeps the second herald outcome (|Dbar>):
+    # a sign flip on the retained photon restores the target state, i.e.
+    # its X outcomes swap labels.
+    feedforward = cfg.include_feedforward_branch and plan.herald is not None
+    heralds = _herald_clicks(plan, n)[:1 + feedforward]
+    heralds_x = _herald_clicks(plan, n_x)
+    zz = sum(_pair_probs(plan, w, n, h) for h in heralds)
+    xx = _pair_probs(plan, w_x, n_x, heralds_x[0])
+    if feedforward:
+        xx = xx + _pair_probs(plan, w_x, n_x, heralds_x[1])[::-1]
+
+    det_e, det_g = plan.detectors["E"], plan.detectors["G"]
+    w_eh = w * det_e.click_probability(n[:, 0] + n[:, 1]) * sum(heralds)
+    # The pair-side click from a photon, or else from a dark count.  Kept
+    # apart, the small dark part keeps its precision, which the click
+    # formula's 1 - (1 - dark) would cancel away.
+    g_photon = replace(det_g, dark=0.0).click_probability(n[:, 2] + n[:, 3])
+    g_dark = det_g.dark * (1.0 - g_photon)
+    triple = float(w_eh @ (g_photon + g_dark))
+    comps = _components(n[:, -2], n[:, -1], photon=w_eh * g_photon,
+                        dark=w_eh * g_dark)
+
+    herald_idx = det_f = None
+    if plan.herald is not None:
+        det_f = plan.detectors["F"]
+        herald_idx = groups[4]
     dm_raw = effective_qubit_dm(state, plan.side_e, plan.side_g, det_e, det_g,
                                 herald_idx, det_f)
-
-    if cfg.include_feedforward_branch and plan.herald is not None:
-        # Second herald outcome (|Dbar>): a sign flip on the retained photon
-        # restores the target state, i.e. the X outcomes swap labels.
-        dbar_idx = reg.indices(plan.herald, pol=V)
-        groups["F"] = (det_f, dbar_idx)
-        triple2, comps2 = _click_terms(occupations, groups,
-                                       plan.pair_side_indices)
-        triple += triple2
-        for key, val in comps2.items():
-            comps[key] = comps.get(key, 0.0) + val
-        zz2 = _setting_probs(state, plan, Z_SETTINGS, herald_pol=V)
-        xx2 = _setting_probs(x_rot, plan, X_SETTINGS, herald_pol=V)
-        for key, val in zz2.items():
-            zz[key] += val
-        for (se, sg), val in xx2.items():
-            flip = {"D": "Dbar", "Dbar": "D"}
-            xx[(flip[se], sg)] += val
+    if feedforward:
         dm2 = effective_qubit_dm(state, plan.side_e, plan.side_g, det_e, det_g,
-                                 dbar_idx, det_f)
+                                 groups[5], det_f)
         sz = np.kron(np.diag([1.0, -1.0]), np.eye(2))
         dm_raw = PolarizationDensityMatrix(dm_raw.matrix
                                            + sz @ dm2.matrix @ sz)
 
     weight = dm_raw.trace
     dm = dm_raw.normalized() if weight > 1e-300 else None
-    return ProtocolOutcome(zz, xx, dm, weight, triple, comps,
-                           state.truncated_weight)
+    return ProtocolOutcome(_labelled(zz, Z_SETTINGS), _labelled(xx, X_SETTINGS),
+                           dm, weight, triple, comps, state.truncated_weight)
 
 
 def _charge_classes(cfg: ExperimentConfig, plan: _Plan,

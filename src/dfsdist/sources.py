@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .fock import (
     H,
     MATCHED,
     V,
-    ConfigurationError,
     FockStateVector,
     Mode,
     ModeRegistry,
@@ -200,55 +199,24 @@ class DetectorModel:
         return 1.0 - (1.0 - self.dark) * (1.0 - self.efficiency) ** n_photons
 
 
-def click_probabilities(state: FockStateVector,
-                        assignments: Mapping[str, tuple[DetectorModel, Sequence[int]]],
-                        required_pattern: Mapping[str, bool]) -> float:
-    """Probability of an exact click/no-click pattern on assigned mode groups.
+def click_table(state: FockStateVector,
+                groups: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Each term's |amplitude|^2 and its photon count on each mode group.
 
-    Unassigned modes are summed over.  Assignments must be disjoint.
+    Returns the weights w, one per term, and the counts n, with n[t, k] the
+    photons of term t on group k, computed as occupations @ indicator.
+    Groups may overlap.  Every detector pattern is a contraction of w with
+    click columns ``DetectorModel.click_probability(n[:, k])``, and no-click
+    columns 1 minus those.
     """
-    seen: set[int] = set()
-    for det, indices in assignments.values():
-        idx = set(indices)
-        if idx & seen:
-            raise ConfigurationError("overlapping detector assignments")
-        seen |= idx
-    unknown = set(required_pattern) - set(assignments)
-    if unknown:
-        raise ConfigurationError(f"pattern references unknown detectors {unknown}")
-    total = 0.0
-    for occ, amp in state.terms.items():
-        w = abs(amp) ** 2
-        for name, (det, indices) in assignments.items():
-            n = sum(occ[i] for i in indices)
-            click = det.click_probability(n)
-            want = required_pattern.get(name)
-            if want is None:
-                continue
-            w *= click if want else (1.0 - click)
-        total += w
-    return total
-
-
-def pattern_distribution(state: FockStateVector,
-                         assignments: Mapping[str, tuple[DetectorModel, Sequence[int]]],
-                         ) -> dict[tuple[bool, ...], float]:
-    """Joint click-pattern distribution over the assigned detectors (fixed order)."""
-    names = list(assignments)
-    dist: dict[tuple[bool, ...], float] = {}
-    for occ, amp in state.terms.items():
-        w = abs(amp) ** 2
-        probs = []
-        for name in names:
-            det, indices = assignments[name]
-            probs.append(det.click_probability(sum(occ[i] for i in indices)))
-        for bits in np.ndindex(*(2,) * len(names)):
-            p = w
-            for b, c in zip(bits, probs):
-                p *= c if b else (1.0 - c)
-            key = tuple(bool(b) for b in bits)
-            dist[key] = dist.get(key, 0.0) + p
-    return dist
+    n_modes = state.registry.n_modes
+    indicator = np.zeros((n_modes, len(groups)), dtype=np.int64)
+    for k, group in enumerate(groups):
+        indicator[list(group), k] = 1
+    occupations = np.array(list(state.terms), dtype=np.int64).reshape(-1, n_modes)
+    amplitudes = np.fromiter(state.terms.values(), dtype=complex,
+                             count=len(state.terms))
+    return np.abs(amplitudes) ** 2, occupations @ indicator
 
 
 def effective_qubit_dm(state: FockStateVector, side_a: str, side_b: str,

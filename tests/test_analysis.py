@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dfsdist import analysis
 from dfsdist.analysis import (
     CalibrationError,
     ResultsTable,
@@ -84,11 +85,17 @@ def test_calibration_unreachable_target():
     assert "maximum attainable" in str(err.value)
 
 
-def test_calibration_raises_when_bisection_does_not_converge():
+def test_calibration_raises_when_bisection_does_not_converge(monkeypatch):
     # V_X is near 0 at zero overlap and rises with it, so -0.5 is never
-    # met; unchecked, the bisection returns s0 -> 0 as if calibrated.
-    with pytest.raises(CalibrationError, match="not met within 4 bisection"):
-        calibrate_overlap(PAPER, target_v_x=-0.5, max_iter=4)
+    # met; unchecked, the bisection returns s0 -> 0 as if calibrated.  Both
+    # ends of the range are checked before any bisection step.
+    calls = []
+    run = analysis.run_phase_averaged
+    monkeypatch.setattr(analysis, "run_phase_averaged",
+                        lambda cfg: calls.append(cfg.overlap_s0) or run(cfg))
+    with pytest.raises(CalibrationError, match="minimum attainable"):
+        calibrate_overlap(PAPER, target_v_x=-0.5)
+    assert len(calls) <= 2
 
 
 def test_sweep_table_consistency(tmp_path):

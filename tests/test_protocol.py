@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfsdist import protocol
 from dfsdist.fock import (
@@ -11,6 +13,7 @@ from dfsdist.fock import (
     MATCHED,
     V,
     ConfigurationError,
+    FockStateVector,
     Mode,
     ValidationError,
     apply_transform,
@@ -442,7 +445,7 @@ def test_delay_evaluator_evaluates_each_overlap_once(monkeypatch):
     cfg = replace(PAPER, overlap_s0=0.94, overlap_sigma_um=108.1)
     evaluate = DelayEvaluator(cfg)
     calls = {"measure": 0, "build": 0}
-    measure = protocol._setting_probs
+    measure = protocol.click_table
 
     def counted_measure(*args):
         calls["measure"] += 1
@@ -454,7 +457,7 @@ def test_delay_evaluator_evaluates_each_overlap_once(monkeypatch):
             return build(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(protocol, "_setting_probs", counted_measure)
+    monkeypatch.setattr(protocol, "click_table", counted_measure)
     for name in ("pbs", "jones_transform", "overlap_split"):
         monkeypatch.setattr(protocol, name, counted(getattr(protocol, name)))
     got = [evaluate(dx) for dx in (0.0, 60.0, -60.0, 0.0, 60.0)]
@@ -464,6 +467,143 @@ def test_delay_evaluator_evaluates_each_overlap_once(monkeypatch):
     assert got[0] != got[1]
     fresh = DelayEvaluator(cfg)
     assert [fresh(dx) for dx in (-60.0, 0.0)] == [got[1], got[0]]
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(), dict(include_feedforward_branch=True),
+    dict(variant="direct_no_dfs")], ids=["herald", "feedforward", "direct"])
+def test_measure_builds_two_click_tables(monkeypatch, overrides):
+    cfg = replace(PAPER, overlap_s0=0.94, **overrides)
+    plan, state = prepare_final_state(cfg, 0.0, 0.3)
+    tables = []
+    build = protocol.click_table
+    monkeypatch.setattr(protocol, "click_table",
+                        lambda *args: tables.append(args) or build(*args))
+    protocol._measure(cfg, plan, state)
+    assert len(tables) == 2
+
+
+def _click(det, n):
+    return 1.0 - (1.0 - det.dark) * (1.0 - det.efficiency) ** n
+
+
+def _per_term_measurement(plan, state, x_state, feedforward):
+    """Triple probability, components and Z/X pairs, one term at a time."""
+    reg = plan.registry
+    det_e, det_g = plan.detectors["E"], plan.detectors["G"]
+    heralds = [None] if plan.herald is None else [H, V][:1 + feedforward]
+
+    def count(occ, side, pol=None):
+        return sum(occ[i] for i in reg.indices(side, pol=pol))
+
+    def herald_click(occ, pol):
+        return (1.0 if pol is None
+                else _click(plan.detectors["F"], count(occ, plan.herald, pol)))
+
+    triple, comps = 0.0, {}
+    zz = dict.fromkeys([(a, b) for a in "HV" for b in "HV"], 0.0)
+    for occ, amp in state.terms.items():
+        w = abs(amp) ** 2
+        pairs = sum(occ[i] for i in plan.pair_side_indices)
+        n_g = count(occ, plan.side_g)
+        photon = 1.0 - (1.0 - det_g.efficiency) ** n_g
+        dark = det_g.dark * (1.0 - det_g.efficiency) ** n_g
+        for pol in heralds:
+            x = w * herald_click(occ, pol) * _click(det_e, count(occ, plan.side_e))
+            triple += x * (photon + dark)
+            for origin, part in (("photon", photon), ("dark", dark)):
+                key = (pairs, sum(occ) - 2 * pairs, origin)
+                comps[key] = comps.get(key, 0.0) + x * part
+            for se in "HV":
+                for sg in "HV":
+                    zz[(se, sg)] += (w * herald_click(occ, pol)
+                                     * _click(det_e, count(occ, plan.side_e, se))
+                                     * _click(det_g, count(occ, plan.side_g, sg)))
+    xx = dict.fromkeys([(a, b) for a in ("D", "Dbar") for b in ("D", "Dbar")],
+                       0.0)
+    for occ, amp in x_state.terms.items():
+        for pol in heralds:
+            for pe, se in zip("HV", ("D", "Dbar")):
+                for pg, sg in zip("HV", ("D", "Dbar")):
+                    # After the |Dbar> herald the feed-forward flip swaps
+                    # the retained photon's X outcomes.
+                    label = se if pol != V else {"D": "Dbar", "Dbar": "D"}[se]
+                    xx[(label, sg)] += (abs(amp) ** 2 * herald_click(occ, pol)
+                                        * _click(det_e, count(occ, plan.side_e, pe))
+                                        * _click(det_g, count(occ, plan.side_g, pg)))
+    return triple, {k: v for k, v in comps.items() if v}, zz, xx
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-12 * abs(want) + 1e-300
+
+
+@st.composite
+def _measure_cases(draw):
+    cfg = replace(
+        PAPER, cutoff=4,
+        variant=draw(st.sampled_from(
+            ["counter_propagating", "forward_all_from_bob", "direct_no_dfs"])),
+        include_feedforward_branch=draw(st.booleans()),
+        eta=draw(st.floats(0.0, 1.0)), eta_g=draw(st.floats(0.0, 1.0)),
+        # Dark counts stay at or below 0.2: _measure also builds the
+        # conditional state, whose trace exceeds 1 for dark counts near 1.
+        dark_e=draw(st.floats(0.0, 0.2)), dark_f=draw(st.floats(0.0, 0.2)),
+        dark_g=draw(st.floats(0.0, 0.2)))
+    plan = protocol._build_plan(cfg)
+    reg = plan.registry
+    groups = protocol._analyzed_groups(plan)
+    # Photons go to the detected and pair-side modes and to one other mode.
+    measured = {*plan.pair_side_indices, *(i for g in groups for i in g)}
+    modes = sorted(measured) + sorted(set(range(reg.n_modes)) - measured)[:1]
+    e_hv = [reg.index(Mode(plan.side_e, pol)) for pol in (H, V)]
+    g_hv = [reg.index(Mode(plan.side_g, pol)) for pol in (H, V)]
+    # Up to one photon on E and on G, and up to two more on those modes.
+    base = draw(st.lists(
+        st.tuples(st.lists(st.sampled_from(e_hv), max_size=1),
+                  st.lists(st.sampled_from(g_hv), max_size=1),
+                  st.lists(st.sampled_from(modes), max_size=2))
+        .map(lambda parts: [i for part in parts for i in part]),
+        min_size=1, max_size=4))
+    # Each occupation also appears with H and V swapped on E, on G and on
+    # both, so the X basis sees interference between them.
+    swaps = [{}, dict(zip(e_hv, e_hv[::-1])), dict(zip(g_hv, g_hv[::-1]))]
+    swaps.append({**swaps[1], **swaps[2]})
+    occupations = list(dict.fromkeys(
+        tuple([swap.get(i, i) for i in photons].count(m)
+              for m in range(reg.n_modes))
+        for photons in base for swap in swaps))
+    amps = draw(st.lists(st.complex_numbers(min_magnitude=1e-3,
+                                            max_magnitude=1.0),
+                         min_size=len(occupations),
+                         max_size=len(occupations)))
+    return cfg, plan, dict(zip(occupations, amps))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_measure_cases())
+def test_measure_matches_per_term_definition(case):
+    cfg, plan, terms = case
+    reg = plan.registry
+    # Normalized, since _measure also builds the conditional state.
+    state = FockStateVector(reg, cfg.cutoff, terms).normalized()
+    out = protocol._measure(cfg, plan, state)
+    x_state = state
+    for side in (plan.side_e, plan.side_g):
+        x_state = apply_transform(x_state, jones_transform(
+            reg, side, protocol._analyzer_matrix("D")))
+    feedforward = cfg.include_feedforward_branch and plan.herald is not None
+    triple, comps, zz, xx = _per_term_measurement(plan, state, x_state,
+                                                  feedforward)
+    assert _close(out.triple_probability, triple)
+    assert _close(sum(out.components.values()), out.triple_probability)
+    assert set(out.components) == set(comps)
+    for key, val in comps.items():
+        assert _close(out.components[key], val), key
+    for got, want in ((out.zz_probs, zz), (out.xx_probs, xx)):
+        assert set(got) == set(want)
+        for key, val in want.items():
+            assert _close(got[key], val), key
 
 
 @pytest.mark.parametrize("overrides", [

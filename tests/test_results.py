@@ -1,51 +1,62 @@
 """The committed ``results/`` files, regenerated in-process byte for byte.
 
-Each file is rebuilt through the same ``analysis`` functions and arguments
-that ``scripts/reproduce_results.py`` uses, so any change to a committed
-number fails here.  The sweep starts from the committed calibration.
+``scripts/reproduce_results.py`` is run once into a temporary directory,
+calibration included, so every committed file is rebuilt by the same calls
+that wrote it and any change to a committed number fails here.
 """
 
-import json
-from dataclasses import replace
+import importlib.util
 from pathlib import Path
 
-import numpy as np
+import pytest
 
-from dfsdist.analysis import (
-    SweepSpec,
-    delay_scan_csv,
-    delay_study,
-    sweep_transmittance,
-    tomography_payload,
-    write_json,
-)
-from dfsdist.protocol import ExperimentConfig
-
-RESULTS = Path(__file__).resolve().parent.parent / "results"
-T_GRID = (0.1, 0.03, 0.01, 0.005, 0.003)
+ROOT = Path(__file__).resolve().parent.parent
+RESULTS = ROOT / "results"
 
 
-def _calibrated():
-    s0 = json.loads((RESULTS / "calibration.json").read_text())["s0"]
-    return replace(ExperimentConfig(), overlap_s0=s0)
+@pytest.fixture(scope="module")
+def reproduced(tmp_path_factory):
+    spec = importlib.util.spec_from_file_location(
+        "reproduce_results", ROOT / "scripts" / "reproduce_results.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    out_dir = tmp_path_factory.mktemp("results")
+    script.reproduce(out_dir)
+    return out_dir
 
 
-def test_table_csv_is_reproduced(tmp_path):
-    table = sweep_transmittance(_calibrated(), SweepSpec(
-        transmittances=T_GRID, auto_calibrate=False))
-    table.write(tmp_path / "table.csv", tmp_path / "table.json")
-    assert ((tmp_path / "table.csv").read_bytes()
-            == (RESULTS / "table.csv").read_bytes())
+def _assert_reproduced(out_dir, name):
+    assert (out_dir / name).read_bytes() == (RESULTS / name).read_bytes(), name
 
 
-def test_tomography_json_is_reproduced(tmp_path):
-    write_json(tmp_path / "tomography.json", tomography_payload(_calibrated()))
-    assert ((tmp_path / "tomography.json").read_bytes()
-            == (RESULTS / "tomography.json").read_bytes())
+def test_results_directory_holds_the_reproduced_files(reproduced):
+    assert (sorted(p.name for p in RESULTS.iterdir())
+            == sorted(p.name for p in reproduced.iterdir()))
 
 
-def test_delay_scan_csv_is_reproduced(tmp_path):
-    study = delay_study(_calibrated(), np.linspace(-300.0, 300.0, 61), 180.0)
-    (tmp_path / "delay_scan.csv").write_text(delay_scan_csv(study.rows))
-    assert ((tmp_path / "delay_scan.csv").read_bytes()
-            == (RESULTS / "delay_scan.csv").read_bytes())
+def test_calibration_json_is_reproduced(reproduced):
+    _assert_reproduced(reproduced, "calibration.json")
+
+
+def test_table_csv_is_reproduced(reproduced):
+    _assert_reproduced(reproduced, "table.csv")
+
+
+def test_table_json_is_reproduced(reproduced):
+    _assert_reproduced(reproduced, "table.json")
+
+
+def test_rates_csv_is_reproduced(reproduced):
+    _assert_reproduced(reproduced, "rates.csv")
+
+
+def test_exponents_json_is_reproduced(reproduced):
+    _assert_reproduced(reproduced, "exponents.json")
+
+
+def test_tomography_json_is_reproduced(reproduced):
+    _assert_reproduced(reproduced, "tomography.json")
+
+
+def test_delay_scan_csv_is_reproduced(reproduced):
+    _assert_reproduced(reproduced, "delay_scan.csv")

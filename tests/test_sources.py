@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from dfsdist.fock import (
     H,
     V,
-    ConfigurationError,
     FockStateVector,
     Mode,
     ValidationError,
@@ -18,11 +18,10 @@ from dfsdist.sources import (
     CoherentParams,
     DetectorModel,
     SpdcParams,
-    click_probabilities,
+    click_table,
     coherent_state,
     effective_qubit_dm,
     pair_state,
-    pattern_distribution,
     single_photon_state,
     spdc_state,
 )
@@ -141,6 +140,15 @@ def test_detector_model_examples():
         DetectorModel("X", 0.5, 1.0)
 
 
+def _pattern(state, detectors, bits):
+    """Probability of one click pattern on (detector, mode group) pairs."""
+    w, n = click_table(state, [idx for _, idx in detectors])
+    for k, ((det, _), b) in enumerate(zip(detectors, bits)):
+        c = det.click_probability(n[:, k])
+        w = w * (c if b else 1.0 - c)
+    return float(w.sum())
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.floats(0.0, 1.0), st.floats(0.0, 0.1), st.integers(0, 4))
 def test_povm_completeness(eta, dark, n):
@@ -149,9 +157,9 @@ def test_povm_completeness(eta, dark, n):
     occ[reg.index(Mode("D", H))] = n
     state = FockStateVector(reg, 4, {tuple(occ): 1.0})
     det = DetectorModel("D", eta, dark)
-    groups = {"D": (det, reg.indices("D"))}
-    click = click_probabilities(state, groups, {"D": True})
-    no_click = click_probabilities(state, groups, {"D": False})
+    detectors = [(det, reg.indices("D"))]
+    click = _pattern(state, detectors, [True])
+    no_click = _pattern(state, detectors, [False])
     assert abs(click - det.click_probability(n)) < 1e-12
     assert abs(click + no_click - 1.0) < 1e-12
 
@@ -165,25 +173,60 @@ def test_click_probabilities_pattern():
     vv[reg.index(Mode("A", V))] = vv[reg.index(Mode("B", V))] = 1
     state = FockStateVector(reg, 2, {tuple(hh): r, tuple(vv): r})
     det = DetectorModel("D", 0.5, 0.0)
-    assignments = {"A": (det, reg.indices("A")), "B": (det, reg.indices("B"))}
-    p_both = click_probabilities(state, assignments, {"A": True, "B": True})
-    assert abs(p_both - 0.25) < 1e-12
-    p_a_only = click_probabilities(state, assignments, {"A": True, "B": False})
-    assert abs(p_a_only - 0.25) < 1e-12
-    dist = pattern_distribution(state, assignments)
-    assert abs(sum(dist.values()) - 1.0) < 1e-12
-    assert abs(dist[(True, True)] - 0.25) < 1e-12
+    detectors = [(det, reg.indices("A")), (det, reg.indices("B"))]
+    assert abs(_pattern(state, detectors, [True, True]) - 0.25) < 1e-12
+    assert abs(_pattern(state, detectors, [True, False]) - 0.25) < 1e-12
+    total = sum(_pattern(state, detectors, bits)
+                for bits in itertools.product((False, True), repeat=2))
+    assert abs(total - 1.0) < 1e-12
 
 
-def test_click_probabilities_rejects_overlap_and_unknown():
-    reg = make_registry(["A"])
-    state = FockStateVector(reg, 1, {(1, 0): 1.0})
-    det = DetectorModel("D", 0.5)
-    with pytest.raises(ConfigurationError):
-        click_probabilities(state, {"a": (det, [0, 1]), "b": (det, [1])},
-                            {"a": True})
-    with pytest.raises(ConfigurationError):
-        click_probabilities(state, {"a": (det, [0])}, {"zz": True})
+_KERNEL_REG = make_registry(["A", ("B", True)])   # six modes
+
+
+@st.composite
+def _kernel_cases(draw):
+    n_modes = _KERNEL_REG.n_modes
+    # Each occupation places up to three photons on the six modes.
+    occupations = draw(st.lists(
+        st.lists(st.integers(0, n_modes - 1), max_size=3)
+        .map(lambda photons: tuple(photons.count(i) for i in range(n_modes))),
+        min_size=1, max_size=6, unique=True))
+    amps = draw(st.lists(st.complex_numbers(max_magnitude=1.0,
+                                            allow_nan=False,
+                                            allow_infinity=False),
+                         min_size=len(occupations),
+                         max_size=len(occupations)))
+    groups = draw(st.lists(st.lists(st.integers(0, n_modes - 1), min_size=1,
+                                    max_size=n_modes, unique=True),
+                           min_size=1, max_size=3))
+    detectors = [DetectorModel("D", draw(st.floats(0.0, 1.0)),
+                               draw(st.floats(0.0, 0.5))) for _ in groups]
+    return dict(zip(occupations, amps)), groups, detectors
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kernel_cases())
+def test_click_table_patterns_match_per_term_products(case):
+    terms, groups, detectors = case
+    state = FockStateVector(_KERNEL_REG, 3, terms)
+    weights, counts = click_table(state, groups)
+    assert len(weights) == counts.shape[0] == len(state.terms)
+    assert counts.shape[1] == len(groups)
+    norm = 0.0
+    for bits in itertools.product((False, True), repeat=len(groups)):
+        want = 0.0
+        for occ, amp in state.terms.items():
+            p = abs(amp) ** 2
+            for det, group, b in zip(detectors, groups, bits):
+                n = sum(occ[i] for i in group)
+                click = 1.0 - (1.0 - det.dark) * (1.0 - det.efficiency) ** n
+                p *= click if b else 1.0 - click
+            want += p
+        got = _pattern(state, list(zip(detectors, groups)), bits)
+        assert abs(got - want) <= 1e-12 * max(want, 1e-300) + 1e-300
+        norm += got
+    assert abs(norm - state.norm_squared()) <= 1e-12 * state.norm_squared()
 
 
 def _bell_with_labels(reg):
@@ -204,7 +247,7 @@ def _conditioned(state, det_e, det_g, herald=None):
     if herald is not None:
         herald_idx = reg.indices("F", pol=H)
         groups["F"] = (herald, herald_idx)
-    prob = click_probabilities(state, groups, dict.fromkeys(groups, True))
+    prob = _pattern(state, list(groups.values()), [True] * len(groups))
     dm = effective_qubit_dm(state, "E", "G", det_e, det_g, herald_idx, herald)
     return dm.normalized(), prob
 
