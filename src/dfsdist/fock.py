@@ -1,17 +1,20 @@
 """Sparse multimode bosonic state algebra.
 
-Optical modes are labelled by (spatial, polarization, temporal) triples and a
-state is a sparse map from occupation tuples to complex amplitudes, truncated
-at a total photon number.  Linear-optical elements act by substituting
+Optical modes are labelled by (spatial, polarization, temporal) triples.  A
+state is a sparse set of terms held as arrays, an integer occupation matrix
+(terms x modes) and a complex amplitude per term, truncated at a total
+photon number.  Linear-optical elements act by substituting
 creation operators according to an isometric mode matrix; photon loss is
 handled by dilation onto fresh loss modes and incoherent reduction.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,52 +119,104 @@ def make_registry(spec: Iterable[str | tuple[str, bool]]) -> ModeRegistry:
     return ModeRegistry(modes)
 
 
-class FockStateVector:
-    """Sparse pure state: occupation tuple -> complex amplitude, total <= cutoff.
+class _Terms(Mapping):
+    """Occupation tuple -> amplitude view of a state's arrays.
 
-    Instances are treated as immutable; all operations return new states.
-    ``truncated_weight`` accumulates squared amplitude discarded by cutoff
-    truncation anywhere along the construction pipeline.
+    The dict behind it is built on the first lookup; its length needs none.
     """
 
-    __slots__ = ("registry", "cutoff", "terms", "truncated_weight")
+    __slots__ = ("_occupations", "_amplitudes", "_dict")
+
+    def __init__(self, occupations: np.ndarray, amplitudes: np.ndarray):
+        self._occupations = occupations
+        self._amplitudes = amplitudes
+        self._dict: dict | None = None
+
+    def _items(self) -> dict[tuple[int, ...], complex]:
+        if self._dict is None:
+            self._dict = dict(zip(map(tuple, self._occupations.tolist()),
+                                  self._amplitudes.tolist()))
+        return self._dict
+
+    def __len__(self) -> int:
+        return len(self._amplitudes)
+
+    def __getitem__(self, occ: tuple[int, ...]) -> complex:
+        return self._items()[occ]
+
+    def __iter__(self):
+        return iter(self._items())
+
+
+class FockStateVector:
+    """Sparse pure state with total photon number <= cutoff.
+
+    ``occupations`` holds one row of photon numbers per term (terms x modes)
+    and ``amplitudes`` each term's complex amplitude; rows are distinct and
+    both arrays are read-only.  ``terms`` is the same state as a read-only
+    occupation tuple -> amplitude mapping.  Instances are immutable; all
+    operations return new states.  ``truncated_weight`` accumulates squared
+    amplitude discarded by cutoff truncation anywhere along the pipeline.
+    """
+
+    __slots__ = ("registry", "cutoff", "occupations", "amplitudes", "terms",
+                 "truncated_weight")
 
     def __init__(self, registry: ModeRegistry, cutoff: int,
                  terms: Mapping[tuple[int, ...], complex],
                  truncated_weight: float = 0.0):
+        try:
+            occ = np.array(list(terms), dtype=np.int64).reshape(
+                len(terms), registry.n_modes)
+        except ValueError:
+            raise ValidationError(
+                "occupation tuple length != registry size") from None
+        self._assign(registry, cutoff, occ,
+                     np.array(list(terms.values()), dtype=complex),
+                     truncated_weight)
+
+    @classmethod
+    def from_arrays(cls, registry: ModeRegistry, cutoff: int,
+                    occupations: np.ndarray, amplitudes: np.ndarray,
+                    truncated_weight: float = 0.0) -> "FockStateVector":
+        """A state from distinct occupation rows and their amplitudes."""
+        occ = np.asarray(occupations, dtype=np.int64)
+        if occ.ndim != 2 or occ.shape[1] != registry.n_modes:
+            raise ValidationError("occupation tuple length != registry size")
+        state = cls.__new__(cls)
+        state._assign(registry, cutoff, occ,
+                      np.asarray(amplitudes, dtype=complex), truncated_weight)
+        return state
+
+    def _assign(self, registry, cutoff, occ, amp, truncated_weight):
+        """Validate against the cutoff and drop amplitudes below
+        PRUNE_THRESHOLD."""
         if cutoff < 0:
             raise ValidationError("cutoff must be >= 0")
-        pruned: dict[tuple[int, ...], complex] = {}
-        for occ, amp in terms.items():
-            if len(occ) != registry.n_modes:
-                raise ValidationError("occupation tuple length != registry size")
-            if sum(occ) > cutoff:
-                raise ValidationError(
-                    f"occupation {occ} exceeds cutoff {cutoff}; truncate upstream")
-            if abs(amp) >= PRUNE_THRESHOLD:
-                pruned[tuple(occ)] = complex(amp)
+        over = occ.sum(axis=1) > cutoff
+        if over.any():
+            raise ValidationError(
+                f"occupation {tuple(occ[over.argmax()].tolist())} exceeds "
+                f"cutoff {cutoff}; truncate upstream")
+        keep = np.hypot(amp.real, amp.imag) >= PRUNE_THRESHOLD
+        self.occupations, self.amplitudes = occ[keep], amp[keep]
+        self.occupations.flags.writeable = False
+        self.amplitudes.flags.writeable = False
+        self.terms = _Terms(self.occupations, self.amplitudes)
         self.registry = registry
         self.cutoff = cutoff
-        self.terms = pruned
         self.truncated_weight = float(truncated_weight)
 
     def norm_squared(self) -> float:
-        return sum(abs(a) ** 2 for a in self.terms.values())
+        return sum(_weights(self.amplitudes).tolist())
 
     def normalized(self) -> "FockStateVector":
         n2 = self.norm_squared()
         if n2 <= 0.0:
             raise ValidationError("cannot normalize a zero state")
-        s = 1.0 / math.sqrt(n2)
-        return FockStateVector(self.registry, self.cutoff,
-                               {occ: a * s for occ, a in self.terms.items()},
-                               self.truncated_weight)
-
-    def occupied_indices(self) -> set[int]:
-        out: set[int] = set()
-        for occ in self.terms:
-            out.update(i for i, n in enumerate(occ) if n)
-        return out
+        return FockStateVector.from_arrays(
+            self.registry, self.cutoff, self.occupations,
+            self.amplitudes * (1.0 / math.sqrt(n2)), self.truncated_weight)
 
     def amplitude(self, occ: Sequence[int]) -> complex:
         return self.terms.get(tuple(occ), 0.0 + 0.0j)
@@ -169,6 +224,91 @@ class FockStateVector:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"FockStateVector(n_modes={self.registry.n_modes}, "
                 f"terms={len(self.terms)}, norm2={self.norm_squared():.6g})")
+
+
+@functools.lru_cache(maxsize=None)
+def _rank_table(n_cols: int, cutoff: int) -> np.ndarray:
+    """table[i, p]: how many rows over the columns i.. total at most
+    cutoff - p - 1, or 0 where that is negative."""
+    table = np.array([[math.comb(n_cols - i + cutoff - p - 1, n_cols - i)
+                       if p < cutoff else 0 for p in range(cutoff + 1)]
+                      for i in range(n_cols)], dtype=np.int64)
+    table = table.reshape(n_cols, cutoff + 1)
+    table.flags.writeable = False
+    return table
+
+
+def _row_keys(rows: np.ndarray, cutoff: int) -> np.ndarray:
+    """Distinct integer keys for distinct occupation rows totalling at most
+    ``cutoff``, below C(columns + cutoff, cutoff).
+
+    A key is the row's rank among all such rows, up to sign and offset,
+    over the columns not empty in every row.  A mixed-radix key over every
+    mode would overflow int64 (24 modes at cutoff 6 need 7^24 keys).
+    """
+    rows = rows[:, rows.any(axis=0)]
+    key = np.zeros(len(rows), dtype=np.int64)
+    filled = np.zeros(len(rows), dtype=np.int64)
+    for col, weights in zip(rows.T, _rank_table(rows.shape[1], cutoff)):
+        filled += col
+        key += weights[filled]
+    return key
+
+
+def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The group of each key, groups numbered in order of first appearance,
+    and the index at which each group first appears."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    ids = np.empty_like(order)
+    ids[order] = np.arange(len(order))
+    return ids[inverse], first[order]
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+# numpy's complex loops fuse multiplies and adds and use their own abs, which
+# moves last bits against scalar arithmetic; these keep its rounding, so the
+# array engine reproduces term-by-term results exactly.
+def _cmul(z, c) -> np.ndarray:
+    """z * c elementwise, rounded as scalar complex arithmetic rounds it."""
+    return _complex(z.real * c.real - z.imag * c.imag,
+                    z.real * c.imag + z.imag * c.real)
+
+
+def _summed(ids: np.ndarray, n: int, amplitudes: np.ndarray) -> np.ndarray:
+    """The amplitudes summed into n groups, each in array order."""
+    return _complex(np.bincount(ids, amplitudes.real, n),
+                    np.bincount(ids, amplitudes.imag, n))
+
+
+def _superpose(states: Sequence[FockStateVector],
+               coeffs: Iterable[complex]) -> FockStateVector:
+    """sum_c coeffs[c] |states[c]>, keeping the largest truncated weight."""
+    rows = np.concatenate([st.occupations for st in states])
+    ids, first = _first_appearance(_row_keys(rows, states[0].cutoff))
+    amps = np.concatenate([_cmul(st.amplitudes, c)
+                           for st, c in zip(states, coeffs)])
+    return FockStateVector.from_arrays(
+        states[0].registry, states[0].cutoff, rows[first],
+        _summed(ids, len(first), amps),
+        max(st.truncated_weight for st in states))
+
+
+def _weights(amplitudes: np.ndarray) -> np.ndarray:
+    """abs(a) ** 2 of each amplitude, rounded as scalar arithmetic rounds it."""
+    return np.float_power(np.hypot(amplitudes.real, amplitudes.imag), 2)
+
+
+def _spans(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The ranges starts[i] .. starts[i] + sizes[i] - 1, concatenated."""
+    ends = np.cumsum(sizes)
+    return (np.arange(ends[-1] if len(ends) else 0)
+            + np.repeat(starts - ends + sizes, sizes))
 
 
 def inner_product(a: FockStateVector, b: FockStateVector) -> complex:
@@ -222,73 +362,139 @@ class ModeTransform:
             raise ValidationError(f"transform {self.name or mat!r} is not an isometry")
 
 
-_FACT_SQRT = [math.sqrt(math.factorial(n)) for n in range(40)]
+_FACT_SQRT = np.array([math.sqrt(math.factorial(n)) for n in range(40)])
+
+
+def _expand_patterns(patterns: list[tuple[int, ...]], sizes: list[int],
+                     matrix: np.ndarray) -> tuple[list, list, list]:
+    """Expand prod_i (sum_j matrix[j, i] b_j^dag)^k_i once for each distinct
+    input pattern k, one creation operator per step, in input-mode order.
+
+    A node is a pattern with the output occupations created so far; once a
+    pattern's photons are all placed, its nodes are carried unchanged.
+    Every node stands for the ``sizes[pattern]`` terms of its pattern, held
+    in consecutive slots, node after node and pattern after pattern.
+    Returns the transitions of all steps as lists of first source slot,
+    first target slot, slot count and coefficient, in the order a
+    term-by-term expansion adds them; per step, the slots its transitions
+    cover and the slots it fills; and each pattern's final nodes.
+    """
+    columns: list[list] = [[] for _ in range(matrix.shape[1])]
+    for i, j in zip(*np.nonzero(matrix.T)):
+        columns[i].append((int(j), matrix[j, i]))
+    photon_modes = [[i for i, k in enumerate(ks) for _ in range(k)]
+                    for ks in patterns]
+    nodes = [[(0,) * matrix.shape[0]] for _ in patterns]
+    src: list[int] = []
+    dst: list[int] = []
+    reps: list[int] = []
+    coef: list[complex] = []
+    steps = []
+    for s in range(max(map(len, photon_modes), default=0)):
+        slot = next_slot = covered = 0
+        for g, size in enumerate(sizes):
+            parts, before = nodes[g], len(src)
+            if s < len(photon_modes[g]):
+                children: dict[tuple[int, ...], int] = {}
+                for p, part in enumerate(parts):
+                    for j, m in columns[photon_modes[g][s]]:
+                        child = children.setdefault(
+                            part[:j] + (part[j] + 1,) + part[j + 1:],
+                            len(children))
+                        src.append(slot + p * size)
+                        dst.append(next_slot + child * size)
+                        coef.append(m)
+                nodes[g] = list(children)
+            else:
+                src += range(slot, slot + len(parts) * size, size)
+                dst += range(next_slot, next_slot + len(parts) * size, size)
+                coef += [1.0] * len(parts)
+            reps += [size] * (len(src) - before)
+            covered += (len(src) - before) * size
+            slot += len(parts) * size
+            next_slot += len(nodes[g]) * size
+        steps.append((covered, next_slot))
+    return (src, dst, reps, coef), steps, nodes
 
 
 def apply_transform(state: FockStateVector, t: ModeTransform) -> FockStateVector:
     """Rewrite each term by substituting creation operators per t.matrix.
 
-    Output-only modes must be unoccupied (fresh ancillas); terms whose total
-    photon number would exceed the cutoff are dropped and their squared weight
-    recorded on the returned state.
+    Terms are grouped by their occupations on the input modes.  Each
+    distinct pattern's polynomial in the output creation operators is
+    expanded once, and its coefficients are evaluated for all terms of the
+    pattern together, in the order and rounding of a term-by-term
+    expansion.  Equal output rows are summed in order of first appearance.
+    The map is an isometry on creation operators, so every term keeps its
+    photon number and nothing is truncated.  Output-only modes must be
+    unoccupied (fresh ancillas).
     """
     if t.registry is not state.registry and t.registry.modes != state.registry.modes:
         raise ConfigurationError("transform registry differs from state registry")
-    fresh = [i for i in t.output_indices if i not in t.input_indices]
-    in_idx = t.input_indices
-    out_idx = t.output_indices
-    n_out = len(out_idx)
-    col_entries = [[(j, t.matrix[j, i]) for j in range(n_out)
-                    if abs(t.matrix[j, i]) > 0.0] for i in range(len(in_idx))]
+    occ, cutoff = state.occupations, state.cutoff
+    ins, outs = list(t.input_indices), list(t.output_indices)
+    fresh = [i for i in outs if i not in ins]
+    busy = occ[:, fresh] != 0
+    if busy.any():
+        mode = fresh[busy[busy.any(axis=1).argmax()].argmax()]
+        raise ValidationError(
+            f"output mode {state.registry.modes[mode]} must start in vacuum")
 
-    accum: dict[tuple[int, ...], complex] = {}
-    for occ, amp in state.terms.items():
-        for i in fresh:
-            if occ[i]:
-                raise ValidationError(
-                    f"output mode {state.registry.modes[i]} must start in vacuum")
-        ks = [occ[i] for i in in_idx]
-        if not any(ks):
-            accum[occ] = accum.get(occ, 0.0) + amp
-            continue
-        base = list(occ)
-        for i in in_idx:
-            base[i] = 0
-        scale = amp
-        for k in ks:
-            scale /= _FACT_SQRT[k]
-        # Polynomial over created output occupations.
-        poly: dict[tuple[int, ...], complex] = {(0,) * n_out: scale}
-        for i, k in enumerate(ks):
-            entries = col_entries[i]
-            for _ in range(k):
-                nxt: dict[tuple[int, ...], complex] = {}
-                for part, coeff in poly.items():
-                    for j, mij in entries:
-                        key = part[:j] + (part[j] + 1,) + part[j + 1:]
-                        nxt[key] = nxt.get(key, 0.0) + coeff * mij
-                poly = nxt
-        for part, coeff in poly.items():
-            if abs(coeff) < PRUNE_THRESHOLD:
-                continue
-            new_occ = list(base)
-            bose = 1.0
-            for j, kj in enumerate(part):
-                if kj:
-                    new_occ[out_idx[j]] = kj
-                    bose *= _FACT_SQRT[kj]
-            key = tuple(new_occ)
-            accum[key] = accum.get(key, 0.0) + coeff * bose
+    # Slots hold the terms sorted by input pattern, each pattern's in state
+    # order.
+    members = np.lexsort(occ[:, ins].T)
+    ordered = occ[members][:, ins]
+    new = np.ones(len(members), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    starts = np.flatnonzero(new).tolist()
+    sizes = [b - a for a, b in zip(starts, starts[1:] + [len(members)])]
+    moves, steps, nodes = _expand_patterns(ordered[starts].tolist(), sizes,
+                                           t.matrix)
+    re = state.amplitudes.real[members]
+    im = state.amplitudes.imag[members]
+    for k in ordered.T[(ordered > 1).any(axis=0)]:  # sqrt(k!) = 1 below 2
+        re, im = re / _FACT_SQRT[k], im / _FACT_SQRT[k]
+    reps = np.array(moves[2], dtype=np.int64)
+    src = _spans(np.array(moves[0], dtype=np.int64), reps)
+    dst = _spans(np.array(moves[1], dtype=np.int64), reps)
+    coef = np.repeat(np.array(moves[3], dtype=complex), reps)
+    end = 0
+    for covered, filled in steps:
+        at = slice(end, end + covered)
+        end += covered
+        r, i, c = re[src[at]], im[src[at]], coef[at]
+        re, im = (np.bincount(dst[at], r * c.real - i * c.imag, filled),
+                  np.bincount(dst[at], r * c.imag + i * c.real, filled))
 
-    kept: dict[tuple[int, ...], complex] = {}
-    dropped = 0.0
-    for occ, amp in accum.items():
-        if sum(occ) > state.cutoff:
-            dropped += abs(amp) ** 2
-        elif abs(amp) >= PRUNE_THRESHOLD:
-            kept[occ] = amp
-    return FockStateVector(state.registry, state.cutoff, kept,
-                           state.truncated_weight + dropped)
+    # Final nodes: each one's created part (numbered in order) and slots.
+    part_ids: dict[tuple[int, ...], int] = {}
+    part_of = np.array([part_ids.setdefault(part, len(part_ids))
+                        for p in nodes for part in p], dtype=np.int64)
+    n_nodes = [len(p) for p in nodes]
+    node_sizes = np.repeat(np.array(sizes, dtype=np.int64), n_nodes)
+    node = np.repeat(np.arange(len(part_of)), node_sizes)
+    term = members[_spans(np.repeat(np.array(starts, dtype=np.int64), n_nodes),
+                          node_sizes)]
+    keep = np.flatnonzero(np.hypot(re, im) >= PRUNE_THRESHOLD)
+    keep = keep[np.argsort(term[keep] * len(part_of) + node[keep])]
+    term, part = term[keep], part_of[node[keep]]
+    # An output row is fixed by the occupations off the transform's modes
+    # and the created part.
+    others = sorted(set(range(occ.shape[1])) - set(ins) - set(outs))
+    if math.comb(len(others) + cutoff, cutoff) * len(part_ids) >= 2 ** 63:
+        raise ConfigurationError("too many modes for int64 row keys")
+    ids, first = _first_appearance(
+        _row_keys(occ[:, others], cutoff)[term] * len(part_ids) + part)
+    rows = occ[term[first]]
+    rows[:, ins] = 0
+    rows[:, outs] = np.array(list(part_ids), dtype=np.int64).reshape(
+        len(part_ids), len(outs))[part[first]]
+    bose = np.array([math.prod(_FACT_SQRT[k] for k in p)
+                     for p in part_ids])[part]
+    return FockStateVector.from_arrays(
+        state.registry, cutoff, rows,
+        _summed(ids, len(first), _complex(re[keep] * bose, im[keep] * bose)),
+        state.truncated_weight)
 
 
 def tensor(a: FockStateVector, b: FockStateVector) -> FockStateVector:
@@ -297,20 +503,17 @@ def tensor(a: FockStateVector, b: FockStateVector) -> FockStateVector:
         raise ConfigurationError("tensor requires a shared registry")
     if a.cutoff != b.cutoff:
         raise ValidationError("tensor requires the same cutoff policy")
-    if a.occupied_indices() & b.occupied_indices():
+    if (a.occupations.any(axis=0) & b.occupations.any(axis=0)).any():
         raise ValidationError("tensor factors occupy overlapping modes")
-    out: dict[tuple[int, ...], complex] = {}
-    dropped = 0.0
-    for occ_a, amp_a in a.terms.items():
-        for occ_b, amp_b in b.terms.items():
-            occ = tuple(na + nb for na, nb in zip(occ_a, occ_b))
-            amp = amp_a * amp_b
-            if sum(occ) > a.cutoff:
-                dropped += abs(amp) ** 2
-            else:
-                out[occ] = out.get(occ, 0.0) + amp
-    return FockStateVector(a.registry, a.cutoff, out,
-                           a.truncated_weight + b.truncated_weight + dropped)
+    n_terms = len(a.amplitudes) * len(b.amplitudes)
+    rows = (a.occupations[:, None, :] + b.occupations[None, :, :]).reshape(
+        n_terms, a.registry.n_modes)
+    amps = _cmul(a.amplitudes[:, None], b.amplitudes[None, :]).reshape(n_terms)
+    over = rows.sum(axis=1) > a.cutoff
+    dropped = sum(_weights(amps[over]).tolist())
+    return FockStateVector.from_arrays(
+        a.registry, a.cutoff, rows[~over], amps[~over],
+        a.truncated_weight + b.truncated_weight + dropped)
 
 
 def project_occupation(state: FockStateVector, mode: Mode | int,
@@ -321,9 +524,11 @@ def project_occupation(state: FockStateVector, mode: Mode | int,
         raise ConfigurationError(f"mode index {idx} outside registry")
     if n > state.cutoff:
         raise ValidationError("projection occupation exceeds cutoff")
-    kept = {occ: amp for occ, amp in state.terms.items() if occ[idx] == n}
-    return FockStateVector(state.registry, state.cutoff, kept,
-                           state.truncated_weight)
+    keep = state.occupations[:, idx] == n
+    return FockStateVector.from_arrays(state.registry, state.cutoff,
+                                       state.occupations[keep],
+                                       state.amplitudes[keep],
+                                       state.truncated_weight)
 
 
 @dataclass(frozen=True)
@@ -366,6 +571,44 @@ PHI_PLUS = np.zeros(4, dtype=complex)
 PHI_PLUS[0] = PHI_PLUS[3] = 1.0 / math.sqrt(2.0)
 
 
+def _pair_sectors(state: FockStateVector, side_a: str, side_b: str,
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Group the terms with at most one photon on each of two spatial labels,
+    and at least one on either, by what a polarization analysis of the
+    labels cannot see: every other mode's occupation and each photon's
+    temporal slot.
+
+    Returns per group, numbered in order of first appearance, its
+    polarization vector over HH, HV, VH, VV (an absent photon counts as H),
+    summed in term order, the index of its first term and its photon
+    numbers on the two labels.
+    """
+    reg = state.registry
+    occ = state.occupations
+    modes = [reg.indices(side_a), reg.indices(side_b)]
+    rest = [i for i in range(reg.n_modes) if i not in modes[0] + modes[1]]
+    counts = [occ[:, m].sum(axis=1) for m in modes]
+    terms = np.flatnonzero((counts[0] <= 1) & (counts[1] <= 1)
+                           & (counts[0] + counts[1] > 0))
+    key = _row_keys(occ[terms][:, rest], state.cutoff)
+    slot = np.zeros(len(terms), dtype=np.int64)
+    for side, side_modes, weight in zip((side_a, side_b), modes, (2, 1)):
+        temporals = reg.temporals(side)
+        on_side = occ[terms][:, side_modes]
+        which = on_side.argmax(axis=1)
+        present = on_side.any(axis=1)
+        is_v = np.array([reg.modes[i].pol == V for i in side_modes])
+        tau = np.array([temporals.index(reg.modes[i].temporal)
+                        for i in side_modes])
+        slot += weight * (is_v[which] & present)
+        key = key * (len(temporals) + 1) + np.where(present, tau[which] + 1, 0)
+    group, first = _first_appearance(key)
+    vecs = _summed(4 * group + slot, 4 * len(first),
+                   state.amplitudes[terms]).reshape(len(first), 4)
+    first = terms[first]
+    return vecs, first, counts[0][first], counts[1][first]
+
+
 def reduce_to_polarization_dm(state: FockStateVector, spatial_a: str,
                               spatial_b: str) -> PolarizationDensityMatrix:
     """Reduce to the two-qubit polarization sector of two spatial labels.
@@ -375,30 +618,10 @@ def reduce_to_polarization_dm(state: FockStateVector, spatial_a: str,
     and all remaining modes by incoherent summation.  The trace of the result
     is the probability of that sector for a normalized input.
     """
-    reg = state.registry
-    idx_a = {i: (reg.modes[i].pol, reg.modes[i].temporal)
-             for i in reg.indices(spatial_a)}
-    idx_b = {i: (reg.modes[i].pol, reg.modes[i].temporal)
-             for i in reg.indices(spatial_b)}
-    rest = [i for i in range(reg.n_modes) if i not in idx_a and i not in idx_b]
-
-    groups: dict[tuple, np.ndarray] = {}
-    for occ, amp in state.terms.items():
-        na = sum(occ[i] for i in idx_a)
-        nb = sum(occ[i] for i in idx_b)
-        if na != 1 or nb != 1:
-            continue
-        ia = next(i for i in idx_a if occ[i])
-        ib = next(i for i in idx_b if occ[i])
-        pol_a, tau_a = idx_a[ia]
-        pol_b, tau_b = idx_b[ib]
-        key = (tuple(occ[i] for i in rest), tau_a, tau_b)
-        vec = groups.setdefault(key, np.zeros(4, dtype=complex))
-        vec[2 * (pol_a == V) + (pol_b == V)] += amp
-    rho = np.zeros((4, 4), dtype=complex)
-    for vec in groups.values():
-        rho += np.outer(vec, vec.conj())
-    return PolarizationDensityMatrix(rho)
+    vecs, _, n_a, n_b = _pair_sectors(state, spatial_a, spatial_b)
+    vecs = vecs[(n_a == 1) & (n_b == 1)]
+    return PolarizationDensityMatrix(np.add.reduce(
+        vecs[:, :, None] * vecs.conj()[:, None, :], axis=0))
 
 
 def fidelity_to_phi_plus(dm: PolarizationDensityMatrix) -> float:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .fock import (
     ModeRegistry,
     PolarizationDensityMatrix,
     ValidationError,
+    _superpose,
     make_registry,
     apply_transform,
     tensor,
@@ -329,17 +330,6 @@ def _propagate(state: FockStateVector, transforms: Sequence) -> FockStateVector:
     for t in transforms:
         state = apply_transform(state, t)
     return state
-
-
-def _superpose(states: Sequence[FockStateVector],
-               coeffs: Iterable[complex]) -> FockStateVector:
-    """sum_c coeffs[c] |states[c]>, keeping the largest truncated weight."""
-    terms: dict[tuple[int, ...], complex] = {}
-    for st, c in zip(states, coeffs):
-        for occ, amp in st.terms.items():
-            terms[occ] = terms.get(occ, 0.0) + c * amp
-    return FockStateVector(states[0].registry, states[0].cutoff, terms,
-                           max(st.truncated_weight for st in states))
 
 
 def prepare_final_state(cfg: ExperimentConfig, phi_h: float,

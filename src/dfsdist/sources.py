@@ -24,6 +24,8 @@ from .fock import (
     ModeRegistry,
     PolarizationDensityMatrix,
     ValidationError,
+    _pair_sectors,
+    _weights,
 )
 
 DIAGONAL_JONES = (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
@@ -146,7 +148,7 @@ def coherent_state(params: CoherentParams, registry: ModeRegistry, cutoff: int,
     if tail > 1e-6:
         warnings.warn(f"coherent truncation discards weight {tail:.3g}",
                       stacklevel=2)
-    return FockStateVector(registry, cutoff, state.terms, tail)
+    return FockStateVector(registry, cutoff, terms, tail)
 
 
 def single_photon_state(registry: ModeRegistry, cutoff: int, spatial: str,
@@ -172,13 +174,13 @@ def charge_sectors(state: FockStateVector, h_indices: Sequence[int],
     sector of charge k by e^{i k.phi}.  Every sector carries the state's
     truncated weight, which no single sector owns.
     """
-    split: dict[tuple[int, int], dict[tuple[int, ...], complex]] = {}
-    for occ, amp in state.terms.items():
-        k = (sum(occ[i] for i in h_indices), sum(occ[i] for i in v_indices))
-        split.setdefault(k, {})[occ] = amp
-    return {k: FockStateVector(state.registry, state.cutoff, terms,
-                               state.truncated_weight)
-            for k, terms in sorted(split.items())}
+    occ = state.occupations
+    charge = (occ[:, list(h_indices)].sum(axis=1) * (state.cutoff + 1)
+              + occ[:, list(v_indices)].sum(axis=1))
+    return {divmod(k, state.cutoff + 1): FockStateVector.from_arrays(
+                state.registry, state.cutoff, occ[charge == k],
+                state.amplitudes[charge == k], state.truncated_weight)
+            for k in np.unique(charge).tolist()}
 
 
 @dataclass(frozen=True)
@@ -209,14 +211,10 @@ def click_table(state: FockStateVector,
     click columns ``DetectorModel.click_probability(n[:, k])``, and no-click
     columns 1 minus those.
     """
-    n_modes = state.registry.n_modes
-    indicator = np.zeros((n_modes, len(groups)), dtype=np.int64)
+    indicator = np.zeros((state.registry.n_modes, len(groups)), dtype=np.int64)
     for k, group in enumerate(groups):
         indicator[list(group), k] = 1
-    occupations = np.array(list(state.terms), dtype=np.int64).reshape(-1, n_modes)
-    amplitudes = np.fromiter(state.terms.values(), dtype=complex,
-                             count=len(state.terms))
-    return np.abs(amplitudes) ** 2, occupations @ indicator
+    return np.abs(state.amplitudes) ** 2, state.occupations @ indicator
 
 
 def effective_qubit_dm(state: FockStateVector, side_a: str, side_b: str,
@@ -235,86 +233,41 @@ def effective_qubit_dm(state: FockStateVector, side_a: str, side_b: str,
     herald weight (e.g. the |D>-projected pulse detector) multiplies every
     sector.
     """
-    reg = state.registry
-    idx_a = {i: (reg.modes[i].pol, reg.modes[i].temporal)
-             for i in reg.indices(side_a)}
-    idx_b = {i: (reg.modes[i].pol, reg.modes[i].temporal)
-             for i in reg.indices(side_b)}
-    rest = [i for i in range(reg.n_modes) if i not in idx_a and i not in idx_b]
-    herald = list(herald_indices) if herald_indices is not None else []
-
-    def herald_weight(occ) -> float:
-        if herald_det is None:
-            return 1.0
-        return herald_det.click_probability(sum(occ[i] for i in herald))
-
-    sec11: dict[tuple, np.ndarray] = {}
-    sec10: dict[tuple, np.ndarray] = {}
-    sec01: dict[tuple, np.ndarray] = {}
-    w00 = 0.0
-    hw: dict[tuple, float] = {}
-    for occ, amp in state.terms.items():
-        na = sum(occ[i] for i in idx_a)
-        nb = sum(occ[i] for i in idx_b)
-        if na > 1 or nb > 1:
-            continue
-        rest_occ = tuple(occ[i] for i in rest)
-        if na == 1:
-            ia = next(i for i in idx_a if occ[i])
-            pol_a, tau_a = idx_a[ia]
-        if nb == 1:
-            ib = next(i for i in idx_b if occ[i])
-            pol_b, tau_b = idx_b[ib]
-        if na == 1 and nb == 1:
-            key = (rest_occ, tau_a, tau_b)
-            vec = sec11.setdefault(key, np.zeros(4, dtype=complex))
-            vec[2 * (pol_a == V) + (pol_b == V)] += amp
-        elif na == 1:
-            key = (rest_occ, tau_a, None)
-            vec = sec10.setdefault(key, np.zeros(2, dtype=complex))
-            vec[int(pol_a == V)] += amp
-        elif nb == 1:
-            key = (rest_occ, None, tau_b)
-            vec = sec01.setdefault(key, np.zeros(2, dtype=complex))
-            vec[int(pol_b == V)] += amp
-        else:
-            w00 += herald_weight(occ) * abs(amp) ** 2
-            continue
-        if key not in hw:
-            full = list(state.registry.vacuum_occupation())
-            for pos, val in zip(rest, rest_occ):
-                full[pos] = val
-            hw[key] = herald_weight(full)
+    vecs, first, n_a, n_b = _pair_sectors(state, side_a, side_b)
+    sides = {*state.registry.indices(side_a), *state.registry.indices(side_b)}
+    herald = [i for i in herald_indices or () if i not in sides]
+    weight = np.ones(len(state.amplitudes))
+    if herald_det is not None:
+        # One Python float per count, so each weight rounds as the scalar
+        # click formula does.
+        weight = np.array([herald_det.click_probability(n)
+                           for n in range(state.cutoff + 1)])[
+            state.occupations[:, herald].sum(axis=1)]
+    outer = (weight[first][:, None, None]
+             * (vecs[:, :, None] * vecs.conj()[:, None, :]))
+    s11 = np.add.reduce(outer[(n_a == 1) & (n_b == 1)], axis=0)
+    s10 = np.add.reduce(outer[(n_a == 1) & (n_b == 0)][:, ::2, ::2], axis=0)
+    s01 = np.add.reduce(outer[(n_a == 0) & (n_b == 1)][:, :2, :2], axis=0)
+    empty = ~state.occupations[:, sorted(sides)].any(axis=1)
+    w00 = sum((weight[empty] * _weights(state.amplitudes[empty])).tolist())
 
     ea, da = det_a.efficiency, det_a.dark
     eb, db = det_b.efficiency, det_b.dark
     eye2 = np.eye(2, dtype=complex)
     rho = np.zeros((4, 4), dtype=complex)
 
-    s11 = np.zeros((4, 4), dtype=complex)
-    for key, vec in sec11.items():
-        s11 += hw[key] * np.outer(vec, vec.conj())
-    if s11.any():
-        t4 = s11.reshape(2, 2, 2, 2)
-        tr_b = np.trace(t4, axis1=1, axis2=3)  # 2x2 on side a
-        tr_a = np.trace(t4, axis1=0, axis2=2)  # 2x2 on side b
-        rho += (1 - da) * ea * (1 - db) * eb * s11
-        rho += (1 - da) * ea * db * np.kron(tr_b, eye2)
-        rho += da * (1 - db) * eb * np.kron(eye2, tr_a)
-        rho += da * db * float(np.real(np.trace(s11))) * np.eye(4)
+    t4 = s11.reshape(2, 2, 2, 2)
+    tr_b = np.trace(t4, axis1=1, axis2=3)  # 2x2 on side a
+    tr_a = np.trace(t4, axis1=0, axis2=2)  # 2x2 on side b
+    rho += (1 - da) * ea * (1 - db) * eb * s11
+    rho += (1 - da) * ea * db * np.kron(tr_b, eye2)
+    rho += da * (1 - db) * eb * np.kron(eye2, tr_a)
+    rho += da * db * float(np.real(np.trace(s11))) * np.eye(4)
 
-    if sec10:
-        s10 = np.zeros((2, 2), dtype=complex)
-        for key, vec in sec10.items():
-            s10 += hw[key] * np.outer(vec, vec.conj())
-        block = (1 - da) * ea * s10 + da * float(np.real(np.trace(s10))) * eye2
-        rho += db * np.kron(block, eye2)
-    if sec01:
-        s01 = np.zeros((2, 2), dtype=complex)
-        for key, vec in sec01.items():
-            s01 += hw[key] * np.outer(vec, vec.conj())
-        block = (1 - db) * eb * s01 + db * float(np.real(np.trace(s01))) * eye2
-        rho += da * np.kron(eye2, block)
+    block = (1 - da) * ea * s10 + da * float(np.real(np.trace(s10))) * eye2
+    rho += db * np.kron(block, eye2)
+    block = (1 - db) * eb * s01 + db * float(np.real(np.trace(s01))) * eye2
+    rho += da * np.kron(eye2, block)
     rho += da * db * w00 * np.eye(4)
 
     return PolarizationDensityMatrix((rho + rho.conj().T) / 2.0)

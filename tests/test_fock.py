@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dfsdist import fock
 from dfsdist.fock import (
     H,
     MATCHED,
     ORTHOGONAL,
+    PRUNE_THRESHOLD,
     V,
     ConfigurationError,
     FockStateVector,
@@ -26,7 +29,13 @@ from dfsdist.fock import (
     tensor,
     trace_distance,
 )
-from dfsdist.optics import attenuator, beamsplitter, loss_channel
+from dfsdist.optics import (
+    attenuator,
+    beamsplitter,
+    jones_transform,
+    loss_channel,
+    pbs,
+)
 
 
 def test_make_registry_counts():
@@ -402,3 +411,212 @@ def test_composition_through_loss_elements():
     survived = stepwise.amplitude(
         tuple(int(i == reg.index(Mode("G", H))) for i in range(8)))
     assert abs(survived - math.sqrt(0.35)) < 1e-12
+
+
+# --- The array kernel against the term-by-term expansion it replaced. ---
+
+_FACT_SQRT = [math.sqrt(math.factorial(n)) for n in range(40)]
+
+
+def _reference_apply_transform(state, t):
+    """Each term's creation-operator polynomial expanded on its own, with
+    the cutoff branch that drops over-cutoff terms.  Returns the kept terms,
+    in the order they were first produced, and the dropped weight."""
+    in_idx, out_idx = t.input_indices, t.output_indices
+    fresh = [i for i in out_idx if i not in in_idx]
+    n_out = len(out_idx)
+    col_entries = [[(j, t.matrix[j, i]) for j in range(n_out)
+                    if abs(t.matrix[j, i]) > 0.0] for i in range(len(in_idx))]
+    accum = {}
+    for occ, amp in state.terms.items():
+        for i in fresh:
+            if occ[i]:
+                raise ValidationError("output mode must start in vacuum")
+        ks = [occ[i] for i in in_idx]
+        if not any(ks):
+            accum[occ] = accum.get(occ, 0.0) + amp
+            continue
+        base = list(occ)
+        for i in in_idx:
+            base[i] = 0
+        scale = amp
+        for k in ks:
+            scale /= _FACT_SQRT[k]
+        poly = {(0,) * n_out: scale}
+        for i, k in enumerate(ks):
+            for _ in range(k):
+                nxt = {}
+                for part, coeff in poly.items():
+                    for j, mij in col_entries[i]:
+                        key = part[:j] + (part[j] + 1,) + part[j + 1:]
+                        nxt[key] = nxt.get(key, 0.0) + coeff * mij
+                poly = nxt
+        for part, coeff in poly.items():
+            if abs(coeff) < PRUNE_THRESHOLD:
+                continue
+            new_occ = list(base)
+            bose = 1.0
+            for j, kj in enumerate(part):
+                if kj:
+                    new_occ[out_idx[j]] = kj
+                    bose *= _FACT_SQRT[kj]
+            key = tuple(new_occ)
+            accum[key] = accum.get(key, 0.0) + coeff * bose
+    kept, dropped = {}, 0.0
+    for occ, amp in accum.items():
+        if sum(occ) > state.cutoff:
+            dropped += abs(amp) ** 2
+        elif abs(amp) >= PRUNE_THRESHOLD:
+            kept[occ] = amp
+    return kept, dropped
+
+
+# Photons start on A and B; G and W stay free for fresh outputs.
+_KERNEL_REG = make_registry([("A", True), ("B", True), ("G", True),
+                             ("W", True)])
+_KERNEL_KINDS = ["beamsplitter", "pbs", "jones", "attenuator", "loss",
+                 "isometry"]
+
+
+def _random_isometry(reg, rng, n_fresh):
+    """A random isometry from some A and B modes onto themselves plus
+    ``n_fresh`` fresh G and W modes."""
+    inputs = sorted(rng.choice(8, size=int(rng.integers(1, 5)),
+                               replace=False).tolist())
+    fresh = rng.choice(np.arange(8, 16), size=n_fresh, replace=False).tolist()
+    outputs = inputs + fresh
+    z = (rng.normal(size=(len(outputs), len(outputs)))
+         + 1j * rng.normal(size=(len(outputs), len(outputs))))
+    q, _ = np.linalg.qr(z)
+    return ModeTransform(reg, tuple(inputs), tuple(outputs),
+                         q[:, :len(inputs)])
+
+
+def _random_transform(reg, kind, rng):
+    if kind == "beamsplitter":
+        i, j = rng.choice(8, size=2, replace=False).tolist()
+        return beamsplitter(reg, i, j, float(rng.uniform(0, math.pi)))
+    if kind == "pbs":
+        return pbs(reg, "A", "B", "A", "B")
+    if kind == "jones":
+        q, _ = np.linalg.qr(rng.normal(size=(2, 2))
+                            + 1j * rng.normal(size=(2, 2)))
+        return jones_transform(reg, str(rng.choice(["A", "B"])), q)
+    if kind == "attenuator":
+        return attenuator(reg, "A", "G", "W", float(rng.uniform(0, 1)))
+    if kind == "loss":
+        return loss_channel(reg, "B", float(rng.uniform(0, 1)), "W")
+    return _random_isometry(reg, rng, int(rng.integers(0, 4)))
+
+
+def _random_state(reg, rng, cutoff=4, n_terms=12, extreme=True):
+    """Terms on the A and B modes, some sharing their input patterns.  With
+    ``extreme``, some amplitudes sit at the prune threshold or cancel."""
+    terms = {}
+    for _ in range(n_terms):
+        occ = [0] * reg.n_modes
+        for mode in rng.integers(0, 8, size=int(rng.integers(0, cutoff + 1))):
+            occ[mode] += 1
+        amp = complex(rng.normal(), rng.normal())
+        if extreme:
+            amp = [amp, PRUNE_THRESHOLD, PRUNE_THRESHOLD * (1 + 1e-12),
+                   4 * PRUNE_THRESHOLD * 1j][int(rng.integers(0, 4))]
+        terms[tuple(occ)] = amp
+    return FockStateVector(reg, cutoff, terms, truncated_weight=0.125)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(_KERNEL_KINDS),
+       st.booleans(), st.booleans())
+def test_array_kernel_matches_term_by_term_expansion(seed, kind, extreme,
+                                                     occupy_fresh):
+    rng = np.random.default_rng(seed)
+    t = _random_transform(_KERNEL_REG, kind, rng)
+    state = _random_state(_KERNEL_REG, rng, extreme=extreme)
+    fresh = [i for i in t.output_indices if i not in t.input_indices]
+    if occupy_fresh and fresh:
+        terms = dict(state.terms)
+        occ = list(next(iter(terms)))
+        occ[int(rng.choice(fresh))] += 1
+        if sum(occ) <= state.cutoff:
+            terms[tuple(occ)] = 0.5
+            state = FockStateVector(_KERNEL_REG, state.cutoff, terms)
+            with pytest.raises(ValidationError):
+                _reference_apply_transform(state, t)
+            with pytest.raises(ValidationError):
+                apply_transform(state, t)
+            return
+    want, dropped = _reference_apply_transform(state, t)
+    got = apply_transform(state, t)
+    assert dropped == 0.0
+    assert list(got.terms) == list(want)
+    assert all(abs(got.terms[occ] - amp) <= 1e-14 for occ, amp in want.items())
+    assert got.truncated_weight == state.truncated_weight
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3))
+def test_isometries_conserve_photon_number(seed, n_fresh):
+    rng = np.random.default_rng(seed)
+    t = _random_isometry(_KERNEL_REG, rng, n_fresh)
+    state = _random_state(_KERNEL_REG, rng, extreme=False)
+    out = apply_transform(state, t)
+    assert out.truncated_weight == state.truncated_weight
+    assert abs(out.norm_squared() - state.norm_squared()) < 1e-12
+    for occ, amp in state.terms.items():
+        one = apply_transform(FockStateVector(_KERNEL_REG, 4, {occ: amp}), t)
+        assert one.truncated_weight == 0.0
+        assert all(sum(o) == sum(occ) for o in one.terms)
+
+
+def test_empty_state_stays_empty():
+    t = attenuator(_KERNEL_REG, "A", "G", "W", 0.5)
+    out = apply_transform(FockStateVector(_KERNEL_REG, 3, {}, 0.25), t)
+    assert len(out.terms) == 0 and out.truncated_weight == 0.25
+
+
+def test_each_distinct_input_pattern_expanded_once(monkeypatch):
+    reg = _KERNEL_REG
+    a_modes, b_modes = reg.indices("A"), reg.indices("B")
+    terms = {}
+    for n_a in itertools.product(range(3), repeat=2):
+        for b in range(len(b_modes)):
+            occ = [0] * reg.n_modes
+            occ[a_modes[0]], occ[a_modes[2]] = n_a
+            occ[b_modes[b]] = 1
+            terms[tuple(occ)] = complex(len(terms) + 1, 1)
+    state = FockStateVector(reg, 5, terms)
+    expanded = []
+    expand = fock._expand_patterns
+
+    def counted(patterns, *args):
+        expanded.append([tuple(p) for p in patterns])
+        return expand(patterns, *args)
+
+    monkeypatch.setattr(fock, "_expand_patterns", counted)
+    t = jones_transform(reg, "A", np.array([[0.6, 0.8], [-0.8, 0.6]]))
+    apply_transform(state, t)
+    distinct = {tuple(occ[i] for i in t.input_indices) for occ in terms}
+    assert len(expanded) == 1
+    assert len(expanded[0]) == len(set(expanded[0])) == len(distinct) == 9
+    assert set(expanded[0]) == distinct
+    assert len(terms) == 36
+
+
+def test_row_keys_distinct_where_mixed_radix_overflows():
+    for n_cols, cutoff in ((0, 2), (1, 3), (4, 4), (6, 3)):
+        rows = np.array([r for r in itertools.product(range(cutoff + 1),
+                                                      repeat=n_cols)
+                         if sum(r) <= cutoff], dtype=np.int64)
+        keys = fock._row_keys(rows.reshape(len(rows), n_cols), cutoff)
+        assert sorted(keys.tolist()) == list(range(math.comb(n_cols + cutoff,
+                                                             cutoff)))
+    # 24 modes at cutoff 6: 7^24 mixed-radix keys would not fit in int64.
+    rng = np.random.default_rng(3)
+    rows = np.zeros((5000, 24), dtype=np.int64)
+    for row in rows:
+        np.add.at(row, rng.integers(0, 24, size=int(rng.integers(0, 7))), 1)
+    rows = np.unique(rows, axis=0)
+    keys = fock._row_keys(rows, 6)
+    assert len(set(keys.tolist())) == len(rows)
+    assert 0 <= keys.min() and keys.max() < math.comb(30, 6)

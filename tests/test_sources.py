@@ -321,3 +321,101 @@ def test_conditioned_dm_with_herald_weight():
     # Only the branch with the herald photon survives.
     assert abs(prob - 0.5) < 1e-12
     assert abs(dm.matrix[0, 0] - 1.0) < 1e-12
+
+
+def _reference_effective_qubit_dm(state, side_a, side_b, det_a, det_b,
+                                  herald_indices=None, herald_det=None):
+    """The term-by-term construction the array kernel replaced."""
+    reg = state.registry
+    idx_a = {i: (reg.modes[i].pol, reg.modes[i].temporal)
+             for i in reg.indices(side_a)}
+    idx_b = {i: (reg.modes[i].pol, reg.modes[i].temporal)
+             for i in reg.indices(side_b)}
+    rest = [i for i in range(reg.n_modes) if i not in idx_a and i not in idx_b]
+    herald = list(herald_indices) if herald_indices is not None else []
+
+    def herald_weight(occ):
+        if herald_det is None:
+            return 1.0
+        return herald_det.click_probability(sum(occ[i] for i in herald))
+
+    sec11, sec10, sec01, hw = {}, {}, {}, {}
+    w00 = 0.0
+    for occ, amp in state.terms.items():
+        na = sum(occ[i] for i in idx_a)
+        nb = sum(occ[i] for i in idx_b)
+        if na > 1 or nb > 1:
+            continue
+        rest_occ = tuple(occ[i] for i in rest)
+        if na == 1:
+            pol_a, tau_a = idx_a[next(i for i in idx_a if occ[i])]
+        if nb == 1:
+            pol_b, tau_b = idx_b[next(i for i in idx_b if occ[i])]
+        if na == 1 and nb == 1:
+            key = (rest_occ, tau_a, tau_b)
+            vec = sec11.setdefault(key, np.zeros(4, dtype=complex))
+            vec[2 * (pol_a == V) + (pol_b == V)] += amp
+        elif na == 1:
+            key = (rest_occ, tau_a, None)
+            vec = sec10.setdefault(key, np.zeros(2, dtype=complex))
+            vec[int(pol_a == V)] += amp
+        elif nb == 1:
+            key = (rest_occ, None, tau_b)
+            vec = sec01.setdefault(key, np.zeros(2, dtype=complex))
+            vec[int(pol_b == V)] += amp
+        else:
+            w00 += herald_weight(occ) * abs(amp) ** 2
+            continue
+        if key not in hw:
+            full = [0] * reg.n_modes
+            for pos, val in zip(rest, rest_occ):
+                full[pos] = val
+            hw[key] = herald_weight(full)
+
+    ea, da = det_a.efficiency, det_a.dark
+    eb, db = det_b.efficiency, det_b.dark
+    eye2 = np.eye(2, dtype=complex)
+    rho = np.zeros((4, 4), dtype=complex)
+    s11 = np.zeros((4, 4), dtype=complex)
+    for key, vec in sec11.items():
+        s11 += hw[key] * np.outer(vec, vec.conj())
+    t4 = s11.reshape(2, 2, 2, 2)
+    rho += (1 - da) * ea * (1 - db) * eb * s11
+    rho += (1 - da) * ea * db * np.kron(np.trace(t4, axis1=1, axis2=3), eye2)
+    rho += da * (1 - db) * eb * np.kron(eye2, np.trace(t4, axis1=0, axis2=2))
+    rho += da * db * float(np.real(np.trace(s11))) * np.eye(4)
+    for sec, eff, dark, other_dark, a_side in ((sec10, ea, da, db, True),
+                                               (sec01, eb, db, da, False)):
+        s = np.zeros((2, 2), dtype=complex)
+        for key, vec in sec.items():
+            s += hw[key] * np.outer(vec, vec.conj())
+        block = (1 - dark) * eff * s + dark * float(np.real(np.trace(s))) * eye2
+        rho += other_dark * (np.kron(block, eye2) if a_side
+                             else np.kron(eye2, block))
+    rho += da * db * w00 * np.eye(4)
+    return (rho + rho.conj().T) / 2.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.floats(0.0, 0.05),
+       st.floats(0.0, 0.05))
+def test_effective_qubit_dm_matches_term_by_term_construction(seed, herald,
+                                                              dark_a, dark_b):
+    # E and G carry temporal twins; F's H modes are the herald; X is idle.
+    rng = np.random.default_rng(seed)
+    reg = make_registry([("E", True), ("G", True), ("F", True), "X"])
+    terms = {}
+    for _ in range(int(rng.integers(1, 30))):
+        occ = [0] * reg.n_modes
+        for mode in rng.integers(0, reg.n_modes, size=int(rng.integers(0, 5))):
+            occ[mode] += 1
+        terms[tuple(occ)] = complex(rng.normal(), rng.normal())
+    state = FockStateVector(reg, 4, terms).normalized()
+    det_a = DetectorModel("A", float(rng.uniform(0.1, 1.0)), dark_a)
+    det_b = DetectorModel("B", float(rng.uniform(0.1, 1.0)), dark_b)
+    args = ()
+    if herald:
+        args = (reg.indices("F", pol=H), DetectorModel("F", 0.7, 1e-3))
+    want = _reference_effective_qubit_dm(state, "E", "G", det_a, det_b, *args)
+    got = effective_qubit_dm(state, "E", "G", det_a, det_b, *args).matrix
+    assert np.abs(got - want).max() <= 1e-14
