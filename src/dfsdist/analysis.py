@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .fock import UndefinedFidelityError, ValidationError, fidelity_to_phi_plus
+from .fock import ValidationError, fidelity_to_phi_plus
 from .protocol import (
     PHASE_SET_8,
     REP_RATE_HZ,
@@ -25,8 +25,8 @@ from .protocol import (
     chsh_violated,
     f_low,
     phase_point_states,
-    run_fixed_phase,
     run_phase_averaged,
+    two_qubit_state,
     visibilities,
 )
 from .sources import click_table
@@ -330,20 +330,16 @@ class TomographyResult:
 
 def tomography_experiment(cfg: ExperimentConfig,
                           phase_noise: bool) -> TomographyResult:
-    """Exact conditional pair state without the ancilla pulse.
+    """Conditional pair state without the ancilla pulse, by tomography.
 
     The retained photon is analyzed directly while its partner crosses the
     channel; coincidences of the two detectors condition the state.  With
     phase noise the state is averaged over the collective phase, without it
     the channel phase is zero.
     """
-    run_cfg = replace(cfg, variant="direct_no_dfs")
-    out = (run_phase_averaged(run_cfg) if phase_noise
-           else run_fixed_phase(run_cfg, 0.0, 0.0))
-    if out.dm is None:
-        raise UndefinedFidelityError("no coincidences; state undefined")
-    return TomographyResult(out.dm.matrix, fidelity_to_phi_plus(out.dm),
-                            phase_noise)
+    dm = two_qubit_state(replace(cfg, variant="direct_no_dfs"),
+                         None if phase_noise else (0.0, 0.0))
+    return TomographyResult(dm.matrix, fidelity_to_phi_plus(dm), phase_noise)
 
 
 def tomography_payload(cfg: ExperimentConfig) -> dict:

@@ -571,59 +571,6 @@ PHI_PLUS = np.zeros(4, dtype=complex)
 PHI_PLUS[0] = PHI_PLUS[3] = 1.0 / math.sqrt(2.0)
 
 
-def _pair_sectors(state: FockStateVector, side_a: str, side_b: str,
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Group the terms with at most one photon on each of two spatial labels,
-    and at least one on either, by what a polarization analysis of the
-    labels cannot see: every other mode's occupation and each photon's
-    temporal slot.
-
-    Returns per group, numbered in order of first appearance, its
-    polarization vector over HH, HV, VH, VV (an absent photon counts as H),
-    summed in term order, the index of its first term and its photon
-    numbers on the two labels.
-    """
-    reg = state.registry
-    occ = state.occupations
-    modes = [reg.indices(side_a), reg.indices(side_b)]
-    rest = [i for i in range(reg.n_modes) if i not in modes[0] + modes[1]]
-    counts = [occ[:, m].sum(axis=1) for m in modes]
-    terms = np.flatnonzero((counts[0] <= 1) & (counts[1] <= 1)
-                           & (counts[0] + counts[1] > 0))
-    key = _row_keys(occ[terms][:, rest], state.cutoff)
-    slot = np.zeros(len(terms), dtype=np.int64)
-    for side, side_modes, weight in zip((side_a, side_b), modes, (2, 1)):
-        temporals = reg.temporals(side)
-        on_side = occ[terms][:, side_modes]
-        which = on_side.argmax(axis=1)
-        present = on_side.any(axis=1)
-        is_v = np.array([reg.modes[i].pol == V for i in side_modes])
-        tau = np.array([temporals.index(reg.modes[i].temporal)
-                        for i in side_modes])
-        slot += weight * (is_v[which] & present)
-        key = key * (len(temporals) + 1) + np.where(present, tau[which] + 1, 0)
-    group, first = _first_appearance(key)
-    vecs = _summed(4 * group + slot, 4 * len(first),
-                   state.amplitudes[terms]).reshape(len(first), 4)
-    first = terms[first]
-    return vecs, first, counts[0][first], counts[1][first]
-
-
-def reduce_to_polarization_dm(state: FockStateVector, spatial_a: str,
-                              spatial_b: str) -> PolarizationDensityMatrix:
-    """Reduce to the two-qubit polarization sector of two spatial labels.
-
-    Keeps only terms with exactly one photon in each label, traces out the
-    temporal component (coherence survives only between equal temporal slots)
-    and all remaining modes by incoherent summation.  The trace of the result
-    is the probability of that sector for a normalized input.
-    """
-    vecs, _, n_a, n_b = _pair_sectors(state, spatial_a, spatial_b)
-    vecs = vecs[(n_a == 1) & (n_b == 1)]
-    return PolarizationDensityMatrix(np.add.reduce(
-        vecs[:, :, None] * vecs.conj()[:, None, :], axis=0))
-
-
 def fidelity_to_phi_plus(dm: PolarizationDensityMatrix) -> float:
     """<phi+|rho|phi+> for the (H H + V V)/sqrt(2) Bell state."""
     tr = dm.trace

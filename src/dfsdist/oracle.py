@@ -14,6 +14,7 @@ module level, so separate checks share no state.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
@@ -21,15 +22,17 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.linalg import expm, logm
 
-from .fock import H, MATCHED, V, Mode, make_registry
+from .fock import H, V, Mode, make_registry
 from .optics import hwp as sparse_hwp
 from .optics import (
+    jones_transform,
     loss_channel,
     pbs as sparse_pbs,
     phase_shifter as sparse_phase_shifter,
     qwp as sparse_qwp,
 )
 from .protocol import (
+    ANALYZER_BASES,
     PHASE_SET_8,
     ExperimentConfig,
     _analyzer_matrix,
@@ -187,34 +190,6 @@ def diagonal_expectation(rho: np.ndarray, povm: np.ndarray) -> float:
     return float(np.real(np.diag(rho)) @ povm)
 
 
-def reduce_polarization_dense(space: DenseFockSpace, rho: np.ndarray,
-                              modes_a: Sequence[int],
-                              modes_b: Sequence[int]) -> np.ndarray:
-    """One-photon-per-side polarization matrix by direct partial trace.
-
-    modes_a/modes_b are (H, V) index pairs; all other modes are traced out.
-    """
-    out = np.zeros((4, 4), dtype=complex)
-    rest = [m for m in range(space.n_modes)
-            if m not in modes_a and m not in modes_b]
-    for i, occ_i in enumerate(space.basis):
-        na = [occ_i[m] for m in modes_a]
-        nb = [occ_i[m] for m in modes_b]
-        if sum(na) != 1 or sum(nb) != 1:
-            continue
-        row = 2 * na[1] + nb[1]
-        for j, occ_j in enumerate(space.basis):
-            ma = [occ_j[m] for m in modes_a]
-            mb = [occ_j[m] for m in modes_b]
-            if sum(ma) != 1 or sum(mb) != 1:
-                continue
-            if any(occ_i[m] != occ_j[m] for m in rest):
-                continue
-            col = 2 * ma[1] + mb[1]
-            out[row, col] += rho[i, j]
-    return out
-
-
 # --- independent source amplitudes -----------------------------------------
 
 def spdc_terms(gamma: float, pair_cutoff: int, cutoff: int,
@@ -283,14 +258,9 @@ def oracle_protocol_probabilities(cfg: ExperimentConfig, phi_h: float,
     phi_r = (phi_h + cfg.phase_delta[0], phi_v + cfg.phase_delta[1])
     single_photon = cfg.variant == "single_photon_ancilla"
     if single_photon:
-        r = 1.0 / math.sqrt(2.0)
-        pulse = np.zeros(space.dim, dtype=complex)
-        occ_h = [0] * len(_ORACLE_MODES)
-        occ_h[idx["RH"]] = 1
-        occ_v = [0] * len(_ORACLE_MODES)
-        occ_v[idx["RV"]] = 1
-        pulse[space.index[tuple(occ_h)]] = r
-        pulse[space.index[tuple(occ_v)]] = r
+        photon = np.eye(len(_ORACLE_MODES), dtype=int)
+        pulse = space.state({tuple(photon[idx[m]].tolist()):
+                             1.0 / math.sqrt(2.0) for m in ("RH", "RV")})
     else:
         mu = cfg.mu if cfg.transmittance > 0 else 0.0
         pulse = space.state(coherent_terms(mu, phi_r, cfg.cutoff, idx["RH"],
@@ -384,71 +354,58 @@ class OracleReport:
         return self.max_deviation < 1e-9
 
 
-def _random_circuit_check(seed: int, cutoff: int = 3) -> tuple[float, str]:
-    """Compare sparse engine vs dense pipeline on one random small circuit."""
+def _random_circuit_check(seed: int,
+                          space: DenseFockSpace) -> tuple[float, str]:
+    """Compare sparse engine vs dense pipeline on one random small circuit.
+
+    ``space`` holds the four modes of the labels P and Q; its cutoff is the
+    circuit's.
+    """
+    cutoff = space.cutoff
     rng = np.random.default_rng(seed)
     labels = ["P", "Q"]
     # A circuit has at most 4 elements; each loss needs a dump still in vacuum.
     dumps = [f"W{lab}{k}" for lab in labels for k in range(4)]
     losses = {lab: 0 for lab in labels}
     reg = make_registry(labels + dumps)
-    sparse_modes = {f"{lab}{pol}": reg.index(Mode(lab, pol, MATCHED))
-                    for lab in labels + dumps for pol in (H, V)}
 
     dense_names = [f"{lab}{pol}" for lab in labels for pol in (H, V)]
     didx = {name: i for i, name in enumerate(dense_names)}
-    space = DenseFockSpace(len(dense_names), cutoff)
 
     # Random low-photon input on the two signal labels.
     occupations = [occ for occ in space.basis if sum(occ) <= 2]
     amps = rng.normal(size=len(occupations)) + 1j * rng.normal(size=len(occupations))
     amps /= np.linalg.norm(amps)
-    terms_dense = {occ: amp for occ, amp in zip(occupations, amps)}
-    sparse_terms = {}
-    for occ, amp in terms_dense.items():
-        full = [0] * reg.n_modes
-        for name, val in zip(dense_names, occ):
-            full[sparse_modes[name]] = val
-        sparse_terms[tuple(full)] = amp
-    state = FockStateVector(reg, cutoff, sparse_terms)
-    psi = space.state(terms_dense)
+    full = np.zeros((len(occupations), reg.n_modes), dtype=np.int64)
+    full[:, [reg.index(Mode(*name)) for name in dense_names]] = occupations
+    state = FockStateVector.from_arrays(reg, cutoff, full, amps)
+    psi = space.state(dict(zip(occupations, amps)))
     rho = np.outer(psi, psi.conj())
 
     n_elements = int(rng.integers(2, 5))
     for _ in range(n_elements):
         kind = rng.choice(["hwp", "qwp", "phase", "pbs", "loss"])
         lab = str(rng.choice(labels))
-        if kind == "hwp":
+        modes = [didx[lab + "H"], didx[lab + "V"]]
+        if kind in ("hwp", "qwp"):
             theta = float(rng.uniform(0, math.pi))
-            state = apply_transform(state, sparse_hwp(reg, lab, theta))
+            build = sparse_hwp if kind == "hwp" else sparse_qwp
+            element = build(reg, lab, theta)
+            retardance = np.exp(1j * math.pi) if kind == "hwp" else 1j
             c, s = math.cos(theta), math.sin(theta)
             rot = np.array([[c, -s], [s, c]], dtype=complex)
-            jones = rot @ np.diag([1.0, np.exp(1j * math.pi)]) @ rot.conj().T
-            u = space.mode_unitary([didx[lab + "H"], didx[lab + "V"]], jones)
-            rho = u @ rho @ u.conj().T
-        elif kind == "qwp":
-            theta = float(rng.uniform(0, math.pi))
-            state = apply_transform(state, sparse_qwp(reg, lab, theta))
-            c, s = math.cos(theta), math.sin(theta)
-            rot = np.array([[c, -s], [s, c]], dtype=complex)
-            jones = rot @ np.diag([1.0, 1j]) @ rot.conj().T
-            u = space.mode_unitary([didx[lab + "H"], didx[lab + "V"]], jones)
-            rho = u @ rho @ u.conj().T
+            matrix = rot @ np.diag([1.0, retardance]) @ rot.conj().T
         elif kind == "phase":
             ph, pv = rng.uniform(0, 2 * math.pi, size=2)
-            state = apply_transform(state,
-                                    sparse_phase_shifter(reg, lab, ph, pv))
-            u = space.mode_unitary([didx[lab + "H"], didx[lab + "V"]],
-                                   np.diag([np.exp(1j * ph), np.exp(1j * pv)]))
-            rho = u @ rho @ u.conj().T
+            element = sparse_phase_shifter(reg, lab, ph, pv)
+            matrix = np.diag([np.exp(1j * ph), np.exp(1j * pv)])
         elif kind == "pbs":
-            state = apply_transform(state, sparse_pbs(reg, "P", "Q", "P", "Q"))
-            perm = np.zeros((4, 4))
+            element = sparse_pbs(reg, "P", "Q", "P", "Q")
+            modes = list(range(4))
+            matrix = np.zeros((4, 4))
             for src, dst in (("PH", "PH"), ("PV", "QV"), ("QH", "QH"),
                              ("QV", "PV")):
-                perm[didx[dst], didx[src]] = 1.0
-            u = space.mode_unitary(list(range(4)), perm)
-            rho = u @ rho @ u.conj().T
+                matrix[didx[dst], didx[src]] = 1.0
         else:
             t = float(rng.uniform(0.2, 1.0))
             dump = f"W{lab}{losses[lab]}"
@@ -456,6 +413,10 @@ def _random_circuit_check(seed: int, cutoff: int = 3) -> tuple[float, str]:
             state = apply_transform(state, loss_channel(reg, lab, t, dump))
             for pol in (H, V):
                 rho = apply_kraus(rho, space.loss_kraus(didx[lab + pol], t))
+            continue
+        state = apply_transform(state, element)
+        u = space.mode_unitary(modes, matrix)
+        rho = u @ rho @ u.conj().T
 
     det_p = DetectorModel("P", float(rng.uniform(0.1, 1.0)),
                           float(rng.uniform(0, 1e-3)))
@@ -481,14 +442,33 @@ def _random_circuit_check(seed: int, cutoff: int = 3) -> tuple[float, str]:
             if dev > worst:
                 worst, what = dev, f"pattern P={want_p} Q={want_q}"
 
-    from .fock import reduce_to_polarization_dm
-    sparse_dm = reduce_to_polarization_dm(state, "P", "Q").matrix
-    dense_dm = reduce_polarization_dense(space, rho,
-                                         [didx["PH"], didx["PV"]],
-                                         [didx["QH"], didx["QV"]])
-    dev = float(np.abs(sparse_dm - dense_dm).max())
-    if dev > worst:
-        worst, what = dev, "reduced polarization dm"
+    def analyze(sparse, dense, lab: str, basis: str):
+        """Both states with the +1 eigenstate of ``basis`` on lab's H mode."""
+        if basis == "Z":
+            return sparse, dense
+        jones = _analyzer_matrix(ANALYZER_BASES[basis])
+        u = space.mode_unitary([didx[lab + "H"], didx[lab + "V"]], jones)
+        return (apply_transform(sparse, jones_transform(reg, lab, jones)),
+                u @ dense @ u.conj().T)
+
+    # The 36 tomography probabilities: P port i and Q port j click in each
+    # of the 3 x 3 analyzer basis pairs.
+    for basis_p in ANALYZER_BASES:
+        state_p, rho_p = analyze(state, rho, "P", basis_p)
+        for basis_q in ANALYZER_BASES:
+            state_pq, rho_pq = analyze(state_p, rho_p, "Q", basis_q)
+            w, n = click_table(state_pq,
+                               [reg.indices(*name) for name in dense_names])
+            for i, j in itertools.product((0, 1), (2, 3)):
+                sparse = float(w @ (det_p.click_probability(n[:, i])
+                                    * det_q.click_probability(n[:, j])))
+                dense = diagonal_expectation(
+                    rho_pq, space.click_povm([i], det_p.efficiency, det_p.dark)
+                    * space.click_povm([j], det_q.efficiency, det_q.dark))
+                dev = abs(sparse - dense)
+                if dev > worst:
+                    worst, what = dev, (f"{basis_p}{basis_q} bases, ports "
+                                        f"{dense_names[i]} {dense_names[j]}")
     return worst, what
 
 
@@ -498,9 +478,12 @@ def oracle_check(cfg: ExperimentConfig | None = None, n_seeds: int = 20,
     worst = 0.0
     what = ""
     n = 0
+    # One space for every circuit, so the ladder operators, the analyzer
+    # unitaries and the PBS are built once.
+    circuit_space = DenseFockSpace(4, 3)
     for k in range(n_seeds):
-        dev, label = _random_circuit_check(base_seed + k)
-        n += 9  # 4 patterns + dm entries counted as one block each
+        dev, label = _random_circuit_check(base_seed + k, circuit_space)
+        n += 4 + 36  # click patterns and basis-pair probabilities
         if dev > worst:
             worst, what = dev, f"random circuit seed {base_seed + k}: {label}"
     if cfg is not None:

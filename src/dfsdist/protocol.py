@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -53,7 +53,6 @@ from .sources import (
     charge_sectors,
     click_table,
     coherent_state,
-    effective_qubit_dm,
     pair_state,
     single_photon_state,
     spdc_state,
@@ -80,6 +79,11 @@ ANALYZER_KETS: dict[str, tuple[complex, complex]] = {
 }
 Z_SETTINGS = ("H", "V")
 X_SETTINGS = ("D", "Dbar")
+# The analyzer setting each tomography basis puts on the H modes: the +1
+# eigenstate of its Pauli operator.
+ANALYZER_BASES = {"Z": "H", "X": "D", "Y": "R"}
+_PAULI = {"Z": np.diag([1.0, -1.0]), "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
+          "Y": np.array([[0.0, -1j], [1j, 0.0]])}
 
 
 @dataclass(frozen=True)
@@ -168,12 +172,10 @@ class ExperimentConfig:
 
 @dataclass
 class ProtocolOutcome:
-    """Coincidence statistics and the conditional two-qubit state of one run."""
+    """Coincidence statistics of one run."""
 
     zz_probs: dict[tuple[str, str], float]
     xx_probs: dict[tuple[str, str], float]
-    dm: PolarizationDensityMatrix | None
-    dm_weight: float
     triple_probability: float
     components: dict[tuple[int, int, str], float]
     truncated_weight: float = 0.0
@@ -208,6 +210,8 @@ class _Plan:
     detectors: dict[str, DetectorModel]
     # H and V modes of the source labels that carry the collective phase.
     charge_indices: tuple[list[int], list[int]]
+    # Keep the second herald outcome too (needs a herald).
+    feedforward: bool = False
 
 
 def _analyzer_matrix(setting: str) -> np.ndarray:
@@ -253,7 +257,8 @@ def _build_plan(cfg: ExperimentConfig) -> _Plan:
     return _Plan(reg, "E", side_g, "F",
                  [i for lab in pair_side for i in reg.indices(lab)],
                  {"E": det_e, "G": det_g, "F": det_f},
-                 _charge_indices(reg, [channel, "R"]))
+                 _charge_indices(reg, [channel, "R"]),
+                 cfg.include_feedforward_branch)
 
 
 def _initial_state(cfg: ExperimentConfig, reg: ModeRegistry) -> FockStateVector:
@@ -354,7 +359,7 @@ def run_fixed_phase(cfg: ExperimentConfig, phi_h: float,
                     phi_v: float) -> ProtocolOutcome:
     """Run the protocol for one collective phase setting."""
     plan, state = prepare_final_state(cfg, phi_h, phi_v)
-    return _measure(cfg, plan, state)
+    return _measure(plan, state)
 
 
 class DelayEvaluator:
@@ -467,59 +472,84 @@ def _components(pairs: np.ndarray, photons: np.ndarray,
     return comps
 
 
-def _measure(cfg: ExperimentConfig, plan: _Plan,
-             state: FockStateVector) -> ProtocolOutcome:
+def _basis_pair_probs(plan: _Plan, state: FockStateVector, basis_e: str,
+                      basis_g: str, extra_groups: Sequence[Sequence[int]] = (),
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coincidences of E port i and G port j in one pair of analyzer bases
+    (keys of ``ANALYZER_BASES``) as a 2x2 array, and the click table they
+    are read from, whose columns end with ``extra_groups``.
+
+    Each side is rotated so that the +1 eigenstate of its basis lies on the
+    H modes, so port 0 is the +1 outcome.  The feed-forward branch also
+    keeps the second herald outcome (|Dbar>): a sign flip on the retained
+    photon restores the target state, i.e. its X and Y outcomes swap.
+    """
+    reg = plan.registry
+    for side, basis in ((plan.side_e, basis_e), (plan.side_g, basis_g)):
+        if basis != "Z":
+            state = apply_transform(state, jones_transform(
+                reg, side, _analyzer_matrix(ANALYZER_BASES[basis])))
+    w, n = click_table(state, [*_analyzed_groups(plan), *extra_groups])
+    heralds = _herald_clicks(plan, n)
+    probs = _pair_probs(plan, w, n, heralds[0])
+    if plan.feedforward:
+        flipped = _pair_probs(plan, w, n, heralds[1])
+        probs = probs + (flipped if basis_e == "Z" else flipped[::-1])
+    return probs, w, n
+
+
+def _measure(plan: _Plan, state: FockStateVector) -> ProtocolOutcome:
     """Every coincidence statistic from two click tables: one on the final
     state and one on the state rotated into the X basis on both sides."""
-    reg = plan.registry
-    groups = _analyzed_groups(plan)
-    w, n = click_table(state, [*groups, plan.pair_side_indices,
-                               range(reg.n_modes)])
-    x_rot = apply_transform(state, jones_transform(reg, plan.side_e,
-                                                   _analyzer_matrix("D")))
-    x_rot = apply_transform(x_rot, jones_transform(reg, plan.side_g,
-                                                   _analyzer_matrix("D")))
-    w_x, n_x = click_table(x_rot, groups)
-
-    # The feed-forward branch also keeps the second herald outcome (|Dbar>):
-    # a sign flip on the retained photon restores the target state, i.e.
-    # its X outcomes swap labels.
-    feedforward = cfg.include_feedforward_branch and plan.herald is not None
-    heralds = _herald_clicks(plan, n)[:1 + feedforward]
-    heralds_x = _herald_clicks(plan, n_x)
-    zz = sum(_pair_probs(plan, w, n, h) for h in heralds)
-    xx = _pair_probs(plan, w_x, n_x, heralds_x[0])
-    if feedforward:
-        xx = xx + _pair_probs(plan, w_x, n_x, heralds_x[1])[::-1]
+    zz, w, n = _basis_pair_probs(plan, state, "Z", "Z",
+                                 [plan.pair_side_indices,
+                                  range(plan.registry.n_modes)])
+    xx = _basis_pair_probs(plan, state, "X", "X")[0]
 
     det_e, det_g = plan.detectors["E"], plan.detectors["G"]
+    heralds = _herald_clicks(plan, n)[:1 + plan.feedforward]
     w_eh = w * det_e.click_probability(n[:, 0] + n[:, 1]) * sum(heralds)
     # The pair-side click from a photon, or else from a dark count.  Kept
     # apart, the small dark part keeps its precision, which the click
     # formula's 1 - (1 - dark) would cancel away.
-    g_photon = replace(det_g, dark=0.0).click_probability(n[:, 2] + n[:, 3])
-    g_dark = det_g.dark * (1.0 - g_photon)
+    miss = det_g.miss_probability(n[:, 2] + n[:, 3])
+    g_photon = 1.0 - miss
+    g_dark = det_g.dark * miss
     triple = float(w_eh @ (g_photon + g_dark))
     comps = _components(n[:, -2], n[:, -1], photon=w_eh * g_photon,
                         dark=w_eh * g_dark)
-
-    herald_idx = det_f = None
-    if plan.herald is not None:
-        det_f = plan.detectors["F"]
-        herald_idx = groups[4]
-    dm_raw = effective_qubit_dm(state, plan.side_e, plan.side_g, det_e, det_g,
-                                herald_idx, det_f)
-    if feedforward:
-        dm2 = effective_qubit_dm(state, plan.side_e, plan.side_g, det_e, det_g,
-                                 groups[5], det_f)
-        sz = np.kron(np.diag([1.0, -1.0]), np.eye(2))
-        dm_raw = PolarizationDensityMatrix(dm_raw.matrix
-                                           + sz @ dm2.matrix @ sz)
-
-    weight = dm_raw.trace
-    dm = dm_raw.normalized() if weight > 1e-300 else None
     return ProtocolOutcome(_labelled(zz, Z_SETTINGS), _labelled(xx, X_SETTINGS),
-                           dm, weight, triple, comps, state.truncated_weight)
+                           triple, comps, state.truncated_weight)
+
+
+def _tomography(plan: _Plan, states: Iterable[FockStateVector]) -> np.ndarray:
+    """Linear-inversion two-qubit tomography of E and G over the 3 x 3
+    analyzer bases (James et al., PRA 64, 052312 (2001)).
+
+    The coincidences of each basis pair are summed over ``states`` (the
+    charge classes of a phase average, or one fixed-phase state) and
+    normalized by their own total.  Each pair gives one correlation
+    <a x b>; each single-side Pauli expectation is the mean over the three
+    bases of the other side.  The 4x4 result has trace 1 and is Hermitian
+    by construction; with multi-photon terms it need not be PSD.
+    """
+    pairs = [(a, b) for a in ANALYZER_BASES for b in ANALYZER_BASES]
+    probs = dict.fromkeys(pairs, 0.0)
+    for state in states:
+        for a, b in pairs:
+            probs[a, b] += _basis_pair_probs(plan, state, a, b)[0]
+    sign = np.array([1.0, -1.0])
+    eye = np.eye(2)
+    rho = np.eye(4, dtype=complex)
+    for (a, b), p in probs.items():
+        total = p.sum()
+        if total <= 0.0:
+            raise ValidationError("no coincidences; state undefined")
+        p = p / total
+        rho += (sign @ p @ sign) * np.kron(_PAULI[a], _PAULI[b])
+        rho += (sign @ p.sum(axis=1)) / 3.0 * np.kron(_PAULI[a], eye)
+        rho += (p.sum(axis=0) @ sign) / 3.0 * np.kron(eye, _PAULI[b])
+    return rho / 4.0
 
 
 def _charge_classes(cfg: ExperimentConfig, plan: _Plan,
@@ -566,14 +596,19 @@ def run_phase_averaged(cfg: ExperimentConfig) -> ProtocolOutcome:
     any cutoff.  ``truncated_weight`` is the largest over the classes.
     """
     plan = _build_plan(cfg)
+    return _class_sum(plan, _charge_classes(cfg, plan)[1])
+
+
+def _class_sum(plan: _Plan,
+               states: Iterable[FockStateVector]) -> ProtocolOutcome:
+    """The measurements of the charge-class states, summed."""
     zz: dict[tuple[str, str], float] = {}
     xx: dict[tuple[str, str], float] = {}
     triple = 0.0
     comps: dict[tuple[int, int, str], float] = {}
-    dm_accum = np.zeros((4, 4), dtype=complex)
     trunc = 0.0
-    for state in _charge_classes(cfg, plan)[1]:
-        out = _measure(cfg, plan, state)
+    for state in states:
+        out = _measure(plan, state)
         for key, val in out.zz_probs.items():
             zz[key] = zz.get(key, 0.0) + val
         for key, val in out.xx_probs.items():
@@ -581,13 +616,26 @@ def run_phase_averaged(cfg: ExperimentConfig) -> ProtocolOutcome:
         triple += out.triple_probability
         for key, val in out.components.items():
             comps[key] = comps.get(key, 0.0) + val
-        if out.dm is not None:
-            dm_accum += out.dm.matrix * out.dm_weight
         trunc = max(trunc, out.truncated_weight)
-    weight = float(np.real(np.trace(dm_accum)))
-    dm = (PolarizationDensityMatrix(dm_accum).normalized()
-          if weight > 1e-300 else None)
-    return ProtocolOutcome(zz, xx, dm, weight, triple, comps, trunc)
+    return ProtocolOutcome(zz, xx, triple, comps, trunc)
+
+
+def two_qubit_state(cfg: ExperimentConfig,
+                    phase: tuple[float, float] | None = None,
+                    ) -> PolarizationDensityMatrix:
+    """The conditional two-qubit state of E and G by tomography.
+
+    At the collective phase ``phase`` = (phi_H, phi_V), or with ``None``
+    exactly averaged over the phase, as ``run_phase_averaged`` averages it.
+    Raises ``ValidationError`` if the reconstruction is not a state.
+    """
+    if phase is None:
+        plan = _build_plan(cfg)
+        states: Iterable[FockStateVector] = _charge_classes(cfg, plan)[1]
+    else:
+        plan, state = prepare_final_state(cfg, *phase)
+        states = [state]
+    return PolarizationDensityMatrix(_tomography(plan, states))
 
 
 def visibilities(outcome: ProtocolOutcome) -> tuple[float, float]:
@@ -718,9 +766,10 @@ def distribute_qubit(cfg: ExperimentConfig,
         raise ValidationError("qubit amplitudes must not both vanish")
     a, b = a / norm, b / norm
     run_cfg = replace(cfg, source="exact_pair", input_qubit=(a, b))
-    out = run_phase_averaged(run_cfg)
-    if out.dm is None:
-        raise ValidationError("no conditional state; success probability is zero")
+    plan = _build_plan(run_cfg)
+    # Propagated once, for both the statistics and the state.
+    states = list(_charge_classes(run_cfg, plan)[1])
+    rho = PolarizationDensityMatrix(_tomography(plan, states)).matrix
     target = np.array([a, 0.0, 0.0, b], dtype=complex)
-    fid = float(np.real(target.conj() @ out.dm.matrix @ target))
-    return fid, out
+    fid = float(np.real(target.conj() @ rho @ target))
+    return fid, _class_sum(plan, states)

@@ -22,10 +22,7 @@ from .fock import (
     FockStateVector,
     Mode,
     ModeRegistry,
-    PolarizationDensityMatrix,
     ValidationError,
-    _pair_sectors,
-    _weights,
 )
 
 DIAGONAL_JONES = (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
@@ -197,8 +194,12 @@ class DetectorModel:
         if not 0.0 <= self.dark < 1.0:
             raise ValidationError("dark probability must lie in [0, 1)")
 
+    def miss_probability(self, n_photons: int) -> float:
+        """(1 - efficiency)^n: none of n photons is detected."""
+        return (1.0 - self.efficiency) ** n_photons
+
     def click_probability(self, n_photons: int) -> float:
-        return 1.0 - (1.0 - self.dark) * (1.0 - self.efficiency) ** n_photons
+        return 1.0 - (1.0 - self.dark) * self.miss_probability(n_photons)
 
 
 def click_table(state: FockStateVector,
@@ -215,59 +216,3 @@ def click_table(state: FockStateVector,
     for k, group in enumerate(groups):
         indicator[list(group), k] = 1
     return np.abs(state.amplitudes) ** 2, state.occupations @ indicator
-
-
-def effective_qubit_dm(state: FockStateVector, side_a: str, side_b: str,
-                       det_a: DetectorModel, det_b: DetectorModel,
-                       herald_indices: Sequence[int] | None = None,
-                       herald_det: DetectorModel | None = None,
-                       ) -> PolarizationDensityMatrix:
-    """Unnormalized effective two-qubit state of two analyzed spatial labels.
-
-    Sectors with exactly one photon on a side enter with their polarization
-    content (temporal components traced incoherently) weighted by detection
-    efficiency; dark counts add analyzer-independent identity contributions,
-    including from empty sectors.  Sectors with two or more photons on an
-    analyzed side are outside the qubit description and are excluded; they
-    still contribute to exact click probabilities computed elsewhere.  The
-    herald weight (e.g. the |D>-projected pulse detector) multiplies every
-    sector.
-    """
-    vecs, first, n_a, n_b = _pair_sectors(state, side_a, side_b)
-    sides = {*state.registry.indices(side_a), *state.registry.indices(side_b)}
-    herald = [i for i in herald_indices or () if i not in sides]
-    weight = np.ones(len(state.amplitudes))
-    if herald_det is not None:
-        # One Python float per count, so each weight rounds as the scalar
-        # click formula does.
-        weight = np.array([herald_det.click_probability(n)
-                           for n in range(state.cutoff + 1)])[
-            state.occupations[:, herald].sum(axis=1)]
-    outer = (weight[first][:, None, None]
-             * (vecs[:, :, None] * vecs.conj()[:, None, :]))
-    s11 = np.add.reduce(outer[(n_a == 1) & (n_b == 1)], axis=0)
-    s10 = np.add.reduce(outer[(n_a == 1) & (n_b == 0)][:, ::2, ::2], axis=0)
-    s01 = np.add.reduce(outer[(n_a == 0) & (n_b == 1)][:, :2, :2], axis=0)
-    empty = ~state.occupations[:, sorted(sides)].any(axis=1)
-    w00 = sum((weight[empty] * _weights(state.amplitudes[empty])).tolist())
-
-    ea, da = det_a.efficiency, det_a.dark
-    eb, db = det_b.efficiency, det_b.dark
-    eye2 = np.eye(2, dtype=complex)
-    rho = np.zeros((4, 4), dtype=complex)
-
-    t4 = s11.reshape(2, 2, 2, 2)
-    tr_b = np.trace(t4, axis1=1, axis2=3)  # 2x2 on side a
-    tr_a = np.trace(t4, axis1=0, axis2=2)  # 2x2 on side b
-    rho += (1 - da) * ea * (1 - db) * eb * s11
-    rho += (1 - da) * ea * db * np.kron(tr_b, eye2)
-    rho += da * (1 - db) * eb * np.kron(eye2, tr_a)
-    rho += da * db * float(np.real(np.trace(s11))) * np.eye(4)
-
-    block = (1 - da) * ea * s10 + da * float(np.real(np.trace(s10))) * eye2
-    rho += db * np.kron(block, eye2)
-    block = (1 - db) * eb * s01 + db * float(np.real(np.trace(s01))) * eye2
-    rho += da * np.kron(eye2, block)
-    rho += da * db * w00 * np.eye(4)
-
-    return PolarizationDensityMatrix((rho + rho.conj().T) / 2.0)

@@ -29,9 +29,9 @@ from dfsdist.protocol import (
     distribute_qubit,
     f_low,
     forward_variant_scaling,
-    run_fixed_phase,
     run_phase_averaged,
     sharing_rate,
+    two_qubit_state,
     visibilities,
 )
 
@@ -74,8 +74,8 @@ def test_criterion_1_dfs_invariance():
     t0 = time.perf_counter()
     worst = 0.0
     for phi_h, phi_v in PHASE_SET_8:
-        out = run_fixed_phase(cfg, phi_h, phi_v)
-        worst = max(worst, trace_distance(out.dm.matrix, PHI_PLUS_DM))
+        dm = two_qubit_state(cfg, (phi_h, phi_v))
+        worst = max(worst, trace_distance(dm.matrix, PHI_PLUS_DM))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-10 and elapsed < 1.0
     _verdict(1, ok, f"max trace distance {worst:.2e} over 8 phases "
@@ -87,10 +87,10 @@ def test_criterion_1_dfs_invariance():
 def test_criterion_2_dephasing_baseline():
     cfg = ExperimentConfig.ideal(variant="direct_no_dfs")
     t0 = time.perf_counter()
-    out = run_phase_averaged(cfg)
+    dm = two_qubit_state(cfg)
     elapsed = time.perf_counter() - t0
-    fid = fidelity_to_phi_plus(out.dm)
-    coherence = abs(out.dm.matrix[0, 3])
+    fid = fidelity_to_phi_plus(dm)
+    coherence = abs(dm.matrix[0, 3])
     ok = abs(fid - 0.5) < 1e-10 and coherence < 1e-12 and elapsed < 1.0
     _verdict(2, ok, f"fidelity {fid:.12f}, |HH-VV coherence| {coherence:.2e} "
                     f"in {elapsed:.2f} s")

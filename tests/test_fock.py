@@ -6,17 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfsdist import fock
+from dfsdist import fock, protocol
 from dfsdist.fock import (
     H,
     MATCHED,
     ORTHOGONAL,
+    PHI_PLUS,
     PRUNE_THRESHOLD,
     V,
     ConfigurationError,
     FockStateVector,
     Mode,
     ModeTransform,
+    PolarizationDensityMatrix,
     UndefinedFidelityError,
     ValidationError,
     apply_transform,
@@ -24,7 +26,6 @@ from dfsdist.fock import (
     inner_product,
     make_registry,
     project_occupation,
-    reduce_to_polarization_dm,
     states_allclose,
     tensor,
     trace_distance,
@@ -36,6 +37,7 @@ from dfsdist.optics import (
     loss_channel,
     pbs,
 )
+from dfsdist.sources import DetectorModel
 
 
 def test_make_registry_counts():
@@ -259,18 +261,25 @@ def _phi_plus_state(reg, cutoff=2):
     return FockStateVector(reg, cutoff, {tuple(hh): r, tuple(vv): r})
 
 
+def _two_qubit_state(state):
+    """Polarization state of the labels A and B by the protocol's
+    tomography, with ideal detectors."""
+    det = DetectorModel("D", 1.0, 0.0)
+    plan = protocol._Plan(state.registry, "A", "B", None, [],
+                          {"E": det, "G": det}, ([], []))
+    return PolarizationDensityMatrix(
+        protocol._tomography(plan, [state]))
+
+
 def test_reduce_exact_bell_state():
     reg = make_registry(["A", "B"])
-    dm = reduce_to_polarization_dm(_phi_plus_state(reg), "A", "B")
+    dm = _two_qubit_state(_phi_plus_state(reg))
     assert abs(dm.trace - 1.0) < 1e-12
     assert abs(fidelity_to_phi_plus(dm) - 1.0) < 1e-12
 
 
 def test_reduce_with_entangled_loss_mode_is_mixed():
-    # Which-path information in an undetected mode leaves a mixed pair state;
-    # frozen against the dense partial-trace pipeline.
-    from dfsdist.oracle import DenseFockSpace, reduce_polarization_dense
-
+    # Which-path information in an undetected mode leaves a mixed pair state.
     reg = make_registry(["A", "B", "L"])
     r = 1.0 / math.sqrt(2.0)
     terms = {}
@@ -282,26 +291,16 @@ def test_reduce_with_entangled_loss_mode_is_mixed():
     occ[reg.index(Mode("L", H))] = 1
     terms[tuple(occ)] = r
     state = FockStateVector(reg, 3, terms)
-    dm = reduce_to_polarization_dm(state, "A", "B")
+    dm = _two_qubit_state(state)
     assert abs(dm.trace - 1.0) < 1e-12
     assert np.trace(dm.matrix @ dm.matrix).real < 1.0 - 1e-6
     assert abs(dm.matrix[0, 3]) < 1e-15
-
-    space = DenseFockSpace(6, 3)
-    rho = np.zeros((space.dim, space.dim), dtype=complex)
-    psi = space.state({occ: amp for occ, amp in state.terms.items()})
-    rho = np.outer(psi, psi.conj())
-    dense = reduce_polarization_dense(
-        space, rho,
-        [reg.index(Mode("A", H)), reg.index(Mode("A", V))],
-        [reg.index(Mode("B", H)), reg.index(Mode("B", V))])
-    assert np.abs(dense - dm.matrix).max() < 1e-12
+    assert np.abs(dm.matrix - np.diag([0.5, 0.0, 0.0, 0.5])).max() < 1e-12
 
 
 def test_reduce_phase_averaged_superposition_is_diagonal():
     reg = make_registry(["A", "B"])
     acc = np.zeros((4, 4), dtype=complex)
-    r = 1.0 / math.sqrt(2.0)
     for n in range(8):
         phase = np.exp(1j * n * math.pi / 4.0)
         state = _phi_plus_state(reg)
@@ -309,7 +308,7 @@ def test_reduce_phase_averaged_superposition_is_diagonal():
         for occ in list(terms):
             if occ[reg.index(Mode("A", V))]:
                 terms[occ] = terms[occ] * phase
-        dm = reduce_to_polarization_dm(FockStateVector(reg, 2, terms), "A", "B")
+        dm = _two_qubit_state(FockStateVector(reg, 2, terms))
         acc += dm.matrix / 8.0
     assert abs(acc[0, 3]) < 1e-15
     assert abs(acc[0, 0] - 0.5) < 1e-12
@@ -327,7 +326,7 @@ def test_temporal_components_trace_incoherently():
     occ[reg.index(Mode("A", V, ORTHOGONAL))] = 1
     occ[reg.index(Mode("B", V, MATCHED))] = 1
     terms[tuple(occ)] = r
-    dm = reduce_to_polarization_dm(FockStateVector(reg, 2, terms), "A", "B")
+    dm = _two_qubit_state(FockStateVector(reg, 2, terms))
     # Different temporal slots on side A: populations survive, coherence dies.
     assert abs(dm.trace - 1.0) < 1e-12
     assert abs(dm.matrix[0, 3]) < 1e-15
@@ -335,11 +334,8 @@ def test_temporal_components_trace_incoherently():
 
 
 def test_fidelity_examples():
-    reg = make_registry(["A", "B"])
-    dm = reduce_to_polarization_dm(_phi_plus_state(reg), "A", "B")
-    assert abs(fidelity_to_phi_plus(dm) - 1.0) < 1e-12
-    from dfsdist.fock import PolarizationDensityMatrix
-
+    bell = PolarizationDensityMatrix(np.outer(PHI_PLUS, PHI_PLUS.conj()))
+    assert abs(fidelity_to_phi_plus(bell) - 1.0) < 1e-12
     mixed = PolarizationDensityMatrix(np.eye(4) / 4.0)
     assert abs(fidelity_to_phi_plus(mixed) - 0.25) < 1e-12
     dephased = PolarizationDensityMatrix(np.diag([0.5, 0.0, 0.0, 0.5]))
@@ -353,7 +349,7 @@ def test_trace_distance_and_norm_helpers():
     reg = make_registry(["A", "B"])
     state = _phi_plus_state(reg)
     assert abs(state.norm_squared() - 1.0) < 1e-12
-    dm = reduce_to_polarization_dm(state, "A", "B")
+    dm = PolarizationDensityMatrix(np.outer(PHI_PLUS, PHI_PLUS.conj()))
     assert trace_distance(dm, dm) < 1e-14
     other = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
     assert abs(trace_distance(dm.matrix, other) - 0.5) < 1e-12

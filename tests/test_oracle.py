@@ -153,7 +153,8 @@ def test_mode_unitary_cache_keys_on_matrix_values():
 def test_oracle_check_repeats_in_one_process():
     cfg = ExperimentConfig(cutoff=3)
     first = oracle_check(cfg, n_seeds=2)
-    assert first.n_checks == 2 * 9 + 2 * 3 * 9
+    # Per circuit: 4 click patterns and 36 basis-pair probabilities.
+    assert first.n_checks == 2 * 40 + 2 * 3 * 9
     assert oracle_check(cfg, n_seeds=2) == first
 
 

@@ -37,6 +37,7 @@ from dfsdist.protocol import (
     run_fixed_phase,
     run_phase_averaged,
     sharing_rate,
+    two_qubit_state,
     visibilities,
 )
 
@@ -111,9 +112,6 @@ def test_sector_average_equals_mean_of_fixed_phase_runs(overrides, phases):
         assert set(getattr(got, attr)) == set(want), attr
         for key, val in want.items():
             _assert_rel_close(getattr(got, attr)[key], val)
-    want_dm = sum(r.dm.matrix * r.dm_weight for r in runs) / n
-    assert (np.abs(got.dm.matrix * got.dm_weight - want_dm).max()
-            <= 1e-12 * np.abs(want_dm).max())
     _assert_rel_close(got.truncated_weight,
                       max(r.truncated_weight for r in runs))
 
@@ -212,38 +210,94 @@ def test_parity_check_annihilates_even_input_terms():
 def test_dfs_invariance_per_phase():
     cfg = ExperimentConfig.ideal()
     for phi_h, phi_v in PHASE_SET_8:
+        dm = two_qubit_state(cfg, (phi_h, phi_v))
+        assert trace_distance(dm.matrix, PHI_PLUS_DM) < 1e-10
         out = run_fixed_phase(cfg, phi_h, phi_v)
-        assert out.dm is not None
-        assert trace_distance(out.dm.matrix, PHI_PLUS_DM) < 1e-10
         assert abs(out.triple_probability - 0.25) < 1e-12
 
 
 def test_direct_variant_phases():
     cfg = ExperimentConfig.ideal(variant="direct_no_dfs")
-    out0 = run_fixed_phase(cfg, 0.0, 0.0)
-    assert trace_distance(out0.dm.matrix, PHI_PLUS_DM) < 1e-12
-    averaged = run_phase_averaged(cfg)
-    assert abs(fidelity_to_phi_plus(averaged.dm) - 0.5) < 1e-12
-    assert abs(averaged.dm.matrix[0, 3]) < 1e-12
+    dm0 = two_qubit_state(cfg, (0.0, 0.0))
+    assert trace_distance(dm0.matrix, PHI_PLUS_DM) < 1e-12
+    averaged = two_qubit_state(cfg)
+    assert abs(fidelity_to_phi_plus(averaged) - 0.5) < 1e-12
+    assert abs(averaged.matrix[0, 3]) < 1e-12
 
 
 def test_counter_propagating_averaged_is_bell():
-    out = run_phase_averaged(ExperimentConfig.ideal())
-    assert trace_distance(out.dm.matrix, PHI_PLUS_DM) < 1e-10
+    dm = two_qubit_state(ExperimentConfig.ideal())
+    assert trace_distance(dm.matrix, PHI_PLUS_DM) < 1e-10
 
 
 def test_visibility_examples():
-    out = run_phase_averaged(ExperimentConfig.ideal())
-    v_z, v_x = visibilities(out)
+    cfg = ExperimentConfig.ideal()
+    v_z, v_x = visibilities(run_phase_averaged(cfg))
     assert abs(v_z - 1.0) < 1e-10
     assert abs(v_x - 1.0) < 1e-10
-    vz2, vx2 = dm_visibilities(out.dm)
+    vz2, vx2 = dm_visibilities(two_qubit_state(cfg))
     assert abs(vz2 - 1.0) < 1e-10 and abs(vx2 - 1.0) < 1e-10
     from dfsdist.fock import PolarizationDensityMatrix
 
     dephased = PolarizationDensityMatrix(np.diag([0.5, 0.0, 0.0, 0.5]))
     vz3, vx3 = dm_visibilities(dephased)
     assert abs(vz3 - 1.0) < 1e-12 and abs(vx3) < 1e-12
+
+
+T_GRID = (0.1, 0.03, 0.01, 0.005, 0.003)
+CAL_S0 = 0.940918  # results/calibration.json
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(),
+    dict(variant="forward_all_from_bob"),
+    dict(variant="single_photon_ancilla"),
+    dict(variant="direct_no_dfs"),
+    dict(include_feedforward_branch=True),
+], ids=["counter", "forward", "single_photon", "direct", "feedforward"])
+def test_tomography_reads_the_click_visibilities(overrides):
+    # The state is read from the same click kernel as the sweep rows, so
+    # its correlations are their visibilities, multi-photon terms included.
+    for t in T_GRID:
+        cfg = replace(PAPER, overlap_s0=CAL_S0, transmittance=t, **overrides)
+        dm = two_qubit_state(cfg)
+        got = dm_visibilities(dm)
+        want = visibilities(run_phase_averaged(cfg))
+        assert abs(got[0] - want[0]) <= 1e-14 and abs(got[1] - want[1]) <= 1e-14
+        assert abs(dm.trace - 1.0) <= 1e-14
+        assert np.linalg.eigvalsh(dm.matrix).min() > 0.0
+
+
+def test_dark_counts_near_one_keep_statistics_and_state_valid():
+    cfg = replace(PAPER, overlap_s0=CAL_S0, dark_e=0.9, dark_f=0.9, dark_g=0.9)
+    out = run_phase_averaged(cfg)
+    probs = [out.triple_probability, *out.zz_probs.values(),
+             *out.xx_probs.values(), *out.components.values()]
+    assert np.isfinite(probs).all() and 0.0 < out.triple_probability <= 1.0
+    dm = two_qubit_state(cfg)
+    assert abs(dm.trace - 1.0) <= 1e-14
+    assert np.linalg.eigvalsh(dm.matrix).min() >= 0.0
+
+
+def test_state_outputs_propagate_each_class_once(monkeypatch):
+    from dfsdist.analysis import tomography_payload
+
+    calls = []
+    propagate = protocol._propagate
+    monkeypatch.setattr(protocol, "_propagate",
+                        lambda *args: calls.append(None) or propagate(*args))
+    distribute_qubit(ExperimentConfig.ideal(), (0.6, 0.8))
+    # One V photon at most from the pair and one from the ancilla.
+    assert len(calls) == 3  # the n_V = 0, 1, 2 classes
+    calls.clear()
+    tomography_payload(PAPER)
+    assert len(calls) == 1 + 3  # zero phase, then the n_V = 0, 1, 2 classes
+
+
+def test_tomography_without_coincidences_is_undefined():
+    cfg = ExperimentConfig.ideal(eta=0.0)
+    with pytest.raises(ValidationError, match="no coincidences"):
+        two_qubit_state(cfg)
 
 
 def test_f_low_and_chsh_flag():
@@ -266,8 +320,8 @@ def test_triple_probability_is_phase_independent_at_reference_params():
 
 def test_phase_delta_breaks_dfs():
     cfg = ExperimentConfig.ideal(phase_delta=(0.0, math.pi))
-    out = run_fixed_phase(cfg, 0.0, math.pi / 4.0)
-    assert fidelity_to_phi_plus(out.dm) < 0.999
+    dm = two_qubit_state(cfg, (0.0, math.pi / 4.0))
+    assert fidelity_to_phi_plus(dm) < 0.999
 
 
 def test_overlap_zero_kills_x_visibility():
@@ -284,7 +338,8 @@ def test_feedforward_branch_doubles_rate_same_state():
     out1 = run_phase_averaged(base)
     out2 = run_phase_averaged(both)
     assert abs(out2.triple_probability - 2.0 * out1.triple_probability) < 1e-12
-    assert trace_distance(out2.dm.matrix, out1.dm.matrix) < 1e-10
+    assert trace_distance(two_qubit_state(both).matrix,
+                          two_qubit_state(base).matrix) < 1e-10
     v_z, v_x = visibilities(out2)
     assert abs(v_z - 1.0) < 1e-10 and abs(v_x - 1.0) < 1e-10
 
@@ -479,7 +534,7 @@ def test_measure_builds_two_click_tables(monkeypatch, overrides):
     build = protocol.click_table
     monkeypatch.setattr(protocol, "click_table",
                         lambda *args: tables.append(args) or build(*args))
-    protocol._measure(cfg, plan, state)
+    protocol._measure(plan, state)
     assert len(tables) == 2
 
 
@@ -546,10 +601,10 @@ def _measure_cases(draw):
             ["counter_propagating", "forward_all_from_bob", "direct_no_dfs"])),
         include_feedforward_branch=draw(st.booleans()),
         eta=draw(st.floats(0.0, 1.0)), eta_g=draw(st.floats(0.0, 1.0)),
-        # Dark counts stay at or below 0.2: _measure also builds the
-        # conditional state, whose trace exceeds 1 for dark counts near 1.
-        dark_e=draw(st.floats(0.0, 0.2)), dark_f=draw(st.floats(0.0, 0.2)),
-        dark_g=draw(st.floats(0.0, 0.2)))
+        # Every dark count ExperimentConfig accepts.
+        dark_e=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        dark_f=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        dark_g=draw(st.floats(0.0, 1.0, exclude_max=True)))
     plan = protocol._build_plan(cfg)
     reg = plan.registry
     groups = protocol._analyzed_groups(plan)
@@ -585,9 +640,8 @@ def _measure_cases(draw):
 def test_measure_matches_per_term_definition(case):
     cfg, plan, terms = case
     reg = plan.registry
-    # Normalized, since _measure also builds the conditional state.
-    state = FockStateVector(reg, cfg.cutoff, terms).normalized()
-    out = protocol._measure(cfg, plan, state)
+    state = FockStateVector(reg, cfg.cutoff, terms)
+    out = protocol._measure(plan, state)
     x_state = state
     for side in (plan.side_e, plan.side_g):
         x_state = apply_transform(x_state, jones_transform(
@@ -686,7 +740,7 @@ def test_receiver_side_ancilla_preparation_matches_explicit_propagation():
                                                    _analyzer_matrix("D")))
     plan = _build_plan(cfg)
     plan.registry = reg
-    explicit = _measure(cfg, plan, state)
+    explicit = _measure(plan, state)
 
     # Launched-pulse truncation (mean 0.25 at cutoff 6) bounds the agreement.
     tail = explicit.truncated_weight

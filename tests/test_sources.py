@@ -6,21 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dfsdist import protocol
 from dfsdist.fock import (
     H,
     V,
     FockStateVector,
     Mode,
+    PolarizationDensityMatrix,
     ValidationError,
+    apply_transform,
     make_registry,
 )
+from dfsdist.optics import jones_transform
 from dfsdist.sources import (
     CoherentParams,
     DetectorModel,
     SpdcParams,
     click_table,
     coherent_state,
-    effective_qubit_dm,
     pair_state,
     single_photon_state,
     spdc_state,
@@ -134,6 +137,7 @@ def test_detector_model_examples():
     assert abs(dark.click_probability(0) - 1.5e-6) < 1e-16
     det2 = DetectorModel("E", 0.13, 0.0)
     assert abs(det2.click_probability(2) - (1.0 - 0.87 ** 2)) < 1e-12
+    assert det2.miss_probability(2) == (1.0 - 0.13) ** 2
     with pytest.raises(ValidationError):
         DetectorModel("X", 1.3, 0.0)
     with pytest.raises(ValidationError):
@@ -238,18 +242,25 @@ def _bell_with_labels(reg):
     return FockStateVector(reg, 2, {tuple(hh): r, tuple(vv): r})
 
 
+def _tomography(state, det_e, det_g, herald=None):
+    """The protocol's tomography of E and G on a bare state, heralded by
+    F's H modes if a herald detector is given."""
+    plan = protocol._Plan(state.registry, "E", "G",
+                          None if herald is None else "F", [],
+                          {"E": det_e, "G": det_g, "F": herald}, ([], []))
+    return protocol._tomography(plan, [state])
+
+
 def _conditioned(state, det_e, det_g, herald=None):
-    """Normalized effective two-qubit state and the probability that E, G
-    (and the herald on F's H modes, if given) all click."""
+    """Tomography state of E and G, and the probability that E, G (and the
+    herald on F's H modes, if given) all click."""
     reg = state.registry
     groups = {"E": (det_e, reg.indices("E")), "G": (det_g, reg.indices("G"))}
-    herald_idx = None
     if herald is not None:
-        herald_idx = reg.indices("F", pol=H)
-        groups["F"] = (herald, herald_idx)
+        groups["F"] = (herald, reg.indices("F", pol=H))
     prob = _pattern(state, list(groups.values()), [True] * len(groups))
-    dm = effective_qubit_dm(state, "E", "G", det_e, det_g, herald_idx, herald)
-    return dm.normalized(), prob
+    return (PolarizationDensityMatrix(_tomography(state, det_e, det_g, herald)),
+            prob)
 
 
 def test_conditioned_dm_ideal_detectors():
@@ -295,15 +306,18 @@ def test_conditioned_dm_dark_dilutes_correlations():
     assert np.abs(dm.matrix - expect).max() < 1e-12
 
 
-def test_effective_dm_excludes_multiphoton_sectors():
+def test_conditioned_dm_counts_multiphoton_sectors():
+    # Two photons on E: its Z analysis clicks on H only, and in the X and Y
+    # bases both ports click alike, so the state is |HH><HH| with weight.
     reg = make_registry(["E", "G"])
     occ = [0] * 4
     occ[reg.index(Mode("E", H))] = 2
     occ[reg.index(Mode("G", H))] = 1
     state = FockStateVector(reg, 3, {tuple(occ): 1.0})
     det = DetectorModel("D", 0.5, 0.0)
-    dm = effective_qubit_dm(state, "E", "G", det, det)
-    assert dm.trace < 1e-15
+    dm, prob = _conditioned(state, det, det)
+    assert abs(prob - 0.75 * 0.5) < 1e-12
+    assert np.abs(dm.matrix - np.diag([1.0, 0.0, 0.0, 0.0])).max() < 1e-12
 
 
 def test_conditioned_dm_with_herald_weight():
@@ -323,84 +337,49 @@ def test_conditioned_dm_with_herald_weight():
     assert abs(dm.matrix[0, 0] - 1.0) < 1e-12
 
 
-def _reference_effective_qubit_dm(state, side_a, side_b, det_a, det_b,
-                                  herald_indices=None, herald_det=None):
-    """The term-by-term construction the array kernel replaced."""
+def _reference_tomography(state, det_e, det_g, herald=None):
+    """Least-squares fit of a two-qubit state to the 36 normalized
+    basis-pair frequencies, each summed term by term."""
     reg = state.registry
-    idx_a = {i: (reg.modes[i].pol, reg.modes[i].temporal)
-             for i in reg.indices(side_a)}
-    idx_b = {i: (reg.modes[i].pol, reg.modes[i].temporal)
-             for i in reg.indices(side_b)}
-    rest = [i for i in range(reg.n_modes) if i not in idx_a and i not in idx_b]
-    herald = list(herald_indices) if herald_indices is not None else []
-
-    def herald_weight(occ):
-        if herald_det is None:
-            return 1.0
-        return herald_det.click_probability(sum(occ[i] for i in herald))
-
-    sec11, sec10, sec01, hw = {}, {}, {}, {}
-    w00 = 0.0
-    for occ, amp in state.terms.items():
-        na = sum(occ[i] for i in idx_a)
-        nb = sum(occ[i] for i in idx_b)
-        if na > 1 or nb > 1:
-            continue
-        rest_occ = tuple(occ[i] for i in rest)
-        if na == 1:
-            pol_a, tau_a = idx_a[next(i for i in idx_a if occ[i])]
-        if nb == 1:
-            pol_b, tau_b = idx_b[next(i for i in idx_b if occ[i])]
-        if na == 1 and nb == 1:
-            key = (rest_occ, tau_a, tau_b)
-            vec = sec11.setdefault(key, np.zeros(4, dtype=complex))
-            vec[2 * (pol_a == V) + (pol_b == V)] += amp
-        elif na == 1:
-            key = (rest_occ, tau_a, None)
-            vec = sec10.setdefault(key, np.zeros(2, dtype=complex))
-            vec[int(pol_a == V)] += amp
-        elif nb == 1:
-            key = (rest_occ, None, tau_b)
-            vec = sec01.setdefault(key, np.zeros(2, dtype=complex))
-            vec[int(pol_b == V)] += amp
-        else:
-            w00 += herald_weight(occ) * abs(amp) ** 2
-            continue
-        if key not in hw:
-            full = [0] * reg.n_modes
-            for pos, val in zip(rest, rest_occ):
-                full[pos] = val
-            hw[key] = herald_weight(full)
-
-    ea, da = det_a.efficiency, det_a.dark
-    eb, db = det_b.efficiency, det_b.dark
-    eye2 = np.eye(2, dtype=complex)
-    rho = np.zeros((4, 4), dtype=complex)
-    s11 = np.zeros((4, 4), dtype=complex)
-    for key, vec in sec11.items():
-        s11 += hw[key] * np.outer(vec, vec.conj())
-    t4 = s11.reshape(2, 2, 2, 2)
-    rho += (1 - da) * ea * (1 - db) * eb * s11
-    rho += (1 - da) * ea * db * np.kron(np.trace(t4, axis1=1, axis2=3), eye2)
-    rho += da * (1 - db) * eb * np.kron(eye2, np.trace(t4, axis1=0, axis2=2))
-    rho += da * db * float(np.real(np.trace(s11))) * np.eye(4)
-    for sec, eff, dark, other_dark, a_side in ((sec10, ea, da, db, True),
-                                               (sec01, eb, db, da, False)):
-        s = np.zeros((2, 2), dtype=complex)
-        for key, vec in sec.items():
-            s += hw[key] * np.outer(vec, vec.conj())
-        block = (1 - dark) * eff * s + dark * float(np.real(np.trace(s))) * eye2
-        rho += other_dark * (np.kron(block, eye2) if a_side
-                             else np.kron(eye2, block))
-    rho += da * db * w00 * np.eye(4)
-    return (rho + rho.conj().T) / 2.0
+    paulis = [np.eye(2), np.array([[0, 1], [1, 0]]),
+              np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
+    bases = {"Z": "H", "X": "D", "Y": "R"}
+    rows, freqs = [], []
+    for be, bg in itertools.product(bases, repeat=2):
+        rotated = state
+        for side, basis in (("E", be), ("G", bg)):
+            rotated = apply_transform(rotated, jones_transform(
+                reg, side, protocol._analyzer_matrix(bases[basis])))
+        probs = np.zeros((2, 2))
+        for occ, amp in rotated.terms.items():
+            w = abs(amp) ** 2
+            if herald is not None:
+                w *= herald.click_probability(
+                    sum(occ[i] for i in reg.indices("F", pol=H)))
+            for i, j in itertools.product(range(2), repeat=2):
+                probs[i, j] += (w * det_e.click_probability(
+                    sum(occ[k] for k in reg.indices("E", pol=(H, V)[i])))
+                    * det_g.click_probability(
+                        sum(occ[k] for k in reg.indices("G", pol=(H, V)[j]))))
+        kets = [[np.array(protocol.ANALYZER_KETS[s])
+                 for s in (bases[b], {"H": "V", "D": "Dbar", "R": "L"}[bases[b]])]
+                for b in (be, bg)]
+        for i, j in itertools.product(range(2), repeat=2):
+            ket = np.kron(kets[0][i], kets[1][j])
+            proj = np.outer(ket, ket.conj())
+            rows.append([np.trace(proj @ np.kron(a, b)).real
+                         for a in paulis for b in paulis])
+            freqs.append(probs[i, j] / probs.sum())
+    coef = np.linalg.lstsq(np.array(rows), np.array(freqs), rcond=None)[0]
+    return sum(c * np.kron(a, b) for c, (a, b) in
+               zip(coef, itertools.product(paulis, repeat=2)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.booleans(), st.floats(0.0, 0.05),
        st.floats(0.0, 0.05))
-def test_effective_qubit_dm_matches_term_by_term_construction(seed, herald,
-                                                              dark_a, dark_b):
+def test_tomography_matches_term_by_term_least_squares(seed, herald, dark_e,
+                                                       dark_g):
     # E and G carry temporal twins; F's H modes are the herald; X is idle.
     rng = np.random.default_rng(seed)
     reg = make_registry([("E", True), ("G", True), ("F", True), "X"])
@@ -410,12 +389,11 @@ def test_effective_qubit_dm_matches_term_by_term_construction(seed, herald,
         for mode in rng.integers(0, reg.n_modes, size=int(rng.integers(0, 5))):
             occ[mode] += 1
         terms[tuple(occ)] = complex(rng.normal(), rng.normal())
+    # Dark counts on both sides keep every basis pair's coincidences > 0.
     state = FockStateVector(reg, 4, terms).normalized()
-    det_a = DetectorModel("A", float(rng.uniform(0.1, 1.0)), dark_a)
-    det_b = DetectorModel("B", float(rng.uniform(0.1, 1.0)), dark_b)
-    args = ()
-    if herald:
-        args = (reg.indices("F", pol=H), DetectorModel("F", 0.7, 1e-3))
-    want = _reference_effective_qubit_dm(state, "E", "G", det_a, det_b, *args)
-    got = effective_qubit_dm(state, "E", "G", det_a, det_b, *args).matrix
-    assert np.abs(got - want).max() <= 1e-14
+    det_e = DetectorModel("E", float(rng.uniform(0.1, 1.0)), dark_e + 1e-3)
+    det_g = DetectorModel("G", float(rng.uniform(0.1, 1.0)), dark_g + 1e-3)
+    det_f = DetectorModel("F", 0.7, 1e-3) if herald else None
+    want = _reference_tomography(state, det_e, det_g, det_f)
+    got = _tomography(state, det_e, det_g, det_f)
+    assert np.abs(got - want).max() <= 1e-12
