@@ -15,12 +15,8 @@ from .fock import (
     ValidationError,
     apply_transform,
     fidelity_to_phi_plus,
-    inner_product,
     make_registry,
-    project_occupation,
-    states_allclose,
     tensor,
-    trace_distance,
 )
 from .optics import (
     OverlapModel,
@@ -45,7 +41,6 @@ from .protocol import (
     chsh_violated,
     component_scaling,
     distribute_qubit,
-    dm_visibilities,
     f_low,
     forward_variant_scaling,
     run_fixed_phase,

@@ -2,8 +2,8 @@
 
 Optical modes are labelled by (spatial, polarization, temporal) triples.  A
 state is a sparse set of terms held as arrays, an integer occupation matrix
-(terms x modes) and a complex amplitude per term, truncated at a total
-photon number.  Linear-optical elements act by substituting
+(terms x modes), a complex amplitude and an integer label per term,
+truncated at a total photon number.  Linear-optical elements act by substituting
 creation operators according to an isometric mode matrix; photon loss is
 handled by dilation onto fresh loss modes and incoherent reduction.
 """
@@ -27,6 +27,8 @@ POLARIZATIONS = (H, V)
 # Amplitudes below this magnitude are dropped from sparse states.
 PRUNE_THRESHOLD = 1e-15
 ISOMETRY_TOL = 1e-12
+# Occupations are int16, which holds tensor's row sums (<= 2 * cutoff).
+MAX_CUTOFF = 39  # the largest occupation _FACT_SQRT tabulates
 
 
 class ConfigurationError(ValueError):
@@ -134,8 +136,11 @@ class _Terms(Mapping):
 
     def _items(self) -> dict[tuple[int, ...], complex]:
         if self._dict is None:
-            self._dict = dict(zip(map(tuple, self._occupations.tolist()),
-                                  self._amplitudes.tolist()))
+            items = dict(zip(map(tuple, self._occupations.tolist()),
+                             self._amplitudes.tolist()))
+            if len(items) < len(self._amplitudes):
+                raise ValidationError("an occupation repeats under two labels")
+            self._dict = items
         return self._dict
 
     def __len__(self) -> int:
@@ -151,16 +156,19 @@ class _Terms(Mapping):
 class FockStateVector:
     """Sparse pure state with total photon number <= cutoff.
 
-    ``occupations`` holds one row of photon numbers per term (terms x modes)
-    and ``amplitudes`` each term's complex amplitude; rows are distinct and
-    both arrays are read-only.  ``terms`` is the same state as a read-only
-    occupation tuple -> amplitude mapping.  Instances are immutable; all
-    operations return new states.  ``truncated_weight`` accumulates squared
-    amplitude discarded by cutoff truncation anywhere along the pipeline.
+    ``occupations`` holds one int16 row of photon numbers per term (terms x
+    modes), ``amplitudes`` each term's complex amplitude and ``labels`` its
+    int64 label, by default 0; rows are distinct per (occupation, label)
+    and the arrays are read-only.  Terms with different labels never
+    interfere: transforms keep them apart, and click statistics sum over
+    them.  ``terms`` is the same state as a read-only occupation tuple ->
+    amplitude mapping.  Instances are immutable; all operations return new
+    states.  ``truncated_weight`` accumulates squared amplitude discarded by
+    cutoff truncation anywhere along the pipeline.
     """
 
-    __slots__ = ("registry", "cutoff", "occupations", "amplitudes", "terms",
-                 "truncated_weight")
+    __slots__ = ("registry", "cutoff", "occupations", "amplitudes", "labels",
+                 "terms", "truncated_weight")
 
     def __init__(self, registry: ModeRegistry, cutoff: int,
                  terms: Mapping[tuple[int, ...], complex],
@@ -173,35 +181,42 @@ class FockStateVector:
                 "occupation tuple length != registry size") from None
         self._assign(registry, cutoff, occ,
                      np.array(list(terms.values()), dtype=complex),
-                     truncated_weight)
+                     truncated_weight, None)
 
     @classmethod
     def from_arrays(cls, registry: ModeRegistry, cutoff: int,
                     occupations: np.ndarray, amplitudes: np.ndarray,
-                    truncated_weight: float = 0.0) -> "FockStateVector":
-        """A state from distinct occupation rows and their amplitudes."""
-        occ = np.asarray(occupations, dtype=np.int64)
+                    truncated_weight: float = 0.0,
+                    labels: np.ndarray | None = None) -> "FockStateVector":
+        """A state from rows distinct per (occupation, label), their
+        amplitudes and labels (by default 0).  Occupations are checked
+        against the cutoff as given, before int16 storage could wrap them."""
+        occ = np.asarray(occupations)
         if occ.ndim != 2 or occ.shape[1] != registry.n_modes:
             raise ValidationError("occupation tuple length != registry size")
         state = cls.__new__(cls)
         state._assign(registry, cutoff, occ,
-                      np.asarray(amplitudes, dtype=complex), truncated_weight)
+                      np.asarray(amplitudes, dtype=complex), truncated_weight,
+                      labels)
         return state
 
-    def _assign(self, registry, cutoff, occ, amp, truncated_weight):
+    def _assign(self, registry, cutoff, occ, amp, truncated_weight, labels):
         """Validate against the cutoff and drop amplitudes below
         PRUNE_THRESHOLD."""
-        if cutoff < 0:
-            raise ValidationError("cutoff must be >= 0")
+        if not 0 <= cutoff <= MAX_CUTOFF:
+            raise ValidationError(f"cutoff must lie in [0, {MAX_CUTOFF}]")
         over = occ.sum(axis=1) > cutoff
         if over.any():
             raise ValidationError(
                 f"occupation {tuple(occ[over.argmax()].tolist())} exceeds "
                 f"cutoff {cutoff}; truncate upstream")
+        labels = np.zeros(len(amp), np.int64) if labels is None else labels
         keep = np.hypot(amp.real, amp.imag) >= PRUNE_THRESHOLD
-        self.occupations, self.amplitudes = occ[keep], amp[keep]
-        self.occupations.flags.writeable = False
-        self.amplitudes.flags.writeable = False
+        self.occupations = occ[keep].astype(np.int16, copy=False)
+        self.amplitudes = amp[keep]
+        self.labels = np.asarray(labels, dtype=np.int64)[keep]
+        for arr in (self.occupations, self.amplitudes, self.labels):
+            arr.flags.writeable = False
         self.terms = _Terms(self.occupations, self.amplitudes)
         self.registry = registry
         self.cutoff = cutoff
@@ -216,7 +231,8 @@ class FockStateVector:
             raise ValidationError("cannot normalize a zero state")
         return FockStateVector.from_arrays(
             self.registry, self.cutoff, self.occupations,
-            self.amplitudes * (1.0 / math.sqrt(n2)), self.truncated_weight)
+            self.amplitudes * (1.0 / math.sqrt(n2)), self.truncated_weight,
+            self.labels)
 
     def amplitude(self, occ: Sequence[int]) -> complex:
         return self.terms.get(tuple(occ), 0.0 + 0.0j)
@@ -286,17 +302,15 @@ def _summed(ids: np.ndarray, n: int, amplitudes: np.ndarray) -> np.ndarray:
                     np.bincount(ids, amplitudes.imag, n))
 
 
-def _superpose(states: Sequence[FockStateVector],
-               coeffs: Iterable[complex]) -> FockStateVector:
-    """sum_c coeffs[c] |states[c]>, keeping the largest truncated weight."""
-    rows = np.concatenate([st.occupations for st in states])
-    ids, first = _first_appearance(_row_keys(rows, states[0].cutoff))
-    amps = np.concatenate([_cmul(st.amplitudes, c)
-                           for st, c in zip(states, coeffs)])
+def _merge_labels(state: FockStateVector,
+                  coeffs: np.ndarray) -> FockStateVector:
+    """The unlabelled state sum_t coeffs[t] |row t>, equal occupations summed
+    across labels in order of first appearance."""
+    ids, first = _first_appearance(_row_keys(state.occupations, state.cutoff))
     return FockStateVector.from_arrays(
-        states[0].registry, states[0].cutoff, rows[first],
-        _summed(ids, len(first), amps),
-        max(st.truncated_weight for st in states))
+        state.registry, state.cutoff, state.occupations[first],
+        _summed(ids, len(first), _cmul(state.amplitudes, coeffs)),
+        state.truncated_weight)
 
 
 def _weights(amplitudes: np.ndarray) -> np.ndarray:
@@ -309,26 +323,6 @@ def _spans(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     ends = np.cumsum(sizes)
     return (np.arange(ends[-1] if len(ends) else 0)
             + np.repeat(starts - ends + sizes, sizes))
-
-
-def inner_product(a: FockStateVector, b: FockStateVector) -> complex:
-    """<a|b> over the shared occupation basis."""
-    total = 0.0 + 0.0j
-    for occ, amp in a.terms.items():
-        other = b.terms.get(occ)
-        if other is not None:
-            total += np.conj(amp) * other
-    return complex(total)
-
-
-def states_allclose(a: FockStateVector, b: FockStateVector, tol: float = 1e-10,
-                    up_to_global_phase: bool = False) -> bool:
-    if up_to_global_phase:
-        ov = inner_product(a, b)
-        na, nb = a.norm_squared(), b.norm_squared()
-        return abs(abs(ov) ** 2 - na * nb) <= tol and abs(na - nb) <= tol
-    keys = set(a.terms) | set(b.terms)
-    return all(abs(a.terms.get(k, 0.0) - b.terms.get(k, 0.0)) <= tol for k in keys)
 
 
 @dataclass(frozen=True)
@@ -362,7 +356,8 @@ class ModeTransform:
             raise ValidationError(f"transform {self.name or mat!r} is not an isometry")
 
 
-_FACT_SQRT = np.array([math.sqrt(math.factorial(n)) for n in range(40)])
+_FACT_SQRT = np.array([math.sqrt(math.factorial(n))
+                       for n in range(MAX_CUTOFF + 1)])
 
 
 def _expand_patterns(patterns: list[tuple[int, ...]], sizes: list[int],
@@ -424,7 +419,8 @@ def apply_transform(state: FockStateVector, t: ModeTransform) -> FockStateVector
     distinct pattern's polynomial in the output creation operators is
     expanded once, and its coefficients are evaluated for all terms of the
     pattern together, in the order and rounding of a term-by-term
-    expansion.  Equal output rows are summed in order of first appearance.
+    expansion.  Equal output rows with equal labels are summed in order of
+    first appearance; each row keeps its term's label.
     The map is an isometry on creation operators, so every term keeps its
     photon number and nothing is truncated.  Output-only modes must be
     unoccupied (fresh ancillas).
@@ -478,27 +474,32 @@ def apply_transform(state: FockStateVector, t: ModeTransform) -> FockStateVector
     keep = np.flatnonzero(np.hypot(re, im) >= PRUNE_THRESHOLD)
     keep = keep[np.argsort(term[keep] * len(part_of) + node[keep])]
     term, part = term[keep], part_of[node[keep]]
-    # An output row is fixed by the occupations off the transform's modes
-    # and the created part.
+    # An output row is fixed by the occupations off the transform's modes,
+    # the created part and the label.
     others = sorted(set(range(occ.shape[1])) - set(ins) - set(outs))
-    if math.comb(len(others) + cutoff, cutoff) * len(part_ids) >= 2 ** 63:
+    distinct, label_ids = np.unique(state.labels, return_inverse=True)
+    n_labels = len(distinct)
+    if (math.comb(len(others) + cutoff, cutoff) * len(part_ids) * n_labels
+            >= 2 ** 63):
         raise ConfigurationError("too many modes for int64 row keys")
     ids, first = _first_appearance(
-        _row_keys(occ[:, others], cutoff)[term] * len(part_ids) + part)
+        (_row_keys(occ[:, others], cutoff) * n_labels + label_ids)[term]
+        * len(part_ids) + part)
     rows = occ[term[first]]
     rows[:, ins] = 0
-    rows[:, outs] = np.array(list(part_ids), dtype=np.int64).reshape(
+    rows[:, outs] = np.array(list(part_ids), dtype=np.int16).reshape(
         len(part_ids), len(outs))[part[first]]
     bose = np.array([math.prod(_FACT_SQRT[k] for k in p)
                      for p in part_ids])[part]
     return FockStateVector.from_arrays(
         state.registry, cutoff, rows,
         _summed(ids, len(first), _complex(re[keep] * bose, im[keep] * bose)),
-        state.truncated_weight)
+        state.truncated_weight, state.labels[term[first]])
 
 
 def tensor(a: FockStateVector, b: FockStateVector) -> FockStateVector:
-    """Product state of two states on the same registry with disjoint support."""
+    """Product state of two states on the same registry with disjoint
+    support; each product term's label is the sum of its factors'."""
     if a.registry.modes != b.registry.modes:
         raise ConfigurationError("tensor requires a shared registry")
     if a.cutoff != b.cutoff:
@@ -509,26 +510,12 @@ def tensor(a: FockStateVector, b: FockStateVector) -> FockStateVector:
     rows = (a.occupations[:, None, :] + b.occupations[None, :, :]).reshape(
         n_terms, a.registry.n_modes)
     amps = _cmul(a.amplitudes[:, None], b.amplitudes[None, :]).reshape(n_terms)
+    labels = (a.labels[:, None] + b.labels[None, :]).reshape(n_terms)
     over = rows.sum(axis=1) > a.cutoff
     dropped = sum(_weights(amps[over]).tolist())
     return FockStateVector.from_arrays(
         a.registry, a.cutoff, rows[~over], amps[~over],
-        a.truncated_weight + b.truncated_weight + dropped)
-
-
-def project_occupation(state: FockStateVector, mode: Mode | int,
-                       n: int) -> FockStateVector:
-    """Unnormalized projection onto exactly n photons in one mode."""
-    idx = mode if isinstance(mode, int) else state.registry.index(mode)
-    if not 0 <= idx < state.registry.n_modes:
-        raise ConfigurationError(f"mode index {idx} outside registry")
-    if n > state.cutoff:
-        raise ValidationError("projection occupation exceeds cutoff")
-    keep = state.occupations[:, idx] == n
-    return FockStateVector.from_arrays(state.registry, state.cutoff,
-                                       state.occupations[keep],
-                                       state.amplitudes[keep],
-                                       state.truncated_weight)
+        a.truncated_weight + b.truncated_weight + dropped, labels[~over])
 
 
 @dataclass(frozen=True)
@@ -578,11 +565,3 @@ def fidelity_to_phi_plus(dm: PolarizationDensityMatrix) -> float:
         raise UndefinedFidelityError("fidelity undefined for zero-trace matrix")
     val = float(np.real(PHI_PLUS.conj() @ dm.matrix @ PHI_PLUS)) / tr
     return min(max(val, 0.0), 1.0)
-
-
-def trace_distance(a: PolarizationDensityMatrix | np.ndarray,
-                   b: PolarizationDensityMatrix | np.ndarray) -> float:
-    ma = a.matrix if isinstance(a, PolarizationDensityMatrix) else np.asarray(a)
-    mb = b.matrix if isinstance(b, PolarizationDensityMatrix) else np.asarray(b)
-    eig = np.linalg.eigvalsh(ma - mb)
-    return 0.5 * float(np.abs(eig).sum())

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .fock import (
+    MAX_CUTOFF,
     H,
     V,
     ConfigurationError,
@@ -31,7 +32,8 @@ from .fock import (
     ModeRegistry,
     PolarizationDensityMatrix,
     ValidationError,
-    _superpose,
+    _cmul,
+    _merge_labels,
     make_registry,
     apply_transform,
     tensor,
@@ -50,7 +52,6 @@ from .sources import (
     CoherentParams,
     DetectorModel,
     SpdcParams,
-    charge_sectors,
     click_table,
     coherent_state,
     pair_state,
@@ -138,8 +139,8 @@ class ExperimentConfig:
                 raise ValidationError(f"{name} must lie in [0, 1)")
         if self.overlap_sigma_um <= 0.0:
             raise ValidationError("overlap width must be positive")
-        if self.cutoff < 1:
-            raise ValidationError("cutoff must be >= 1")
+        if not 1 <= self.cutoff <= MAX_CUTOFF:
+            raise ValidationError(f"cutoff must lie in [1, {MAX_CUTOFF}]")
         if self.input_qubit is not None:
             a, b = self.input_qubit
             if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-9:
@@ -337,22 +338,34 @@ def _propagate(state: FockStateVector, transforms: Sequence) -> FockStateVector:
     return state
 
 
+def _final_state(cfg: ExperimentConfig, plan: _Plan,
+                 phase: tuple[float, float] | None = None) -> FockStateVector:
+    """Sources plus optical train, propagated once.
+
+    The collective phase (phi_H, phi_V), the same on both channel passes,
+    reaches the source modes before any element mixes them: it multiplies
+    each initial term by e^{i (n_H phi_H + n_V phi_V)}, with n_H, n_V its
+    photon numbers on the phase-carrying modes.  With ``phase`` None each
+    term is labelled with its n_V instead: averaged uniformly over the
+    phase, terms of different n_V never interfere.
+    """
+    state = _initial_state(cfg, plan.registry)
+    n_h, n_v = (state.occupations[:, modes].sum(axis=1)
+                for modes in plan.charge_indices)
+    amps, labels = state.amplitudes, n_v
+    if phase is not None:
+        amps = _cmul(amps, np.exp(1j * (n_h * phase[0] + n_v * phase[1])))
+        labels = None
+    return _propagate(FockStateVector.from_arrays(
+        plan.registry, cfg.cutoff, state.occupations, amps,
+        state.truncated_weight, labels), _transforms(cfg, plan.registry))
+
+
 def prepare_final_state(cfg: ExperimentConfig, phi_h: float,
                         phi_v: float) -> tuple[_Plan, FockStateVector]:
-    """Sources plus optical train for one collective phase setting.
-
-    The same fluctuation acts on both channel passes.  It reaches the source
-    modes before any element mixes them, so it is applied as e^{i k.phi} on
-    each charge sector k of the initial state.  An optional differential
-    offset between the two directions comes from ``cfg.phase_delta``.
-    """
+    """Sources plus optical train for one collective phase setting."""
     plan = _build_plan(cfg)
-    sectors = charge_sectors(_initial_state(cfg, plan.registry),
-                             *plan.charge_indices)
-    state = _superpose(list(sectors.values()),
-                       [np.exp(1j * (n_h * phi_h + n_v * phi_v))
-                        for n_h, n_v in sectors])
-    return plan, _propagate(state, _transforms(cfg, plan.registry))
+    return plan, _final_state(cfg, plan, (phi_h, phi_v))
 
 
 def run_fixed_phase(cfg: ExperimentConfig, phi_h: float,
@@ -472,23 +485,27 @@ def _components(pairs: np.ndarray, photons: np.ndarray,
     return comps
 
 
-def _basis_pair_probs(plan: _Plan, state: FockStateVector, basis_e: str,
-                      basis_g: str, extra_groups: Sequence[Sequence[int]] = (),
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coincidences of E port i and G port j in one pair of analyzer bases
-    (keys of ``ANALYZER_BASES``) as a 2x2 array, and the click table they
-    are read from, whose columns end with ``extra_groups``.
-
-    Each side is rotated so that the +1 eigenstate of its basis lies on the
-    H modes, so port 0 is the +1 outcome.  The feed-forward branch also
-    keeps the second herald outcome (|Dbar>): a sign flip on the retained
-    photon restores the target state, i.e. its X and Y outcomes swap.
-    """
-    reg = plan.registry
+def _rotated(plan: _Plan, state: FockStateVector, basis_e: str,
+             basis_g: str) -> FockStateVector:
+    """The state with each side rotated so that the +1 eigenstate of its
+    analyzer basis (keys of ``ANALYZER_BASES``) lies on its H modes."""
     for side, basis in ((plan.side_e, basis_e), (plan.side_g, basis_g)):
         if basis != "Z":
             state = apply_transform(state, jones_transform(
-                reg, side, _analyzer_matrix(ANALYZER_BASES[basis])))
+                plan.registry, side, _analyzer_matrix(ANALYZER_BASES[basis])))
+    return state
+
+
+def _basis_pair_probs(plan: _Plan, state: FockStateVector, basis_e: str,
+                      extra_groups: Sequence[Sequence[int]] = (),
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coincidences of E port i and G port j (port 0 the +1 outcome) of a
+    state ``_rotated`` into its bases, E's being ``basis_e``, as a 2x2
+    array, and the click table they are read from, whose columns end with
+    ``extra_groups``.  The feed-forward branch also keeps the second herald
+    outcome (|Dbar>): a sign flip on the retained photon restores the target
+    state, i.e. its X and Y outcomes swap.
+    """
     w, n = click_table(state, [*_analyzed_groups(plan), *extra_groups])
     heralds = _herald_clicks(plan, n)
     probs = _pair_probs(plan, w, n, heralds[0])
@@ -501,10 +518,10 @@ def _basis_pair_probs(plan: _Plan, state: FockStateVector, basis_e: str,
 def _measure(plan: _Plan, state: FockStateVector) -> ProtocolOutcome:
     """Every coincidence statistic from two click tables: one on the final
     state and one on the state rotated into the X basis on both sides."""
-    zz, w, n = _basis_pair_probs(plan, state, "Z", "Z",
+    zz, w, n = _basis_pair_probs(plan, state, "Z",
                                  [plan.pair_side_indices,
                                   range(plan.registry.n_modes)])
-    xx = _basis_pair_probs(plan, state, "X", "X")[0]
+    xx = _basis_pair_probs(plan, _rotated(plan, state, "X", "X"), "X")[0]
 
     det_e, det_g = plan.detectors["E"], plan.detectors["G"]
     heralds = _herald_clicks(plan, n)[:1 + plan.feedforward]
@@ -522,102 +539,54 @@ def _measure(plan: _Plan, state: FockStateVector) -> ProtocolOutcome:
                            triple, comps, state.truncated_weight)
 
 
-def _tomography(plan: _Plan, states: Iterable[FockStateVector]) -> np.ndarray:
+def _tomography(plan: _Plan, state: FockStateVector) -> np.ndarray:
     """Linear-inversion two-qubit tomography of E and G over the 3 x 3
     analyzer bases (James et al., PRA 64, 052312 (2001)).
 
-    The coincidences of each basis pair are summed over ``states`` (the
-    charge classes of a phase average, or one fixed-phase state) and
-    normalized by their own total.  Each pair gives one correlation
-    <a x b>; each single-side Pauli expectation is the mean over the three
-    bases of the other side.  The 4x4 result has trace 1 and is Hermitian
-    by construction; with multi-photon terms it need not be PSD.
+    Side E is rotated once per basis, then G once per basis pair, and each
+    pair's coincidences are normalized by their own total.  Each pair gives
+    one correlation <a x b>; each single-side Pauli expectation is the mean
+    over the three bases of the other side.  The 4x4 result has trace 1 and
+    is Hermitian by construction; with multi-photon terms it need not be
+    PSD.
     """
-    pairs = [(a, b) for a in ANALYZER_BASES for b in ANALYZER_BASES]
-    probs = dict.fromkeys(pairs, 0.0)
-    for state in states:
-        for a, b in pairs:
-            probs[a, b] += _basis_pair_probs(plan, state, a, b)[0]
     sign = np.array([1.0, -1.0])
     eye = np.eye(2)
     rho = np.eye(4, dtype=complex)
-    for (a, b), p in probs.items():
-        total = p.sum()
-        if total <= 0.0:
-            raise ValidationError("no coincidences; state undefined")
-        p = p / total
-        rho += (sign @ p @ sign) * np.kron(_PAULI[a], _PAULI[b])
-        rho += (sign @ p.sum(axis=1)) / 3.0 * np.kron(_PAULI[a], eye)
-        rho += (p.sum(axis=0) @ sign) / 3.0 * np.kron(eye, _PAULI[b])
+    for a in ANALYZER_BASES:
+        on_e = _rotated(plan, state, a, "Z")
+        for b in ANALYZER_BASES:
+            p = _basis_pair_probs(plan, _rotated(plan, on_e, "Z", b), a)[0]
+            total = p.sum()
+            if total <= 0.0:
+                raise ValidationError("no coincidences; state undefined")
+            p = p / total
+            rho += (sign @ p @ sign) * np.kron(_PAULI[a], _PAULI[b])
+            rho += (sign @ p.sum(axis=1)) / 3.0 * np.kron(_PAULI[a], eye)
+            rho += (p.sum(axis=0) @ sign) / 3.0 * np.kron(eye, _PAULI[b])
     return rho / 4.0
-
-
-def _charge_classes(cfg: ExperimentConfig, plan: _Plan,
-                    ) -> tuple[list[int], Iterator[FockStateVector]]:
-    """The V-photon number n_V of each charge class on the phase-carrying
-    modes, and the final state of each class, propagated on demand.
-
-    A collective V-vs-H phase phi multiplies the class of n_V by
-    e^{i n_V phi}, so the state at phase phi is the sum over classes of
-    e^{i n_V phi} |final_{n_V}>.
-    """
-    classes: dict[int, list[FockStateVector]] = {}
-    sectors = charge_sectors(_initial_state(cfg, plan.registry),
-                             *plan.charge_indices)
-    for (_, n_v), sector in sectors.items():
-        classes.setdefault(n_v, []).append(sector)
-    train = _transforms(cfg, plan.registry)
-    return list(classes), (_propagate(_superpose(members, [1.0] * len(members)),
-                                      train)
-                           for members in classes.values())
 
 
 def phase_point_states(cfg: ExperimentConfig,
                        ) -> tuple[_Plan, list[FockStateVector]]:
-    """Final state at each point of ``PHASE_SET_8``, in order.
-
-    Each charge class is propagated once and every point's state is
-    rebuilt from the propagated classes with their characters.
-    """
+    """Final state at each point of ``PHASE_SET_8``, in order: the n_V
+    labels of one propagation, summed with their characters e^{i n_V phi}."""
     plan = _build_plan(cfg)
-    n_vs, finals = _charge_classes(cfg, plan)
-    finals = list(finals)
-    chis = np.exp(1j * np.outer(n_vs, [phi_v for _, phi_v in PHASE_SET_8]))
-    return plan, [_superpose(finals, chi) for chi in chis.T]
+    final = _final_state(cfg, plan)
+    return plan, [_merge_labels(final, np.exp(1j * phi_v * final.labels))
+                  for _, phi_v in PHASE_SET_8]
 
 
 def run_phase_averaged(cfg: ExperimentConfig) -> ProtocolOutcome:
     """Uniform average over the collective V-vs-H channel phase, exactly.
 
     The phase phi acts as e^{i n_V phi} on the V-photon number n_V of the
-    phase-carrying source modes.  Averaged uniformly over phi, every cross
-    term between different n_V vanishes, so the average is the sum of the
-    measurements of the n_V classes, each propagated and measured once, at
-    any cutoff.  ``truncated_weight`` is the largest over the classes.
+    phase-carrying source modes, so averaged over phi the n_V classes never
+    interfere.  The state labelled by n_V is propagated and measured once,
+    at any cutoff; ``truncated_weight`` is that state's own.
     """
     plan = _build_plan(cfg)
-    return _class_sum(plan, _charge_classes(cfg, plan)[1])
-
-
-def _class_sum(plan: _Plan,
-               states: Iterable[FockStateVector]) -> ProtocolOutcome:
-    """The measurements of the charge-class states, summed."""
-    zz: dict[tuple[str, str], float] = {}
-    xx: dict[tuple[str, str], float] = {}
-    triple = 0.0
-    comps: dict[tuple[int, int, str], float] = {}
-    trunc = 0.0
-    for state in states:
-        out = _measure(plan, state)
-        for key, val in out.zz_probs.items():
-            zz[key] = zz.get(key, 0.0) + val
-        for key, val in out.xx_probs.items():
-            xx[key] = xx.get(key, 0.0) + val
-        triple += out.triple_probability
-        for key, val in out.components.items():
-            comps[key] = comps.get(key, 0.0) + val
-        trunc = max(trunc, out.truncated_weight)
-    return ProtocolOutcome(zz, xx, triple, comps, trunc)
+    return _measure(plan, _final_state(cfg, plan))
 
 
 def two_qubit_state(cfg: ExperimentConfig,
@@ -629,13 +598,9 @@ def two_qubit_state(cfg: ExperimentConfig,
     exactly averaged over the phase, as ``run_phase_averaged`` averages it.
     Raises ``ValidationError`` if the reconstruction is not a state.
     """
-    if phase is None:
-        plan = _build_plan(cfg)
-        states: Iterable[FockStateVector] = _charge_classes(cfg, plan)[1]
-    else:
-        plan, state = prepare_final_state(cfg, *phase)
-        states = [state]
-    return PolarizationDensityMatrix(_tomography(plan, states))
+    plan = _build_plan(cfg)
+    return PolarizationDensityMatrix(
+        _tomography(plan, _final_state(cfg, plan, phase)))
 
 
 def visibilities(outcome: ProtocolOutcome) -> tuple[float, float]:
@@ -650,15 +615,6 @@ def visibilities(outcome: ProtocolOutcome) -> tuple[float, float]:
                 - probs[(b, a)]) / total
 
     return corr(outcome.zz_probs, Z_SETTINGS), corr(outcome.xx_probs, X_SETTINGS)
-
-
-def dm_visibilities(dm: PolarizationDensityMatrix) -> tuple[float, float]:
-    """The same correlations read directly from a two-qubit state."""
-    rho = dm.normalized().matrix
-    vz = float(np.real(rho[0, 0] + rho[3, 3] - rho[1, 1] - rho[2, 2]))
-    xx = np.kron(np.array([[0, 1], [1, 0]]), np.array([[0, 1], [1, 0]]))
-    vx = float(np.real(np.trace(rho @ xx)))
-    return vz, vx
 
 
 def f_low(v_z: float, v_x: float) -> float:
@@ -768,8 +724,8 @@ def distribute_qubit(cfg: ExperimentConfig,
     run_cfg = replace(cfg, source="exact_pair", input_qubit=(a, b))
     plan = _build_plan(run_cfg)
     # Propagated once, for both the statistics and the state.
-    states = list(_charge_classes(run_cfg, plan)[1])
-    rho = PolarizationDensityMatrix(_tomography(plan, states)).matrix
+    state = _final_state(run_cfg, plan)
+    rho = PolarizationDensityMatrix(_tomography(plan, state)).matrix
     target = np.array([a, 0.0, 0.0, b], dtype=complex)
     fid = float(np.real(target.conj() @ rho @ target))
-    return fid, _class_sum(plan, states)
+    return fid, _measure(plan, state)

@@ -163,23 +163,6 @@ def single_photon_state(registry: ModeRegistry, cutoff: int, spatial: str,
     return FockStateVector(registry, cutoff, terms)
 
 
-def charge_sectors(state: FockStateVector, h_indices: Sequence[int],
-                   v_indices: Sequence[int]) -> dict[tuple[int, int], FockStateVector]:
-    """Split a state by its photon numbers (n_H, n_V) on the given modes.
-
-    A collective phase (phi_H, phi_V) acting on those modes multiplies the
-    sector of charge k by e^{i k.phi}.  Every sector carries the state's
-    truncated weight, which no single sector owns.
-    """
-    occ = state.occupations
-    charge = (occ[:, list(h_indices)].sum(axis=1) * (state.cutoff + 1)
-              + occ[:, list(v_indices)].sum(axis=1))
-    return {divmod(k, state.cutoff + 1): FockStateVector.from_arrays(
-                state.registry, state.cutoff, occ[charge == k],
-                state.amplitudes[charge == k], state.truncated_weight)
-            for k in np.unique(charge).tolist()}
-
-
 @dataclass(frozen=True)
 class DetectorModel:
     """Threshold detector: click/no-click with efficiency and dark probability."""
@@ -212,7 +195,7 @@ def click_table(state: FockStateVector,
     click columns ``DetectorModel.click_probability(n[:, k])``, and no-click
     columns 1 minus those.
     """
-    indicator = np.zeros((state.registry.n_modes, len(groups)), dtype=np.int64)
+    indicator = np.zeros((state.registry.n_modes, len(groups)), dtype=np.int16)
     for k, group in enumerate(groups):
         indicator[list(group), k] = 1
     return np.abs(state.amplitudes) ** 2, state.occupations @ indicator

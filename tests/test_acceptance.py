@@ -20,7 +20,7 @@ from dfsdist.analysis import (
     measure_dip_fwhm,
     sweep_transmittance,
 )
-from dfsdist.fock import fidelity_to_phi_plus, trace_distance
+from dfsdist.fock import fidelity_to_phi_plus
 from dfsdist.oracle import oracle_check
 from dfsdist.protocol import (
     PHASE_SET_8,
@@ -34,6 +34,7 @@ from dfsdist.protocol import (
     two_qubit_state,
     visibilities,
 )
+from helpers import trace_distance
 
 CHSH_BOUND = 1.0 / math.sqrt(2.0)
 T_GRID = (0.1, 0.03, 0.01, 0.005, 0.003)

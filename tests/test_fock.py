@@ -23,12 +23,8 @@ from dfsdist.fock import (
     ValidationError,
     apply_transform,
     fidelity_to_phi_plus,
-    inner_product,
     make_registry,
-    project_occupation,
-    states_allclose,
     tensor,
-    trace_distance,
 )
 from dfsdist.optics import (
     attenuator,
@@ -38,6 +34,12 @@ from dfsdist.optics import (
     pbs,
 )
 from dfsdist.sources import DetectorModel
+from helpers import (
+    inner_product,
+    project_occupation,
+    states_allclose,
+    trace_distance,
+)
 
 
 def test_make_registry_counts():
@@ -268,7 +270,7 @@ def _two_qubit_state(state):
     plan = protocol._Plan(state.registry, "A", "B", None, [],
                           {"E": det, "G": det}, ([], []))
     return PolarizationDensityMatrix(
-        protocol._tomography(plan, [state]))
+        protocol._tomography(plan, state))
 
 
 def test_reduce_exact_bell_state():
@@ -616,3 +618,90 @@ def test_row_keys_distinct_where_mixed_radix_overflows():
     keys = fock._row_keys(rows, 6)
     assert len(set(keys.tolist())) == len(rows)
     assert 0 <= keys.min() and keys.max() < math.comb(30, 6)
+
+
+# --- Labelled states: terms that never interfere, kept apart by a label. ---
+
+def _labelled_state(reg, rng, labels, extreme):
+    """One random sub-state per label, their rows interleaved at random."""
+    parts = [_random_state(reg, rng, extreme=extreme) for _ in labels]
+    order = rng.permutation(sum(len(p.amplitudes) for p in parts))
+    return FockStateVector.from_arrays(
+        reg, 4, np.concatenate([p.occupations for p in parts])[order],
+        np.concatenate([p.amplitudes for p in parts])[order], 0.125,
+        np.repeat(labels, [len(p.amplitudes) for p in parts])[order])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(_KERNEL_KINDS),
+       st.booleans(), st.lists(st.integers(-3, 9), min_size=1, max_size=4,
+                               unique=True))
+def test_labelled_transform_acts_on_each_label_alone(seed, kind, extreme,
+                                                     labels):
+    rng = np.random.default_rng(seed)
+    t = _random_transform(_KERNEL_REG, kind, rng)
+    state = _labelled_state(_KERNEL_REG, rng, labels, extreme)
+    got = apply_transform(state, t)
+    assert got.truncated_weight == state.truncated_weight
+    assert set(got.labels.tolist()) <= set(labels)
+    for k in labels:
+        mine = state.labels == k
+        want = apply_transform(FockStateVector.from_arrays(
+            _KERNEL_REG, 4, state.occupations[mine], state.amplitudes[mine]), t)
+        rows = got.labels == k
+        assert np.array_equal(got.occupations[rows], want.occupations)
+        assert np.abs(got.amplitudes[rows] - want.amplitudes).max(
+            initial=0.0) <= 1e-14
+
+
+def test_labels_keep_equal_occupations_apart():
+    reg = make_registry(["A"])
+    state = FockStateVector.from_arrays(reg, 2, [[1, 0], [1, 0]],
+                                        [0.6, 0.8], labels=[0, 1])
+    out = apply_transform(state, beamsplitter(reg, 0, 1, math.pi / 4.0))
+    assert out.labels.tolist() == [0, 0, 1, 1]
+    assert out.occupations.tolist() == [[1, 0], [0, 1]] * 2
+    assert abs(out.norm_squared() - 1.0) < 1e-12
+    with pytest.raises(ValidationError, match="two labels"):
+        out.amplitude((1, 0))
+
+
+def test_tensor_adds_labels_and_drops_them_with_truncated_rows():
+    reg = make_registry(["A", "B"])
+    a = FockStateVector.from_arrays(reg, 2, [[1, 0, 0, 0], [2, 0, 0, 0]],
+                                    [0.6, 0.8], labels=[1, 2])
+    b = FockStateVector.from_arrays(reg, 2, [[0, 0, 0, 0], [0, 0, 1, 0]],
+                                    [0.8, 0.6], labels=[10, 20])
+    prod = tensor(a, b)
+    # (2, 0, 1, 0) exceeds the cutoff; its label goes with it.
+    assert prod.occupations.tolist() == [[1, 0, 0, 0], [1, 0, 1, 0],
+                                         [2, 0, 0, 0]]
+    assert prod.labels.tolist() == [11, 21, 12]
+    assert np.allclose(prod.amplitudes, [0.48, 0.36, 0.64])
+    assert abs(prod.truncated_weight - 0.48 ** 2) < 1e-15
+
+
+def test_normalizing_and_pruning_keep_labels_aligned():
+    reg = make_registry(["A"])
+    state = FockStateVector.from_arrays(
+        reg, 2, [[1, 0], [0, 1], [1, 1]],
+        [3.0, PRUNE_THRESHOLD / 2, 4.0], labels=[7, 8, 9])
+    assert state.labels.tolist() == [7, 9]
+    assert state.occupations.tolist() == [[1, 0], [1, 1]]
+    unit = state.normalized()
+    assert unit.labels.tolist() == [7, 9]
+    assert np.allclose(unit.amplitudes, [0.6, 0.8])
+    assert not unit.labels.flags.writeable
+    assert FockStateVector(reg, 2, {(1, 0): 1.0}).labels.tolist() == [0]
+
+
+def test_cutoff_above_int16_budget_rejected():
+    reg = make_registry(["A"])
+    state = FockStateVector(reg, fock.MAX_CUTOFF, {(fock.MAX_CUTOFF, 0): 1.0})
+    assert state.occupations.dtype == np.int16
+    with pytest.raises(ValidationError, match="cutoff"):
+        FockStateVector(reg, fock.MAX_CUTOFF + 1, {(1, 0): 1.0})
+    # Cast to int16 first, 39000 would wrap to -26536 and pass the cutoff.
+    with pytest.raises(ValidationError, match="exceeds cutoff"):
+        FockStateVector.from_arrays(reg, fock.MAX_CUTOFF,
+                                    np.array([[39000, 0]]), [1.0])

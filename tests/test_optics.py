@@ -16,7 +16,6 @@ from dfsdist.fock import (
     ValidationError,
     apply_transform,
     make_registry,
-    states_allclose,
 )
 from dfsdist.optics import (
     OverlapModel,
@@ -29,6 +28,7 @@ from dfsdist.optics import (
     qwp,
 )
 from dfsdist.sources import CoherentParams, coherent_state
+from helpers import states_allclose
 
 
 def _single(reg, label, pol, cutoff=3):

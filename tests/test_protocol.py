@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dfsdist import protocol
 from dfsdist.fock import (
+    MAX_CUTOFF,
     H,
     MATCHED,
     V,
@@ -18,8 +19,6 @@ from dfsdist.fock import (
     ValidationError,
     apply_transform,
     fidelity_to_phi_plus,
-    states_allclose,
-    trace_distance,
 )
 from dfsdist.optics import hwp, jones_transform
 from dfsdist.protocol import (
@@ -29,7 +28,6 @@ from dfsdist.protocol import (
     chsh_violated,
     component_scaling,
     distribute_qubit,
-    dm_visibilities,
     f_low,
     forward_variant_scaling,
     phase_point_states,
@@ -40,6 +38,7 @@ from dfsdist.protocol import (
     two_qubit_state,
     visibilities,
 )
+from helpers import dm_visibilities, states_allclose, trace_distance
 
 PHI_PLUS_DM = np.zeros((4, 4), dtype=complex)
 PHI_PLUS_DM[0, 0] = PHI_PLUS_DM[0, 3] = PHI_PLUS_DM[3, 0] = PHI_PLUS_DM[3, 3] = 0.5
@@ -50,6 +49,9 @@ PAPER = ExperimentConfig()  # reference parameter set
 def test_config_validation():
     with pytest.raises(Exception):
         ExperimentConfig(variant="bogus")
+    with pytest.raises(ValidationError, match="cutoff"):
+        ExperimentConfig(cutoff=MAX_CUTOFF + 1)
+    assert ExperimentConfig(cutoff=MAX_CUTOFF).cutoff == MAX_CUTOFF
     with pytest.raises(ValidationError):
         ExperimentConfig(transmittance=1.5)
     with pytest.raises(ValidationError):
@@ -126,19 +128,23 @@ def test_phase_average_measures_each_v_photon_number_once(monkeypatch,
                                                           n_classes):
     # Photon numbers on the two sides of the PBS are conserved separately,
     # so sectors of equal n_V and unequal n_H never interfere in a count:
-    # splitting a class by n_H, or merging classes, leaves every number
-    # above unchanged to rounding and shows only in the work done.
+    # labelling terms by (n_H, n_V), or merging n_V classes, leaves every
+    # number above unchanged to rounding and shows only in the labels.
     cfg = replace(PAPER, overlap_s0=0.94, **overrides)
-    calls = []
-    measure = protocol._measure
+    measured, propagated = [], []
+    measure, propagate = protocol._measure, protocol._propagate
 
-    def counted(*args):
-        calls.append(None)
-        return measure(*args)
+    def counted(plan, state):
+        measured.append(state)
+        return measure(plan, state)
 
     monkeypatch.setattr(protocol, "_measure", counted)
+    monkeypatch.setattr(protocol, "_propagate",
+                        lambda *args: propagated.append(None) or propagate(*args))
     run_phase_averaged(cfg)
-    assert len(calls) == n_classes  # n_V = 0, 1, ... up to the most V photons
+    assert len(measured) == len(propagated) == 1
+    # n_V = 0, 1, ... up to the most V photons, all in one labelled state.
+    assert sorted(set(measured[0].labels.tolist())) == list(range(n_classes))
 
 
 def test_three_photon_state_term_structure():
@@ -287,11 +293,29 @@ def test_state_outputs_propagate_each_class_once(monkeypatch):
     monkeypatch.setattr(protocol, "_propagate",
                         lambda *args: calls.append(None) or propagate(*args))
     distribute_qubit(ExperimentConfig.ideal(), (0.6, 0.8))
-    # One V photon at most from the pair and one from the ancilla.
-    assert len(calls) == 3  # the n_V = 0, 1, 2 classes
+    # The n_V = 0, 1, 2 classes travel together as labels.
+    assert len(calls) == 1
     calls.clear()
     tomography_payload(PAPER)
-    assert len(calls) == 1 + 3  # zero phase, then the n_V = 0, 1, 2 classes
+    assert len(calls) == 1 + 1  # zero phase, then the labelled average
+
+
+def test_one_propagation_per_configuration(monkeypatch):
+    # At the calibrated reference the train holds six elements: loss, the
+    # pickoff plate, the flip, the overlap split, the PBS and the herald
+    # analyzer.  Measuring adds the X rotation of each side, and the
+    # tomography rotates E once per basis and G once per basis pair.
+    cfg = replace(PAPER, overlap_s0=CAL_S0)
+    calls = []
+    apply = protocol.apply_transform
+    monkeypatch.setattr(protocol, "apply_transform",
+                        lambda *args: calls.append(None) or apply(*args))
+    for run, n_calls in ((run_phase_averaged, 6 + 2),
+                         (two_qubit_state, 6 + 8),
+                         (phase_point_states, 6)):
+        calls.clear()
+        run(cfg)
+        assert len(calls) == n_calls, run.__name__
 
 
 def test_tomography_without_coincidences_is_undefined():

@@ -248,7 +248,7 @@ def _tomography(state, det_e, det_g, herald=None):
     plan = protocol._Plan(state.registry, "E", "G",
                           None if herald is None else "F", [],
                           {"E": det_e, "G": det_g, "F": herald}, ([], []))
-    return protocol._tomography(plan, [state])
+    return protocol._tomography(plan, state)
 
 
 def _conditioned(state, det_e, det_g, herald=None):
