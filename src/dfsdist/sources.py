@@ -195,7 +195,8 @@ def click_table(state: FockStateVector,
     click columns ``DetectorModel.click_probability(n[:, k])``, and no-click
     columns 1 minus those.
     """
-    indicator = np.zeros((state.registry.n_modes, len(groups)), dtype=np.int16)
+    indicator = np.zeros((state.registry.n_modes, len(groups)),
+                         dtype=state.occupations.dtype)
     for k, group in enumerate(groups):
         indicator[list(group), k] = 1
     return np.abs(state.amplitudes) ** 2, state.occupations @ indicator
