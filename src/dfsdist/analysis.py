@@ -11,12 +11,13 @@ import json
 import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import __version__
 from .fock import ValidationError, fidelity_to_phi_plus
+from .optics import OverlapModel, overlap_at_delay
 from .protocol import (
     PHASE_SET_8,
     REP_RATE_HZ,
@@ -80,6 +81,8 @@ def calibrate_overlap(cfg: ExperimentConfig, anchor_t: float = 0.1,
     Raises :class:`CalibrationError` at once if the target lies above the
     V_X at full overlap or below the V_X at zero overlap.
     """
+    if not math.isfinite(target_v_x):
+        raise ValidationError(f"target V_X must be finite, got {target_v_x}")
 
     def v_x_at(s0: float) -> float:
         out = run_phase_averaged(replace(cfg, transmittance=anchor_t,
@@ -226,11 +229,19 @@ class DelayScanRow:
     visibility: float
 
 
-def _scan_rows(evaluate: DelayEvaluator,
+def _at_delay(evaluate: DelayEvaluator, cfg: ExperimentConfig,
+              ) -> Callable[[float], tuple[float, float]]:
+    """(p_rd, p_ld) against delay, at the overlap s0 and width of ``cfg``."""
+    overlap = OverlapModel(cfg.overlap_s0, cfg.overlap_sigma_um)
+    return lambda dx: evaluate(overlap_at_delay(overlap, dx))
+
+
+def _scan_rows(evaluate: DelayEvaluator, cfg: ExperimentConfig,
                delays_um: Sequence[float]) -> list[DelayScanRow]:
+    at_delay = _at_delay(evaluate, cfg)
     rows = []
     for dx in delays_um:
-        p_rd, p_ld = evaluate(dx)
+        p_rd, p_ld = at_delay(dx)
         total = p_rd + p_ld
         vis = abs(p_rd - p_ld) / total if total > 0 else 0.0
         rows.append(DelayScanRow(float(dx), p_rd, p_ld, vis))
@@ -240,7 +251,7 @@ def _scan_rows(evaluate: DelayEvaluator,
 def delay_scan(cfg: ExperimentConfig,
                delays_um: Sequence[float]) -> list[DelayScanRow]:
     """Circular-basis coincidences and their contrast at each delay."""
-    return _scan_rows(DelayEvaluator(cfg), delays_um)
+    return _scan_rows(DelayEvaluator(cfg), cfg, delays_um)
 
 
 def delay_scan_csv(rows: Sequence[DelayScanRow]) -> str:
@@ -251,11 +262,12 @@ def delay_scan_csv(rows: Sequence[DelayScanRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _dip_fwhm(evaluate: DelayEvaluator) -> float:
-    sigma_um = evaluate.cfg.overlap_sigma_um
+def _dip_fwhm(evaluate: DelayEvaluator, cfg: ExperimentConfig) -> float:
+    sigma_um = cfg.overlap_sigma_um
+    at_delay = _at_delay(evaluate, cfg)
 
     def contrast(dx: float) -> float:
-        p_rd, p_ld = evaluate(dx)
+        p_rd, p_ld = at_delay(dx)
         return abs(p_rd - p_ld)
 
     c0 = contrast(0.0)
@@ -280,7 +292,12 @@ def _dip_fwhm(evaluate: DelayEvaluator) -> float:
 
 def measure_dip_fwhm(cfg: ExperimentConfig) -> float:
     """Full width at half maximum of the interference contrast vs delay."""
-    return _dip_fwhm(DelayEvaluator(cfg))
+    return _dip_fwhm(DelayEvaluator(cfg), cfg)
+
+
+def _delay_width(evaluate: DelayEvaluator, cfg: ExperimentConfig,
+                 target_fwhm_um: float) -> float:
+    return cfg.overlap_sigma_um * target_fwhm_um / _dip_fwhm(evaluate, cfg)
 
 
 def calibrate_delay_width(cfg: ExperimentConfig,
@@ -290,8 +307,7 @@ def calibrate_delay_width(cfg: ExperimentConfig,
     The contrast depends on delay only through s(dx), so the measured FWHM is
     proportional to sigma and one reference measurement fixes the scale.
     """
-    ref = measure_dip_fwhm(cfg)
-    return cfg.overlap_sigma_um * target_fwhm_um / ref
+    return _delay_width(DelayEvaluator(cfg), cfg, target_fwhm_um)
 
 
 @dataclass(frozen=True)
@@ -306,17 +322,16 @@ def delay_study(cfg: ExperimentConfig, delays_um: Sequence[float],
                 target_fwhm_um: float | None = None) -> DelayStudy:
     """Delay scan, zero-delay visibility and dip FWHM from one evaluator.
 
-    With a target FWHM the overlap width is calibrated first, on an
-    evaluator of its own, since the width changes every overlap.
+    The evaluator does not depend on the overlap width, so with a target
+    FWHM it calibrates the width first and then serves the scan at it.
     """
-    if target_fwhm_um is not None:
-        cfg = replace(cfg, overlap_sigma_um=calibrate_delay_width(
-            cfg, target_fwhm_um))
     evaluate = DelayEvaluator(cfg)
-    rows = _scan_rows(evaluate, delays_um)
-    return DelayStudy(cfg.overlap_sigma_um, rows,
-                      _scan_rows(evaluate, [0.0])[0].visibility,
-                      _dip_fwhm(evaluate))
+    if target_fwhm_um is not None:
+        cfg = replace(cfg, overlap_sigma_um=_delay_width(evaluate, cfg,
+                                                         target_fwhm_um))
+    return DelayStudy(cfg.overlap_sigma_um, _scan_rows(evaluate, cfg, delays_um),
+                      _scan_rows(evaluate, cfg, [0.0])[0].visibility,
+                      _dip_fwhm(evaluate, cfg))
 
 
 # --- tomography ---------------------------------------------------------------

@@ -52,6 +52,18 @@ _EXTRA_FIELDS = {
 }
 
 
+# Extras that override a library default, by the keyword they set there.
+_CALIBRATION_KEYS = {"calibrate_anchor_t": "anchor_t",
+                     "calibrate_target_vx": "target_v_x"}
+_SWEEP_KEYS = {**_CALIBRATION_KEYS, "transmittance_list": "transmittances",
+               "auto_calibrate": "auto_calibrate"}
+
+
+def _set_keys(extras: dict, keys: dict[str, str]) -> dict[str, object]:
+    """The keywords of ``keys`` whose extras the config file sets."""
+    return {kw: extras[key] for key, kw in keys.items() if key in extras}
+
+
 def parse_config_text(text: str) -> dict[str, str]:
     """Flat key=value lines; blank lines and ``#`` comments are ignored."""
     values: dict[str, str] = {}
@@ -120,13 +132,7 @@ def _out_paths(out: str, default_suffix: str = ".csv") -> tuple[Path, Path]:
 
 
 def _cmd_sweep(cfg: ExperimentConfig, extras: dict, out: str) -> int:
-    spec = SweepSpec(
-        transmittances=tuple(extras.get("transmittance_list",
-                                        (0.1, 0.03, 0.01, 0.005, 0.003))),
-        anchor_t=float(extras.get("calibrate_anchor_t", 0.1)),
-        target_v_x=float(extras.get("calibrate_target_vx", 0.82)),
-        auto_calibrate=bool(extras.get("auto_calibrate", True)),
-    )
+    spec = SweepSpec(**_set_keys(extras, _SWEEP_KEYS))
     table = sweep_transmittance(cfg, spec)
     csv_path, json_path = _out_paths(out)
     table.write(csv_path, json_path)
@@ -135,10 +141,7 @@ def _cmd_sweep(cfg: ExperimentConfig, extras: dict, out: str) -> int:
 
 
 def _cmd_calibrate(cfg: ExperimentConfig, extras: dict, out: str) -> int:
-    res = calibrate_overlap(cfg,
-                            anchor_t=float(extras.get("calibrate_anchor_t", 0.1)),
-                            target_v_x=float(extras.get("calibrate_target_vx",
-                                                        0.82)))
+    res = calibrate_overlap(cfg, **_set_keys(extras, _CALIBRATION_KEYS))
     payload = {
         "s0": res.s0,
         "v_x_achieved": res.v_x_achieved,

@@ -26,6 +26,7 @@ import numpy as np
 from .fock import (
     MAX_CUTOFF,
     H,
+    ORTHOGONAL,
     V,
     ConfigurationError,
     FockStateVector,
@@ -213,6 +214,8 @@ class _Plan:
     charge_indices: tuple[list[int], list[int]]
     # Keep the second herald outcome too (needs a herald).
     feedforward: bool = False
+    # Modes the pulse loses photons to before the overlap split.
+    pulse_loss_indices: Sequence[int] = ()
 
 
 def _analyzer_matrix(setting: str) -> np.ndarray:
@@ -252,14 +255,15 @@ def _build_plan(cfg: ExperimentConfig) -> _Plan:
         side_g = "G"
         pair_side = ["B", "G", "LB", "DB"]
         channel = "B"
-    if cfg.variant == "single_photon_ancilla":
-        labels += [("LR", True)]
+    pulse_loss = ["LR"] if cfg.variant == "single_photon_ancilla" else []
+    labels += [(lab, True) for lab in pulse_loss]
     reg = make_registry(labels)
     return _Plan(reg, "E", side_g, "F",
                  [i for lab in pair_side for i in reg.indices(lab)],
                  {"E": det_e, "G": det_g, "F": det_f},
                  _charge_indices(reg, [channel, "R"]),
-                 cfg.include_feedforward_branch)
+                 cfg.include_feedforward_branch,
+                 [i for lab in pulse_loss for i in reg.indices(lab)])
 
 
 def _initial_state(cfg: ExperimentConfig, reg: ModeRegistry) -> FockStateVector:
@@ -282,8 +286,8 @@ def _initial_state(cfg: ExperimentConfig, reg: ModeRegistry) -> FockStateVector:
     return tensor(pair, ancilla)
 
 
-def _head_transforms(cfg: ExperimentConfig, reg: ModeRegistry) -> list:
-    """The part of the train before the pulse meets the retained photon."""
+def _transforms(cfg: ExperimentConfig, reg: ModeRegistry) -> list:
+    """The phase-independent optical train after the sources."""
     seq = []
     if cfg.variant == "direct_no_dfs":
         seq.append(loss_channel(reg, "B", cfg.transmittance, "LB"))
@@ -297,39 +301,14 @@ def _head_transforms(cfg: ExperimentConfig, reg: ModeRegistry) -> list:
     if cfg.variant == "single_photon_ancilla":
         seq.append(loss_channel(reg, "R", cfg.transmittance, "LR"))
     seq.append(hwp(reg, "R", math.pi / 4.0))  # polarization flip before the PBS
-    return seq
-
-
-def _overlap_transforms(cfg: ExperimentConfig, reg: ModeRegistry,
-                        s: float) -> list:
-    """The delay-dependent part of the tail: empty at full overlap."""
-    # Not "s < 1": a NaN overlap must reach overlap_split's range check.
-    if cfg.variant != "direct_no_dfs" and s != 1.0:
-        return [overlap_split(reg, "R", s)]
-    return []
-
-
-def _tail_transforms(cfg: ExperimentConfig, reg: ModeRegistry,
-                     s: float) -> list:
-    """Pulse-photon interference and the herald analyzer.
-
-    The only part of the train that depends on the optical delay, through
-    the overlap amplitude ``s``.
-    """
-    if cfg.variant == "direct_no_dfs":
-        return []
-    seq = _overlap_transforms(cfg, reg, s)
+    s = cfg.overlap_amplitude
+    if s < 1.0:
+        seq.append(overlap_split(reg, "R", s))
     seq.append(pbs(reg, "A", "R", "E", "F"))
     # Rotate the pulse output so its |D> component sits on the H modes watched
     # by the herald detector; the |Dbar> component leaves through the unused port.
     seq.append(jones_transform(reg, "F", _analyzer_matrix("D"), name="F analyzer"))
     return seq
-
-
-def _transforms(cfg: ExperimentConfig, reg: ModeRegistry) -> list:
-    """The phase-independent optical train after the sources."""
-    return (_head_transforms(cfg, reg)
-            + _tail_transforms(cfg, reg, cfg.overlap_amplitude))
 
 
 def _propagate(state: FockStateVector, transforms: Sequence) -> FockStateVector:
@@ -376,55 +355,46 @@ def run_fixed_phase(cfg: ExperimentConfig, phi_h: float,
 
 
 class DelayEvaluator:
-    """Circular-basis coincidences against optical delay for one config.
+    """Circular-basis coincidences against the pulse overlap s for one config.
 
     The retained photon is heralded into a circular polarization by
     analyzing its partner in the orthogonal circular basis, at zero channel
     phase, since single-run interference is only visible without averaging.
-    Only the overlap split depends on the delay, and only through the
-    overlap s(dx).  So the sources and the head of the train are propagated
-    once, and the G-side analyzer is applied to that prefix: it commutes
-    with every tail element, which is checked for each new s.  The rest of
-    the tail (the tail at full overlap) and the E-side rotation are built
-    once, and each distinct s is evaluated once.  Both sides are rotated to
-    put R on the H modes, so the (R, L) and (L, L) coincidences come from
-    one state.
+    The overlap split sends each pulse photon to the matched mode with
+    amplitude s and to its orthogonal twin with amplitude sqrt(1 - s^2).
+    Every final row fixes both counts: k, its photons on orthogonal modes,
+    and m, its matched pulse photons past the split.  So a row's weight at s
+    is its weight at s^2 = 1/2 times 2^(m+k) (s^2)^m (1 - s^2)^k, and one
+    propagation at that overlap serves every s, whatever delay and overlap
+    width give it.  Both sides are rotated to put R on the H modes, so the
+    (R, L) and (L, L) coincidences come from one click table.
     """
 
     def __init__(self, cfg: ExperimentConfig):
-        self.cfg = cfg
-        self.plan = _build_plan(cfg)
-        reg = self.plan.registry
-        self._overlap = OverlapModel(cfg.overlap_s0, cfg.overlap_sigma_um)
-        rot_g = jones_transform(reg, self.plan.side_g, _analyzer_matrix("R"))
-        self._g_modes = set(rot_g.input_indices) | set(rot_g.output_indices)
-        head = _propagate(_initial_state(cfg, reg), _head_transforms(cfg, reg))
-        self._prefix = apply_transform(head, rot_g)
-        # At s = 1 the tail holds no overlap split: it is the part every
-        # delay shares.
-        self._herald = _tail_transforms(cfg, reg, 1.0)
-        self._rot_e = jones_transform(reg, self.plan.side_e,
-                                      _analyzer_matrix("R"))
-        self._by_overlap: dict[float, tuple[float, float]] = {}
+        self._plan = plan = _build_plan(cfg)
+        reg = plan.registry
+        state = _final_state(replace(cfg, overlap_s0=_SQ2, delay_um=0.0), plan,
+                             (0.0, 0.0))
+        orthogonal = [i for i, mode in enumerate(reg.modes)
+                      if mode.temporal == ORTHOGONAL]
+        w, self._counts = click_table(
+            _rotated(plan, state, "Y", "Y"),
+            [*_analyzed_groups(plan), plan.pair_side_indices,
+             range(reg.n_modes), orthogonal, plan.pulse_loss_indices])
+        pairs, total, self._k, lost = self._counts[:, -4:].T
+        # Each photon is one of a pair (two per pair-side photon) or the
+        # pulse's: lost before the split, or counted in m + k.
+        self._m = total - 2 * pairs - self._k - lost
+        self._w = w * 2.0 ** (self._m + self._k)
+        self._herald = _herald_clicks(plan, self._counts)[0]
 
-    def __call__(self, delay_um: float) -> tuple[float, float]:
+    def __call__(self, s: float) -> tuple[float, float]:
         """(p_rd, p_ld): partner in L, retained photon in R or in L."""
-        s = overlap_at_delay(self._overlap, delay_um)
-        probs = self._by_overlap.get(s)
-        if probs is None:
-            probs = self._by_overlap[s] = self._evaluate(s)
-        return probs
-
-    def _evaluate(self, s: float) -> tuple[float, float]:
-        tail = _overlap_transforms(self.cfg, self.plan.registry, s) + self._herald
-        for t in tail:
-            if self._g_modes & {*t.input_indices, *t.output_indices}:
-                raise ConfigurationError(
-                    f"{t.name} acts on the {self.plan.side_g} modes, so the "
-                    f"analyzer there cannot be applied before it")
-        state = apply_transform(_propagate(self._prefix, tail), self._rot_e)
-        w, n = click_table(state, _analyzed_groups(self.plan))
-        probs = _pair_probs(self.plan, w, n, _herald_clicks(self.plan, n)[0])
+        if not 0.0 <= s <= 1.0:
+            raise ValidationError("overlap amplitude must lie in [0, 1]")
+        s2 = s * s
+        w = self._w * s2 ** self._m * (1.0 - s2) ** self._k
+        probs = _pair_probs(self._plan, w, self._counts, self._herald)
         return float(probs[0, 1]), float(probs[1, 1])
 
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dfsdist import analysis
+from dfsdist import analysis, protocol
 from dfsdist.analysis import (
     CalibrationError,
     ResultsTable,
@@ -14,6 +14,7 @@ from dfsdist.analysis import (
     calibrate_overlap,
     delay_scan,
     delay_scan_csv,
+    delay_study,
     measure_dip_fwhm,
     rate_crossing,
     sample_events,
@@ -98,6 +99,18 @@ def test_calibration_raises_when_bisection_does_not_converge(monkeypatch):
     assert len(calls) <= 2
 
 
+@pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+def test_calibration_rejects_non_finite_target(monkeypatch, target):
+    # NaN fails every comparison, so unchecked it bisected 80 steps and then
+    # reported the target as not met.
+    calls = []
+    monkeypatch.setattr(analysis, "run_phase_averaged",
+                        lambda cfg: calls.append(cfg))
+    with pytest.raises(ValidationError, match="must be finite"):
+        calibrate_overlap(PAPER, target_v_x=target)
+    assert calls == []
+
+
 def test_sweep_table_consistency(tmp_path):
     spec = SweepSpec(transmittances=(0.03, 0.1), auto_calibrate=False)
     cfg = replace(PAPER, overlap_s0=CAL_S0)
@@ -145,6 +158,28 @@ def test_delay_width_calibration_roundtrip():
     assert abs(fwhm - 180.0) < 0.5
     # Analytic Gaussian relation as a cross-check: FWHM = 2 sqrt(ln 2) sigma.
     assert abs(sigma - 180.0 / (2.0 * math.sqrt(math.log(2.0)))) < 0.5
+
+
+def test_fwhm_targeted_delay_study_propagates_once(monkeypatch):
+    # The width calibration, the scan, the zero-delay visibility and the
+    # FWHM all read one propagated train through one click table.
+    calls = {"_propagate": 0, "click_table": 0}
+
+    def counted(name):
+        fn = getattr(protocol, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(protocol, name, counted(name))
+    study = delay_study(replace(PAPER, overlap_s0=CAL_S0),
+                        np.linspace(-100.0, 100.0, 5), 180.0)
+    assert calls == {"_propagate": 1, "click_table": 1}
+    assert study.fwhm_um == pytest.approx(180.0, abs=0.5)
+    assert study.sigma_um != PAPER.overlap_sigma_um
 
 
 def test_tomography_ideal_and_reference():

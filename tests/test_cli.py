@@ -126,10 +126,11 @@ def test_cli_delay_scan(tmp_path):
     assert meta["zero_delay_visibility"] > 0.5
 
 
-def test_cli_fwhm_targeted_delay_scan_builds_two_evaluators(tmp_path,
-                                                            monkeypatch):
-    # One evaluator calibrates the width; one at that width serves the
-    # scan, the zero-delay visibility and the FWHM.
+def test_cli_fwhm_targeted_delay_scan_builds_one_evaluator(tmp_path,
+                                                           monkeypatch):
+    # The evaluator does not depend on the overlap width: one, built at the
+    # configured width, calibrates the width and serves the scan, the
+    # zero-delay visibility and the FWHM.
     widths = []
 
     class CountedEvaluator(analysis.DelayEvaluator):
@@ -144,7 +145,8 @@ def test_cli_fwhm_targeted_delay_scan_builds_two_evaluators(tmp_path,
     assert main(["delay-scan", "--config", str(cfg_file),
                  "--out", str(tmp_path / "dip")]) == 0
     meta = json.loads((tmp_path / "dip.json").read_text())
-    assert widths == [100.0, meta["sigma_um"]]
+    assert widths == [100.0]
+    assert meta["sigma_um"] != 100.0
     assert meta["fwhm_um"] == pytest.approx(180.0, abs=0.5)
 
 

@@ -13,14 +13,13 @@ from dfsdist.fock import (
     H,
     MATCHED,
     V,
-    ConfigurationError,
     FockStateVector,
     Mode,
     ValidationError,
     apply_transform,
     fidelity_to_phi_plus,
 )
-from dfsdist.optics import hwp, jones_transform
+from dfsdist.optics import jones_transform
 from dfsdist.protocol import (
     PHASE_SET_8,
     DelayEvaluator,
@@ -485,33 +484,29 @@ def _full_train_coincidence(cfg, delay_um, setting_e, setting_g):
     dict(variant="single_photon_ancilla"),
     dict(variant="forward_all_from_bob"),
     dict(variant="direct_no_dfs"),
-    # At zero delay s = 1, so the tail has no overlap element.
+    # At zero delay s = 1: the full train has no overlap element, and the
+    # evaluator gives every row on the orthogonal modes weight 0.
     dict(overlap_s0=1.0),
+    # At s = 0 every row with a matched pulse photon past the split does.
+    dict(overlap_s0=0.0),
+    dict(cutoff=6),
+    dict(source="exact_pair"),
+    dict(include_feedforward_branch=True),
+    # Two pairs fit beside the lost pulse photon, so rows on the pulse's
+    # loss modes reach a triple coincidence.
+    dict(variant="single_photon_ancilla", cutoff=6),
 ])
 def test_delay_evaluator_matches_full_propagation(overrides):
     cfg = replace(PAPER, **{"overlap_s0": 0.94, "overlap_sigma_um": 108.1,
                             **overrides})
     evaluate = DelayEvaluator(cfg)
     for dx in (0.0, 60.0, -60.0, 250.0, -250.0):
-        p_rd, p_ld = evaluate(dx)
+        p_rd, p_ld = evaluate(replace(cfg, delay_um=dx).overlap_amplitude)
         want_rd = _full_train_coincidence(cfg, dx, "R", "L")
         want_ld = _full_train_coincidence(cfg, dx, "L", "L")
         assert want_rd > 0.0 and want_ld > 0.0
         assert abs(p_rd - want_rd) <= 1e-12 * want_rd
         assert abs(p_ld - want_ld) <= 1e-12 * want_ld
-
-
-@pytest.mark.parametrize("variant", ["counter_propagating",
-                                     "forward_all_from_bob"])
-def test_delay_evaluator_rejects_tail_on_g_side(monkeypatch, variant):
-    tail = protocol._tail_transforms
-    cfg = replace(PAPER, overlap_s0=0.94, variant=variant)
-    side_g = protocol._build_plan(cfg).side_g
-    monkeypatch.setattr(protocol, "_tail_transforms", lambda c, reg, s: [
-        *tail(c, reg, s), hwp(reg, side_g, 0.3)])
-    evaluate = DelayEvaluator(cfg)
-    with pytest.raises(ConfigurationError, match=f"acts on the {side_g} modes"):
-        evaluate(0.0)
 
 
 def test_delay_evaluator_rejects_nan_delay():
@@ -521,31 +516,31 @@ def test_delay_evaluator_rejects_nan_delay():
 
 
 def test_delay_evaluator_evaluates_each_overlap_once(monkeypatch):
+    # Each overlap is a reweighting of the one click table built at
+    # construction: no call propagates the train or measures again.
     cfg = replace(PAPER, overlap_s0=0.94, overlap_sigma_um=108.1)
-    evaluate = DelayEvaluator(cfg)
-    calls = {"measure": 0, "build": 0}
-    measure = protocol.click_table
+    calls = {"_propagate": 0, "click_table": 0}
 
-    def counted_measure(*args):
-        calls["measure"] += 1
-        return measure(*args)
+    def counted(name):
+        fn = getattr(protocol, name)
 
-    def counted(build):
-        def wrapper(*args, **kwargs):
-            calls["build"] += 1
-            return build(*args, **kwargs)
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(protocol, "click_table", counted_measure)
-    for name in ("pbs", "jones_transform", "overlap_split"):
-        monkeypatch.setattr(protocol, name, counted(getattr(protocol, name)))
-    got = [evaluate(dx) for dx in (0.0, 60.0, -60.0, 0.0, 60.0)]
-    # s(dx) is even in dx: two distinct overlaps, one overlap split each.
-    assert calls == {"measure": 2, "build": 2}
+    for name in calls:
+        monkeypatch.setattr(protocol, name, counted(name))
+    evaluate = DelayEvaluator(cfg)
+    overlaps = [replace(cfg, delay_um=dx).overlap_amplitude
+                for dx in (0.0, 60.0, -60.0, 0.0, 60.0)]
+    got = [evaluate(s) for s in overlaps]
+    assert calls == {"_propagate": 1, "click_table": 1}
+    # s(dx) is even in dx: two distinct overlaps.
     assert got[1] == got[2] == got[4] and got[0] == got[3]
     assert got[0] != got[1]
     fresh = DelayEvaluator(cfg)
-    assert [fresh(dx) for dx in (-60.0, 0.0)] == [got[1], got[0]]
+    assert [fresh(s) for s in overlaps[2:4]] == [got[1], got[0]]
 
 
 @pytest.mark.parametrize("overrides", [
