@@ -25,6 +25,7 @@ from .protocol import (
     ExperimentConfig,
     chsh_violated,
     f_low,
+    overlap_x_visibility,
     phase_point_states,
     run_phase_averaged,
     two_qubit_state,
@@ -49,9 +50,15 @@ class SweepSpec:
     def __post_init__(self):
         if not self.transmittances:
             raise ValidationError("sweep needs at least one transmittance")
-        for t in self.transmittances:
+        # NaN fails every comparison, so each check is written to pass only
+        # on valid values.
+        for t in (*self.transmittances, self.anchor_t):
             if not 0.0 < t <= 1.0:
-                raise ValidationError("sweep transmittances must lie in (0, 1]")
+                raise ValidationError(
+                    "sweep and anchor transmittances must lie in (0, 1]")
+        if not math.isfinite(self.target_v_x):
+            raise ValidationError(
+                f"target V_X must be finite, got {self.target_v_x}")
 
 
 @dataclass(frozen=True)
@@ -78,17 +85,14 @@ def calibrate_overlap(cfg: ExperimentConfig, anchor_t: float = 0.1,
                       target_v_x: float = 0.82) -> CalibrationResult:
     """Bisect the zero-delay overlap amplitude until V_X matches the target.
 
-    Raises :class:`CalibrationError` at once if the target lies above the
-    V_X at full overlap or below the V_X at zero overlap.
+    The configuration is propagated once, at the anchor transmittance: every
+    V_X the bisection needs reweights the rows of one click table.  Raises
+    :class:`CalibrationError` at once if the target lies above the V_X at
+    full overlap or below the V_X at zero overlap.
     """
     if not math.isfinite(target_v_x):
         raise ValidationError(f"target V_X must be finite, got {target_v_x}")
-
-    def v_x_at(s0: float) -> float:
-        out = run_phase_averaged(replace(cfg, transmittance=anchor_t,
-                                         overlap_s0=s0, delay_um=0.0))
-        return visibilities(out)[1]
-
+    v_x_at = overlap_x_visibility(replace(cfg, transmittance=anchor_t))
     top = v_x_at(1.0)
     if target_v_x > top + CALIBRATION_TOL:
         raise CalibrationError(

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -354,48 +354,94 @@ def run_fixed_phase(cfg: ExperimentConfig, phi_h: float,
     return _measure(plan, state)
 
 
-class DelayEvaluator:
-    """Circular-basis coincidences against the pulse overlap s for one config.
+@dataclass(frozen=True)
+class _OverlapTable:
+    """One click table of a config, readable at any zero-delay pulse overlap.
 
-    The retained photon is heralded into a circular polarization by
-    analyzing its partner in the orthogonal circular basis, at zero channel
-    phase, since single-run interference is only visible without averaging.
     The overlap split sends each pulse photon to the matched mode with
     amplitude s and to its orthogonal twin with amplitude sqrt(1 - s^2).
     Every final row fixes both counts: k, its photons on orthogonal modes,
     and m, its matched pulse photons past the split.  So a row's weight at s
     is its weight at s^2 = 1/2 times 2^(m+k) (s^2)^m (1 - s^2)^k, and one
     propagation at that overlap serves every s, whatever delay and overlap
-    width give it.  Both sides are rotated to put R on the H modes, so the
-    (R, L) and (L, L) coincidences come from one click table.
+    width give it.
     """
 
-    def __init__(self, cfg: ExperimentConfig):
-        self._plan = plan = _build_plan(cfg)
-        reg = plan.registry
-        state = _final_state(replace(cfg, overlap_s0=_SQ2, delay_um=0.0), plan,
-                             (0.0, 0.0))
-        orthogonal = [i for i, mode in enumerate(reg.modes)
-                      if mode.temporal == ORTHOGONAL]
-        w, self._counts = click_table(
-            _rotated(plan, state, "Y", "Y"),
-            [*_analyzed_groups(plan), plan.pair_side_indices,
-             range(reg.n_modes), orthogonal, plan.pulse_loss_indices])
-        pairs, total, self._k, lost = self._counts[:, -4:].T
-        # Each photon is one of a pair (two per pair-side photon) or the
-        # pulse's: lost before the split, or counted in m + k.
-        self._m = total - 2 * pairs - self._k - lost
-        self._w = w * 2.0 ** (self._m + self._k)
-        self._herald = _herald_clicks(plan, self._counts)[0]
+    plan: _Plan
+    # _analyzed_groups, then pair-side, all, orthogonal and lost pulse
+    # photons
+    counts: np.ndarray
+    weights: np.ndarray  # at s^2 = 1/2, times 2^(m+k)
+    matched: np.ndarray  # m
+    orthogonal: np.ndarray  # k
+    heralds: list  # _herald_clicks of the counts
 
-    def __call__(self, s: float) -> tuple[float, float]:
-        """(p_rd, p_ld): partner in L, retained photon in R or in L."""
+    def weights_at(self, s: float) -> np.ndarray:
+        """Each row's weight at overlap amplitude ``s``."""
         if not 0.0 <= s <= 1.0:
             raise ValidationError("overlap amplitude must lie in [0, 1]")
         s2 = s * s
-        w = self._w * s2 ** self._m * (1.0 - s2) ** self._k
-        probs = _pair_probs(self._plan, w, self._counts, self._herald)
+        return self.weights * s2 ** self.matched * (1.0 - s2) ** self.orthogonal
+
+
+def _overlap_table(cfg: ExperimentConfig, phase: tuple[float, float] | None,
+                   basis: str) -> _OverlapTable:
+    """The click table of ``cfg`` at zero delay, at the collective ``phase``
+    (None: the labelled phase average of ``_final_state``), with both sides
+    ``_rotated`` into ``basis``; its overlap is read by ``weights_at``."""
+    plan = _build_plan(cfg)
+    reg = plan.registry
+    state = _final_state(replace(cfg, overlap_s0=_SQ2, delay_um=0.0), plan,
+                         phase)
+    orthogonal = [i for i, mode in enumerate(reg.modes)
+                  if mode.temporal == ORTHOGONAL]
+    w, counts = click_table(
+        _rotated(plan, state, basis, basis),
+        [*_analyzed_groups(plan), plan.pair_side_indices,
+         range(reg.n_modes), orthogonal, plan.pulse_loss_indices])
+    pairs, total, k, lost = counts[:, -4:].T
+    # Each photon is one of a pair (two per pair-side photon) or the
+    # pulse's: lost before the split, or counted in m + k.
+    m = total - 2 * pairs - k - lost
+    return _OverlapTable(plan, counts, w * 2.0 ** (m + k), m, k,
+                         _herald_clicks(plan, counts))
+
+
+class DelayEvaluator:
+    """Circular-basis coincidences against the pulse overlap s for one config.
+
+    The retained photon is heralded into a circular polarization by
+    analyzing its partner in the orthogonal circular basis, at zero channel
+    phase, since single-run interference is only visible without averaging.
+    Both sides are rotated to put R on the H modes, so the (R, L) and
+    (L, L) coincidences come from one ``_overlap_table``.
+    """
+
+    def __init__(self, cfg: ExperimentConfig):
+        self._table = _overlap_table(cfg, (0.0, 0.0), "Y")
+
+    def __call__(self, s: float) -> tuple[float, float]:
+        """(p_rd, p_ld): partner in L, retained photon in R or in L."""
+        table = self._table
+        probs = _pair_probs(table.plan, table.weights_at(s), table.counts,
+                            table.heralds[0])
         return float(probs[0, 1]), float(probs[1, 1])
+
+
+def overlap_x_visibility(cfg: ExperimentConfig) -> Callable[[float], float]:
+    """Phase-averaged V_X against the zero-delay overlap amplitude s.
+
+    ``overlap_x_visibility(cfg)(s)`` is
+    ``visibilities(run_phase_averaged(replace(cfg, overlap_s0=s,
+    delay_um=0.0)))[1]`` up to rounding, read from one ``_overlap_table``.
+    """
+    table = _overlap_table(cfg, None, "X")
+
+    def v_x(s: float) -> float:
+        probs = _kept_pair_probs(table.plan, table.weights_at(s), table.counts,
+                                 table.heralds, "X")
+        return _correlation(_labelled(probs, X_SETTINGS), X_SETTINGS)
+    return v_x
 
 
 def _analyzed_groups(plan: _Plan) -> list[list[int]]:
@@ -477,12 +523,17 @@ def _basis_pair_probs(plan: _Plan, state: FockStateVector, basis_e: str,
     state, i.e. its X and Y outcomes swap.
     """
     w, n = click_table(state, [*_analyzed_groups(plan), *extra_groups])
-    heralds = _herald_clicks(plan, n)
-    probs = _pair_probs(plan, w, n, heralds[0])
+    return _kept_pair_probs(plan, w, n, _herald_clicks(plan, n), basis_e), w, n
+
+
+def _kept_pair_probs(plan: _Plan, weights: np.ndarray, counts: np.ndarray,
+                     heralds: list, basis_e: str) -> np.ndarray:
+    """``_pair_probs`` of the kept herald outcomes; see ``_basis_pair_probs``."""
+    probs = _pair_probs(plan, weights, counts, heralds[0])
     if plan.feedforward:
-        flipped = _pair_probs(plan, w, n, heralds[1])
+        flipped = _pair_probs(plan, weights, counts, heralds[1])
         probs = probs + (flipped if basis_e == "Z" else flipped[::-1])
-    return probs, w, n
+    return probs
 
 
 def _measure(plan: _Plan, state: FockStateVector) -> ProtocolOutcome:
@@ -573,18 +624,21 @@ def two_qubit_state(cfg: ExperimentConfig,
         _tomography(plan, _final_state(cfg, plan, phase)))
 
 
+def _correlation(probs: Mapping[tuple[str, str], float],
+                 names: tuple[str, str]) -> float:
+    """<A B> from the coincidences of the two settings ``names``."""
+    a, b = names
+    total = sum(probs.values())
+    if total <= 0.0:
+        raise ValidationError("no coincidences; visibility undefined")
+    return (probs[(a, a)] + probs[(b, b)] - probs[(a, b)]
+            - probs[(b, a)]) / total
+
+
 def visibilities(outcome: ProtocolOutcome) -> tuple[float, float]:
     """Correlations <Z Z> and <X X> from the per-basis coincidence rates."""
-    def corr(probs: Mapping[tuple[str, str], float],
-             names: tuple[str, str]) -> float:
-        a, b = names
-        total = sum(probs.values())
-        if total <= 0.0:
-            raise ValidationError("no coincidences; visibility undefined")
-        return (probs[(a, a)] + probs[(b, b)] - probs[(a, b)]
-                - probs[(b, a)]) / total
-
-    return corr(outcome.zz_probs, Z_SETTINGS), corr(outcome.xx_probs, X_SETTINGS)
+    return (_correlation(outcome.zz_probs, Z_SETTINGS),
+            _correlation(outcome.xx_probs, X_SETTINGS))
 
 
 def f_low(v_z: float, v_x: float) -> float:

@@ -86,29 +86,106 @@ def test_calibration_unreachable_target():
     assert "maximum attainable" in str(err.value)
 
 
+def _count_calls(monkeypatch, *names) -> dict[str, int]:
+    """Count the calls of the named ``protocol`` functions from here on."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        fn = getattr(protocol, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(protocol, name, counted(name))
+    return calls
+
+
 def test_calibration_raises_when_bisection_does_not_converge(monkeypatch):
     # V_X is near 0 at zero overlap and rises with it, so -0.5 is never
     # met; unchecked, the bisection returns s0 -> 0 as if calibrated.  Both
-    # ends of the range are checked before any bisection step.
-    calls = []
-    run = analysis.run_phase_averaged
-    monkeypatch.setattr(analysis, "run_phase_averaged",
-                        lambda cfg: calls.append(cfg.overlap_s0) or run(cfg))
+    # ends of the range are checked before any bisection step, on the one
+    # propagated train.
+    calls = _count_calls(monkeypatch, "_propagate")
     with pytest.raises(CalibrationError, match="minimum attainable"):
         calibrate_overlap(PAPER, target_v_x=-0.5)
-    assert len(calls) <= 2
+    assert calls == {"_propagate": 1}
 
 
 @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
 def test_calibration_rejects_non_finite_target(monkeypatch, target):
     # NaN fails every comparison, so unchecked it bisected 80 steps and then
     # reported the target as not met.
-    calls = []
-    monkeypatch.setattr(analysis, "run_phase_averaged",
-                        lambda cfg: calls.append(cfg))
+    calls = _count_calls(monkeypatch, "_propagate")
     with pytest.raises(ValidationError, match="must be finite"):
         calibrate_overlap(PAPER, target_v_x=target)
-    assert calls == []
+    assert calls == {"_propagate": 0}
+
+
+def test_calibration_propagates_once(monkeypatch):
+    # Every V_X of the bisection, both range checks included, reweights the
+    # rows of one click table.
+    calls = _count_calls(monkeypatch, "_propagate", "click_table")
+    res = calibrate_overlap(PAPER)
+    assert calls == {"_propagate": 1, "click_table": 1}
+    assert res.iterations > 1
+    assert abs(res.s0 - CAL_S0) < 1e-3
+
+
+def _bisect_with_averaged_runs(cfg: ExperimentConfig, target: float,
+                               ) -> tuple[float, int]:
+    """The calibration's bisection, one full averaged run per V_X."""
+    def v_x_at(s0):
+        return visibilities(run_phase_averaged(
+            replace(cfg, transmittance=0.1, overlap_s0=s0, delay_um=0.0)))[1]
+
+    top = v_x_at(1.0)
+    assert v_x_at(0.0) < target < top
+    if abs(top - target) <= analysis.CALIBRATION_TOL:
+        return 1.0, 1
+    lo, hi = 0.0, 1.0
+    for it in range(1, analysis.CALIBRATION_MAX_STEPS + 1):
+        mid = 0.5 * (lo + hi)
+        val = v_x_at(mid)
+        if abs(val - target) < analysis.CALIBRATION_TOL:
+            return mid, it
+        lo, hi = (mid, hi) if val < target else (lo, mid)
+    raise AssertionError("bisection did not converge")
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(),
+    dict(variant="single_photon_ancilla"),
+    dict(include_feedforward_branch=True),
+    dict(cutoff=5),
+])
+def test_calibration_matches_bisection_over_averaged_runs(overrides):
+    # The config's own transmittance is not the anchor: both bisections
+    # must evaluate V_X at T = 0.1.
+    cfg = replace(PAPER, transmittance=0.03, **overrides)
+    res = calibrate_overlap(cfg)
+    assert (res.s0, res.iterations) == _bisect_with_averaged_runs(cfg, 0.82)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, 1.5])
+def test_sweep_spec_rejects_anchor_outside_unit_interval(value):
+    with pytest.raises(ValidationError, match="anchor transmittances"):
+        SweepSpec(anchor_t=value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_sweep_spec_rejects_non_finite_target(value):
+    # Unchecked, a sweep without calibration wrote a bare NaN into its JSON.
+    with pytest.raises(ValidationError, match="must be finite"):
+        SweepSpec(target_v_x=value, auto_calibrate=False)
+
+
+@pytest.mark.parametrize("value", [0.0, 1.5])
+def test_sweep_spec_accepts_finite_target(value):
+    # Reachability is the calibration's check, not the spec's.
+    assert SweepSpec(target_v_x=value).target_v_x == value
 
 
 def test_sweep_table_consistency(tmp_path):
@@ -163,18 +240,7 @@ def test_delay_width_calibration_roundtrip():
 def test_fwhm_targeted_delay_study_propagates_once(monkeypatch):
     # The width calibration, the scan, the zero-delay visibility and the
     # FWHM all read one propagated train through one click table.
-    calls = {"_propagate": 0, "click_table": 0}
-
-    def counted(name):
-        fn = getattr(protocol, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(protocol, name, counted(name))
+    calls = _count_calls(monkeypatch, "_propagate", "click_table")
     study = delay_study(replace(PAPER, overlap_s0=CAL_S0),
                         np.linspace(-100.0, 100.0, 5), 180.0)
     assert calls == {"_propagate": 1, "click_table": 1}

@@ -29,6 +29,7 @@ from dfsdist.protocol import (
     distribute_qubit,
     f_low,
     forward_variant_scaling,
+    overlap_x_visibility,
     phase_point_states,
     prepare_final_state,
     run_fixed_phase,
@@ -507,6 +508,29 @@ def test_delay_evaluator_matches_full_propagation(overrides):
         assert want_rd > 0.0 and want_ld > 0.0
         assert abs(p_rd - want_rd) <= 1e-12 * want_rd
         assert abs(p_ld - want_ld) <= 1e-12 * want_ld
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(),
+    # The only case with photons on the pulse's loss modes.
+    dict(variant="single_photon_ancilla", cutoff=6),
+    dict(variant="forward_all_from_bob"),
+    # No pulse: V_X does not depend on the overlap.
+    dict(variant="direct_no_dfs"),
+    dict(include_feedforward_branch=True),
+    dict(cutoff=6),
+])
+def test_overlap_x_visibility_matches_averaged_runs(overrides):
+    # The reweighted table at each s against a full phase-averaged run
+    # propagated at that overlap; s = 1 and s = 0 drop the split or one of
+    # its outputs, and 0.94091796875 is the committed calibration.
+    cfg = replace(PAPER, **overrides)
+    v_x = overlap_x_visibility(cfg)
+    for s in (0.0, 0.3, 1.0 / math.sqrt(2.0), 0.9, 0.94091796875, 1.0):
+        want = visibilities(run_phase_averaged(replace(cfg, overlap_s0=s)))[1]
+        assert abs(v_x(s) - want) <= 1e-13, s
+    with pytest.raises(ValidationError, match="overlap amplitude"):
+        v_x(math.nan)
 
 
 def test_delay_evaluator_rejects_nan_delay():
