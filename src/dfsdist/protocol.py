@@ -547,12 +547,10 @@ def _measure(plan: _Plan, state: FockStateVector) -> ProtocolOutcome:
     det_e, det_g = plan.detectors["E"], plan.detectors["G"]
     heralds = _herald_clicks(plan, n)[:1 + plan.feedforward]
     w_eh = w * det_e.click_probability(n[:, 0] + n[:, 1]) * sum(heralds)
-    # The pair-side click from a photon, or else from a dark count.  Kept
-    # apart, the small dark part keeps its precision, which the click
-    # formula's 1 - (1 - dark) would cancel away.
-    miss = det_g.miss_probability(n[:, 2] + n[:, 3])
-    g_photon = 1.0 - miss
-    g_dark = det_g.dark * miss
+    # The pair-side click from a photon, or else from a dark count.
+    n_g = n[:, 2] + n[:, 3]
+    g_photon = det_g.photon_probability(n_g)
+    g_dark = det_g.dark * det_g.miss_probability(n_g)
     triple = float(w_eh @ (g_photon + g_dark))
     comps = _components(n[:, -2], n[:, -1], photon=w_eh * g_photon,
                         dark=w_eh * g_dark)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 from dfsdist.fock import (
@@ -11,6 +13,14 @@ from dfsdist.fock import (
     PolarizationDensityMatrix,
     ValidationError,
 )
+
+
+def exact_click_parts(efficiency: float, dark: float,
+                      n: int) -> tuple[Fraction, Fraction]:
+    """A threshold click's photon part 1 - (1 - efficiency)^n and dark part
+    dark (1 - efficiency)^n, exactly, as rationals of the float inputs."""
+    miss = (1 - Fraction(efficiency)) ** int(n)
+    return 1 - miss, Fraction(dark) * miss
 
 
 def inner_product(a: FockStateVector, b: FockStateVector) -> complex:

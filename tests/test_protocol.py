@@ -38,7 +38,12 @@ from dfsdist.protocol import (
     two_qubit_state,
     visibilities,
 )
-from helpers import dm_visibilities, states_allclose, trace_distance
+from helpers import (
+    dm_visibilities,
+    exact_click_parts,
+    states_allclose,
+    trace_distance,
+)
 
 PHI_PLUS_DM = np.zeros((4, 4), dtype=complex)
 PHI_PLUS_DM[0, 0] = PHI_PLUS_DM[0, 3] = PHI_PLUS_DM[3, 0] = PHI_PLUS_DM[3, 3] = 0.5
@@ -582,7 +587,7 @@ def test_measure_builds_two_click_tables(monkeypatch, overrides):
 
 
 def _click(det, n):
-    return 1.0 - (1.0 - det.dark) * (1.0 - det.efficiency) ** n
+    return float(sum(exact_click_parts(det.efficiency, det.dark, n)))
 
 
 def _per_term_measurement(plan, state, x_state, feedforward):
@@ -604,8 +609,8 @@ def _per_term_measurement(plan, state, x_state, feedforward):
         w = abs(amp) ** 2
         pairs = sum(occ[i] for i in plan.pair_side_indices)
         n_g = count(occ, plan.side_g)
-        photon = 1.0 - (1.0 - det_g.efficiency) ** n_g
-        dark = det_g.dark * (1.0 - det_g.efficiency) ** n_g
+        photon, dark = map(float, exact_click_parts(det_g.efficiency,
+                                                    det_g.dark, n_g))
         for pol in heralds:
             x = w * herald_click(occ, pol) * _click(det_e, count(occ, plan.side_e))
             triple += x * (photon + dark)

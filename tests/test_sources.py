@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from dfsdist.sources import (
     single_photon_state,
     spdc_state,
 )
+from helpers import exact_click_parts
 
 
 def _pair_sector_probabilities(gamma: float, pair_cutoff: int) -> dict[int, float]:
@@ -144,6 +146,26 @@ def test_detector_model_examples():
         DetectorModel("X", 0.5, 1.0)
 
 
+def test_click_formula_matches_exact_rationals():
+    # Efficiencies down to the pair side's folded 8.6e-8 (eta_g T (1 - R_gp)
+    # at T = 1e-6), where 1 - (1 - dark)(1 - eta)^n would lose 9 digits.
+    n = np.arange(7)
+    for eta in (0.0, 8.6e-8, 2.6e-4, 0.09, 1.0):
+        for dark in (0.0, 1.5e-6, 0.9):
+            det = DetectorModel("D", eta, dark)
+            exact = [exact_click_parts(eta, dark, k) for k in n]
+            for got, want in (
+                    (det.photon_probability(n), [p for p, _ in exact]),
+                    (det.miss_probability(n),
+                     [(1 - Fraction(eta)) ** int(k) for k in n]),
+                    (det.click_probability(n), [p + d for p, d in exact])):
+                for k, (g, w) in enumerate(zip(got.tolist(), want)):
+                    assert abs(Fraction(g) - w) <= 4 * math.ulp(float(w)), (
+                        eta, dark, k)
+            # Scalar counts give the array's values.
+            assert det.click_probability(0) == got[0] and got[0] == dark
+
+
 def _pattern(state, detectors, bits):
     """Probability of one click pattern on (detector, mode group) pairs."""
     w, n = click_table(state, [idx for _, idx in detectors])
@@ -224,7 +246,8 @@ def test_click_table_patterns_match_per_term_products(case):
             p = abs(amp) ** 2
             for det, group, b in zip(detectors, groups, bits):
                 n = sum(occ[i] for i in group)
-                click = 1.0 - (1.0 - det.dark) * (1.0 - det.efficiency) ** n
+                click = float(sum(exact_click_parts(det.efficiency, det.dark,
+                                                    n)))
                 p *= click if b else 1.0 - click
             want += p
         got = _pattern(state, list(zip(detectors, groups)), bits)
