@@ -41,8 +41,6 @@ from .fock import (
 )
 from .optics import (
     OverlapModel,
-    attenuator,
-    hwp,
     jones_transform,
     loss_channel,
     overlap_at_delay,
@@ -235,31 +233,28 @@ def _charge_indices(reg: ModeRegistry,
 def _build_plan(cfg: ExperimentConfig) -> _Plan:
     det_e = DetectorModel("D_E", cfg.eta, cfg.dark_e)
     det_f = DetectorModel("D_F", cfg.eta, cfg.dark_f)
-    det_g = DetectorModel("D_G", cfg.eta_g, cfg.dark_g)
+    # Where the pair photon B crosses the channel, its loss and the pickoff
+    # plate act alike on H and V and nothing interferes with B after them:
+    # they commute with its analyzer and are part of D_G's efficiency.
+    eta_g = cfg.eta_g
+    if cfg.variant != "forward_all_from_bob":
+        eta_g *= cfg.transmittance * (1.0 - cfg.gp_reflectance)
+    det_g = DetectorModel("D_G", eta_g, cfg.dark_g)
 
     if cfg.variant == "direct_no_dfs":
-        reg = make_registry(["A", "B", "G", "LB", "DB"])
-        pair_side = ["B", "G", "LB", "DB"]
-        return _Plan(reg, "A", "G", None,
-                     [i for lab in pair_side for i in reg.indices(lab)],
+        reg = make_registry(["A", "B"])
+        return _Plan(reg, "A", "B", None, reg.indices("B"),
                      {"E": det_e, "G": det_g}, _charge_indices(reg, ["B"]))
 
-    labels: list = [("A", True), ("R", True), ("E", True), ("F", True)]
+    labels: list = [("A", True), ("R", True), ("E", True), ("F", True), "B"]
+    channel = "B"
     if cfg.variant == "forward_all_from_bob":
-        labels += ["B", ("LA", True)]
-        side_g = "B"
-        pair_side = ["B"]
+        labels.append(("LA", True))
         channel = "A"
-    else:
-        labels += ["B", "G", "LB", "DB"]
-        side_g = "G"
-        pair_side = ["B", "G", "LB", "DB"]
-        channel = "B"
     pulse_loss = ["LR"] if cfg.variant == "single_photon_ancilla" else []
     labels += [(lab, True) for lab in pulse_loss]
     reg = make_registry(labels)
-    return _Plan(reg, "E", side_g, "F",
-                 [i for lab in pair_side for i in reg.indices(lab)],
+    return _Plan(reg, "E", "B", "F", reg.indices("B"),
                  {"E": det_e, "G": det_g, "F": det_f},
                  _charge_indices(reg, [channel, "R"]),
                  cfg.include_feedforward_branch,
@@ -288,19 +283,15 @@ def _initial_state(cfg: ExperimentConfig, reg: ModeRegistry) -> FockStateVector:
 
 def _transforms(cfg: ExperimentConfig, reg: ModeRegistry) -> list:
     """The phase-independent optical train after the sources."""
-    seq = []
     if cfg.variant == "direct_no_dfs":
-        seq.append(loss_channel(reg, "B", cfg.transmittance, "LB"))
-        seq.append(attenuator(reg, "B", "G", "DB", 1.0 - cfg.gp_reflectance))
-        return seq
+        return []
+    seq = []
     if cfg.variant == "forward_all_from_bob":
         seq.append(loss_channel(reg, "A", cfg.transmittance, "LA"))
-    else:
-        seq.append(loss_channel(reg, "B", cfg.transmittance, "LB"))
-        seq.append(attenuator(reg, "B", "G", "DB", 1.0 - cfg.gp_reflectance))
     if cfg.variant == "single_photon_ancilla":
         seq.append(loss_channel(reg, "R", cfg.transmittance, "LR"))
-    seq.append(hwp(reg, "R", math.pi / 4.0))  # polarization flip before the PBS
+    # Polarization flip before the PBS, built as the exact swap.
+    seq.append(jones_transform(reg, "R", _PAULI["X"], name="waveplate(flip)"))
     s = cfg.overlap_amplitude
     if s < 1.0:
         seq.append(overlap_split(reg, "R", s))
@@ -418,6 +409,9 @@ class DelayEvaluator:
     """
 
     def __init__(self, cfg: ExperimentConfig):
+        if cfg.variant == "direct_no_dfs":
+            raise ConfigurationError("variant 'direct_no_dfs' has no pulse, "
+                                     "so no delay dependence")
         self._table = _overlap_table(cfg, (0.0, 0.0), "Y")
 
     def __call__(self, s: float) -> tuple[float, float]:

@@ -182,17 +182,13 @@ class DetectorModel:
         return (1.0 - self.efficiency) ** n_photons
 
     def photon_probability(self, n_photons: int) -> float:
-        """1 - (1 - efficiency)^n: some of n photons is detected.
-
-        Taken as -expm1(n log1p(-efficiency)), since 1 - miss cancels for a
-        small efficiency (lost digits grow as 1/efficiency).
-        """
+        """1 - (1 - efficiency)^n, as -expm1(n log1p(-efficiency)): the
+        difference would cancel away the digits of a small efficiency."""
         if self.efficiency == 1.0:  # log(0): only n = 0 is missed
             return np.greater(n_photons, 0) * 1.0
         return -np.expm1(np.multiply(n_photons, math.log1p(-self.efficiency)))
 
     def click_probability(self, n_photons: int) -> float:
-        """A photon is detected, or else a dark count fires."""
         return (self.photon_probability(n_photons)
                 + self.dark * self.miss_probability(n_photons))
 

@@ -21,7 +21,7 @@ from dfsdist.analysis import (
     sweep_transmittance,
     tomography_experiment,
 )
-from dfsdist.fock import ValidationError
+from dfsdist.fock import ConfigurationError, ValidationError
 from dfsdist.protocol import (
     ExperimentConfig,
     fit_loglog_slope,
@@ -246,6 +246,20 @@ def test_fwhm_targeted_delay_study_propagates_once(monkeypatch):
     assert calls == {"_propagate": 1, "click_table": 1}
     assert study.fwhm_um == pytest.approx(180.0, abs=0.5)
     assert study.sigma_um != PAPER.overlap_sigma_um
+
+
+@pytest.mark.parametrize("study", [
+    lambda cfg: delay_study(cfg, np.linspace(-200.0, 200.0, 9), 180.0),
+    measure_dip_fwhm,
+    calibrate_delay_width,
+], ids=["delay_study", "measure_dip_fwhm", "calibrate_delay_width"])
+def test_delay_studies_reject_a_variant_without_pulse(monkeypatch, study):
+    # No pulse, no dip: rejected before any propagation.
+    calls = _count_calls(monkeypatch, "_propagate")
+    cfg = replace(ExperimentConfig(variant="direct_no_dfs"), overlap_s0=0.94)
+    with pytest.raises(ConfigurationError, match="has no pulse"):
+        study(cfg)
+    assert calls == {"_propagate": 0}
 
 
 def test_tomography_ideal_and_reference():
