@@ -162,8 +162,9 @@ def test_click_formula_matches_exact_rationals():
                 for k, (g, w) in enumerate(zip(got.tolist(), want)):
                     assert abs(Fraction(g) - w) <= 4 * math.ulp(float(w)), (
                         eta, dark, k)
-            # Scalar counts give the array's values.
-            assert det.click_probability(0) == got[0] and got[0] == dark
+            clicks = det.click_probability(n)
+            assert clicks[0] == dark  # no photon: the dark count, exactly
+            assert [det.click_probability(int(k)) for k in n] == clicks.tolist()
 
 
 def _pattern(state, detectors, bits):
