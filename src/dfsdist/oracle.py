@@ -1,10 +1,12 @@
 """Independent dense density-matrix pipeline for cross-checking the engine.
 
 Everything here deliberately avoids the sparse engine's algorithms: states are
-dense vectors over an explicitly enumerated occupation basis, linear elements
-act through matrix exponentials of quadratic mode Hamiltonians, loss acts via
-Kraus maps (no dilation modes), and detection through diagonal POVM operators.
-Agreement with the sparse engine is asserted to 1e-9 on outcome probabilities.
+dense density matrices over an explicitly enumerated occupation basis, linear
+elements act through matrix exponentials of quadratic mode Hamiltonians (one
+per photon-number block, held sparse), loss acts via sparse Kraus maps (no
+dilation modes), every operator is applied from the left (``conjugate``), and
+detection goes through diagonal POVM operators.  Agreement with the sparse
+engine is asserted to 1e-9 on outcome probabilities.
 
 A ``DenseFockSpace`` builds each operator once and keeps it: ``oracle_check``
 passes one space to all its protocol points, so every mode unitary, loss
@@ -71,8 +73,9 @@ class DenseFockSpace:
 
     Mode unitaries, loss Kraus sets and click POVMs are built on first use
     and kept for the life of the space, so the protocol points of one check
-    that share a space build each operator once.  Returned operators are
-    shared between callers and must not be modified.
+    that share a space build each operator once.  Unitaries (exponentiated
+    per photon-number block) and Kraus operators are sparse.  Returned
+    operators are shared between callers and must not be modified.
     """
 
     def __init__(self, n_modes: int, cutoff: int):
@@ -83,7 +86,7 @@ class DenseFockSpace:
         self.dim = len(self.basis)
         self._annihilation: dict[int, object] = {}
         self._creation: dict[int, object] = {}
-        self._unitaries: dict[tuple, np.ndarray] = {}
+        self._unitaries: dict[tuple, object] = {}
         self._kraus: dict[tuple[int, float], list] = {}
         self._clicks: dict[tuple, np.ndarray] = {}
 
@@ -115,12 +118,20 @@ class DenseFockSpace:
             vec[self.index[tuple(occ)]] = amp
         return vec
 
-    def mode_unitary(self, modes: Sequence[int], matrix: np.ndarray) -> np.ndarray:
-        """Fock-space unitary implementing a unitary map on creation operators."""
+    def mode_unitary(self, modes: Sequence[int], matrix: np.ndarray):
+        """Fock-space unitary implementing a unitary map on creation operators.
+
+        The generator sum_ab k_ab a_a^dag a_b keeps the photons on ``modes``
+        and every other occupation, so it is block diagonal up to a
+        permutation.  Its blocks are the connected components of its nonzero
+        pattern; each is exponentiated alone (one batched ``expm`` per block
+        size) and the unitary is returned as a read-only CSR matrix.
+        """
         matrix = np.asarray(matrix, dtype=complex)
         key = (tuple(map(int, modes)), matrix.shape, matrix.tobytes())
         u = self._unitaries.get(key)
         if u is None:
+            from scipy.sparse.csgraph import connected_components  # as _sparse
             k = logm(matrix)
             gen = np.zeros((self.dim, self.dim), dtype=complex)
             for a, ma in enumerate(modes):
@@ -129,8 +140,19 @@ class DenseFockSpace:
                     if abs(k[a, b]) < 1e-16:
                         continue
                     gen += (k[a, b] * (adag @ self.annihilation(mb))).toarray()
-            u = expm(gen)
-            u.flags.writeable = False
+            _, label = connected_components(gen != 0, directed=False)
+            order = np.argsort(label, kind="stable")
+            sizes = np.bincount(label)
+            u = np.zeros_like(gen)
+            for size in np.unique(sizes):
+                # Row j lists the basis states of the j-th block of this size.
+                idx = order[sizes[label[order]] == size].reshape(-1, size)
+                block = (idx[:, :, None], idx[:, None, :])
+                u[block] = expm(gen[block])
+            rows, cols = np.nonzero(u)
+            u = _sparse(u[rows, cols], rows, cols, self.dim)
+            for arr in (u.data, u.indices, u.indptr):
+                arr.flags.writeable = False
             self._unitaries[key] = u
         return u
 
@@ -138,8 +160,9 @@ class DenseFockSpace:
         """Kraus operators of the pure-loss channel on one mode.
 
         Each maps every basis state to at most one basis state, so they are
-        held as sparse matrices and ``apply_kraus`` costs O(dim^2) per
-        operator instead of a dense O(dim^3) product.
+        held as sparse matrices, like the mode unitaries, and ``apply_kraus``
+        applies each from the left (``conjugate``) at O(dim^2) instead of a
+        dense O(dim^3) product.
         """
         key = (mode, transmittance)
         ops = self._kraus.get(key)
@@ -164,24 +187,34 @@ class DenseFockSpace:
                    dark: float = 0.0) -> np.ndarray:
         """Diagonal of the threshold-click POVM element on a mode group.
 
-        The no-click element is ``1 - click_povm(...)``.
+        A click is dark + (1 - dark)(1 - (1 - efficiency)^n) for n photons,
+        the photon part as -expm1(n log1p(-efficiency)), which does not
+        cancel.  The no-click element is ``1 - click_povm(...)``.
         """
         key = (tuple(map(int, modes)), efficiency, dark)
         diag = self._clicks.get(key)
         if diag is None:
-            diag = np.empty(self.dim)
-            for i, occ in enumerate(self.basis):
-                n = sum(occ[m] for m in modes)
-                diag[i] = 1.0 - (1.0 - dark) * (1.0 - efficiency) ** n
+            n = np.array([sum(occ[m] for m in modes) for occ in self.basis])
+            # No log(0) at efficiency 1, where only n = 0 is missed.
+            photon = ((n > 0) * 1.0 if efficiency == 1.0
+                      else -np.expm1(n * math.log1p(-efficiency)))
+            diag = dark + (1.0 - dark) * photon
             diag.flags.writeable = False
             self._clicks[key] = diag
         return diag
 
 
+def conjugate(rho: np.ndarray, op) -> np.ndarray:
+    """op rho op^dagger for a Hermitian rho, as op (op rho)^dagger."""
+    # A sparse op is the left factor of both products; C order is the layout
+    # its product reads without another copy.
+    return op @ np.conjugate((op @ rho).T, order="C")
+
+
 def apply_kraus(rho: np.ndarray, kraus: Sequence) -> np.ndarray:
     out = np.zeros_like(rho)
     for op in kraus:
-        out += op @ rho @ op.conj().T
+        out += conjugate(rho, op)
     return out
 
 
@@ -275,8 +308,7 @@ def oracle_protocol_probabilities(cfg: ExperimentConfig, phi_h: float,
     rho = np.outer(psi, psi.conj())
 
     def rotate(r: np.ndarray, modes: Sequence[int], mat) -> np.ndarray:
-        u = space.mode_unitary(modes, mat)
-        return u @ r @ u.conj().T
+        return conjugate(r, space.mode_unitary(modes, mat))
 
     rho = rotate(rho, [idx["BH"], idx["BV"]],
                  np.diag([np.exp(1j * phi_h), np.exp(1j * phi_v)]))
@@ -415,8 +447,7 @@ def _random_circuit_check(seed: int,
                 rho = apply_kraus(rho, space.loss_kraus(didx[lab + pol], t))
             continue
         state = apply_transform(state, element)
-        u = space.mode_unitary(modes, matrix)
-        rho = u @ rho @ u.conj().T
+        rho = conjugate(rho, space.mode_unitary(modes, matrix))
 
     det_p = DetectorModel("P", float(rng.uniform(0.1, 1.0)),
                           float(rng.uniform(0, 1e-3)))
@@ -449,7 +480,7 @@ def _random_circuit_check(seed: int,
         jones = _analyzer_matrix(ANALYZER_BASES[basis])
         u = space.mode_unitary([didx[lab + "H"], didx[lab + "V"]], jones)
         return (apply_transform(sparse, jones_transform(reg, lab, jones)),
-                u @ dense @ u.conj().T)
+                conjugate(dense, u))
 
     # The 36 tomography probabilities: P port i and Q port j click in each
     # of the 3 x 3 analyzer basis pairs.

@@ -1,8 +1,10 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import expm, logm
 
 from dfsdist import oracle, protocol
 from dfsdist.oracle import (
@@ -11,7 +13,8 @@ from dfsdist.oracle import (
     oracle_check,
     oracle_protocol_probabilities,
 )
-from dfsdist.protocol import PHASE_SET_8, ExperimentConfig
+from dfsdist.protocol import PHASE_SET_8, ExperimentConfig, _analyzer_matrix
+from helpers import exact_click_parts
 
 
 def test_dense_space_counts():
@@ -28,6 +31,65 @@ def test_dense_mode_unitary_preserves_norm():
                     [math.sin(theta), math.cos(theta)]])
     u = space.mode_unitary([0, 1], mat)
     assert np.abs(u @ u.conj().T - np.eye(space.dim)).max() < 1e-10
+
+
+def _full_generator_unitary(space, modes, matrix):
+    """expm of the whole dense generator sum_ab k_ab a_a^dag a_b, unblocked."""
+    k = logm(np.asarray(matrix, dtype=complex))
+    gen = np.zeros((space.dim, space.dim), dtype=complex)
+    for a, ma in enumerate(modes):
+        for b, mb in enumerate(modes):
+            gen += k[a, b] * (space.creation(ma)
+                              @ space.annihilation(mb)).toarray()
+    return expm(gen)
+
+
+def test_block_mode_unitary_matches_full_expm():
+    space = DenseFockSpace(10, 3)
+    idx = {name: i for i, name in enumerate(oracle._ORACLE_MODES)}
+    # The parity-check PBS permutation of oracle_protocol_probabilities.
+    order = ["AH", "AV", "RH", "RV", "EH", "EV", "FH", "FV"]
+    perm = np.zeros((8, 8))
+    for src, dst in (("AH", "EH"), ("AV", "FV"), ("RH", "FH"), ("RV", "EV")):
+        perm[order.index(dst), order.index(src)] = 1.0
+        perm[order.index(src), order.index(dst)] = 1.0
+    cases = [
+        (["FH", "FV"], _analyzer_matrix("D")),
+        (["RH", "RV"], np.array([[0.0, 1.0], [1.0, 0.0]])),
+        (["BH", "BV"], np.diag([np.exp(0.3j), np.exp(1.1j)])),
+        (order, perm),
+    ]
+    for names, matrix in cases:
+        modes = [idx[name] for name in names]
+        u = space.mode_unitary(modes, matrix)
+        want = _full_generator_unitary(space, modes, matrix)
+        assert np.abs(u.toarray() - want).max() <= 1e-13, names
+        assert u.nnz <= 0.02 * space.dim ** 2, names
+    rng = np.random.default_rng(2024)
+    small = DenseFockSpace(4, 3)
+    for _ in range(5):
+        q, r = np.linalg.qr(rng.normal(size=(2, 2))
+                            + 1j * rng.normal(size=(2, 2)))
+        matrix = q * (np.diag(r) / np.abs(np.diag(r)))
+        modes = [int(m) for m in rng.choice(4, size=2, replace=False)]
+        u = small.mode_unitary(modes, matrix)
+        want = _full_generator_unitary(small, modes, matrix)
+        assert np.abs(u.toarray() - want).max() <= 1e-13, modes
+
+
+def test_click_povm_matches_exact_rationals():
+    space = DenseFockSpace(2, 3)
+    n = [sum(occ) for occ in space.basis]
+    assert sorted(set(n)) == [0, 1, 2, 3]
+    for eta in (0.09, 0.13, 1.0):
+        for dark in (0.0, 1.5e-6, 0.9):
+            diag = space.click_povm([0, 1], eta, dark)
+            for got, k in zip(diag.tolist(), n):
+                want = sum(exact_click_parts(eta, dark, k))
+                assert abs(Fraction(got) - want) <= 4 * math.ulp(float(want)), (
+                    eta, dark, k)
+                if k == 0:
+                    assert got == dark  # no photon: the dark count, exactly
 
 
 def test_dense_loss_kraus_completeness():
@@ -147,7 +209,8 @@ def test_mode_unitary_cache_keys_on_matrix_values():
     assert np.abs(first - other).max() > 0.1
     assert np.abs(first - swapped).max() > 0.1
     assert space.mode_unitary([0, 1], np.diag([np.exp(0.3j), 1.0])) is first
-    assert not first.flags.writeable
+    assert not first.data.flags.writeable
+    assert not first.indices.flags.writeable
 
 
 def test_oracle_check_repeats_in_one_process():
