@@ -6,7 +6,6 @@ sampling) produces byte-identical CSV/JSON files.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, replace
@@ -19,19 +18,17 @@ from . import __version__
 from .fock import ValidationError, fidelity_to_phi_plus
 from .optics import OverlapModel, overlap_at_delay
 from .protocol import (
-    PHASE_SET_8,
     REP_RATE_HZ,
     DelayEvaluator,
     ExperimentConfig,
     chsh_violated,
     f_low,
     overlap_x_visibility,
-    phase_point_states,
+    pattern_distribution,
     run_phase_averaged,
     two_qubit_state,
     visibilities,
 )
-from .sources import click_table
 
 
 class CalibrationError(ValidationError):
@@ -415,30 +412,7 @@ def sample_events(cfg: ExperimentConfig, n_pulses: int, seed: int) -> EventSampl
     """
     if n_pulses < 0:
         raise ValidationError("number of pulses must be >= 0")
-    n_phases = len(PHASE_SET_8)
-    exact: dict[tuple[int, tuple[bool, ...]], float] = {}
-    plan, states = phase_point_states(cfg)
-    reg = plan.registry
-    # Detectors in pattern order (E, F, G); without a herald F never clicks.
-    detectors = [(plan.detectors["E"], reg.indices(plan.side_e)),
-                 (plan.detectors["G"], reg.indices(plan.side_g))]
-    if plan.herald is not None:
-        detectors.insert(1, (plan.detectors["F"],
-                             reg.indices(plan.herald, pol="H")))
-    for k, state in enumerate(states):
-        w, n = click_table(state, [idx for _, idx in detectors])
-        clicks = [det.click_probability(n[:, j])
-                  for j, (det, _) in enumerate(detectors)]
-        dist = {}
-        for bits in itertools.product((False, True), repeat=len(clicks)):
-            p = w
-            for b, c in zip(bits, clicks):
-                p = p * (c if b else 1.0 - c)
-            dist[bits if plan.herald is not None
-                 else (bits[0], False, bits[1])] = float(p.sum())
-        norm = sum(dist.values())  # < 1 only by the recorded truncation weight
-        for bits, p in dist.items():
-            exact[(k, bits)] = p / (norm * n_phases)
+    exact = pattern_distribution(cfg)
     flat_keys = sorted(exact)
     rng = np.random.default_rng(seed)
     probs = np.asarray([exact[key] for key in flat_keys])

@@ -17,8 +17,10 @@ represented in a truncated Fock space.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -346,8 +348,124 @@ def run_fixed_phase(cfg: ExperimentConfig, phi_h: float,
 
 
 @dataclass(frozen=True)
-class _OverlapTable:
-    """One click table of a config, readable at any zero-delay pulse overlap.
+class _Table:
+    """A state's click table: each row's |amplitude|^2 and its photons on
+    the ``_analyzed_groups`` (E_H, E_V, G_H, G_V and, with a herald, F_H,
+    F_V), then on the pair side, on all modes, on orthogonal modes and on the
+    pulse-loss modes.  Each side is ``_rotated`` into its analyzer basis.
+    """
+
+    plan: _Plan
+    weights: np.ndarray
+    counts: np.ndarray
+    heralds: list  # per-row click probability of F_H and F_V, or [1.0]
+
+    def pair_probs(self, weights: np.ndarray | None = None,
+                   herald: int = 0) -> np.ndarray:
+        """Coincidences of E port i and G port j (port 0 the +1 outcome)
+        with herald outcome ``herald``, as a 2x2 array, at the row
+        ``weights`` (default: the table's own).  Photons behind the
+        orthogonal analyzer port are discarded, not detected."""
+        if weights is None:
+            weights = self.weights
+        n = self.counts
+        e = (self.plan.detectors["E"].click_probability(n[:, :2])
+             * (weights * self.heralds[herald])[:, None])
+        return e.T @ self.plan.detectors["G"].click_probability(n[:, 2:4])
+
+    def kept_pair_probs(self, basis_e: str,
+                        weights: np.ndarray | None = None) -> np.ndarray:
+        """``pair_probs`` of the kept herald outcomes, E's analyzer basis
+        being ``basis_e``.  The feed-forward branch also keeps the second
+        outcome (|Dbar>): a sign flip on the retained photon restores the
+        target state, i.e. its X and Y outcomes swap."""
+        probs = self.pair_probs(weights)
+        if self.plan.feedforward:
+            flipped = self.pair_probs(weights, herald=1)
+            probs = probs + (flipped if basis_e == "Z" else flipped[::-1])
+        return probs
+
+    def triple(self) -> tuple[float, dict[tuple[int, int, str], float]]:
+        """The probability that E, G and a kept herald outcome all click,
+        and its components by (pair count, ancilla photon count, click
+        origin of the pair-side detector)."""
+        n = self.counts
+        det_e, det_g = self.plan.detectors["E"], self.plan.detectors["G"]
+        w_eh = (self.weights * det_e.click_probability(n[:, 0] + n[:, 1])
+                * sum(self.heralds[:1 + self.plan.feedforward]))
+        # The pair-side click from a photon, or else from a dark count.
+        n_g = n[:, 2] + n[:, 3]
+        g_photon = det_g.photon_probability(n_g)
+        g_dark = det_g.dark * det_g.miss_probability(n_g)
+        pairs, photons = n[:, -4], n[:, -3]
+        keys, inverse = np.unique(np.stack([pairs, photons - 2 * pairs]),
+                                  axis=1, return_inverse=True)
+        comps: dict[tuple[int, int, str], float] = {}
+        for origin, part in (("photon", w_eh * g_photon),
+                             ("dark", w_eh * g_dark)):
+            sums = np.bincount(inverse, part, keys.shape[1])
+            for (n_pairs, ancilla), val in zip(keys.T.tolist(), sums.tolist()):
+                if val:
+                    comps[(n_pairs, ancilla, origin)] = val
+        return float(w_eh @ (g_photon + g_dark)), comps
+
+    def patterns(self) -> dict[tuple[bool, bool, bool], float]:
+        """The probability of each (E, F, G) click pattern, F being the
+        herald's |D> port; without a herald F never clicks."""
+        n = self.counts
+        dets = self.plan.detectors
+        sides = [(dets["E"], n[:, 0] + n[:, 1]), (dets["G"], n[:, 2] + n[:, 3])]
+        if self.plan.herald is not None:
+            sides.insert(1, (dets["F"], n[:, 4]))
+        clicks = [det.click_probability(k) for det, k in sides]
+        dist = {}
+        for bits in itertools.product((False, True), repeat=len(clicks)):
+            p = self.weights
+            for b, c in zip(bits, clicks):
+                p = p * (c if b else 1.0 - c)
+            key = bits if len(bits) == 3 else (bits[0], False, bits[1])
+            dist[key] = float(p.sum())
+        return dist
+
+    @cached_property
+    def _overlap_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        pairs, total, k, lost = self.counts[:, -4:].T
+        # Each photon is one of a pair (two per pair-side photon) or the
+        # pulse's: lost before the split, or counted in m + k.
+        m = total - 2 * pairs - k - lost
+        return self.weights * 2.0 ** (m + k), m, k
+
+    def weights_at(self, s: float) -> np.ndarray:
+        """Each row's weight at overlap amplitude ``s``, in an
+        ``_overlap_table``."""
+        if not 0.0 <= s <= 1.0:
+            raise ValidationError("overlap amplitude must lie in [0, 1]")
+        s2 = s * s
+        scaled, m, k = self._overlap_rows
+        return scaled * s2 ** m * (1.0 - s2) ** k
+
+
+def _table(plan: _Plan, state: FockStateVector) -> _Table:
+    """The click table of ``state``; see ``_Table`` for its columns."""
+    reg = plan.registry
+    orthogonal = [i for i, mode in enumerate(reg.modes)
+                  if mode.temporal == ORTHOGONAL]
+    w, counts = click_table(state, [
+        *_analyzed_groups(plan), plan.pair_side_indices, range(reg.n_modes),
+        orthogonal, plan.pulse_loss_indices])
+    heralds = [1.0]
+    if plan.herald is not None:
+        det_f = plan.detectors["F"]
+        heralds = [det_f.click_probability(counts[:, 4]),
+                   det_f.click_probability(counts[:, 5])]
+    return _Table(plan, w, counts, heralds)
+
+
+def _overlap_table(cfg: ExperimentConfig, phase: tuple[float, float] | None,
+                   basis: str) -> _Table:
+    """The click table of ``cfg`` at zero delay, at the collective ``phase``
+    (None: the labelled phase average of ``_final_state``), with both sides
+    ``_rotated`` into ``basis``, readable at any overlap by ``weights_at``.
 
     The overlap split sends each pulse photon to the matched mode with
     amplitude s and to its orthogonal twin with amplitude sqrt(1 - s^2).
@@ -357,45 +475,10 @@ class _OverlapTable:
     propagation at that overlap serves every s, whatever delay and overlap
     width give it.
     """
-
-    plan: _Plan
-    # _analyzed_groups, then pair-side, all, orthogonal and lost pulse
-    # photons
-    counts: np.ndarray
-    weights: np.ndarray  # at s^2 = 1/2, times 2^(m+k)
-    matched: np.ndarray  # m
-    orthogonal: np.ndarray  # k
-    heralds: list  # _herald_clicks of the counts
-
-    def weights_at(self, s: float) -> np.ndarray:
-        """Each row's weight at overlap amplitude ``s``."""
-        if not 0.0 <= s <= 1.0:
-            raise ValidationError("overlap amplitude must lie in [0, 1]")
-        s2 = s * s
-        return self.weights * s2 ** self.matched * (1.0 - s2) ** self.orthogonal
-
-
-def _overlap_table(cfg: ExperimentConfig, phase: tuple[float, float] | None,
-                   basis: str) -> _OverlapTable:
-    """The click table of ``cfg`` at zero delay, at the collective ``phase``
-    (None: the labelled phase average of ``_final_state``), with both sides
-    ``_rotated`` into ``basis``; its overlap is read by ``weights_at``."""
     plan = _build_plan(cfg)
-    reg = plan.registry
     state = _final_state(replace(cfg, overlap_s0=_SQ2, delay_um=0.0), plan,
                          phase)
-    orthogonal = [i for i, mode in enumerate(reg.modes)
-                  if mode.temporal == ORTHOGONAL]
-    w, counts = click_table(
-        _rotated(plan, state, basis, basis),
-        [*_analyzed_groups(plan), plan.pair_side_indices,
-         range(reg.n_modes), orthogonal, plan.pulse_loss_indices])
-    pairs, total, k, lost = counts[:, -4:].T
-    # Each photon is one of a pair (two per pair-side photon) or the
-    # pulse's: lost before the split, or counted in m + k.
-    m = total - 2 * pairs - k - lost
-    return _OverlapTable(plan, counts, w * 2.0 ** (m + k), m, k,
-                         _herald_clicks(plan, counts))
+    return _table(plan, _rotated(plan, state, basis, basis))
 
 
 class DelayEvaluator:
@@ -416,9 +499,7 @@ class DelayEvaluator:
 
     def __call__(self, s: float) -> tuple[float, float]:
         """(p_rd, p_ld): partner in L, retained photon in R or in L."""
-        table = self._table
-        probs = _pair_probs(table.plan, table.weights_at(s), table.counts,
-                            table.heralds[0])
+        probs = self._table.pair_probs(self._table.weights_at(s))
         return float(probs[0, 1]), float(probs[1, 1])
 
 
@@ -432,8 +513,7 @@ def overlap_x_visibility(cfg: ExperimentConfig) -> Callable[[float], float]:
     table = _overlap_table(cfg, None, "X")
 
     def v_x(s: float) -> float:
-        probs = _kept_pair_probs(table.plan, table.weights_at(s), table.counts,
-                                 table.heralds, "X")
+        probs = table.kept_pair_probs("X", table.weights_at(s))
         return _correlation(_labelled(probs, X_SETTINGS), X_SETTINGS)
     return v_x
 
@@ -450,49 +530,10 @@ def _analyzed_groups(plan: _Plan) -> list[list[int]]:
     return [reg.indices(side, pol=pol) for side in sides for pol in (H, V)]
 
 
-def _herald_clicks(plan: _Plan, counts: np.ndarray) -> list:
-    """Per-term herald click probability for |D> and for |Dbar>, read from
-    columns 4 and 5 of a click table; [1.0] without a herald."""
-    if plan.herald is None:
-        return [1.0]
-    det_f = plan.detectors["F"]
-    return [det_f.click_probability(counts[:, 4]),
-            det_f.click_probability(counts[:, 5])]
-
-
-def _pair_probs(plan: _Plan, weights: np.ndarray, counts: np.ndarray,
-                herald) -> np.ndarray:
-    """Coincidences of E port i and G port j with the herald, as a 2x2 array.
-
-    ``counts`` holds E_H, E_V, G_H, G_V in its first four columns, and the
-    state must already be rotated so that the first setting of each side
-    lies on the H modes.  Photons behind the orthogonal analyzer port are
-    discarded, not detected.
-    """
-    e = (plan.detectors["E"].click_probability(counts[:, :2])
-         * (weights * herald)[:, None])
-    return e.T @ plan.detectors["G"].click_probability(counts[:, 2:4])
-
-
 def _labelled(probs: np.ndarray,
               settings: tuple[str, str]) -> dict[tuple[str, str], float]:
     return {(se, sg): p for se, row in zip(settings, probs.tolist())
             for sg, p in zip(settings, row)}
-
-
-def _components(pairs: np.ndarray, photons: np.ndarray,
-                **origins: np.ndarray) -> dict[tuple[int, int, str], float]:
-    """Per-term coincidences summed by (pair count, ancilla photon count,
-    click origin of the pair-side detector)."""
-    keys, inverse = np.unique(np.stack([pairs, photons - 2 * pairs]), axis=1,
-                              return_inverse=True)
-    comps: dict[tuple[int, int, str], float] = {}
-    for origin, part in origins.items():
-        sums = np.bincount(inverse, part, keys.shape[1])
-        for (n_pairs, ancilla), val in zip(keys.T.tolist(), sums.tolist()):
-            if val:
-                comps[(n_pairs, ancilla, origin)] = val
-    return comps
 
 
 def _rotated(plan: _Plan, state: FockStateVector, basis_e: str,
@@ -506,50 +547,15 @@ def _rotated(plan: _Plan, state: FockStateVector, basis_e: str,
     return state
 
 
-def _basis_pair_probs(plan: _Plan, state: FockStateVector, basis_e: str,
-                      extra_groups: Sequence[Sequence[int]] = (),
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coincidences of E port i and G port j (port 0 the +1 outcome) of a
-    state ``_rotated`` into its bases, E's being ``basis_e``, as a 2x2
-    array, and the click table they are read from, whose columns end with
-    ``extra_groups``.  The feed-forward branch also keeps the second herald
-    outcome (|Dbar>): a sign flip on the retained photon restores the target
-    state, i.e. its X and Y outcomes swap.
-    """
-    w, n = click_table(state, [*_analyzed_groups(plan), *extra_groups])
-    return _kept_pair_probs(plan, w, n, _herald_clicks(plan, n), basis_e), w, n
-
-
-def _kept_pair_probs(plan: _Plan, weights: np.ndarray, counts: np.ndarray,
-                     heralds: list, basis_e: str) -> np.ndarray:
-    """``_pair_probs`` of the kept herald outcomes; see ``_basis_pair_probs``."""
-    probs = _pair_probs(plan, weights, counts, heralds[0])
-    if plan.feedforward:
-        flipped = _pair_probs(plan, weights, counts, heralds[1])
-        probs = probs + (flipped if basis_e == "Z" else flipped[::-1])
-    return probs
-
-
 def _measure(plan: _Plan, state: FockStateVector) -> ProtocolOutcome:
     """Every coincidence statistic from two click tables: one on the final
     state and one on the state rotated into the X basis on both sides."""
-    zz, w, n = _basis_pair_probs(plan, state, "Z",
-                                 [plan.pair_side_indices,
-                                  range(plan.registry.n_modes)])
-    xx = _basis_pair_probs(plan, _rotated(plan, state, "X", "X"), "X")[0]
-
-    det_e, det_g = plan.detectors["E"], plan.detectors["G"]
-    heralds = _herald_clicks(plan, n)[:1 + plan.feedforward]
-    w_eh = w * det_e.click_probability(n[:, 0] + n[:, 1]) * sum(heralds)
-    # The pair-side click from a photon, or else from a dark count.
-    n_g = n[:, 2] + n[:, 3]
-    g_photon = det_g.photon_probability(n_g)
-    g_dark = det_g.dark * det_g.miss_probability(n_g)
-    triple = float(w_eh @ (g_photon + g_dark))
-    comps = _components(n[:, -2], n[:, -1], photon=w_eh * g_photon,
-                        dark=w_eh * g_dark)
-    return ProtocolOutcome(_labelled(zz, Z_SETTINGS), _labelled(xx, X_SETTINGS),
-                           triple, comps, state.truncated_weight)
+    table = _table(plan, state)
+    xx = _table(plan, _rotated(plan, state, "X", "X")).kept_pair_probs("X")
+    triple, comps = table.triple()
+    return ProtocolOutcome(_labelled(table.kept_pair_probs("Z"), Z_SETTINGS),
+                           _labelled(xx, X_SETTINGS), triple, comps,
+                           state.truncated_weight)
 
 
 def _tomography(plan: _Plan, state: FockStateVector) -> np.ndarray:
@@ -569,7 +575,7 @@ def _tomography(plan: _Plan, state: FockStateVector) -> np.ndarray:
     for a in ANALYZER_BASES:
         on_e = _rotated(plan, state, a, "Z")
         for b in ANALYZER_BASES:
-            p = _basis_pair_probs(plan, _rotated(plan, on_e, "Z", b), a)[0]
+            p = _table(plan, _rotated(plan, on_e, "Z", b)).kept_pair_probs(a)
             total = p.sum()
             if total <= 0.0:
                 raise ValidationError("no coincidences; state undefined")
@@ -588,6 +594,21 @@ def phase_point_states(cfg: ExperimentConfig,
     final = _final_state(cfg, plan)
     return plan, [_merge_labels(final, np.exp(1j * phi_v * final.labels))
                   for _, phi_v in PHASE_SET_8]
+
+
+def pattern_distribution(cfg: ExperimentConfig,
+                         ) -> dict[tuple[int, tuple[bool, bool, bool]], float]:
+    """Probability of each (phase index, (E, F, G) click pattern) of a pulse
+    whose phase is drawn uniformly from ``PHASE_SET_8``; see
+    ``_Table.patterns``."""
+    plan, states = phase_point_states(cfg)
+    exact = {}
+    for k, state in enumerate(states):
+        dist = _table(plan, state).patterns()
+        norm = sum(dist.values())  # < 1 only by the recorded truncation weight
+        for bits, p in dist.items():
+            exact[(k, bits)] = p / (norm * len(states))
+    return exact
 
 
 def run_phase_averaged(cfg: ExperimentConfig) -> ProtocolOutcome:
