@@ -456,16 +456,17 @@ def _random_circuit_check(seed: int,
     worst = 0.0
     what = ""
     w, n = click_table(state, [reg.indices("P"), reg.indices("Q")])
-    sparse_p = det_p.click_probability(n[:, 0])
-    sparse_q = det_q.click_probability(n[:, 1])
+    sparse_p = (det_p.no_click_probability(n[:, 0]),
+                det_p.click_probability(n[:, 0]))
+    sparse_q = (det_q.no_click_probability(n[:, 1]),
+                det_q.click_probability(n[:, 1]))
     povm_p = space.click_povm([didx["PH"], didx["PV"]],
                               det_p.efficiency, det_p.dark)
     povm_q = space.click_povm([didx["QH"], didx["QV"]],
                               det_q.efficiency, det_q.dark)
     for want_p in (True, False):
         for want_q in (True, False):
-            sparse = float(w @ ((sparse_p if want_p else 1.0 - sparse_p)
-                                * (sparse_q if want_q else 1.0 - sparse_q)))
+            sparse = float(w @ (sparse_p[want_p] * sparse_q[want_q]))
             dense = diagonal_expectation(
                 rho, (povm_p if want_p else 1.0 - povm_p)
                 * (povm_q if want_q else 1.0 - povm_q))

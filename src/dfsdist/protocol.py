@@ -417,12 +417,13 @@ class _Table:
         sides = [(dets["E"], n[:, 0] + n[:, 1]), (dets["G"], n[:, 2] + n[:, 3])]
         if self.plan.herald is not None:
             sides.insert(1, (dets["F"], n[:, 4]))
-        clicks = [det.click_probability(k) for det, k in sides]
+        columns = [(det.no_click_probability(k), det.click_probability(k))
+                   for det, k in sides]
         dist = {}
-        for bits in itertools.product((False, True), repeat=len(clicks)):
+        for bits in itertools.product((False, True), repeat=len(columns)):
             p = self.weights
-            for b, c in zip(bits, clicks):
-                p = p * (c if b else 1.0 - c)
+            for b, column in zip(bits, columns):
+                p = p * column[b]
             key = bits if len(bits) == 3 else (bits[0], False, bits[1])
             dist[key] = float(p.sum())
         return dist

@@ -192,6 +192,11 @@ class DetectorModel:
         return (self.photon_probability(n_photons)
                 + self.dark * self.miss_probability(n_photons))
 
+    def no_click_probability(self, n_photons: int) -> float:
+        """(1 - dark)(1 - efficiency)^n: 1 - ``click_probability`` would
+        cancel away the digits of a nearly certain click."""
+        return (1.0 - self.dark) * self.miss_probability(n_photons)
+
 
 def click_table(state: FockStateVector,
                 groups: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -200,8 +205,8 @@ def click_table(state: FockStateVector,
     Returns the weights w, one per term, and the counts n, with n[t, k] the
     photons of term t on group k, computed as occupations @ indicator.
     Groups may overlap.  Every detector pattern is a contraction of w with
-    click columns ``DetectorModel.click_probability(n[:, k])``, and no-click
-    columns 1 minus those.
+    click columns ``DetectorModel.click_probability(n[:, k])`` and no-click
+    columns ``DetectorModel.no_click_probability(n[:, k])``.
     """
     indicator = np.zeros((state.registry.n_modes, len(groups)),
                          dtype=state.occupations.dtype)

@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,13 +23,15 @@ from dfsdist.analysis import (
     sweep_transmittance,
     tomography_experiment,
 )
-from dfsdist.fock import ConfigurationError, ValidationError
+from dfsdist.fock import H, ConfigurationError, ValidationError
 from dfsdist.protocol import (
     ExperimentConfig,
     fit_loglog_slope,
     run_phase_averaged,
     visibilities,
 )
+
+from helpers import exact_click_parts
 
 PAPER = ExperimentConfig()
 CAL_S0 = 0.940918  # reference calibration output, re-derived in tests below
@@ -302,6 +306,51 @@ def test_sample_events_rates_converge_to_exact():
     key_total = sum(p for (k, bits), p in
                     sample.exact_pattern_probabilities.items())
     assert abs(key_total - 1.0) < 1e-9
+
+
+def _exact_pattern_probabilities(cfg):
+    """``exact_pattern_probabilities`` term by term in exact rationals: E
+    and G watch all their modes, F the herald's H modes."""
+    plan, states = protocol.phase_point_states(cfg)
+    reg, dets = plan.registry, plan.detectors
+    sides = [(dets["E"], reg.indices(plan.side_e)),
+             (dets["G"], reg.indices(plan.side_g))]
+    if plan.herald is not None:
+        sides.insert(1, (dets["F"], reg.indices(plan.herald, pol=H)))
+    exact = {}
+    for k, state in enumerate(states):
+        dist = {}
+        for occ, amp in state.terms.items():
+            parts = [exact_click_parts(det.efficiency, det.dark,
+                                       sum(occ[i] for i in group))
+                     for det, group in sides]
+            for bits in itertools.product((False, True), repeat=len(sides)):
+                p = Fraction(abs(amp) ** 2)
+                for b, (photon, dark) in zip(bits, parts):
+                    p *= photon + dark if b else 1 - photon - dark
+                key = bits if len(bits) == 3 else (bits[0], False, bits[1])
+                dist[key] = dist.get(key, 0) + p
+        norm = sum(dist.values())
+        for bits, p in dist.items():
+            exact[(k, bits)] = p / (norm * len(states))
+    return exact
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(),
+    dict(include_feedforward_branch=True, dark_e=0.2, dark_f=0.1),
+    dict(variant="direct_no_dfs"),
+    # E stays dark after a photon with probability (1 - dark)(1 - eta) =
+    # 1e-8; taken as 1 - click it was 8e-11 relative off.
+    dict(eta=0.99, dark_e=0.999999),
+], ids=["reference", "feedforward", "direct", "near_certain_click"])
+def test_sample_pattern_probabilities_match_exact_rationals(overrides):
+    cfg = replace(PAPER, overlap_s0=CAL_S0, **overrides)
+    got = sample_events(cfg, 0, 1).exact_pattern_probabilities
+    want = _exact_pattern_probabilities(cfg)
+    assert set(got) == set(want)
+    for key, val in want.items():
+        assert abs(Fraction(got[key]) - val) <= 1e-12 * val, key
 
 
 def test_sample_events_csv_format():

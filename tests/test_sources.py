@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dfsdist import protocol
@@ -158,7 +158,9 @@ def test_click_formula_matches_exact_rationals():
                     (det.photon_probability(n), [p for p, _ in exact]),
                     (det.miss_probability(n),
                      [(1 - Fraction(eta)) ** int(k) for k in n]),
-                    (det.click_probability(n), [p + d for p, d in exact])):
+                    (det.click_probability(n), [p + d for p, d in exact]),
+                    (det.no_click_probability(n),
+                     [1 - p - d for p, d in exact])):
                 for k, (g, w) in enumerate(zip(got.tolist(), want)):
                     assert abs(Fraction(g) - w) <= 4 * math.ulp(float(w)), (
                         eta, dark, k)
@@ -171,8 +173,8 @@ def _pattern(state, detectors, bits):
     """Probability of one click pattern on (detector, mode group) pairs."""
     w, n = click_table(state, [idx for _, idx in detectors])
     for k, ((det, _), b) in enumerate(zip(detectors, bits)):
-        c = det.click_probability(n[:, k])
-        w = w * (c if b else 1.0 - c)
+        w = w * (det.click_probability(n[:, k]) if b
+                 else det.no_click_probability(n[:, k]))
     return float(w.sum())
 
 
@@ -234,6 +236,9 @@ def _kernel_cases(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_kernel_cases())
+# A nearly certain click: 1 - click_probability came back 2.7e-12 off.
+@example(({(3, 0, 0, 0, 0, 0): 1.0}, [[0]],
+          [DetectorModel("D", 0.9565, 0.5)]))
 def test_click_table_patterns_match_per_term_products(case):
     terms, groups, detectors = case
     state = FockStateVector(_KERNEL_REG, 3, terms)
@@ -247,9 +252,8 @@ def test_click_table_patterns_match_per_term_products(case):
             p = abs(amp) ** 2
             for det, group, b in zip(detectors, groups, bits):
                 n = sum(occ[i] for i in group)
-                click = float(sum(exact_click_parts(det.efficiency, det.dark,
-                                                    n)))
-                p *= click if b else 1.0 - click
+                photon, dark = exact_click_parts(det.efficiency, det.dark, n)
+                p *= float(photon + dark if b else 1 - photon - dark)
             want += p
         got = _pattern(state, list(zip(detectors, groups)), bits)
         assert abs(got - want) <= 1e-12 * max(want, 1e-300) + 1e-300
