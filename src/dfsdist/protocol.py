@@ -132,12 +132,13 @@ class ExperimentConfig:
             val = getattr(self, name)
             if not 0.0 <= val <= 1.0:
                 raise ValidationError(f"{name} must lie in [0, 1]")
-        for name in ("gamma", "mu"):
-            if getattr(self, name) < 0.0:
-                raise ValidationError(f"{name} must be >= 0")
-        for name in ("dark_g", "dark_e", "dark_f"):
+        if self.mu < 0.0:
+            raise ValidationError("mu must be >= 0")
+        for name in ("gamma", "dark_g", "dark_e", "dark_f"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValidationError(f"{name} must lie in [0, 1)")
+        if self.pair_cutoff < 1:
+            raise ValidationError("pair_cutoff must be >= 1")
         if self.overlap_sigma_um <= 0.0:
             raise ValidationError("overlap width must be positive")
         if not 1 <= self.cutoff <= MAX_CUTOFF:

@@ -66,6 +66,12 @@ def test_config_validation():
         ExperimentConfig(input_qubit=(1.0, 1.0))
     cfg = ExperimentConfig(transmittance=0.05)
     assert abs(cfg.mu_bob - cfg.mu / 0.05) < 1e-12
+    # Rejected at the boundary, not first when an SPDC state is built.
+    for overrides in (dict(gamma=1.5), dict(gamma=1.0), dict(gamma=-0.1),
+                      dict(pair_cutoff=0),
+                      dict(source="exact_pair", pair_cutoff=-3)):
+        with pytest.raises(ValidationError, match="gamma|pair_cutoff"):
+            ExperimentConfig(**overrides)
 
 
 @pytest.mark.parametrize("overrides", [
