@@ -456,10 +456,9 @@ def _random_circuit_check(seed: int,
     worst = 0.0
     what = ""
     w, n = click_table(state, [reg.indices("P"), reg.indices("Q")])
-    sparse_p = (det_p.no_click_probability(n[:, 0]),
-                det_p.click_probability(n[:, 0]))
-    sparse_q = (det_q.no_click_probability(n[:, 1]),
-                det_q.click_probability(n[:, 1]))
+    sparse_p, sparse_q = ((det.no_click_probability(n[:, k]),
+                           det.click_probability(n[:, k]))
+                          for k, det in enumerate((det_p, det_q)))
     povm_p = space.click_povm([didx["PH"], didx["PV"]],
                               det_p.efficiency, det_p.dark)
     povm_q = space.click_povm([didx["QH"], didx["QV"]],

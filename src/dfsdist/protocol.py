@@ -438,8 +438,7 @@ class _Table:
         return self.weights * 2.0 ** (m + k), m, k
 
     def weights_at(self, s: float) -> np.ndarray:
-        """Each row's weight at overlap amplitude ``s``, in an
-        ``_overlap_table``."""
+        """Each row's weight at overlap ``s``, in an ``_overlap_table``."""
         if not 0.0 <= s <= 1.0:
             raise ValidationError("overlap amplitude must lie in [0, 1]")
         s2 = s * s
@@ -455,11 +454,9 @@ def _table(plan: _Plan, state: FockStateVector) -> _Table:
     w, counts = click_table(state, [
         *_analyzed_groups(plan), plan.pair_side_indices, range(reg.n_modes),
         orthogonal, plan.pulse_loss_indices])
-    heralds = [1.0]
-    if plan.herald is not None:
-        det_f = plan.detectors["F"]
-        heralds = [det_f.click_probability(counts[:, 4]),
-                   det_f.click_probability(counts[:, 5])]
+    heralds = ([1.0] if plan.herald is None else
+               [plan.detectors["F"].click_probability(counts[:, c])
+                for c in (4, 5)])
     return _Table(plan, w, counts, heralds)
 
 

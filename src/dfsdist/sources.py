@@ -193,8 +193,7 @@ class DetectorModel:
                 + self.dark * self.miss_probability(n_photons))
 
     def no_click_probability(self, n_photons: int) -> float:
-        """(1 - dark)(1 - efficiency)^n: 1 - ``click_probability`` would
-        cancel away the digits of a nearly certain click."""
+        """(1 - dark)(1 - efficiency)^n, which never cancels, unlike 1 - click."""
         return (1.0 - self.dark) * self.miss_probability(n_photons)
 
 

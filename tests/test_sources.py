@@ -245,6 +245,9 @@ def test_click_table_patterns_match_per_term_products(case):
     weights, counts = click_table(state, groups)
     assert len(weights) == counts.shape[0] == len(state.terms)
     assert counts.shape[1] == len(groups)
+    assert counts.dtype == state.occupations.dtype
+    assert counts.tolist() == [[sum(row[i] for i in group) for group in groups]
+                               for row in state.occupations.tolist()]
     norm = 0.0
     for bits in itertools.product((False, True), repeat=len(groups)):
         want = 0.0
