@@ -208,7 +208,7 @@ def click_table(state: FockStateVector,
     columns ``DetectorModel.no_click_probability(n[:, k])``.
     """
     # Row sums of the transposed occupations: numpy's integer matmul runs
-    # outside BLAS and took several times longer.
+    # outside BLAS and is several times slower.
     modes = np.ascontiguousarray(state.occupations.T)
     counts = [modes[list(group)].sum(axis=0, dtype=modes.dtype)
               for group in groups]

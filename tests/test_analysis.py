@@ -30,7 +30,6 @@ from dfsdist.protocol import (
     run_phase_averaged,
     visibilities,
 )
-
 from helpers import exact_click_parts
 
 PAPER = ExperimentConfig()
