@@ -81,13 +81,18 @@ def test_click_povm_matches_exact_rationals():
     space = DenseFockSpace(2, 3)
     n = [sum(occ) for occ in space.basis]
     assert sorted(set(n)) == [0, 1, 2, 3]
-    for eta in (0.09, 0.13, 1.0):
+    # At efficiency 0.97, 1 - click would be 95 and 244 ulp off at n = 2, 3.
+    for eta in (0.09, 0.13, 0.97, 1.0):
         for dark in (0.0, 1.5e-6, 0.9):
             diag = space.click_povm([0, 1], eta, dark)
-            for got, k in zip(diag.tolist(), n):
+            none = space.click_povm([0, 1], eta, dark, click=False)
+            for got, got_none, k in zip(diag.tolist(), none.tolist(), n):
                 want = sum(exact_click_parts(eta, dark, k))
                 assert abs(Fraction(got) - want) <= 4 * math.ulp(float(want)), (
                     eta, dark, k)
+                want_none = 1 - want
+                assert (abs(Fraction(got_none) - want_none)
+                        <= 4 * math.ulp(float(want_none))), (eta, dark, k)
                 if k == 0:
                     assert got == dark  # no photon: the dark count, exactly
 
@@ -97,6 +102,58 @@ def test_dense_loss_kraus_completeness():
     kraus = space.loss_kraus(0, 0.37)
     total = sum(op.conj().T @ op for op in kraus)
     assert np.abs(total - np.eye(space.dim)).max() < 1e-12
+    assert space.loss_kraus(0, 0.37) is kraus
+    for op in kraus:
+        for arr in (op.data, op.indices, op.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
+
+
+def test_factor_update_matches_dense_density_matrix():
+    space = DenseFockSpace(4, 3)
+    rng = np.random.default_rng(11)
+    psi = rng.normal(size=(space.dim, 3)) + 1j * rng.normal(size=(space.dim, 3))
+    # A tiny column stays: branches are dropped only when exactly zero.
+    psi = psi / np.linalg.norm(psi) * [1.0, 1.0, 1e-30]
+    rho = psi @ psi.conj().T
+    u = space.mode_unitary([0, 2], _analyzer_matrix("D"))
+    rotated = u @ psi
+    dense_u = u.toarray()
+    assert np.abs(rotated @ rotated.conj().T
+                  - dense_u @ rho @ dense_u.conj().T).max() <= 1e-13
+    # At t = 1 every branch that loses a photon is exactly zero.
+    for mode, t, columns in ((0, 0.37, 12), (3, 1.0, 3), (1, 0.0, 12)):
+        kraus = space.loss_kraus(mode, t)
+        out = oracle.apply_kraus(psi, kraus)
+        want = sum(k.toarray() @ rho @ k.toarray().conj().T for k in kraus)
+        assert np.abs(out @ out.conj().T - want).max() <= 1e-13, t
+        assert abs(np.sum(np.abs(out) ** 2) - np.sum(np.abs(psi) ** 2)) <= 1e-13
+        assert out.shape[1] == columns and out.any(axis=0).all(), t
+        povm = space.click_povm([mode], 0.6, 1e-3)
+        assert abs(oracle.diagonal_expectation(out, povm)
+                   - np.real(np.trace(want * povm))) <= 1e-13, t
+
+
+def test_protocol_factor_keeps_only_nonzero_branches(monkeypatch):
+    # Pure sources and four (six) loss Kraus maps: every branch that loses a
+    # photon the state does not hold is dropped.
+    seen = []
+    expectation = oracle.diagonal_expectation
+
+    def spy(psi, povm):
+        seen.append(psi.shape[1])
+        return expectation(psi, povm)
+
+    monkeypatch.setattr(oracle, "diagonal_expectation", spy)
+    space = DenseFockSpace(10, 3)
+    for variant, columns in (("counter_propagating", 5),
+                             ("single_photon_ancilla", 15)):
+        small, phi_h, phi_v = next(
+            point for point in _oracle_points(ExperimentConfig())
+            if point[0].variant == variant)
+        seen.clear()
+        oracle_protocol_probabilities(small, phi_h, phi_v, space)
+        assert seen == [columns] * 9, variant
 
 
 def test_random_circuit_agreement_twenty_seeds():
