@@ -210,14 +210,17 @@ def rate_crossing(coherent: Sequence[tuple[float, float]],
     """Transmittance at which the power-law fits of two rate curves cross.
 
     Both curves are (T, rate) points on one grid; the log of their ratio is
-    fitted linearly in log T and its zero is returned.
+    fitted linearly in log T and its zero is returned.  Fits with no finite
+    positive zero (parallel or identical curves) raise ``ValidationError``.
     """
     if [t for t, _ in coherent] != [t for t, _ in single]:
         raise ValidationError("rate curves must share one transmittance grid")
     lx = np.log([t for t, _ in coherent])
     diff = np.log([r for _, r in coherent]) - np.log([r for _, r in single])
-    pf = np.polyfit(lx, diff, 1)
-    return math.exp(-pf[1] / pf[0])
+    slope, offset = np.polyfit(lx, diff, 1).tolist()
+    if not abs(offset) < 700.0 * abs(slope):  # exp(+-700) is finite, nonzero
+        raise ValidationError("the fitted rate curves do not cross")
+    return math.exp(-offset / slope)
 
 
 # --- delay scan ---------------------------------------------------------------

@@ -288,8 +288,8 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 
 # numpy's complex loops fuse multiplies and adds and use their own abs, which
-# moves last bits against scalar arithmetic; these keep its rounding, so the
-# array engine reproduces term-by-term results exactly.
+# moves last bits against scalar arithmetic; these keep its rounding, which
+# the committed results/ are pinned to byte for byte.
 def _cmul(z, c) -> np.ndarray:
     """z * c elementwise, rounded as scalar complex arithmetic rounds it."""
     return _complex(z.real * c.real - z.imag * c.imag,
@@ -303,26 +303,20 @@ def _summed(ids: np.ndarray, n: int, amplitudes: np.ndarray) -> np.ndarray:
 
 
 def _merge_labels(state: FockStateVector,
-                  coeffs: np.ndarray) -> FockStateVector:
-    """The unlabelled state sum_t coeffs[t] |row t>, equal occupations summed
-    across labels in order of first appearance."""
+                  coeffs: Sequence[np.ndarray]) -> list[FockStateVector]:
+    """The unlabelled state sum_t c[t] |row t> for each vector c of
+    ``coeffs``, equal occupations summed across labels in order of first
+    appearance."""
     ids, first = _first_appearance(_row_keys(state.occupations, state.cutoff))
-    return FockStateVector.from_arrays(
+    return [FockStateVector.from_arrays(
         state.registry, state.cutoff, state.occupations[first],
-        _summed(ids, len(first), _cmul(state.amplitudes, coeffs)),
-        state.truncated_weight)
+        _summed(ids, len(first), _cmul(state.amplitudes, c)),
+        state.truncated_weight) for c in coeffs]
 
 
 def _weights(amplitudes: np.ndarray) -> np.ndarray:
     """abs(a) ** 2 of each amplitude, rounded as scalar arithmetic rounds it."""
     return np.float_power(np.hypot(amplitudes.real, amplitudes.imag), 2)
-
-
-def _spans(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """The ranges starts[i] .. starts[i] + sizes[i] - 1, concatenated."""
-    ends = np.cumsum(sizes)
-    return (np.arange(ends[-1] if len(ends) else 0)
-            + np.repeat(starts - ends + sizes, sizes))
 
 
 @dataclass(frozen=True)
@@ -356,74 +350,43 @@ class ModeTransform:
             raise ValidationError(f"transform {self.name or mat!r} is not an isometry")
 
 
-_FACT_SQRT = np.array([math.sqrt(math.factorial(n))
-                       for n in range(MAX_CUTOFF + 1)])
+_FACT_SQRT = [math.sqrt(math.factorial(n)) for n in range(MAX_CUTOFF + 1)]
 
 
-def _expand_patterns(patterns: list[tuple[int, ...]], sizes: list[int],
-                     matrix: np.ndarray) -> tuple[list, list, list]:
-    """Expand prod_i (sum_j matrix[j, i] b_j^dag)^k_i once for each distinct
-    input pattern k, one creation operator per step, in input-mode order.
-
-    A node is a pattern with the output occupations created so far; once a
-    pattern's photons are all placed, its nodes are carried unchanged.
-    Every node stands for the ``sizes[pattern]`` terms of its pattern, held
-    in consecutive slots, node after node and pattern after pattern.
-    Returns the transitions of all steps as lists of first source slot,
-    first target slot, slot count and coefficient, in the order a
-    term-by-term expansion adds them; per step, the slots its transitions
-    cover and the slots it fills; and each pattern's final nodes.
-    """
-    columns: list[list] = [[] for _ in range(matrix.shape[1])]
-    for i, j in zip(*np.nonzero(matrix.T)):
-        columns[i].append((int(j), matrix[j, i]))
-    photon_modes = [[i for i, k in enumerate(ks) for _ in range(k)]
-                    for ks in patterns]
-    nodes = [[(0,) * matrix.shape[0]] for _ in patterns]
-    src: list[int] = []
-    dst: list[int] = []
-    reps: list[int] = []
-    coef: list[complex] = []
-    steps = []
-    for s in range(max(map(len, photon_modes), default=0)):
-        slot = next_slot = covered = 0
-        for g, size in enumerate(sizes):
-            parts, before = nodes[g], len(src)
-            if s < len(photon_modes[g]):
-                children: dict[tuple[int, ...], int] = {}
-                for p, part in enumerate(parts):
-                    for j, m in columns[photon_modes[g][s]]:
-                        child = children.setdefault(
-                            part[:j] + (part[j] + 1,) + part[j + 1:],
-                            len(children))
-                        src.append(slot + p * size)
-                        dst.append(next_slot + child * size)
-                        coef.append(m)
-                nodes[g] = list(children)
-            else:
-                src += range(slot, slot + len(parts) * size, size)
-                dst += range(next_slot, next_slot + len(parts) * size, size)
-                coef += [1.0] * len(parts)
-            reps += [size] * (len(src) - before)
-            covered += (len(src) - before) * size
-            slot += len(parts) * size
-            next_slot += len(nodes[g]) * size
-        steps.append((covered, next_slot))
-    return (src, dst, reps, coef), steps, nodes
+def _pattern_polynomial(pattern: Sequence[int],
+                        columns: list[list[tuple[int, complex]]],
+                        n_out: int) -> dict[tuple[int, ...], complex]:
+    """prod_i (sum_j M[j, i] b_j^dag)^k_i / sqrt(prod_i k_i!) for the input
+    pattern k, as created part -> coefficient in order of first creation.
+    ``columns[i]`` lists the nonzero (j, M[j, i]); the operators are
+    multiplied in one at a time, in input-mode order."""
+    scale = 1.0
+    for k in pattern:
+        scale /= _FACT_SQRT[k]
+    poly = {(0,) * n_out: scale}
+    for i, k in enumerate(pattern):
+        for _ in range(k):
+            grown: dict[tuple[int, ...], complex] = {}
+            for part, coeff in poly.items():
+                for j, m in columns[i]:
+                    key = part[:j] + (part[j] + 1,) + part[j + 1:]
+                    grown[key] = grown.get(key, 0.0) + coeff * m
+            poly = grown
+    return poly
 
 
 def apply_transform(state: FockStateVector, t: ModeTransform) -> FockStateVector:
     """Rewrite each term by substituting creation operators per t.matrix.
 
-    Terms are grouped by their occupations on the input modes.  Each
+    Terms are grouped by their occupations on the input modes, and each
     distinct pattern's polynomial in the output creation operators is
-    expanded once, and its coefficients are evaluated for all terms of the
-    pattern together, in the order and rounding of a term-by-term
-    expansion.  Equal output rows with equal labels are summed in order of
-    first appearance; each row keeps its term's label.
-    The map is an isometry on creation operators, so every term keeps its
-    photon number and nothing is truncated.  Output-only modes must be
-    unoccupied (fresh ancillas).
+    expanded once, into the coefficients a term-by-term expansion gives
+    it.  Every output amplitude is then one product of a term's amplitude
+    and a coefficient of its pattern.  Equal output rows with equal labels
+    are summed in order of first appearance; each row keeps its term's
+    label.  The map is an isometry on creation operators, so every term
+    keeps its photon number and nothing is truncated.  Output-only modes
+    must be unoccupied (fresh ancillas).
     """
     if t.registry is not state.registry and t.registry.modes != state.registry.modes:
         raise ConfigurationError("transform registry differs from state registry")
@@ -436,64 +399,49 @@ def apply_transform(state: FockStateVector, t: ModeTransform) -> FockStateVector
         raise ValidationError(
             f"output mode {state.registry.modes[mode]} must start in vacuum")
 
-    # Slots hold the terms sorted by input pattern, each pattern's in state
-    # order.
-    members = np.lexsort(occ[:, ins].T)
-    ordered = occ[members][:, ins]
-    new = np.ones(len(members), dtype=bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    starts = np.flatnonzero(new).tolist()
-    sizes = [b - a for a, b in zip(starts, starts[1:] + [len(members)])]
-    moves, steps, nodes = _expand_patterns(ordered[starts].tolist(), sizes,
-                                           t.matrix)
-    re = state.amplitudes.real[members]
-    im = state.amplitudes.imag[members]
-    for k in ordered.T[(ordered > 1).any(axis=0)]:  # sqrt(k!) = 1 below 2
-        re, im = re / _FACT_SQRT[k], im / _FACT_SQRT[k]
-    reps = np.array(moves[2], dtype=np.int64)
-    src = _spans(np.array(moves[0], dtype=np.int64), reps)
-    dst = _spans(np.array(moves[1], dtype=np.int64), reps)
-    coef = np.repeat(np.array(moves[3], dtype=complex), reps)
-    end = 0
-    for covered, filled in steps:
-        at = slice(end, end + covered)
-        end += covered
-        r, i, c = re[src[at]], im[src[at]], coef[at]
-        re, im = (np.bincount(dst[at], r * c.real - i * c.imag, filled),
-                  np.bincount(dst[at], r * c.imag + i * c.real, filled))
-
-    # Final nodes: each one's created part (numbered in order) and slots.
+    pattern_of, first = _first_appearance(_row_keys(occ[:, ins], cutoff))
+    columns = [[(j, m) for j, m in enumerate(col) if m]
+               for col in t.matrix.T.tolist()]
+    polys = [_pattern_polynomial(p, columns, len(outs))
+             for p in occ[first][:, ins].tolist()]
+    # The parts of all patterns, pattern after pattern; each term has one
+    # output per part of its pattern, and output o its part at[o].
     part_ids: dict[tuple[int, ...], int] = {}
     part_of = np.array([part_ids.setdefault(part, len(part_ids))
-                        for p in nodes for part in p], dtype=np.int64)
-    n_nodes = [len(p) for p in nodes]
-    node_sizes = np.repeat(np.array(sizes, dtype=np.int64), n_nodes)
-    node = np.repeat(np.arange(len(part_of)), node_sizes)
-    term = members[_spans(np.repeat(np.array(starts, dtype=np.int64), n_nodes),
-                          node_sizes)]
-    keep = np.flatnonzero(np.hypot(re, im) >= PRUNE_THRESHOLD)
-    keep = keep[np.argsort(term[keep] * len(part_of) + node[keep])]
-    term, part = term[keep], part_of[node[keep]]
+                        for poly in polys for part in poly], dtype=np.int64)
+    coef = np.array([c for poly in polys for c in poly.values()], dtype=complex)
+    n = np.array([len(poly) for poly in polys], dtype=np.int64)
+    sizes = n[pattern_of]
+    term = np.repeat(np.arange(len(occ)), sizes)
+    shift = (np.cumsum(n) - n)[pattern_of] - (np.cumsum(sizes) - sizes)
+    at = np.arange(len(term)) + shift[term]
+    # Prune as a term-by-term expansion does: amplitude times coefficient,
+    # before the Bose factors.
+    amp = _cmul(state.amplitudes[term], coef[at])
+    keep = np.hypot(amp.real, amp.imag) >= PRUNE_THRESHOLD
+    term, at = term[keep], at[keep]
+    part = part_of[at]
     # An output row is fixed by the occupations off the transform's modes,
     # the created part and the label.
     others = sorted(set(range(occ.shape[1])) - set(ins) - set(outs))
-    distinct, label_ids = np.unique(state.labels, return_inverse=True)
-    n_labels = len(distinct)
-    if (math.comb(len(others) + cutoff, cutoff) * len(part_ids) * n_labels
+    labels, label_ids = np.unique(state.labels, return_inverse=True)
+    if (math.comb(len(others) + cutoff, cutoff) * len(part_ids) * len(labels)
             >= 2 ** 63):
         raise ConfigurationError("too many modes for int64 row keys")
     ids, first = _first_appearance(
-        (_row_keys(occ[:, others], cutoff) * n_labels + label_ids)[term]
+        (_row_keys(occ[:, others], cutoff) * len(labels) + label_ids)[term]
         * len(part_ids) + part)
     rows = occ[term[first]]
     rows[:, ins] = 0
     rows[:, outs] = np.array(list(part_ids), dtype=np.int16).reshape(
         len(part_ids), len(outs))[part[first]]
     bose = np.array([math.prod(_FACT_SQRT[k] for k in p)
-                     for p in part_ids])[part]
+                     for p in part_ids])[part_of]
+    # amp * (c * bose): (amp * c) * bose would move last bits of results/.
+    scaled = _complex(coef.real * bose, coef.imag * bose)
     return FockStateVector.from_arrays(
         state.registry, cutoff, rows,
-        _summed(ids, len(first), _complex(re[keep] * bose, im[keep] * bose)),
+        _summed(ids, len(first), _cmul(state.amplitudes[term], scaled[at])),
         state.truncated_weight, state.labels[term[first]])
 
 

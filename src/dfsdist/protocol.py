@@ -591,8 +591,8 @@ def phase_point_states(cfg: ExperimentConfig,
     labels of one propagation, summed with their characters e^{i n_V phi}."""
     plan = _build_plan(cfg)
     final = _final_state(cfg, plan)
-    return plan, [_merge_labels(final, np.exp(1j * phi_v * final.labels))
-                  for _, phi_v in PHASE_SET_8]
+    return plan, _merge_labels(final, [np.exp(1j * phi_v * final.labels)
+                                       for _, phi_v in PHASE_SET_8])
 
 
 def pattern_distribution(cfg: ExperimentConfig,

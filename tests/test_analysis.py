@@ -62,6 +62,10 @@ def test_rate_crossing_of_exact_power_laws():
     assert rate_crossing(coherent, single) == pytest.approx(0.07, rel=1e-12)
     with pytest.raises(ValidationError, match="one transmittance grid"):
         rate_crossing(coherent, single[:-1])
+    # Identical curves (factor 1) and parallel ones never cross.
+    for factor in (1.0, 10.0, 100.0):
+        with pytest.raises(ValidationError, match="do not cross"):
+            rate_crossing(coherent, [(t, factor * r) for t, r in coherent])
 
 
 def test_calibration_matches_target_and_is_idempotent():

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dfsdist
 from dfsdist import analysis
 from dfsdist.cli import build_config, load_config, main, parse_config_text
 from dfsdist.fock import ConfigurationError
@@ -203,3 +208,16 @@ def test_cli_oracle_check(tmp_path):
     payload = json.loads((tmp_path / "oracle.json").read_text())
     assert payload["passed"] is True
     assert payload["max_deviation"] < 1e-9
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # Only oracle-check needs SciPy's linear algebra; every other command
+    # would pay for its import at start-up.
+    src = str(Path(dfsdist.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, dfsdist.cli; print(sorted("
+         "{'scipy', 'scipy.linalg', 'dfsdist.oracle'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert loaded.split() == ["['scipy']"]

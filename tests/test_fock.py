@@ -525,12 +525,12 @@ def _random_state(reg, rng, cutoff=4, n_terms=12, extreme=True):
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(_KERNEL_KINDS),
-       st.booleans(), st.booleans())
+       st.booleans(), st.booleans(), st.sampled_from([4, 6]))
 def test_array_kernel_matches_term_by_term_expansion(seed, kind, extreme,
-                                                     occupy_fresh):
+                                                     occupy_fresh, cutoff):
     rng = np.random.default_rng(seed)
     t = _random_transform(_KERNEL_REG, kind, rng)
-    state = _random_state(_KERNEL_REG, rng, extreme=extreme)
+    state = _random_state(_KERNEL_REG, rng, cutoff=cutoff, extreme=extreme)
     fresh = [i for i in t.output_indices if i not in t.input_indices]
     if occupy_fresh and fresh:
         terms = dict(state.terms)
@@ -585,19 +585,18 @@ def test_each_distinct_input_pattern_expanded_once(monkeypatch):
             terms[tuple(occ)] = complex(len(terms) + 1, 1)
     state = FockStateVector(reg, 5, terms)
     expanded = []
-    expand = fock._expand_patterns
+    expand = fock._pattern_polynomial
 
-    def counted(patterns, *args):
-        expanded.append([tuple(p) for p in patterns])
-        return expand(patterns, *args)
+    def counted(pattern, *args):
+        expanded.append(tuple(pattern))
+        return expand(pattern, *args)
 
-    monkeypatch.setattr(fock, "_expand_patterns", counted)
+    monkeypatch.setattr(fock, "_pattern_polynomial", counted)
     t = jones_transform(reg, "A", np.array([[0.6, 0.8], [-0.8, 0.6]]))
     apply_transform(state, t)
     distinct = {tuple(occ[i] for i in t.input_indices) for occ in terms}
-    assert len(expanded) == 1
-    assert len(expanded[0]) == len(set(expanded[0])) == len(distinct) == 9
-    assert set(expanded[0]) == distinct
+    assert len(expanded) == len(set(expanded)) == len(distinct) == 9
+    assert set(expanded) == distinct
     assert len(terms) == 36
 
 
