@@ -3,11 +3,11 @@
 Everything here deliberately avoids the sparse engine's algorithms: a state is
 a dense factor psi (dim x r) of its density matrix rho = psi psi^dagger over an
 explicitly enumerated occupation basis, linear elements act through matrix
-exponentials of quadratic mode Hamiltonians (one per photon-number block, held
-sparse), loss acts via sparse Kraus maps (no dilation modes), every operator
-U maps psi to U psi, one sparse product on the factor's few columns, and
-detection goes through diagonal POVM operators.  Agreement with the sparse
-engine is asserted to 1e-9 on outcome probabilities.
+exponentials of quadratic mode Hamiltonians (each on the space of its own
+modes, held sparse), loss acts via sparse Kraus maps (no dilation modes),
+every operator U maps psi to U psi, one sparse product on the factor's few
+columns, and detection goes through diagonal POVM operators.  Agreement
+with the sparse engine is asserted to 1e-9 on outcome probabilities.
 
 A ``DenseFockSpace`` builds each operator once and keeps it: ``oracle_check``
 passes one space to all its protocol points, so every mode unitary, loss
@@ -23,9 +23,10 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import expm, logm
+from scipy.linalg import expm, schur
+from scipy.sparse import csr_array, hstack, vstack
 
-from .fock import H, V, Mode, make_registry
+from .fock import H, V, FockStateVector, Mode, apply_transform, make_registry
 from .optics import hwp as sparse_hwp
 from .optics import (
     jones_transform,
@@ -41,31 +42,23 @@ from .protocol import (
     _analyzer_matrix,
     run_fixed_phase,
 )
-from .fock import FockStateVector, apply_transform
 from .sources import DetectorModel, click_table
 
 
-def _enumerate_basis(n_modes: int, cutoff: int) -> list[tuple[int, ...]]:
-    basis: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int):
-        if len(prefix) == n_modes:
-            basis.append(prefix)
-            return
-        for k in range(remaining + 1):
-            rec(prefix + (k,), remaining - k)
-
-    rec((), cutoff)
-    return basis
+def _enumerate_basis(n_modes: int, cutoff: int) -> np.ndarray:
+    """Occupations of n_modes modes with at most cutoff photons, one per
+    row, in lexicographic order."""
+    occ = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(n_modes):  # prepend one mode at a time
+        total = occ.sum(axis=1)
+        occ = np.vstack([np.insert(occ[total <= cutoff - k], 0, k, axis=1)
+                         for k in range(cutoff + 1)])
+    return occ
 
 
 def _sparse(vals: Sequence[float], rows: Sequence[int], cols: Sequence[int],
             dim: int):
     """dim x dim read-only CSR matrix with the given entries."""
-    # Imported here: the CLI loads this module, and only the oracle needs
-    # scipy.sparse.
-    from scipy.sparse import csr_array
-
     op = csr_array((vals, (rows, cols)), shape=(dim, dim))
     for arr in (op.data, op.indices, op.indptr):
         arr.flags.writeable = False
@@ -75,45 +68,46 @@ def _sparse(vals: Sequence[float], rows: Sequence[int], cols: Sequence[int],
 class DenseFockSpace:
     """Dense truncated Fock space over a fixed number of modes.
 
-    Mode unitaries, loss Kraus sets and click POVMs are built on first use
-    and kept for the life of the space, so the protocol points of one check
-    that share a space build each operator once.  Unitaries (exponentiated
-    per photon-number block) and Kraus operators are sparse.  Returned
-    operators are shared; unitaries, Kraus sets and POVMs are read-only.
+    ``occupations`` is the basis as one int array (dim x n_modes) whose
+    mixed-radix codes ascend, so one ``searchsorted`` finds any index.
+    Mode unitaries, loss Kraus sets and click POVMs are built from it on
+    first use and kept for the life of the space, so the protocol points of
+    one check that share a space build each operator once.  All are shared
+    and read-only; unitaries and Kraus operators are sparse.
     """
 
     def __init__(self, n_modes: int, cutoff: int):
+        if (cutoff + 1) ** n_modes > 2 ** 62:
+            raise ValueError("the occupation codes would overflow int64")
         self.n_modes = n_modes
         self.cutoff = cutoff
-        self.basis = _enumerate_basis(n_modes, cutoff)
+        self.occupations = _enumerate_basis(n_modes, cutoff)
+        self.basis = list(map(tuple, self.occupations.tolist()))
         self.index = {occ: i for i, occ in enumerate(self.basis)}
         self.dim = len(self.basis)
+        self._radix = (cutoff + 1) ** np.arange(n_modes - 1, -1, -1)
+        self._codes = self.occupations @ self._radix
         self._annihilation: dict[int, object] = {}
-        self._creation: dict[int, object] = {}
+        self._layouts: dict[tuple[int, ...], tuple] = {}
         self._unitaries: dict[tuple, object] = {}
         self._kraus: dict[tuple[int, float], list] = {}
         self._clicks: dict[tuple, np.ndarray] = {}
+
+    def _lowered(self, mode: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Indices of the basis states with at least k photons in ``mode``
+        (columns), and of the states they become when k are removed (rows)."""
+        cols = np.flatnonzero(self.occupations[:, mode] >= k)
+        rows = np.searchsorted(self._codes,
+                               self._codes[cols] - k * self._radix[mode])
+        return rows, cols
 
     def annihilation(self, mode: int):
         """Sparse annihilation operator of one mode."""
         op = self._annihilation.get(mode)
         if op is None:
-            rows, cols, vals = [], [], []
-            for i, occ in enumerate(self.basis):
-                n = occ[mode]
-                if n:
-                    target = occ[:mode] + (n - 1,) + occ[mode + 1:]
-                    rows.append(self.index[target])
-                    cols.append(i)
-                    vals.append(math.sqrt(n))
-            op = self._annihilation[mode] = _sparse(vals, rows, cols, self.dim)
-        return op
-
-    def creation(self, mode: int):
-        """Sparse creation operator of one mode, the annihilator's transpose."""
-        op = self._creation.get(mode)
-        if op is None:
-            op = self._creation[mode] = self.annihilation(mode).T.tocsr()
+            rows, cols = self._lowered(mode, 1)
+            op = self._annihilation[mode] = _sparse(
+                np.sqrt(self.occupations[cols, mode]), rows, cols, self.dim)
         return op
 
     def state(self, terms: Mapping[tuple[int, ...], complex]) -> np.ndarray:
@@ -122,40 +116,55 @@ class DenseFockSpace:
             vec[self.index[tuple(occ)]] = amp
         return vec
 
+    def _layout(self, modes: tuple[int, ...]) -> tuple:
+        """The hopping products a_a^dag a_b of the m-mode space of ``modes``
+        as columns a m + b of one sparse d^2 x m^2 matrix, and the table of
+        indices of occupation s on ``modes`` and the r-th of the rest at
+        row r, column s (-1 past the cutoff)."""
+        layout = self._layouts.get(modes)
+        if layout is None:
+            small = DenseFockSpace(len(modes), self.cutoff)
+            m, d = small.n_modes, small.dim
+            lower = [small.annihilation(a) for a in range(m)]
+            # Block (a, b) of this product is a_a^dag a_b.
+            pairs = (vstack([x.T for x in lower]) @ hstack(lower)).tocoo()
+            (a, i), (b, j) = np.divmod(pairs.row, d), np.divmod(pairs.col, d)
+            hop = csr_array((pairs.data, (i * d + j, a * m + b)),
+                            shape=(d * d, m * m))
+            inside = self.occupations[:, list(modes)]
+            _, rest = np.unique(self._codes - inside @ self._radix[list(modes)],
+                                return_inverse=True)
+            table = np.full((rest.max() + 1, small.dim), -1)
+            table[rest, np.searchsorted(small._codes, inside @ small._radix)] = (
+                np.arange(self.dim))
+            layout = self._layouts[modes] = (hop, table)
+        return layout
+
     def mode_unitary(self, modes: Sequence[int], matrix: np.ndarray):
         """Fock-space unitary implementing a unitary map on creation operators.
 
-        The generator sum_ab k_ab a_a^dag a_b keeps the photons on ``modes``
-        and every other occupation, so it is block diagonal up to a
-        permutation.  Its blocks are the connected components of its nonzero
-        pattern; each is exponentiated alone (one batched ``expm`` per block
-        size) and the unitary is returned as a read-only CSR matrix.
+        Any log K of ``matrix`` serves, as Gamma(e^K) = e^{dGamma(K)}; K is
+        taken from the complex Schur form.  dGamma(K) = sum_ab k_ab a_a^dag
+        a_b keeps the photon number on ``modes`` and every other occupation,
+        so the unitary is one ``expm`` on the m-mode space of ``modes``,
+        copied into the block of each occupation of the rest, and returned
+        as a read-only CSR matrix without exact zeros.
         """
+        modes = tuple(map(int, modes))
         matrix = np.asarray(matrix, dtype=complex)
-        key = (tuple(map(int, modes)), matrix.shape, matrix.tobytes())
+        key = (modes, matrix.shape, matrix.tobytes())
         u = self._unitaries.get(key)
         if u is None:
-            from scipy.sparse.csgraph import connected_components  # as _sparse
-            k = logm(matrix)
-            gen = np.zeros((self.dim, self.dim), dtype=complex)
-            for a, ma in enumerate(modes):
-                adag = self.creation(ma)
-                for b, mb in enumerate(modes):
-                    if abs(k[a, b]) < 1e-16:
-                        continue
-                    gen += (k[a, b] * (adag @ self.annihilation(mb))).toarray()
-            _, label = connected_components(gen != 0, directed=False)
-            order = np.argsort(label, kind="stable")
-            sizes = np.bincount(label)
-            u = np.zeros_like(gen)
-            for size in np.unique(sizes):
-                # Row j lists the basis states of the j-th block of this size.
-                idx = order[sizes[label[order]] == size].reshape(-1, size)
-                block = (idx[:, :, None], idx[:, None, :])
-                u[block] = expm(gen[block])
-            rows, cols = np.nonzero(u)
-            u = self._unitaries[key] = _sparse(u[rows, cols], rows, cols,
-                                               self.dim)
+            hop, table = self._layout(modes)
+            t, z = schur(matrix, output="complex")
+            k = (z * np.log(np.diag(t))) @ z.conj().T
+            block = expm((hop @ k.ravel()).reshape(table.shape[1], -1))
+            out, into = np.nonzero(block)
+            rows, cols = table[:, out], table[:, into]
+            kept = cols >= 0
+            u = self._unitaries[key] = _sparse(
+                np.broadcast_to(block[out, into], cols.shape)[kept],
+                rows[kept], cols[kept], self.dim)
         return u
 
     def loss_kraus(self, mode: int, transmittance: float) -> list:
@@ -171,17 +180,14 @@ class DenseFockSpace:
         if ops is None:
             ops = []
             for k in range(self.cutoff + 1):
-                rows, cols, vals = [], [], []
-                for i, occ in enumerate(self.basis):
-                    n = occ[mode]
-                    if n < k:
-                        continue
-                    rows.append(self.index[occ[:mode] + (n - k,) + occ[mode + 1:]])
-                    cols.append(i)
-                    vals.append(math.sqrt(math.comb(n, k)
+                # One amplitude per photon number n >= k, then per state.
+                amp = np.array([math.sqrt(math.comb(n, k)
                                           * transmittance ** (n - k)
-                                          * (1.0 - transmittance) ** k))
-                ops.append(_sparse(vals, rows, cols, self.dim))
+                                          * (1.0 - transmittance) ** k)
+                                for n in range(k, self.cutoff + 1)])
+                rows, cols = self._lowered(mode, k)
+                ops.append(_sparse(amp[self.occupations[cols, mode] - k],
+                                   rows, cols, self.dim))
             self._kraus[key] = ops
         return ops
 
@@ -199,7 +205,7 @@ class DenseFockSpace:
         key = (tuple(map(int, modes)), efficiency, dark, click)
         diag = self._clicks.get(key)
         if diag is None:
-            n = np.array([sum(occ[m] for m in modes) for occ in self.basis])
+            n = self.occupations[:, list(modes)].sum(axis=1)
             if not click:
                 diag = (1.0 - dark) * (1.0 - efficiency) ** n
             else:
@@ -472,14 +478,18 @@ def _random_circuit_check(seed: int,
             if dev > worst:
                 worst, what = dev, f"pattern P={want_p} Q={want_q}"
 
+    jones = {basis: _analyzer_matrix(ANALYZER_BASES[basis])
+             for basis in ("X", "Y")}  # Z, the H/V basis, needs no analyzer
+    # The engine's analyzer transforms, each built (and checked) once.
+    transforms = {(lab, basis): jones_transform(reg, lab, mat)
+                  for lab in labels for basis, mat in jones.items()}
+
     def analyze(sparse, dense, lab: str, basis: str):
         """Both states with the +1 eigenstate of ``basis`` on lab's H mode."""
         if basis == "Z":
             return sparse, dense
-        jones = _analyzer_matrix(ANALYZER_BASES[basis])
-        u = space.mode_unitary([didx[lab + "H"], didx[lab + "V"]], jones)
-        return (apply_transform(sparse, jones_transform(reg, lab, jones)),
-                u @ dense)
+        u = space.mode_unitary([didx[lab + "H"], didx[lab + "V"]], jones[basis])
+        return apply_transform(sparse, transforms[lab, basis]), u @ dense
 
     # The 36 tomography probabilities: P port i and Q port j click in each
     # of the 3 x 3 analyzer basis pairs.

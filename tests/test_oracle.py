@@ -22,6 +22,9 @@ def test_dense_space_counts():
     assert space.dim == math.comb(4 + 2, 2)
     vac = space.state({(0, 0, 0, 0): 1.0})
     assert abs(np.linalg.norm(vac) - 1.0) < 1e-12
+    # 65 states, but their base-2 occupation codes need 64 bits.
+    with pytest.raises(ValueError, match="overflow"):
+        DenseFockSpace(64, 1)
 
 
 def test_dense_mode_unitary_preserves_norm():
@@ -39,9 +42,14 @@ def _full_generator_unitary(space, modes, matrix):
     gen = np.zeros((space.dim, space.dim), dtype=complex)
     for a, ma in enumerate(modes):
         for b, mb in enumerate(modes):
-            gen += k[a, b] * (space.creation(ma)
+            gen += k[a, b] * (space.annihilation(ma).T
                               @ space.annihilation(mb)).toarray()
     return expm(gen)
+
+
+def _random_unitary(rng, m):
+    q, r = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def test_block_mode_unitary_matches_full_expm():
@@ -68,13 +76,59 @@ def test_block_mode_unitary_matches_full_expm():
     rng = np.random.default_rng(2024)
     small = DenseFockSpace(4, 3)
     for _ in range(5):
-        q, r = np.linalg.qr(rng.normal(size=(2, 2))
-                            + 1j * rng.normal(size=(2, 2)))
-        matrix = q * (np.diag(r) / np.abs(np.diag(r)))
+        matrix = _random_unitary(rng, 2)
         modes = [int(m) for m in rng.choice(4, size=2, replace=False)]
         u = small.mode_unitary(modes, matrix)
         want = _full_generator_unitary(small, modes, matrix)
         assert np.abs(u.toarray() - want).max() <= 1e-13, modes
+    # 455 states, the size of the protocol spaces with temporal twin modes.
+    big = DenseFockSpace(12, 3)
+    modes, matrix = [9, 2, 5], _random_unitary(rng, 3)
+    u = big.mode_unitary(modes, matrix)
+    want = _full_generator_unitary(big, modes, matrix)
+    assert np.abs(u.toarray() - want).max() <= 1e-13
+    assert u.nnz <= 0.02 * big.dim ** 2
+
+
+def test_mode_unitary_schur_log_edge_cases():
+    space = DenseFockSpace(4, 3)
+    modes = [1, 3]
+    n = space.occupations[:, modes].sum(axis=1)
+    identity = space.mode_unitary(modes, np.eye(2))
+    assert (identity.toarray() == np.eye(space.dim)).all()
+    flip = space.mode_unitary(modes, -np.eye(2))
+    assert flip.nnz == space.dim
+    assert np.abs(flip.toarray() - np.diag((-1.0) ** n)).max() <= 1e-13
+    # Half-wave plates have the eigenvalue -1, on the log's branch cut.
+    for theta in (0.0, 0.3, math.pi / 8, math.pi / 4, 2.0):
+        c, s = math.cos(theta), math.sin(theta)
+        rot = np.array([[c, -s], [s, c]], dtype=complex)
+        hwp = rot @ np.diag([1.0, np.exp(1j * math.pi)]) @ rot.conj().T
+        want = _full_generator_unitary(space, modes, hwp)
+        got = space.mode_unitary(modes, hwp).toarray()
+        assert np.abs(got - want).max() <= 1e-13, theta
+
+
+def test_new_mode_unitary_calls_expm_once(monkeypatch):
+    # One expm on the small space of the modes, whatever the big space.
+    calls = []
+    expm = oracle.expm
+
+    def counted(a):
+        calls.append(a.shape)
+        return expm(a)
+
+    monkeypatch.setattr(oracle, "expm", counted)
+    rng = np.random.default_rng(5)
+    for n_modes in (2, 4, 10, 16):
+        space = DenseFockSpace(n_modes, 3)
+        for modes in ([0, 1], list(range(n_modes))[::-1][:4]):
+            matrix = _random_unitary(rng, len(modes))
+            calls.clear()
+            u = space.mode_unitary(modes, matrix)
+            assert calls == [(math.comb(len(modes) + 3, 3),) * 2], n_modes
+            assert space.mode_unitary(modes, matrix) is u
+            assert len(calls) == 1
 
 
 def test_click_povm_matches_exact_rationals():
