@@ -9,6 +9,7 @@ machine-readable JSON error line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -238,7 +239,10 @@ def _cmd_qubit(cfg: ExperimentConfig, extras: dict, out: str) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use.  Parsing keeps no
+    state in it: each call returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="dfsdist",
         description="Entanglement-distribution simulator over lossy "
@@ -253,7 +257,11 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--out", required=True, help="output path base")
         if name == "sample":
             p.add_argument("--seed", type=int, default=None)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         cfg, extras = load_config(args.config)
         handler = {

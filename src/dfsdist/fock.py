@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import OrderedDict
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -254,21 +255,24 @@ def _rank_table(n_cols: int, cutoff: int) -> np.ndarray:
     return table
 
 
-def _row_keys(rows: np.ndarray, cutoff: int) -> np.ndarray:
-    """Distinct integer keys for distinct occupation rows totalling at most
-    ``cutoff``, below C(columns + cutoff, cutoff).
-
-    A key is the row's rank among all such rows, up to sign and offset,
-    over the columns not empty in every row.  A mixed-radix key over every
-    mode would overflow int64 (24 modes at cutoff 6 need 7^24 keys).
-    """
-    rows = rows[:, rows.any(axis=0)]
+def _ranks(rows: np.ndarray, cutoff: int) -> np.ndarray:
+    """Each occupation row's rank among all rows over its columns totalling
+    at most ``cutoff``: distinct keys for distinct rows, below
+    C(columns + cutoff, cutoff)."""
     key = np.zeros(len(rows), dtype=np.int64)
     filled = np.zeros(len(rows), dtype=np.int64)
     for col, weights in zip(rows.T, _rank_table(rows.shape[1], cutoff)):
         filled += col
         key += weights[filled]
     return key
+
+
+def _row_keys(rows: np.ndarray, cutoff: int) -> np.ndarray:
+    """Distinct integer keys for distinct occupation rows totalling at most
+    ``cutoff``: their ranks over the columns not empty in every row.  A
+    mixed-radix key over every mode would overflow int64 (24 modes at
+    cutoff 6 need 7^24 keys)."""
+    return _ranks(rows[:, rows.any(axis=0)], cutoff)
 
 
 def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -346,11 +350,12 @@ class ModeTransform:
             if not 0 <= i < n:
                 raise ConfigurationError(f"mode index {i} outside registry")
         gram = mat.conj().T @ mat
-        if not np.allclose(gram, np.eye(n_in), atol=ISOMETRY_TOL):
+        if not (np.abs(gram - np.eye(n_in)) <= ISOMETRY_TOL).all():
             raise ValidationError(f"transform {self.name or mat!r} is not an isometry")
 
 
 _FACT_SQRT = [math.sqrt(math.factorial(n)) for n in range(MAX_CUTOFF + 1)]
+_FACT_SQRT_ARRAY = np.array(_FACT_SQRT)
 
 
 def _pattern_polynomial(pattern: Sequence[int],
@@ -375,12 +380,106 @@ def _pattern_polynomial(pattern: Sequence[int],
     return poly
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _joined(old: np.ndarray, new: np.ndarray, order=slice(None)) -> np.ndarray:
+    return _frozen(np.concatenate([old, new])[order])
+
+
+class _Expansions:
+    """The expansions of input patterns under one matrix at one cutoff.
+
+    ``ranks`` holds the patterns' ranks over the input modes (see
+    ``_ranks``) in increasing order, then int64's largest value, which no
+    rank reaches (``apply_transform`` checks their range).  The
+    polynomial of the pattern at ranks[i] is entries starts[i] to
+    starts[i] + sizes[i] of four arrays with one entry per created part, in
+    order of first creation: the parts (int16 rows over the output modes),
+    their ranks over those modes within the cutoff, their coefficients, and
+    the coefficients times the parts' Bose factors prod_j sqrt(n_j!).
+    Every array is read-only.
+    """
+
+    def __init__(self, n_out: int, cutoff: int):
+        self.cutoff = cutoff
+        self.ranks = _frozen(np.array([np.iinfo(np.int64).max]))
+        self.starts = self.sizes = _frozen(np.zeros(1, np.int64))
+        self.parts = _frozen(np.zeros((0, n_out), np.int16))
+        self.codes = _frozen(np.zeros(0, np.int64))
+        self.coefs = self.scaled = _frozen(np.zeros(0, complex))
+
+    def lookup(self, matrix: np.ndarray, patterns: np.ndarray) -> np.ndarray:
+        """The index of each row's pattern in ``ranks``; the patterns not
+        seen before are expanded under ``matrix`` together."""
+        rank = _ranks(patterns, self.cutoff)
+        at = np.searchsorted(self.ranks, rank)
+        missing = self.ranks[at] != rank
+        if missing.any():
+            new, first = np.unique(rank[missing], return_index=True)
+            self._expand(matrix, patterns[missing][first].tolist(), new)
+            at = np.searchsorted(self.ranks, rank)
+        return at
+
+    def _expand(self, matrix: np.ndarray, patterns: list[list[int]],
+                ranks: np.ndarray):
+        n_out = matrix.shape[0]
+        columns = [[(j, m) for j, m in enumerate(col) if m]
+                   for col in matrix.T.tolist()]
+        polys = [_pattern_polynomial(p, columns, n_out) for p in patterns]
+        parts = np.array([part for poly in polys for part in poly],
+                         dtype=np.int16).reshape(-1, n_out)
+        coefs = np.array([c for poly in polys for c in poly.values()],
+                         dtype=complex)
+        # Multiplied mode after mode, as math.prod would.
+        bose = np.ones(len(parts))
+        for col in parts.T:
+            bose = bose * _FACT_SQRT_ARRAY[col]
+        sizes = np.array([len(poly) for poly in polys], dtype=np.int64)
+        order = np.argsort(np.concatenate([self.ranks, ranks]), kind="stable")
+        self.ranks = _joined(self.ranks, ranks, order)
+        self.starts = _joined(self.starts,
+                              len(self.coefs) + np.cumsum(sizes) - sizes, order)
+        self.sizes = _joined(self.sizes, sizes, order)
+        self.parts = _joined(self.parts, parts)
+        self.codes = _joined(self.codes, _ranks(parts, self.cutoff))
+        self.coefs = _joined(self.coefs, coefs)
+        # amp * (c * bose): (amp * c) * bose would move last bits of results/.
+        self.scaled = _joined(self.scaled, _complex(coefs.real * bose,
+                                                    coefs.imag * bose))
+
+
+# The expansions under the last MEMO_MATRICES transform matrices used, least
+# recently used first, keyed by (matrix shape, matrix bytes, cutoff).  A study
+# applies the same few matrices again and again, but loss and overlap
+# matrices change with T and s, and random circuits make new ones, so the
+# memo holds a bounded number of matrices.
+MEMO_MATRICES = 64
+_EXPANSIONS: OrderedDict[tuple, _Expansions] = OrderedDict()
+
+
+def _expansions(matrix: np.ndarray, cutoff: int) -> _Expansions:
+    """The memo's expansions under ``matrix`` at ``cutoff``, now the most
+    recently used."""
+    key = (matrix.shape, matrix.tobytes(), cutoff)
+    found = _EXPANSIONS.pop(key, None)
+    if found is None:
+        found = _Expansions(matrix.shape[0], cutoff)
+    _EXPANSIONS[key] = found
+    if len(_EXPANSIONS) > MEMO_MATRICES:
+        _EXPANSIONS.popitem(last=False)
+    return found
+
+
 def apply_transform(state: FockStateVector, t: ModeTransform) -> FockStateVector:
     """Rewrite each term by substituting creation operators per t.matrix.
 
-    Terms are grouped by their occupations on the input modes, and each
-    distinct pattern's polynomial in the output creation operators is
-    expanded once, into the coefficients a term-by-term expansion gives
+    Terms are grouped by their occupations on the input modes.  Each
+    distinct pattern's polynomial in the output creation operators, with
+    the coefficients a term-by-term expansion gives it, comes from a
+    process-wide memo; only the first use of a (matrix, pattern) expands
     it.  Every output amplitude is then one product of a term's amplitude
     and a coefficient of its pattern.  Equal output rows with equal labels
     are summed in order of first appearance; each row keeps its term's
@@ -398,50 +497,40 @@ def apply_transform(state: FockStateVector, t: ModeTransform) -> FockStateVector
         mode = fresh[busy[busy.any(axis=1).argmax()].argmax()]
         raise ValidationError(
             f"output mode {state.registry.modes[mode]} must start in vacuum")
+    # Input patterns and output rows are told apart by int64 keys: an
+    # output row is fixed by the occupations off the transform's modes, the
+    # created part and the label.
+    others = sorted(set(range(occ.shape[1])) - set(ins) - set(outs))
+    labels, label_ids = np.unique(state.labels, return_inverse=True)
+    n_codes = math.comb(len(outs) + cutoff, cutoff)
+    if max(math.comb(len(ins) + cutoff, cutoff),
+           math.comb(len(others) + cutoff, cutoff) * n_codes * len(labels)
+           ) >= 2 ** 63:
+        raise ConfigurationError("too many modes for int64 row keys")
 
-    pattern_of, first = _first_appearance(_row_keys(occ[:, ins], cutoff))
-    columns = [[(j, m) for j, m in enumerate(col) if m]
-               for col in t.matrix.T.tolist()]
-    polys = [_pattern_polynomial(p, columns, len(outs))
-             for p in occ[first][:, ins].tolist()]
-    # The parts of all patterns, pattern after pattern; each term has one
-    # output per part of its pattern, and output o its part at[o].
-    part_ids: dict[tuple[int, ...], int] = {}
-    part_of = np.array([part_ids.setdefault(part, len(part_ids))
-                        for poly in polys for part in poly], dtype=np.int64)
-    coef = np.array([c for poly in polys for c in poly.values()], dtype=complex)
-    n = np.array([len(poly) for poly in polys], dtype=np.int64)
-    sizes = n[pattern_of]
+    found = _expansions(t.matrix, cutoff)
+    pattern = found.lookup(t.matrix, occ[:, ins])
+    # Each term has one output per part of its pattern, and output o the
+    # part at[o] of the memo's arrays.
+    sizes = found.sizes[pattern]
     term = np.repeat(np.arange(len(occ)), sizes)
-    shift = (np.cumsum(n) - n)[pattern_of] - (np.cumsum(sizes) - sizes)
+    shift = found.starts[pattern] - (np.cumsum(sizes) - sizes)
     at = np.arange(len(term)) + shift[term]
     # Prune as a term-by-term expansion does: amplitude times coefficient,
     # before the Bose factors.
-    amp = _cmul(state.amplitudes[term], coef[at])
+    amp = _cmul(state.amplitudes[term], found.coefs[at])
     keep = np.hypot(amp.real, amp.imag) >= PRUNE_THRESHOLD
     term, at = term[keep], at[keep]
-    part = part_of[at]
-    # An output row is fixed by the occupations off the transform's modes,
-    # the created part and the label.
-    others = sorted(set(range(occ.shape[1])) - set(ins) - set(outs))
-    labels, label_ids = np.unique(state.labels, return_inverse=True)
-    if (math.comb(len(others) + cutoff, cutoff) * len(part_ids) * len(labels)
-            >= 2 ** 63):
-        raise ConfigurationError("too many modes for int64 row keys")
     ids, first = _first_appearance(
         (_row_keys(occ[:, others], cutoff) * len(labels) + label_ids)[term]
-        * len(part_ids) + part)
+        * n_codes + found.codes[at])
     rows = occ[term[first]]
     rows[:, ins] = 0
-    rows[:, outs] = np.array(list(part_ids), dtype=np.int16).reshape(
-        len(part_ids), len(outs))[part[first]]
-    bose = np.array([math.prod(_FACT_SQRT[k] for k in p)
-                     for p in part_ids])[part_of]
-    # amp * (c * bose): (amp * c) * bose would move last bits of results/.
-    scaled = _complex(coef.real * bose, coef.imag * bose)
+    rows[:, outs] = found.parts[at[first]]
     return FockStateVector.from_arrays(
         state.registry, cutoff, rows,
-        _summed(ids, len(first), _cmul(state.amplitudes[term], scaled[at])),
+        _summed(ids, len(first),
+                _cmul(state.amplitudes[term], found.scaled[at])),
         state.truncated_weight, state.labels[term[first]])
 
 
@@ -481,7 +570,7 @@ class PolarizationDensityMatrix:
         if mat.shape != (4, 4):
             raise ValidationError("polarization density matrix must be 4x4")
         scale = max(float(np.abs(mat).max()), 1.0)
-        if not np.allclose(mat, mat.conj().T, atol=1e-12 * scale):
+        if not np.allclose(mat, mat.conj().T, rtol=0, atol=1e-12 * scale):
             raise ValidationError("density matrix is not Hermitian")
         tr = float(np.real(np.trace(mat)))
         if tr > 1.0 + 1e-9:

@@ -98,6 +98,24 @@ def test_cli_sample_deterministic(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+def test_cli_calls_in_one_process_share_no_arguments(tmp_path, capsys):
+    # The parser is built once per process; each call parses afresh.
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("n_pulses = 50\nseed = 11\n")
+    assert main(["sample", "--config", str(cfg_file), "--out",
+                 str(tmp_path / "a"), "--seed", "5"]) == 0
+    assert main(["sample", "--config", str(cfg_file), "--out",
+                 str(tmp_path / "b")]) == 0
+    assert json.loads((tmp_path / "a.json").read_text())["seed"] == 5
+    assert json.loads((tmp_path / "b.json").read_text())["seed"] == 11
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("transmittance = 2.0\n")
+    capsys.readouterr()
+    assert main(["sample", "--config", str(bad), "--out",
+                 str(tmp_path / "c")]) == 2
+    assert "error" in json.loads(capsys.readouterr().err.strip())
+
+
 def test_cli_error_is_machine_readable(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("transmittance = 2.0\n")

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -103,6 +104,9 @@ def test_non_isometric_matrix_rejected():
     reg = make_registry(["A"])
     with pytest.raises(ValidationError):
         ModeTransform(reg, (0, 1), (0, 1), np.array([[1.0, 0.0], [0.0, 0.5]]))
+    # The tolerance is absolute: a scale of 1 + 1e-9 is not an isometry.
+    with pytest.raises(ValidationError, match="isometry"):
+        ModeTransform(reg, (0, 1), (0, 1), np.eye(2) * (1.0 + 1e-9))
 
 
 def test_occupied_fresh_output_rejected():
@@ -347,6 +351,16 @@ def test_fidelity_examples():
         fidelity_to_phi_plus(zero)
 
 
+def test_non_hermitian_density_matrix_rejected():
+    mat = np.eye(4) / 4.0
+    mat[0, 3] = mat[3, 0] = 0.2
+    PolarizationDensityMatrix(mat)
+    # The tolerance is absolute: 1e-6 of asymmetry is not Hermitian.
+    mat[3, 0] += 1e-6
+    with pytest.raises(ValidationError, match="Hermitian"):
+        PolarizationDensityMatrix(mat)
+
+
 def test_trace_distance_and_norm_helpers():
     reg = make_registry(["A", "B"])
     state = _phi_plus_state(reg)
@@ -573,7 +587,24 @@ def test_empty_state_stays_empty():
     assert len(out.terms) == 0 and out.truncated_weight == 0.25
 
 
-def test_each_distinct_input_pattern_expanded_once(monkeypatch):
+@pytest.fixture
+def expansions(monkeypatch):
+    """An empty expansion memo for the test, and the patterns that
+    _pattern_polynomial expands under it."""
+    monkeypatch.setattr(fock, "_EXPANSIONS", fock.OrderedDict())
+    expanded = []
+    expand = fock._pattern_polynomial
+
+    def counted(pattern, *args):
+        expanded.append(tuple(pattern))
+        return expand(pattern, *args)
+
+    monkeypatch.setattr(fock, "_pattern_polynomial", counted)
+    return expanded
+
+
+def _pattern_grid_state():
+    """36 terms over 9 patterns on A's matched modes."""
     reg = _KERNEL_REG
     a_modes, b_modes = reg.indices("A"), reg.indices("B")
     terms = {}
@@ -583,21 +614,73 @@ def test_each_distinct_input_pattern_expanded_once(monkeypatch):
             occ[a_modes[0]], occ[a_modes[2]] = n_a
             occ[b_modes[b]] = 1
             terms[tuple(occ)] = complex(len(terms) + 1, 1)
-    state = FockStateVector(reg, 5, terms)
-    expanded = []
-    expand = fock._pattern_polynomial
+    return FockStateVector(reg, 5, terms)
 
-    def counted(pattern, *args):
-        expanded.append(tuple(pattern))
-        return expand(pattern, *args)
 
-    monkeypatch.setattr(fock, "_pattern_polynomial", counted)
-    t = jones_transform(reg, "A", np.array([[0.6, 0.8], [-0.8, 0.6]]))
+def test_each_distinct_input_pattern_expanded_once(expansions):
+    state = _pattern_grid_state()
+    t = jones_transform(state.registry, "A",
+                        np.array([[0.6, 0.8], [-0.8, 0.6]]))
     apply_transform(state, t)
-    distinct = {tuple(occ[i] for i in t.input_indices) for occ in terms}
-    assert len(expanded) == len(set(expanded)) == len(distinct) == 9
-    assert set(expanded) == distinct
-    assert len(terms) == 36
+    distinct = {tuple(occ[i] for i in t.input_indices) for occ in state.terms}
+    assert len(expansions) == len(set(expansions)) == len(distinct) == 9
+    assert set(expansions) == distinct
+    assert len(state.terms) == 36
+    apply_transform(state, t)
+    assert len(expansions) == 9
+
+
+def test_second_propagation_expands_nothing(expansions):
+    cfg = replace(protocol.ExperimentConfig(), overlap_s0=0.9)
+    plan = protocol._build_plan(cfg)
+    first = protocol._final_state(cfg, plan)
+    assert expansions
+    expansions.clear()
+    again = protocol._final_state(cfg, plan)
+    assert expansions == []
+    assert np.array_equal(first.amplitudes, again.amplitudes)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_memo_hits_give_the_bits_of_fresh_expansions(expansions, seed):
+    rng = np.random.default_rng(seed)
+    state = _random_state(_KERNEL_REG, rng, 4, 40)
+    t = _random_isometry(_KERNEL_REG, rng, int(rng.integers(0, 3)))
+    outs = []
+    for warm_with in (None, len(state.amplitudes) // 2, 0):
+        fock._EXPANSIONS.clear()
+        if warm_with is not None:
+            # A warm memo: none, some or all of the patterns expanded before.
+            apply_transform(FockStateVector.from_arrays(
+                state.registry, state.cutoff, state.occupations[warm_with:],
+                state.amplitudes[warm_with:]), t)
+        outs.append(apply_transform(state, t))
+    for out in outs[1:]:
+        for name in ("occupations", "amplitudes", "labels"):
+            assert np.array_equal(getattr(out, name), getattr(outs[0], name))
+
+
+def test_memo_arrays_are_read_only(expansions):
+    state = _pattern_grid_state()
+    apply_transform(state, jones_transform(state.registry, "A",
+                                           np.array([[0.6, 0.8], [-0.8, 0.6]])))
+    (memo,) = fock._EXPANSIONS.values()
+    for name in ("ranks", "starts", "sizes", "parts", "codes", "coefs",
+                 "scaled"):
+        arr = getattr(memo, name)
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
+
+
+def test_memo_is_bounded_over_a_transmittance_scan(expansions):
+    reg = make_registry(["A", "L"])
+    state = FockStateVector(reg, 2, {(1, 1, 0, 0): 1.0, (2, 0, 0, 0): 0.5})
+    for transmittance in np.linspace(0.01, 0.99, 200):
+        t = loss_channel(reg, "A", float(transmittance), "L")
+        apply_transform(state, t)
+        assert len(fock._EXPANSIONS) <= fock.MEMO_MATRICES
+    assert len(fock._EXPANSIONS) == fock.MEMO_MATRICES
+    assert next(reversed(fock._EXPANSIONS))[1] == t.matrix.tobytes()
 
 
 def test_row_keys_distinct_where_mixed_radix_overflows():
