@@ -29,10 +29,10 @@ from dfsdist.analysis import (
     write_json,
 )
 from dfsdist.protocol import (
+    FORWARD_T_GRID,
     ExperimentConfig,
     component_scaling,
     fit_loglog_slope,
-    forward_variant_scaling,
     sharing_rate,
 )
 
@@ -93,8 +93,9 @@ def reproduce(out_dir: Path) -> None:
                                              "ancilla_multiphoton").slope,
         "double_pair_vs_gamma": component_scaling(cfg, "gamma", gamma_grid,
                                                   "multi_pair").slope,
-        "forward_unwanted_vs_t": forward_variant_scaling(cfg)
-        ["forward_unwanted_vs_t"].slope,
+        "forward_unwanted_vs_t": component_scaling(
+            replace(cfg, variant="forward_all_from_bob"), "transmittance",
+            FORWARD_T_GRID, "ancilla_multiphoton").slope,
         "rate_vs_t": slope_c,
         "single_photon_rate_vs_t": slope_s,
         "crossing_transmittance": t_cross,

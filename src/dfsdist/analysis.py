@@ -252,12 +252,6 @@ def _scan_rows(evaluate: DelayEvaluator, cfg: ExperimentConfig,
     return rows
 
 
-def delay_scan(cfg: ExperimentConfig,
-               delays_um: Sequence[float]) -> list[DelayScanRow]:
-    """Circular-basis coincidences and their contrast at each delay."""
-    return _scan_rows(DelayEvaluator(cfg), cfg, delays_um)
-
-
 def delay_scan_csv(rows: Sequence[DelayScanRow]) -> str:
     lines = ["delay_um,p_rd,p_ld,visibility"]
     for r in rows:
@@ -294,26 +288,6 @@ def _dip_fwhm(evaluate: DelayEvaluator, cfg: ExperimentConfig) -> float:
     return lo + hi  # 2 * half-width
 
 
-def measure_dip_fwhm(cfg: ExperimentConfig) -> float:
-    """Full width at half maximum of the interference contrast vs delay."""
-    return _dip_fwhm(DelayEvaluator(cfg), cfg)
-
-
-def _delay_width(evaluate: DelayEvaluator, cfg: ExperimentConfig,
-                 target_fwhm_um: float) -> float:
-    return cfg.overlap_sigma_um * target_fwhm_um / _dip_fwhm(evaluate, cfg)
-
-
-def calibrate_delay_width(cfg: ExperimentConfig,
-                          target_fwhm_um: float = 180.0) -> float:
-    """Overlap width reproducing a requested coincidence-dip FWHM.
-
-    The contrast depends on delay only through s(dx), so the measured FWHM is
-    proportional to sigma and one reference measurement fixes the scale.
-    """
-    return _delay_width(DelayEvaluator(cfg), cfg, target_fwhm_um)
-
-
 @dataclass(frozen=True)
 class DelayStudy:
     sigma_um: float
@@ -331,8 +305,10 @@ def delay_study(cfg: ExperimentConfig, delays_um: Sequence[float],
     """
     evaluate = DelayEvaluator(cfg)
     if target_fwhm_um is not None:
-        cfg = replace(cfg, overlap_sigma_um=_delay_width(evaluate, cfg,
-                                                         target_fwhm_um))
+        # The contrast depends on delay only through s(dx), so the FWHM is
+        # proportional to sigma and one measurement fixes the scale.
+        cfg = replace(cfg, overlap_sigma_um=cfg.overlap_sigma_um
+                      * target_fwhm_um / _dip_fwhm(evaluate, cfg))
     return DelayStudy(cfg.overlap_sigma_um, _scan_rows(evaluate, cfg, delays_um),
                       _scan_rows(evaluate, cfg, [0.0])[0].visibility,
                       _dip_fwhm(evaluate, cfg))
@@ -340,37 +316,24 @@ def delay_study(cfg: ExperimentConfig, delays_um: Sequence[float],
 
 # --- tomography ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TomographyResult:
-    matrix: np.ndarray
-    fidelity: float
-    phase_noise: bool
-
-
-def tomography_experiment(cfg: ExperimentConfig,
-                          phase_noise: bool) -> TomographyResult:
-    """Conditional pair state without the ancilla pulse, by tomography.
+def tomography_payload(cfg: ExperimentConfig) -> dict:
+    """Fidelity and matrix of the conditional pair state without the ancilla
+    pulse, with the phase noise off and on, as JSON data.
 
     The retained photon is analyzed directly while its partner crosses the
     channel; coincidences of the two detectors condition the state.  With
     phase noise the state is averaged over the collective phase, without it
     the channel phase is zero.
     """
-    dm = two_qubit_state(replace(cfg, variant="direct_no_dfs"),
-                         None if phase_noise else (0.0, 0.0))
-    return TomographyResult(dm.matrix, fidelity_to_phi_plus(dm), phase_noise)
-
-
-def tomography_payload(cfg: ExperimentConfig) -> dict:
-    """Fidelity and matrix of the conditional pair state with the phase
-    noise off and on, as JSON data."""
+    direct = replace(cfg, variant="direct_no_dfs")
     payload = {}
-    for label, noise in (("phase_noise_off", False), ("phase_noise_on", True)):
-        res = tomography_experiment(cfg, noise)
+    for label, phase in (("phase_noise_off", (0.0, 0.0)),
+                         ("phase_noise_on", None)):
+        dm = two_qubit_state(direct, phase)
         payload[label] = {
-            "fidelity": res.fidelity,
-            "matrix_real": np.real(res.matrix).tolist(),
-            "matrix_imag": np.imag(res.matrix).tolist(),
+            "fidelity": fidelity_to_phi_plus(dm),
+            "matrix_real": np.real(dm.matrix).tolist(),
+            "matrix_imag": np.imag(dm.matrix).tolist(),
         }
     return payload
 

@@ -35,7 +35,6 @@ from .fock import (
     ModeRegistry,
     PolarizationDensityMatrix,
     ValidationError,
-    _cmul,
     _merge_labels,
     make_registry,
     apply_transform,
@@ -65,6 +64,9 @@ CHSH_FIDELITY_BOUND = 1.0 / math.sqrt(2.0)
 
 # Phases (phi_H, phi_V) for sampling; at cutoff <= 7 their mean is uniform.
 PHASE_SET_8 = tuple((0.0, n * math.pi / 4.0) for n in range(8))
+
+# Transmittances of the forward variant's unwanted-component fit.
+FORWARD_T_GRID = (0.003, 0.01, 0.03)
 
 VARIANTS = ("counter_propagating", "forward_all_from_bob",
             "single_photon_ancilla", "direct_no_dfs")
@@ -211,8 +213,8 @@ class _Plan:
     herald: str | None
     pair_side_indices: list[int]
     detectors: dict[str, DetectorModel]
-    # H and V modes of the source labels that carry the collective phase.
-    charge_indices: tuple[list[int], list[int]]
+    # V modes of the source labels that carry the collective phase.
+    charge_indices: list[int]
     # Keep the second herald outcome too (needs a herald).
     feedforward: bool = False
     # Modes the pulse loses photons to before the overlap split.
@@ -227,10 +229,8 @@ def _analyzer_matrix(setting: str) -> np.ndarray:
                      [np.conj(ket2[0]), np.conj(ket2[1])]], dtype=complex)
 
 
-def _charge_indices(reg: ModeRegistry,
-                    labels: Sequence[str]) -> tuple[list[int], list[int]]:
-    return ([i for lab in labels for i in reg.indices(lab, pol=H)],
-            [i for lab in labels for i in reg.indices(lab, pol=V)])
+def _charge_indices(reg: ModeRegistry, labels: Sequence[str]) -> list[int]:
+    return [i for lab in labels for i in reg.indices(lab, pol=V)]
 
 
 def _build_plan(cfg: ExperimentConfig) -> _Plan:
@@ -311,34 +311,40 @@ def _propagate(state: FockStateVector, transforms: Sequence) -> FockStateVector:
     return state
 
 
-def _final_state(cfg: ExperimentConfig, plan: _Plan,
-                 phase: tuple[float, float] | None = None) -> FockStateVector:
-    """Sources plus optical train, propagated once.
+def _final_state(cfg: ExperimentConfig, plan: _Plan) -> FockStateVector:
+    """Sources plus optical train, propagated once, each term labelled with
+    its photon number n_V on the V modes that carry the collective phase.
 
-    The collective phase (phi_H, phi_V), the same on both channel passes,
-    reaches the source modes before any element mixes them: it multiplies
-    each initial term by e^{i (n_H phi_H + n_V phi_V)}, with n_H, n_V its
-    photon numbers on the phase-carrying modes.  With ``phase`` None each
-    term is labelled with its n_V instead: averaged uniformly over the
-    phase, terms of different n_V never interfere.
+    The phase (phi_H, phi_V), the same on both channel passes, reaches those
+    modes before any element mixes them.  Averaged uniformly over it, terms
+    of different n_V never interfere; ``_at_phases`` merges the labels at
+    fixed phases.
     """
     state = _initial_state(cfg, plan.registry)
-    n_h, n_v = (state.occupations[:, modes].sum(axis=1)
-                for modes in plan.charge_indices)
-    amps, labels = state.amplitudes, n_v
-    if phase is not None:
-        amps = _cmul(amps, np.exp(1j * (n_h * phase[0] + n_v * phase[1])))
-        labels = None
+    n_v = state.occupations[:, plan.charge_indices].sum(axis=1)
     return _propagate(FockStateVector.from_arrays(
-        plan.registry, cfg.cutoff, state.occupations, amps,
-        state.truncated_weight, labels), _transforms(cfg, plan.registry))
+        plan.registry, cfg.cutoff, state.occupations, state.amplitudes,
+        state.truncated_weight, n_v), _transforms(cfg, plan.registry))
+
+
+def _at_phases(final: FockStateVector, phases: Sequence[tuple[float, float]],
+               ) -> list[FockStateVector]:
+    """The labelled ``final`` state at each collective phase (phi_H, phi_V):
+    its n_V labels summed with the characters e^{i n_V (phi_V - phi_H)}.
+
+    Every element keeps the photon number N = n_H + n_V of the phase-carrying
+    modes and each final row fixes N, so phi_H only adds one phase
+    e^{i N phi_H} per row.  That changes no statistic and is dropped.
+    """
+    return _merge_labels(final, [np.exp(1j * (phi_v - phi_h) * final.labels)
+                                 for phi_h, phi_v in phases])
 
 
 def prepare_final_state(cfg: ExperimentConfig, phi_h: float,
                         phi_v: float) -> tuple[_Plan, FockStateVector]:
     """Sources plus optical train for one collective phase setting."""
     plan = _build_plan(cfg)
-    return plan, _final_state(cfg, plan, (phi_h, phi_v))
+    return plan, _at_phases(_final_state(cfg, plan), [(phi_h, phi_v)])[0]
 
 
 def run_fixed_phase(cfg: ExperimentConfig, phi_h: float,
@@ -475,8 +481,9 @@ def _overlap_table(cfg: ExperimentConfig, phase: tuple[float, float] | None,
     width give it.
     """
     plan = _build_plan(cfg)
-    state = _final_state(replace(cfg, overlap_s0=_SQ2, delay_um=0.0), plan,
-                         phase)
+    state = _final_state(replace(cfg, overlap_s0=_SQ2, delay_um=0.0), plan)
+    if phase is not None:
+        state, = _at_phases(state, [phase])
     return _table(plan, _rotated(plan, state, basis, basis))
 
 
@@ -587,12 +594,10 @@ def _tomography(plan: _Plan, state: FockStateVector) -> np.ndarray:
 
 def phase_point_states(cfg: ExperimentConfig,
                        ) -> tuple[_Plan, list[FockStateVector]]:
-    """Final state at each point of ``PHASE_SET_8``, in order: the n_V
-    labels of one propagation, summed with their characters e^{i n_V phi}."""
+    """Final state at each point of ``PHASE_SET_8``, in order, merged from
+    the labels of one propagation."""
     plan = _build_plan(cfg)
-    final = _final_state(cfg, plan)
-    return plan, _merge_labels(final, [np.exp(1j * phi_v * final.labels)
-                                       for _, phi_v in PHASE_SET_8])
+    return plan, _at_phases(_final_state(cfg, plan), PHASE_SET_8)
 
 
 def pattern_distribution(cfg: ExperimentConfig,
@@ -632,8 +637,10 @@ def two_qubit_state(cfg: ExperimentConfig,
     Raises ``ValidationError`` if the reconstruction is not a state.
     """
     plan = _build_plan(cfg)
-    return PolarizationDensityMatrix(
-        _tomography(plan, _final_state(cfg, plan, phase)))
+    state = _final_state(cfg, plan)
+    if phase is not None:
+        state, = _at_phases(state, [phase])
+    return PolarizationDensityMatrix(_tomography(plan, state))
 
 
 def _correlation(probs: Mapping[tuple[str, str], float],
@@ -726,7 +733,7 @@ def component_scaling(cfg: ExperimentConfig, parameter: str,
 
 def forward_variant_scaling(cfg: ExperimentConfig,
                             mu_grid: Sequence[float] = (0.005, 0.01, 0.02, 0.04),
-                            t_grid: Sequence[float] = (0.003, 0.01, 0.03),
+                            t_grid: Sequence[float] = FORWARD_T_GRID,
                             ) -> dict[str, ScalingReport]:
     """Exponent fits for the all-pulses-from-the-sender comparison."""
     fwd = replace(cfg, variant="forward_all_from_bob")

@@ -14,10 +14,8 @@ import pytest
 
 from dfsdist.analysis import (
     SweepSpec,
-    calibrate_delay_width,
     calibrate_overlap,
-    delay_scan,
-    measure_dip_fwhm,
+    delay_study,
     sweep_transmittance,
 )
 from dfsdist.fock import fidelity_to_phi_plus
@@ -195,10 +193,9 @@ def test_criterion_6_chsh_threshold(sweep_table):
 
 def test_criterion_7_delay_scan(calibrated):
     cfg, _ = calibrated
-    sigma = calibrate_delay_width(cfg, 180.0)
-    cfg_sigma = replace(cfg, overlap_sigma_um=sigma)
-    vis0 = delay_scan(cfg_sigma, [0.0])[0].visibility
-    fwhm = measure_dip_fwhm(cfg_sigma)
+    study = delay_study(cfg, [0.0], 180.0)
+    sigma, vis0, fwhm = (study.sigma_um, study.zero_delay_visibility,
+                         study.fwhm_um)
     ok = 0.79 <= vis0 <= 0.87 and 162.0 <= fwhm <= 198.0
     _verdict(7, ok, f"zero-delay visibility {vis0:.4f}, dip FWHM {fwhm:.1f} um "
                     f"(sigma {sigma:.1f} um)")

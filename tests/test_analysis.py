@@ -12,16 +12,13 @@ from dfsdist.analysis import (
     CalibrationError,
     ResultsTable,
     SweepSpec,
-    calibrate_delay_width,
     calibrate_overlap,
-    delay_scan,
     delay_scan_csv,
     delay_study,
-    measure_dip_fwhm,
     rate_crossing,
     sample_events,
     sweep_transmittance,
-    tomography_experiment,
+    tomography_payload,
 )
 from dfsdist.fock import H, ConfigurationError, ValidationError
 from dfsdist.protocol import (
@@ -227,7 +224,7 @@ def test_sweep_outputs_are_deterministic(tmp_path):
 
 def test_delay_scan_limits_and_csv():
     cfg = replace(PAPER, overlap_s0=CAL_S0, overlap_sigma_um=108.1)
-    rows = delay_scan(cfg, [0.0, 1e5])
+    rows = delay_study(cfg, [0.0, 1e5]).rows
     assert rows[0].visibility > 0.5
     assert rows[1].visibility < 1e-6
     assert abs(rows[1].p_rd - rows[1].p_ld) < 1e-15 * rows[1].p_rd
@@ -237,8 +234,8 @@ def test_delay_scan_limits_and_csv():
 
 def test_delay_width_calibration_roundtrip():
     cfg = replace(PAPER, overlap_s0=CAL_S0, overlap_sigma_um=100.0)
-    sigma = calibrate_delay_width(cfg, 180.0)
-    fwhm = measure_dip_fwhm(replace(cfg, overlap_sigma_um=sigma))
+    study = delay_study(cfg, [], 180.0)
+    sigma, fwhm = study.sigma_um, study.fwhm_um
     assert abs(fwhm - 180.0) < 0.5
     # Analytic Gaussian relation as a cross-check: FWHM = 2 sqrt(ln 2) sigma.
     assert abs(sigma - 180.0 / (2.0 * math.sqrt(math.log(2.0)))) < 0.5
@@ -255,30 +252,29 @@ def test_fwhm_targeted_delay_study_propagates_once(monkeypatch):
     assert study.sigma_um != PAPER.overlap_sigma_um
 
 
-@pytest.mark.parametrize("study", [
-    lambda cfg: delay_study(cfg, np.linspace(-200.0, 200.0, 9), 180.0),
-    measure_dip_fwhm,
-    calibrate_delay_width,
-], ids=["delay_study", "measure_dip_fwhm", "calibrate_delay_width"])
-def test_delay_studies_reject_a_variant_without_pulse(monkeypatch, study):
+@pytest.mark.parametrize("target_fwhm_um", [180.0, None],
+                         ids=["delay_study", "without_fwhm_target"])
+def test_delay_studies_reject_a_variant_without_pulse(monkeypatch,
+                                                      target_fwhm_um):
     # No pulse, no dip: rejected before any propagation.
     calls = _count_calls(monkeypatch, "_propagate")
     cfg = replace(ExperimentConfig(variant="direct_no_dfs"), overlap_s0=0.94)
     with pytest.raises(ConfigurationError, match="has no pulse"):
-        study(cfg)
+        delay_study(cfg, np.linspace(-200.0, 200.0, 9), target_fwhm_um)
     assert calls == {"_propagate": 0}
 
 
 def test_tomography_ideal_and_reference():
-    ideal = ExperimentConfig.ideal(variant="direct_no_dfs")
-    res_off = tomography_experiment(ideal, phase_noise=False)
-    res_on = tomography_experiment(ideal, phase_noise=True)
-    assert abs(res_off.fidelity - 1.0) < 1e-10
-    assert abs(res_on.fidelity - 0.5) < 1e-10
+    ideal = tomography_payload(ExperimentConfig.ideal(variant="direct_no_dfs"))
+    res_off, res_on = ideal["phase_noise_off"], ideal["phase_noise_on"]
+    assert abs(res_off["fidelity"] - 1.0) < 1e-10
+    assert abs(res_on["fidelity"] - 0.5) < 1e-10
+    matrix_on = (np.asarray(res_on["matrix_real"])
+                 + 1j * np.asarray(res_on["matrix_imag"]))
     for i, j in ((0, 3), (3, 0), (0, 1), (2, 3)):
-        assert abs(res_on.matrix[i, j]) < 1e-12
-    ref = tomography_experiment(PAPER, phase_noise=True)
-    assert abs(ref.fidelity - 0.5) < 0.01
+        assert abs(matrix_on[i, j]) < 1e-12
+    ref = tomography_payload(PAPER)["phase_noise_on"]
+    assert abs(ref["fidelity"] - 0.5) < 0.01
 
 
 def test_sample_events_deterministic_and_empty():
@@ -409,13 +405,14 @@ def test_delay_visibility_shape_is_gaussian():
     sigma = 108.1
     ideal = replace(ExperimentConfig.ideal(), overlap_s0=0.95,
                     overlap_sigma_um=sigma)
-    rows = delay_scan(ideal, [0.0, 60.0, 120.0])
+    rows = delay_study(ideal, [0.0, 60.0, 120.0]).rows
     v0 = rows[0].visibility
     for row in rows[1:]:
         expect = v0 * math.exp(-(row.delay_um / sigma) ** 2)
         assert abs(row.visibility - expect) < 1e-12
     cfg = replace(PAPER, overlap_s0=CAL_S0, overlap_sigma_um=sigma)
-    for row in delay_scan(cfg, [60.0, 120.0]):
-        v_ref = delay_scan(cfg, [0.0])[0].visibility
+    study = delay_study(cfg, [60.0, 120.0])
+    v_ref = study.zero_delay_visibility
+    for row in study.rows:
         expect = v_ref * math.exp(-(row.delay_um / sigma) ** 2)
         assert abs(row.visibility - expect) < 1e-3

@@ -10,6 +10,7 @@ import dfsdist
 from dfsdist import analysis
 from dfsdist.cli import build_config, load_config, main, parse_config_text
 from dfsdist.fock import ConfigurationError
+from dfsdist.protocol import ExperimentConfig
 
 
 def test_parse_config_text():
@@ -129,6 +130,22 @@ def test_load_config_defaults():
     cfg, extras = load_config(None)
     assert cfg.transmittance == 0.1
     assert extras == {}
+
+
+def test_reference_config_is_the_default_study():
+    # Every key at its built-in default and the extras at the grids of
+    # scripts/reproduce_results.py, so a run from the file writes results/.
+    cfg, extras = load_config(
+        str(Path(__file__).resolve().parent.parent / "configs" / "reference.cfg"))
+    assert cfg == ExperimentConfig()
+    assert extras == {
+        "transmittance_list": (0.1, 0.03, 0.01, 0.005, 0.003),
+        "calibrate_anchor_t": 0.1, "calibrate_target_vx": 0.82,
+        "auto_calibrate": True,
+        "delay_min_um": -300.0, "delay_max_um": 300.0, "delay_steps": 61,
+        "delay_fwhm_target_um": 180.0,
+        "n_pulses": 100_000, "seed": 12345,
+    }
 
 
 def test_cli_delay_scan(tmp_path):

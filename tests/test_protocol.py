@@ -720,6 +720,69 @@ def test_measure_matches_per_term_definition(case):
             assert _close(got[key], val), key
 
 
+def _source_phase_state(cfg, phi_h, phi_v):
+    """The final state with the collective phase put in at the source: each
+    initial term times e^{i (n_H phi_H + n_V phi_V)}, n_H and n_V its photons
+    on the phase-carrying modes, then the optical train without labels."""
+    plan = protocol._build_plan(cfg)
+    reg = plan.registry
+    v_modes = plan.charge_indices
+    h_modes = [reg.index(reg.modes[i]._replace(pol=H)) for i in v_modes]
+    state = protocol._initial_state(cfg, reg)
+    n_h = state.occupations[:, h_modes].sum(axis=1)
+    n_v = state.occupations[:, v_modes].sum(axis=1)
+    state = FockStateVector.from_arrays(
+        reg, cfg.cutoff, state.occupations,
+        state.amplitudes * np.exp(1j * (n_h * phi_h + n_v * phi_v)),
+        state.truncated_weight)
+    for transform in protocol._transforms(cfg, reg):
+        state = apply_transform(state, transform)
+    return plan, state
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(),
+    dict(cutoff=6, pair_cutoff=3),
+    dict(include_feedforward_branch=True),
+    dict(source="exact_pair"),
+    dict(variant="single_photon_ancilla"),
+    dict(variant="single_photon_ancilla", cutoff=6),
+    dict(variant="forward_all_from_bob"),
+], ids=["counter", "counter_c6", "feedforward", "exact_pair", "single_c4",
+        "single_c6", "forward"])
+def test_dfs_makes_the_phase_average_exact(overrides):
+    # The whole state, not only its post-selected part, is immune to the
+    # collective phase: averaging over it changes no bit of any statistic.
+    cfg = replace(PAPER, overlap_s0=CAL_S0, **overrides)
+    assert run_phase_averaged(cfg) == run_fixed_phase(cfg, 0.0, 0.0)
+
+
+def test_direct_variant_loses_x_correlations_to_the_phase_average():
+    cfg = replace(PAPER, variant="direct_no_dfs")
+    v_z, v_x = visibilities(run_phase_averaged(cfg))
+    assert v_x == 0.0
+    fixed_z, fixed_x = visibilities(run_fixed_phase(cfg, 0.0, 0.0))
+    assert fixed_z == v_z and fixed_x == fixed_z
+
+
+@pytest.mark.parametrize("variant", protocol.VARIANTS)
+@pytest.mark.parametrize("phase", [(0.3, 1.1), (1.0, -0.5)])
+def test_fixed_phase_matches_the_source_phase_reference(variant, phase):
+    cfg = replace(PAPER, overlap_s0=CAL_S0, variant=variant)
+    got = run_fixed_phase(cfg, *phase)
+    want = protocol._measure(*_source_phase_state(cfg, *phase))
+
+    def close(a, b):
+        return abs(a - b) <= 1e-14 * abs(b) + 1e-300
+
+    assert close(got.triple_probability, want.triple_probability)
+    assert close(got.truncated_weight, want.truncated_weight)
+    for g, w in ((got.zz_probs, want.zz_probs), (got.xx_probs, want.xx_probs),
+                 (got.components, want.components)):
+        assert set(g) == set(w)
+        assert all(close(g[key], w[key]) for key in w)
+
+
 @pytest.mark.parametrize("overrides", [
     dict(),
     dict(variant="forward_all_from_bob", overlap_s0=0.9),
@@ -730,7 +793,7 @@ def test_phase_point_states_match_fixed_phase_preparation(overrides):
     _, states = phase_point_states(cfg)
     assert len(states) == len(PHASE_SET_8)
     for (phi_h, phi_v), state in zip(PHASE_SET_8, states):
-        _, want = prepare_final_state(cfg, phi_h, phi_v)
+        _, want = _source_phase_state(cfg, phi_h, phi_v)
         assert states_allclose(state, want, tol=1e-15)
         assert state.truncated_weight == pytest.approx(want.truncated_weight,
                                                        rel=1e-12, abs=1e-300)
