@@ -5,7 +5,9 @@ state is a sparse set of terms held as arrays, an integer occupation matrix
 (terms x modes), a complex amplitude and an integer label per term,
 truncated at a total photon number.  Linear-optical elements act by substituting
 creation operators according to an isometric mode matrix; photon loss is
-handled by dilation onto fresh loss modes and incoherent reduction.
+handled by dilation onto fresh loss modes and incoherent reduction.  A run
+of elements is one isometry, their product (``compose``), applied in one
+pass.
 """
 
 from __future__ import annotations
@@ -354,6 +356,43 @@ class ModeTransform:
             raise ValidationError(f"transform {self.name or mat!r} is not an isometry")
 
 
+def compose(transforms: Sequence[ModeTransform], prefix: str) -> ModeTransform:
+    """The one transform that applies ``transforms`` in order, named
+    ``prefix[name; ...]`` after them.
+
+    Its matrix is the product of theirs over the registry, restricted to
+    the modes the run moves that may be occupied when it starts: each mode
+    first used as an input.  Its outputs are every mode first used as an
+    output, which must start in vacuum, and the inputs still fed at the
+    end, all in registry order.  An element whose fresh output an earlier
+    element feeds is an error.
+    """
+    reg = transforms[0].registry
+    # Column i: where the photons of mode i are after the elements so far.
+    product = np.eye(reg.n_modes, dtype=complex)
+    touched: set[int] = set()
+    ins: list[int] = []
+    for t in transforms:
+        if t.registry is not reg and t.registry.modes != reg.modes:
+            raise ConfigurationError("composed transforms differ in registry")
+        t_ins, t_outs = list(t.input_indices), list(t.output_indices)
+        fresh = [j for j in t_outs if j not in t_ins]
+        fed = product[fresh][:, ins].any(axis=1)
+        if fed.any():
+            raise ValidationError(f"output mode {reg.modes[fresh[fed.argmax()]]}"
+                                  f" of {t.name!r} is fed by an earlier element")
+        ins += [i for i in t_ins if i not in touched]
+        touched.update(t_ins, t_outs)
+        moved = t.matrix @ product[t_ins]
+        product[t_ins] = 0.0
+        product[t_outs] = moved
+    ins.sort()
+    fed = product[:, ins].any(axis=1)
+    outs = [j for j in sorted(touched) if fed[j] or j not in ins]
+    return ModeTransform(reg, tuple(ins), tuple(outs), product[outs][:, ins],
+                         name=f"{prefix}[{'; '.join(t.name for t in transforms)}]")
+
+
 _FACT_SQRT = [math.sqrt(math.factorial(n)) for n in range(MAX_CUTOFF + 1)]
 _FACT_SQRT_ARRAY = np.array(_FACT_SQRT)
 
@@ -485,7 +524,9 @@ def apply_transform(state: FockStateVector, t: ModeTransform) -> FockStateVector
     are summed in order of first appearance; each row keeps its term's
     label.  The map is an isometry on creation operators, so every term
     keeps its photon number and nothing is truncated.  Output-only modes
-    must be unoccupied (fresh ancillas).
+    must be unoccupied (fresh ancillas).  Each call expands every input
+    pattern once, so a run of elements costs least as one ``compose``d
+    transform.
     """
     if t.registry is not state.registry and t.registry.modes != state.registry.modes:
         raise ConfigurationError("transform registry differs from state registry")

@@ -38,6 +38,7 @@ from .fock import (
     _merge_labels,
     make_registry,
     apply_transform,
+    compose,
     tensor,
 )
 from .optics import (
@@ -285,7 +286,14 @@ def _initial_state(cfg: ExperimentConfig, reg: ModeRegistry) -> FockStateVector:
 
 
 def _transforms(cfg: ExperimentConfig, reg: ModeRegistry) -> list:
-    """The phase-independent optical train after the sources."""
+    """The phase-independent optical train after the sources: the channel
+    loss, if the variant has one, then the receiver as one composed map.
+
+    The receiver map depends only on the variant and the overlap s, so its
+    expansions in the memo serve every T.  Composing the T-dependent loss
+    into it would make a new matrix at every T, so the loss stays its own
+    transform.
+    """
     if cfg.variant == "direct_no_dfs":
         return []
     seq = []
@@ -294,15 +302,16 @@ def _transforms(cfg: ExperimentConfig, reg: ModeRegistry) -> list:
     if cfg.variant == "single_photon_ancilla":
         seq.append(loss_channel(reg, "R", cfg.transmittance, "LR"))
     # Polarization flip before the PBS, built as the exact swap.
-    seq.append(jones_transform(reg, "R", _PAULI["X"], name="waveplate(flip)"))
+    receiver = [jones_transform(reg, "R", _PAULI["X"], name="waveplate(flip)")]
     s = cfg.overlap_amplitude
     if s < 1.0:
-        seq.append(overlap_split(reg, "R", s))
-    seq.append(pbs(reg, "A", "R", "E", "F"))
+        receiver.append(overlap_split(reg, "R", s))
+    receiver.append(pbs(reg, "A", "R", "E", "F"))
     # Rotate the pulse output so its |D> component sits on the H modes watched
     # by the herald detector; the |Dbar> component leaves through the unused port.
-    seq.append(jones_transform(reg, "F", _analyzer_matrix("D"), name="F analyzer"))
-    return seq
+    receiver.append(jones_transform(reg, "F", _analyzer_matrix("D"),
+                                    name="F analyzer"))
+    return [*seq, compose(receiver, "receiver")]
 
 
 def _propagate(state: FockStateVector, transforms: Sequence) -> FockStateVector:
@@ -405,13 +414,21 @@ class _Table:
         g_photon = det_g.photon_probability(n_g)
         g_dark = det_g.dark * det_g.miss_probability(n_g)
         pairs, photons = n[:, -4], n[:, -3]
-        keys, inverse = np.unique(np.stack([pairs, photons - 2 * pairs]),
-                                  axis=1, return_inverse=True)
+        # One int64 key per (pairs, ancilla photons), sorted as those pairs:
+        # the ancilla count lies in [-MAX_CUTOFF, MAX_CUTOFF], negative only
+        # in states the protocol does not make.
+        radix = 2 * MAX_CUTOFF + 1
+        keys, inverse = np.unique(
+            pairs.astype(np.int64) * radix + (photons - 2 * pairs + MAX_CUTOFF),
+            return_inverse=True)
+        n_pairs_of, ancilla_of = divmod(keys, radix)
+        ancilla_of -= MAX_CUTOFF
         comps: dict[tuple[int, int, str], float] = {}
         for origin, part in (("photon", w_eh * g_photon),
                              ("dark", w_eh * g_dark)):
-            sums = np.bincount(inverse, part, keys.shape[1])
-            for (n_pairs, ancilla), val in zip(keys.T.tolist(), sums.tolist()):
+            sums = np.bincount(inverse, part, len(keys))
+            for n_pairs, ancilla, val in zip(n_pairs_of.tolist(),
+                                             ancilla_of.tolist(), sums.tolist()):
                 if val:
                     comps[(n_pairs, ancilla, origin)] = val
         return float(w_eh @ (g_photon + g_dark)), comps
@@ -545,12 +562,16 @@ def _labelled(probs: np.ndarray,
 def _rotated(plan: _Plan, state: FockStateVector, basis_e: str,
              basis_g: str) -> FockStateVector:
     """The state with each side rotated so that the +1 eigenstate of its
-    analyzer basis (keys of ``ANALYZER_BASES``) lies on its H modes."""
-    for side, basis in ((plan.side_e, basis_e), (plan.side_g, basis_g)):
-        if basis != "Z":
-            state = apply_transform(state, jones_transform(
-                plan.registry, side, _analyzer_matrix(ANALYZER_BASES[basis])))
-    return state
+    analyzer basis (keys of ``ANALYZER_BASES``) lies on its H modes, both
+    sides in one composed map."""
+    rotations = [jones_transform(plan.registry, side,
+                                 _analyzer_matrix(ANALYZER_BASES[basis]),
+                                 name=f"{side} {basis}")
+                 for side, basis in ((plan.side_e, basis_e),
+                                     (plan.side_g, basis_g)) if basis != "Z"]
+    if not rotations:
+        return state
+    return apply_transform(state, compose(rotations, "jones"))
 
 
 def _measure(plan: _Plan, state: FockStateVector) -> ProtocolOutcome:

@@ -23,6 +23,7 @@ from dfsdist.fock import (
     UndefinedFidelityError,
     ValidationError,
     apply_transform,
+    compose,
     fidelity_to_phi_plus,
     make_registry,
     tensor,
@@ -32,6 +33,7 @@ from dfsdist.optics import (
     beamsplitter,
     jones_transform,
     loss_channel,
+    overlap_split,
     pbs,
 )
 from dfsdist.sources import DetectorModel
@@ -160,25 +162,6 @@ def test_tensor_norm_multiplies(data):
     assert abs(prod.norm_squared() - a.norm_squared() * b.norm_squared()) < 1e-10
 
 
-def _composed(first, second):
-    """second after first as one transform, from the product of the two
-    maps written out on every mode of the registry."""
-    n = first.registry.n_modes
-
-    def on_all_modes(t):
-        full = np.eye(n, dtype=complex)
-        full[:, list(t.input_indices)] = 0.0
-        full[np.ix_(t.output_indices, t.input_indices)] = t.matrix
-        return full
-
-    product = on_all_modes(second) @ on_all_modes(first)
-    inputs = sorted(set(first.input_indices)
-                    | (set(second.input_indices) - set(first.output_indices)))
-    outputs = [i for i in range(n) if np.any(product[i, inputs])]
-    return ModeTransform(first.registry, tuple(inputs), tuple(outputs),
-                         product[np.ix_(outputs, inputs)])
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000), st.floats(0.05, 0.95))
 def test_lossless_norm_preserved_and_composition(seed, theta):
@@ -193,7 +176,7 @@ def test_lossless_norm_preserved_and_composition(seed, theta):
     t2 = beamsplitter(reg, 1, 3, (1.0 - theta) * math.pi)
     stepwise = apply_transform(apply_transform(state, t1), t2)
     assert abs(stepwise.norm_squared() - 1.0) < 1e-10
-    composed = apply_transform(state, _composed(t1, t2))
+    composed = apply_transform(state, compose([t1, t2], "pair"))
     assert states_allclose(stepwise, composed, tol=1e-10)
 
 
@@ -417,7 +400,7 @@ def test_composition_through_loss_elements():
     second = attenuator(reg, "G", "G", "W2", 0.5)
     state = FockStateVector(reg, 2, {(1, 0, 0, 0, 0, 0, 0, 0): 1.0})
     stepwise = apply_transform(apply_transform(state, first), second)
-    composed = apply_transform(state, _composed(first, second))
+    composed = apply_transform(state, compose([first, second], "loss"))
     assert states_allclose(stepwise, composed, tol=1e-12)
     # Transmittances multiply: sqrt(0.7 * 0.5) survives into G.
     survived = stepwise.amplitude(
@@ -581,6 +564,80 @@ def test_isometries_conserve_photon_number(seed, n_fresh):
         assert all(sum(o) == sum(occ) for o in one.terms)
 
 
+# --- A run of elements as one composed transform. ---
+
+# Photons start on A and B; each loss sends them to a dump label of its own.
+_TRAIN_REG = make_registry([("A", True), ("B", True), ("L1", True),
+                            ("L2", True), ("L3", True)])
+_TRAIN_KINDS = ["loss", "overlap", "pbs", "jones", "beamsplitter"]
+
+
+def _random_train(kinds, rng):
+    reg, dumps = _TRAIN_REG, ["L1", "L2", "L3"]
+    train = []
+    for kind in kinds:
+        side = str(rng.choice(["A", "B"]))
+        if kind == "loss" and dumps:
+            train.append(loss_channel(reg, side, float(rng.uniform(0, 1)),
+                                      dumps.pop(0)))
+        elif kind == "overlap":
+            train.append(overlap_split(reg, side, float(rng.uniform(0, 1))))
+        elif kind == "pbs":
+            train.append(pbs(reg, "A", "B", "B", "A"))
+        elif kind == "jones":
+            q, _ = np.linalg.qr(rng.normal(size=(2, 2))
+                                + 1j * rng.normal(size=(2, 2)))
+            train.append(jones_transform(reg, side, q))
+        else:  # a beamsplitter, also in place of a fourth loss
+            i, j = rng.choice(8, size=2, replace=False).tolist()
+            train.append(beamsplitter(reg, i, j, float(rng.uniform(0, math.pi))))
+    return train
+
+
+def _rows(state):
+    return {(tuple(occ), label): amp for occ, label, amp in zip(
+        state.occupations.tolist(), state.labels.tolist(),
+        state.amplitudes.tolist())}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.sampled_from(_TRAIN_KINDS), min_size=1, max_size=6),
+       st.lists(st.integers(-3, 9), min_size=1, max_size=3, unique=True))
+def test_composed_train_equals_element_by_element(seed, kinds, labels):
+    rng = np.random.default_rng(seed)
+    train = _random_train(kinds, rng)
+    state = _labelled_state(_TRAIN_REG, rng, labels, extreme=False)
+    stepwise = state
+    for t in train:
+        stepwise = apply_transform(stepwise, t)
+    composed = compose(train, "train")
+    got = apply_transform(state, composed)
+    assert composed.name.startswith("train[")
+    assert got.truncated_weight == stepwise.truncated_weight
+    # 1e-13 relative per amplitude, but where terms cancel rounding errors
+    # scale with the inputs: allow 1e-14 of the largest input amplitude.
+    floor = 1e-14 * np.abs(state.amplitudes).max()
+    want, have = _rows(stepwise), _rows(got)
+    for key in want.keys() | have.keys():
+        amp = want.get(key, 0.0)
+        assert abs(have.get(key, 0.0) - amp) <= 1e-13 * abs(amp) + floor, key
+
+
+def test_composed_map_keeps_the_fresh_mode_check():
+    reg = make_registry(["A", "L"])
+    loss = loss_channel(reg, "A", 0.5, "L")
+    train = compose([loss, jones_transform(reg, "A", np.eye(2))], "loss")
+    assert train.input_indices == tuple(reg.indices("A"))
+    assert train.output_indices == tuple(range(4))
+    occupied = FockStateVector(reg, 2, {(1, 0, 1, 0): 1.0})
+    with pytest.raises(ValidationError, match="must start in vacuum"):
+        apply_transform(occupied, train)
+    # A second loss into the same dump modes finds them fed.
+    with pytest.raises(ValidationError, match="fed by an earlier element"):
+        compose([loss, loss], "loss")
+
+
 def test_empty_state_stays_empty():
     t = attenuator(_KERNEL_REG, "A", "G", "W", 0.5)
     out = apply_transform(FockStateVector(_KERNEL_REG, 3, {}, 0.25), t)
@@ -639,6 +696,32 @@ def test_second_propagation_expands_nothing(expansions):
     again = protocol._final_state(cfg, plan)
     assert expansions == []
     assert np.array_equal(first.amplitudes, again.amplitudes)
+
+
+@pytest.mark.parametrize("variant", ["single_photon_ancilla",
+                                     "forward_all_from_bob"])
+def test_new_transmittance_expands_only_the_channel(monkeypatch, variant):
+    # The receiver map does not depend on T, so its expansions serve every
+    # T; only the T-dependent channel loss meets new patterns.
+    monkeypatch.setattr(fock, "_EXPANSIONS", fock.OrderedDict())
+    expanded = []
+    expand = fock._Expansions._expand
+
+    def counted(self, matrix, *args):
+        expanded.append(matrix.tobytes())
+        return expand(self, matrix, *args)
+
+    monkeypatch.setattr(fock._Expansions, "_expand", counted)
+    cfg = protocol.ExperimentConfig(variant=variant, overlap_s0=0.9)
+    protocol._final_state(cfg, protocol._build_plan(cfg))
+    assert len(set(expanded)) == 2
+    expanded.clear()
+    cfg = replace(cfg, transmittance=0.03)
+    plan = protocol._build_plan(cfg)
+    channel, receiver = protocol._transforms(cfg, plan.registry)
+    assert receiver.name.startswith("receiver[")
+    protocol._final_state(cfg, plan)
+    assert expanded == [channel.matrix.tobytes()]
 
 
 @pytest.mark.parametrize("seed", range(4))

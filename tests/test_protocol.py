@@ -315,22 +315,24 @@ def test_state_outputs_propagate_each_class_once(monkeypatch):
 
 
 def test_one_propagation_per_configuration(monkeypatch):
-    # At the calibrated reference the train holds four elements: the flip,
+    # At the calibrated reference the train is one receiver map: the flip,
     # the overlap split, the PBS and the herald analyzer; the pair photon's
-    # loss and pickoff are part of D_G.  Measuring adds the X rotation of
-    # each side, and the tomography rotates E once per basis and G once per
-    # basis pair.
+    # loss and pickoff are part of D_G.  A loss variant applies its channel
+    # loss first, as a map of its own.  Measuring adds one X rotation of
+    # both sides, and the tomography one rotation per basis pair but Z-Z.
     cfg = replace(PAPER, overlap_s0=CAL_S0)
     calls = []
     apply = protocol.apply_transform
     monkeypatch.setattr(protocol, "apply_transform",
                         lambda *args: calls.append(None) or apply(*args))
-    for run, n_calls in ((run_phase_averaged, 4 + 2),
-                         (two_qubit_state, 4 + 8),
-                         (phase_point_states, 4)):
+    single = replace(cfg, variant="single_photon_ancilla")
+    for run, run_cfg, n_calls in ((run_phase_averaged, cfg, 1 + 1),
+                                  (two_qubit_state, cfg, 1 + 8),
+                                  (phase_point_states, cfg, 1),
+                                  (run_phase_averaged, single, 1 + 1 + 1)):
         calls.clear()
-        run(cfg)
-        assert len(calls) == n_calls, run.__name__
+        run(run_cfg)
+        assert len(calls) == n_calls, (run.__name__, run_cfg.variant)
 
 
 def test_tomography_without_coincidences_is_undefined():
