@@ -82,8 +82,8 @@ def calibrate_overlap(cfg: ExperimentConfig, anchor_t: float = 0.1,
                       target_v_x: float = 0.82) -> CalibrationResult:
     """Bisect the zero-delay overlap amplitude until V_X matches the target.
 
-    The configuration is propagated once, at the anchor transmittance: every
-    V_X the bisection needs reweights the rows of one click table.  Raises
+    The configuration is propagated once: every V_X the bisection needs
+    reads one click table at the anchor T and a new overlap.  Raises
     :class:`CalibrationError` at once if the target lies above the V_X at
     full overlap or below the V_X at zero overlap.
     """

@@ -211,8 +211,10 @@ def _cmd_oracle_check(cfg: ExperimentConfig, extras: dict, out: str) -> int:
     report = oracle_check(cfg, n_seeds=n_seeds)
     payload = {
         "max_deviation": report.max_deviation,
+        "max_relative_deviation": report.max_relative_deviation,
         "n_checks": report.n_checks,
         "worst_case": report.worst_case,
+        "worst_relative_case": report.worst_relative_case,
         "passed": report.passed,
         "version": __version__,
     }

@@ -7,7 +7,8 @@ exponentials of quadratic mode Hamiltonians (each on the space of its own
 modes, held sparse), loss acts via sparse Kraus maps (no dilation modes),
 every operator U maps psi to U psi, one sparse product on the factor's few
 columns, and detection goes through diagonal POVM operators.  Agreement
-with the sparse engine is asserted to 1e-9 on outcome probabilities.
+with the sparse engine is asserted on every outcome probability to 1e-9
+absolute and to 1e-12 relative to the dense value.
 
 A ``DenseFockSpace`` builds each operator once and keeps it: ``oracle_check``
 passes one space to all its protocol points, so every mode unitary, loss
@@ -388,15 +389,34 @@ class OracleReport:
     max_deviation: float
     n_checks: int
     worst_case: str = ""
+    max_relative_deviation: float = 0.0
+    worst_relative_case: str = ""
 
     @property
     def passed(self) -> bool:
-        return self.max_deviation < 1e-9
+        # The error terms that set V_Z are ~1e-12, far below 1e-9.
+        return self.max_deviation < 1e-9 and self.max_relative_deviation <= 1e-12
 
 
-def _random_circuit_check(seed: int,
-                          space: DenseFockSpace) -> tuple[float, str]:
-    """Compare sparse engine vs dense pipeline on one random small circuit.
+def _report(comparisons: Sequence[tuple[float, float, str]]) -> OracleReport:
+    """The worst absolute and relative deviation of (engine, dense, what)
+    comparisons; a deviation from a dense zero is infinitely relative."""
+    report = OracleReport(0.0, len(comparisons))
+    for got, want, what in comparisons:
+        dev = abs(got - want)
+        rel = dev / abs(want) if want else (math.inf if dev else 0.0)
+        if dev > report.max_deviation:
+            report.max_deviation, report.worst_case = dev, what
+        if rel > report.max_relative_deviation:
+            report.max_relative_deviation, report.worst_relative_case = rel, what
+    return report
+
+
+def _random_circuit_check(seed: int, space: DenseFockSpace,
+                          ) -> list[tuple[float, float, str]]:
+    """Compare sparse engine vs dense pipeline on one random small circuit:
+    (engine, dense, what) for its 4 click patterns and 36 basis-pair
+    probabilities.
 
     ``space`` holds the four modes of the labels P and Q; its cutoff is the
     circuit's.
@@ -460,8 +480,7 @@ def _random_circuit_check(seed: int,
                           float(rng.uniform(0, 1e-3)))
     det_q = DetectorModel("Q", float(rng.uniform(0.1, 1.0)),
                           float(rng.uniform(0, 1e-3)))
-    worst = 0.0
-    what = ""
+    found = []
     w, n = click_table(state, [reg.indices("P"), reg.indices("Q")])
     sparse_p, sparse_q = ((det.no_click_probability(n[:, k]),
                            det.click_probability(n[:, k]))
@@ -474,9 +493,8 @@ def _random_circuit_check(seed: int,
                                       det_p.efficiency, det_p.dark, want_p)
                 * space.click_povm([didx["QH"], didx["QV"]],
                                    det_q.efficiency, det_q.dark, want_q))
-            dev = abs(sparse - dense)
-            if dev > worst:
-                worst, what = dev, f"pattern P={want_p} Q={want_q}"
+            found.append((sparse, dense, f"random circuit seed {seed}: "
+                                         f"pattern P={want_p} Q={want_q}"))
 
     jones = {basis: _analyzer_matrix(ANALYZER_BASES[basis])
              for basis in ("X", "Y")}  # Z, the H/V basis, needs no analyzer
@@ -505,27 +523,25 @@ def _random_circuit_check(seed: int,
                 dense = diagonal_expectation(
                     psi_pq, space.click_povm([i], det_p.efficiency, det_p.dark)
                     * space.click_povm([j], det_q.efficiency, det_q.dark))
-                dev = abs(sparse - dense)
-                if dev > worst:
-                    worst, what = dev, (f"{basis_p}{basis_q} bases, ports "
-                                        f"{dense_names[i]} {dense_names[j]}")
-    return worst, what
+                found.append((sparse, dense, f"random circuit seed {seed}: "
+                              f"{basis_p}{basis_q} bases, ports "
+                              f"{dense_names[i]} {dense_names[j]}"))
+    return found
 
 
 def oracle_check(cfg: ExperimentConfig | None = None, n_seeds: int = 20,
                  base_seed: int = 7_000) -> OracleReport:
-    """Compare engine and dense pipeline on random circuits and the protocol."""
-    worst = 0.0
-    what = ""
-    n = 0
+    """Compare engine and dense pipeline on random circuits and the protocol.
+
+    The protocol points run at full overlap; the single-photon ancilla's
+    at the config's T checks the engine's read of its channel loss.
+    """
+    comparisons = []
     # One space for every circuit, so the ladder operators, the analyzer
     # unitaries and the PBS are built once.
     circuit_space = DenseFockSpace(4, 3)
     for k in range(n_seeds):
-        dev, label = _random_circuit_check(base_seed + k, circuit_space)
-        n += 4 + 36  # click patterns and basis-pair probabilities
-        if dev > worst:
-            worst, what = dev, f"random circuit seed {base_seed + k}: {label}"
+        comparisons += _random_circuit_check(base_seed + k, circuit_space)
     if cfg is not None:
         # One space for every protocol point, so each operator is built once.
         space = DenseFockSpace(len(_ORACLE_MODES), min(cfg.cutoff, 3))
@@ -537,10 +553,6 @@ def oracle_check(cfg: ExperimentConfig | None = None, n_seeds: int = 20,
                 got = engine_protocol_probabilities(small, phi_h, phi_v)
                 want = oracle_protocol_probabilities(small, phi_h, phi_v,
                                                      space)
-                for key in want:
-                    dev = abs(got[key] - want[key])
-                    n += 1
-                    if dev > worst:
-                        worst, what = dev, (f"{variant} {key} at phase "
-                                            f"{phi_v:.3f}")
-    return OracleReport(worst, n, what)
+                comparisons += [(got[key], want[key], f"{variant} {key} at "
+                                 f"phase {phi_v:.3f}") for key in want]
+    return _report(comparisons)

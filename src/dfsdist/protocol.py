@@ -17,6 +17,7 @@ represented in a truncated Fock space.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -33,6 +34,7 @@ from .fock import (
     ConfigurationError,
     FockStateVector,
     ModeRegistry,
+    ModeTransform,
     PolarizationDensityMatrix,
     ValidationError,
     _merge_labels,
@@ -218,8 +220,11 @@ class _Plan:
     charge_indices: list[int]
     # Keep the second herald outcome too (needs a herald).
     feedforward: bool = False
-    # Modes the pulse loses photons to before the overlap split.
-    pulse_loss_indices: Sequence[int] = ()
+    # The loss modes of the pulse (LR) and the pair photon (LA), and the s^2
+    # and T ``_table`` reads at: 1/2 reads a state as it was propagated.
+    loss_indices: tuple[Sequence[int], Sequence[int]] = ((), ())
+    overlap_s2: float = 0.5
+    transmittance: float = 0.5
 
 
 def _analyzer_matrix(setting: str) -> np.ndarray:
@@ -234,6 +239,21 @@ def _charge_indices(reg: ModeRegistry, labels: Sequence[str]) -> list[int]:
     return [i for lab in labels for i in reg.indices(lab, pol=V)]
 
 
+# Each loss variant's lossy label and the loss modes its photons go to.
+_CHANNEL_LOSS = {"single_photon_ancilla": ("R", "LR"),
+                 "forward_all_from_bob": ("A", "LA")}
+
+
+@functools.cache
+def _registry(variant: str) -> ModeRegistry:
+    """The modes of ``variant``, one registry per process."""
+    if variant == "direct_no_dfs":
+        return make_registry(["A", "B"])
+    loss = [(_CHANNEL_LOSS[variant][1], True)] if variant in _CHANNEL_LOSS else []
+    return make_registry([("A", True), ("R", True), ("E", True), ("F", True),
+                          "B", *loss])
+
+
 def _build_plan(cfg: ExperimentConfig) -> _Plan:
     det_e = DetectorModel("D_E", cfg.eta, cfg.dark_e)
     det_f = DetectorModel("D_F", cfg.eta, cfg.dark_f)
@@ -244,25 +264,22 @@ def _build_plan(cfg: ExperimentConfig) -> _Plan:
     if cfg.variant != "forward_all_from_bob":
         eta_g *= cfg.transmittance * (1.0 - cfg.gp_reflectance)
     det_g = DetectorModel("D_G", eta_g, cfg.dark_g)
+    reg = _registry(cfg.variant)
+    s = cfg.overlap_amplitude
+    reads = dict(overlap_s2=s * s, transmittance=cfg.transmittance)
 
     if cfg.variant == "direct_no_dfs":
-        reg = make_registry(["A", "B"])
         return _Plan(reg, "A", "B", None, reg.indices("B"),
-                     {"E": det_e, "G": det_g}, _charge_indices(reg, ["B"]))
+                     {"E": det_e, "G": det_g}, _charge_indices(reg, ["B"]),
+                     **reads)
 
-    labels: list = [("A", True), ("R", True), ("E", True), ("F", True), "B"]
-    channel = "B"
-    if cfg.variant == "forward_all_from_bob":
-        labels.append(("LA", True))
-        channel = "A"
-    pulse_loss = ["LR"] if cfg.variant == "single_photon_ancilla" else []
-    labels += [(lab, True) for lab in pulse_loss]
-    reg = make_registry(labels)
+    forward = cfg.variant == "forward_all_from_bob"
+    loss = (reg.indices("LR") if cfg.variant == "single_photon_ancilla"
+            else [], reg.indices("LA") if forward else [])
     return _Plan(reg, "E", "B", "F", reg.indices("B"),
                  {"E": det_e, "G": det_g, "F": det_f},
-                 _charge_indices(reg, [channel, "R"]),
-                 cfg.include_feedforward_branch,
-                 [i for lab in pulse_loss for i in reg.indices(lab)])
+                 _charge_indices(reg, ["A" if forward else "B", "R"]),
+                 cfg.include_feedforward_branch, loss, **reads)
 
 
 def _initial_state(cfg: ExperimentConfig, reg: ModeRegistry) -> FockStateVector:
@@ -275,7 +292,7 @@ def _initial_state(cfg: ExperimentConfig, reg: ModeRegistry) -> FockStateVector:
     if cfg.variant == "direct_no_dfs":
         return pair
     if cfg.variant == "single_photon_ancilla":
-        # Launched at the sender; loss is applied explicitly.
+        # Launched at the sender; the receiver map applies its loss.
         ancilla = single_photon_state(reg, cfg.cutoff, "R",
                                       phases=cfg.phase_delta)
     else:
@@ -285,55 +302,49 @@ def _initial_state(cfg: ExperimentConfig, reg: ModeRegistry) -> FockStateVector:
     return tensor(pair, ancilla)
 
 
-def _transforms(cfg: ExperimentConfig, reg: ModeRegistry) -> list:
-    """The phase-independent optical train after the sources: the channel
-    loss, if the variant has one, then the receiver as one composed map.
-
-    The receiver map depends only on the variant and the overlap s, so its
-    expansions in the memo serve every T.  Composing the T-dependent loss
-    into it would make a new matrix at every T, so the loss stays its own
-    transform.
-    """
-    if cfg.variant == "direct_no_dfs":
-        return []
+@functools.cache
+def _receiver(variant: str) -> tuple[ModeTransform, ...]:
+    """The phase-independent optical train after the sources as one
+    composed map on the variant's registry, built once per process; none
+    without a pulse.  It runs at the s^2 = T = 1/2 that ``_table`` reads
+    from: the channel loss, if the variant has one, the polarization flip,
+    the overlap split, the PBS and the herald analyzer."""
+    if variant == "direct_no_dfs":
+        return ()
+    reg = _registry(variant)
     seq = []
-    if cfg.variant == "forward_all_from_bob":
-        seq.append(loss_channel(reg, "A", cfg.transmittance, "LA"))
-    if cfg.variant == "single_photon_ancilla":
-        seq.append(loss_channel(reg, "R", cfg.transmittance, "LR"))
-    # Polarization flip before the PBS, built as the exact swap.
-    receiver = [jones_transform(reg, "R", _PAULI["X"], name="waveplate(flip)")]
-    s = cfg.overlap_amplitude
-    if s < 1.0:
-        receiver.append(overlap_split(reg, "R", s))
-    receiver.append(pbs(reg, "A", "R", "E", "F"))
-    # Rotate the pulse output so its |D> component sits on the H modes watched
-    # by the herald detector; the |Dbar> component leaves through the unused port.
-    receiver.append(jones_transform(reg, "F", _analyzer_matrix("D"),
-                                    name="F analyzer"))
-    return [*seq, compose(receiver, "receiver")]
+    if variant in _CHANNEL_LOSS:
+        label, lost = _CHANNEL_LOSS[variant]
+        seq.append(loss_channel(reg, label, 0.5, lost))
+    seq += [
+        # Polarization flip before the PBS, built as the exact swap.
+        jones_transform(reg, "R", _PAULI["X"], name="waveplate(flip)"),
+        overlap_split(reg, "R", _SQ2),
+        pbs(reg, "A", "R", "E", "F"),
+        # The herald analyzer puts |D> on the H modes F's detector watches;
+        # |Dbar> leaves through the unused port.
+        jones_transform(reg, "F", _analyzer_matrix("D"), name="F analyzer")]
+    return (compose(seq, "receiver"),)
 
 
-def _propagate(state: FockStateVector, transforms: Sequence) -> FockStateVector:
-    for t in transforms:
-        state = apply_transform(state, t)
-    return state
-
-
-def _final_state(cfg: ExperimentConfig, plan: _Plan) -> FockStateVector:
-    """Sources plus optical train, propagated once, each term labelled with
-    its photon number n_V on the V modes that carry the collective phase.
-
-    The phase (phi_H, phi_V), the same on both channel passes, reaches those
-    modes before any element mixes them.  Averaged uniformly over it, terms
-    of different n_V never interfere; ``_at_phases`` merges the labels at
-    fixed phases.
+def _final_state(cfg: ExperimentConfig) -> tuple[_Plan, FockStateVector]:
+    """The plan of ``cfg``, and its sources plus optical train propagated
+    once at s^2 = T = 1/2 (only T = 0, which turns the coherent pulse off,
+    changes the state), each term labelled with its photon number n_V on the
+    V modes that carry the collective phase.  The phase (phi_H, phi_V), the
+    same on both channel passes, reaches those modes before any element
+    mixes them.  Averaged uniformly over it, terms of different n_V never
+    interfere; ``_at_phases`` merges the labels at fixed phases.
     """
+    plan = _build_plan(cfg)
     state = _initial_state(cfg, plan.registry)
     n_v = state.occupations[:, plan.charge_indices].sum(axis=1)
-    return _propagate(FockStateVector.from_arrays(
+    state = FockStateVector.from_arrays(
         plan.registry, cfg.cutoff, state.occupations, state.amplitudes,
-        state.truncated_weight, n_v), _transforms(cfg, plan.registry))
+        state.truncated_weight, n_v)
+    for receiver in _receiver(cfg.variant):
+        state = apply_transform(state, receiver)
+    return plan, state
 
 
 def _at_phases(final: FockStateVector, phases: Sequence[tuple[float, float]],
@@ -352,52 +363,68 @@ def _at_phases(final: FockStateVector, phases: Sequence[tuple[float, float]],
 def prepare_final_state(cfg: ExperimentConfig, phi_h: float,
                         phi_v: float) -> tuple[_Plan, FockStateVector]:
     """Sources plus optical train for one collective phase setting."""
-    plan = _build_plan(cfg)
-    return plan, _at_phases(_final_state(cfg, plan), [(phi_h, phi_v)])[0]
+    plan, state = _final_state(cfg)
+    return plan, _at_phases(state, [(phi_h, phi_v)])[0]
 
 
 def run_fixed_phase(cfg: ExperimentConfig, phi_h: float,
                     phi_v: float) -> ProtocolOutcome:
     """Run the protocol for one collective phase setting."""
-    plan, state = prepare_final_state(cfg, phi_h, phi_v)
-    return _measure(plan, state)
+    return _measure(*prepare_final_state(cfg, phi_h, phi_v))
 
 
 @dataclass(frozen=True)
 class _Table:
-    """A state's click table: each row's |amplitude|^2 and its photons on
-    the ``_analyzed_groups`` (E_H, E_V, G_H, G_V and, with a herald, F_H,
-    F_V), then on the pair side, on all modes, on orthogonal modes and on the
-    pulse-loss modes.  Each side is ``_rotated`` into its analyzer basis.
+    """A state's click table at the overlap s^2 = ``overlap_s2`` and the
+    plan's T: each row's photons on the ``_analyzed_groups`` (E_H, E_V, G_H,
+    G_V and, with a herald, F_H, F_V), then on the pair side, on all modes,
+    on orthogonal modes and on the loss modes LR and LA.  Each side is
+    ``_rotated`` into its analyzer basis.  The state is propagated at s^2 =
+    T = 1/2, and the overlap split and the channel loss are beamsplitter
+    dilations whose port counts each row fixes: m matched and k orthogonal
+    pulse photons past the split; lost ones on LR (or LA) and kept ones, 1 -
+    lost (or B photons - lost).  So a row's weight is its propagated one
+    times (2p)^a (2(1 - p))^b for p = s^2, (a, b) = (m, k) and for p = T,
+    (a, b) = (kept, lost).
     """
 
     plan: _Plan
-    weights: np.ndarray
     counts: np.ndarray
     heralds: list  # per-row click probability of F_H and F_V, or [1.0]
+    # Each row's weight at the plan's T times 2^(m + k), and m and k.
+    scaled: np.ndarray
+    matched: np.ndarray
+    orthogonal: np.ndarray
+    overlap_s2: float
 
-    def pair_probs(self, weights: np.ndarray | None = None,
-                   herald: int = 0) -> np.ndarray:
+    @cached_property
+    def weights(self) -> np.ndarray:
+        s2 = self.overlap_s2
+        return self.scaled * s2 ** self.matched * (1.0 - s2) ** self.orthogonal
+
+    def at(self, s: float) -> "_Table":
+        """The table read at overlap amplitude ``s``."""
+        if not 0.0 <= s <= 1.0:
+            raise ValidationError("overlap amplitude must lie in [0, 1]")
+        return replace(self, overlap_s2=s * s)
+
+    def pair_probs(self, herald: int = 0) -> np.ndarray:
         """Coincidences of E port i and G port j (port 0 the +1 outcome)
-        with herald outcome ``herald``, as a 2x2 array, at the row
-        ``weights`` (default: the table's own).  Photons behind the
+        with herald outcome ``herald``, as a 2x2 array.  Photons behind the
         orthogonal analyzer port are discarded, not detected."""
-        if weights is None:
-            weights = self.weights
         n = self.counts
         e = (self.plan.detectors["E"].click_probability(n[:, :2])
-             * (weights * self.heralds[herald])[:, None])
+             * (self.weights * self.heralds[herald])[:, None])
         return e.T @ self.plan.detectors["G"].click_probability(n[:, 2:4])
 
-    def kept_pair_probs(self, basis_e: str,
-                        weights: np.ndarray | None = None) -> np.ndarray:
+    def kept_pair_probs(self, basis_e: str) -> np.ndarray:
         """``pair_probs`` of the kept herald outcomes, E's analyzer basis
         being ``basis_e``.  The feed-forward branch also keeps the second
         outcome (|Dbar>): a sign flip on the retained photon restores the
         target state, i.e. its X and Y outcomes swap."""
-        probs = self.pair_probs(weights)
+        probs = self.pair_probs()
         if self.plan.feedforward:
-            flipped = self.pair_probs(weights, herald=1)
+            flipped = self.pair_probs(herald=1)
             probs = probs + (flipped if basis_e == "Z" else flipped[::-1])
         return probs
 
@@ -413,7 +440,7 @@ class _Table:
         n_g = n[:, 2] + n[:, 3]
         g_photon = det_g.photon_probability(n_g)
         g_dark = det_g.dark * det_g.miss_probability(n_g)
-        pairs, photons = n[:, -4], n[:, -3]
+        pairs, photons = n[:, -5], n[:, -4]
         # One int64 key per (pairs, ancilla photons), sorted as those pairs:
         # the ancilla count lies in [-MAX_CUTOFF, MAX_CUTOFF], negative only
         # in states the protocol does not make.
@@ -452,56 +479,28 @@ class _Table:
             dist[key] = float(p.sum())
         return dist
 
-    @cached_property
-    def _overlap_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        pairs, total, k, lost = self.counts[:, -4:].T
-        # Each photon is one of a pair (two per pair-side photon) or the
-        # pulse's: lost before the split, or counted in m + k.
-        m = total - 2 * pairs - k - lost
-        return self.weights * 2.0 ** (m + k), m, k
-
-    def weights_at(self, s: float) -> np.ndarray:
-        """Each row's weight at overlap ``s``, in an ``_overlap_table``."""
-        if not 0.0 <= s <= 1.0:
-            raise ValidationError("overlap amplitude must lie in [0, 1]")
-        s2 = s * s
-        scaled, m, k = self._overlap_rows
-        return scaled * s2 ** m * (1.0 - s2) ** k
-
 
 def _table(plan: _Plan, state: FockStateVector) -> _Table:
-    """The click table of ``state``; see ``_Table`` for its columns."""
+    """The click table of ``state`` at the plan's s^2 and T; see ``_Table``."""
     reg = plan.registry
     orthogonal = [i for i, mode in enumerate(reg.modes)
                   if mode.temporal == ORTHOGONAL]
     w, counts = click_table(state, [
         *_analyzed_groups(plan), plan.pair_side_indices, range(reg.n_modes),
-        orthogonal, plan.pulse_loss_indices])
+        orthogonal, *plan.loss_indices])
     heralds = ([1.0] if plan.herald is None else
                [plan.detectors["F"].click_probability(counts[:, c])
                 for c in (4, 5)])
-    return _Table(plan, w, counts, heralds)
-
-
-def _overlap_table(cfg: ExperimentConfig, phase: tuple[float, float] | None,
-                   basis: str) -> _Table:
-    """The click table of ``cfg`` at zero delay, at the collective ``phase``
-    (None: the labelled phase average of ``_final_state``), with both sides
-    ``_rotated`` into ``basis``, readable at any overlap by ``weights_at``.
-
-    The overlap split sends each pulse photon to the matched mode with
-    amplitude s and to its orthogonal twin with amplitude sqrt(1 - s^2).
-    Every final row fixes both counts: k, its photons on orthogonal modes,
-    and m, its matched pulse photons past the split.  So a row's weight at s
-    is its weight at s^2 = 1/2 times 2^(m+k) (s^2)^m (1 - s^2)^k, and one
-    propagation at that overlap serves every s, whatever delay and overlap
-    width give it.
-    """
-    plan = _build_plan(cfg)
-    state = _final_state(replace(cfg, overlap_s0=_SQ2, delay_um=0.0), plan)
-    if phase is not None:
-        state, = _at_phases(state, [phase])
-    return _table(plan, _rotated(plan, state, basis, basis))
+    pairs, total, k, lost_pulse, lost_pair = counts[:, -5:].T
+    # Each photon is one of a pair (two per pair-side photon) or the
+    # pulse's: lost before the split, or counted in m + k.
+    m = total - 2 * pairs - k - lost_pulse
+    pulse_loss, pair_loss = (len(modes) > 0 for modes in plan.loss_indices)
+    kept = pulse_loss * (m + k) + pair_loss * (pairs - lost_pair)
+    lost = lost_pulse + lost_pair
+    t = plan.transmittance
+    scaled = w * 2.0 ** (m + k + kept + lost) * t ** kept * (1.0 - t) ** lost
+    return _Table(plan, counts, heralds, scaled, m, k, plan.overlap_s2)
 
 
 class DelayEvaluator:
@@ -511,18 +510,19 @@ class DelayEvaluator:
     analyzing its partner in the orthogonal circular basis, at zero channel
     phase, since single-run interference is only visible without averaging.
     Both sides are rotated to put R on the H modes, so the (R, L) and
-    (L, L) coincidences come from one ``_overlap_table``.
+    (L, L) coincidences come from one click table, read at each s.
     """
 
     def __init__(self, cfg: ExperimentConfig):
         if cfg.variant == "direct_no_dfs":
             raise ConfigurationError("variant 'direct_no_dfs' has no pulse, "
                                      "so no delay dependence")
-        self._table = _overlap_table(cfg, (0.0, 0.0), "Y")
+        plan, state = prepare_final_state(cfg, 0.0, 0.0)
+        self._table = _table(plan, _rotated(plan, state, "Y", "Y"))
 
     def __call__(self, s: float) -> tuple[float, float]:
         """(p_rd, p_ld): partner in L, retained photon in R or in L."""
-        probs = self._table.pair_probs(self._table.weights_at(s))
+        probs = self._table.at(s).pair_probs()
         return float(probs[0, 1]), float(probs[1, 1])
 
 
@@ -531,12 +531,13 @@ def overlap_x_visibility(cfg: ExperimentConfig) -> Callable[[float], float]:
 
     ``overlap_x_visibility(cfg)(s)`` is
     ``visibilities(run_phase_averaged(replace(cfg, overlap_s0=s,
-    delay_um=0.0)))[1]`` up to rounding, read from one ``_overlap_table``.
+    delay_um=0.0)))[1]``, read from one click table.
     """
-    table = _overlap_table(cfg, None, "X")
+    plan, state = _final_state(cfg)
+    table = _table(plan, _rotated(plan, state, "X", "X"))
 
     def v_x(s: float) -> float:
-        probs = table.kept_pair_probs("X", table.weights_at(s))
+        probs = table.at(s).kept_pair_probs("X")
         return _correlation(_labelled(probs, X_SETTINGS), X_SETTINGS)
     return v_x
 
@@ -613,27 +614,18 @@ def _tomography(plan: _Plan, state: FockStateVector) -> np.ndarray:
     return rho / 4.0
 
 
-def phase_point_states(cfg: ExperimentConfig,
-                       ) -> tuple[_Plan, list[FockStateVector]]:
-    """Final state at each point of ``PHASE_SET_8``, in order, merged from
-    the labels of one propagation."""
-    plan = _build_plan(cfg)
-    return plan, _at_phases(_final_state(cfg, plan), PHASE_SET_8)
-
-
 def pattern_distribution(cfg: ExperimentConfig,
                          ) -> dict[tuple[int, tuple[bool, bool, bool]], float]:
     """Probability of each (phase index, (E, F, G) click pattern) of a pulse
     whose phase is drawn uniformly from ``PHASE_SET_8``; see
-    ``_Table.patterns``."""
-    plan, states = phase_point_states(cfg)
-    exact = {}
-    for k, state in enumerate(states):
-        dist = _table(plan, state).patterns()
-        norm = sum(dist.values())  # < 1 only by the recorded truncation weight
-        for bits, p in dist.items():
-            exact[(k, bits)] = p / (norm * len(states))
-    return exact
+    ``_Table.patterns``.  Each final row's n_V is fixed by its occupation,
+    so ``_at_phases`` merges no rows, only turns each by a unit phase: every
+    phase has the labelled state's patterns.
+    """
+    dist = _table(*_final_state(cfg)).patterns()
+    norm = sum(dist.values())  # < 1 only by the recorded truncation weight
+    return {(k, bits): p / (norm * len(PHASE_SET_8))
+            for k in range(len(PHASE_SET_8)) for bits, p in dist.items()}
 
 
 def run_phase_averaged(cfg: ExperimentConfig) -> ProtocolOutcome:
@@ -644,8 +636,7 @@ def run_phase_averaged(cfg: ExperimentConfig) -> ProtocolOutcome:
     interfere.  The state labelled by n_V is propagated and measured once,
     at any cutoff; ``truncated_weight`` is that state's own.
     """
-    plan = _build_plan(cfg)
-    return _measure(plan, _final_state(cfg, plan))
+    return _measure(*_final_state(cfg))
 
 
 def two_qubit_state(cfg: ExperimentConfig,
@@ -657,8 +648,7 @@ def two_qubit_state(cfg: ExperimentConfig,
     exactly averaged over the phase, as ``run_phase_averaged`` averages it.
     Raises ``ValidationError`` if the reconstruction is not a state.
     """
-    plan = _build_plan(cfg)
-    state = _final_state(cfg, plan)
+    plan, state = _final_state(cfg)
     if phase is not None:
         state, = _at_phases(state, [phase])
     return PolarizationDensityMatrix(_tomography(plan, state))
@@ -740,13 +730,8 @@ def component_scaling(cfg: ExperimentConfig, parameter: str,
     values = []
     for val in grid:
         out = run_phase_averaged(replace(cfg, **{parameter: val}))
-        values.append({
-            "desired": out.desired_probability,
-            "ancilla_multiphoton": out.ancilla_multiphoton_probability,
-            "multi_pair": out.multi_pair_probability,
-            "dark": out.dark_probability,
-            "total": out.triple_probability,
-        }[component])
+        values.append(getattr(out, "triple_probability" if component == "total"
+                              else f"{component}_probability"))
     fit = fit_loglog_slope(list(zip(grid, values)))
     return ScalingReport(parameter, component, tuple(grid), tuple(values),
                          fit.slope, fit.stderr)
@@ -786,9 +771,8 @@ def distribute_qubit(cfg: ExperimentConfig,
         raise ValidationError("qubit amplitudes must not both vanish")
     a, b = a / norm, b / norm
     run_cfg = replace(cfg, source="exact_pair", input_qubit=(a, b))
-    plan = _build_plan(run_cfg)
     # Propagated once, for both the statistics and the state.
-    state = _final_state(run_cfg, plan)
+    plan, state = _final_state(run_cfg)
     rho = PolarizationDensityMatrix(_tomography(plan, state)).matrix
     target = np.array([a, 0.0, 0.0, b], dtype=complex)
     fid = float(np.real(target.conj() @ rho @ target))

@@ -1,18 +1,25 @@
-"""State and density-matrix comparisons used by the tests only."""
+"""State and density-matrix comparisons used by the tests only, and the
+reference route that propagates the train at a config's own overlap and
+transmittance."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 
+from dfsdist import protocol
 from dfsdist.fock import (
+    H,
     ConfigurationError,
     FockStateVector,
     Mode,
     PolarizationDensityMatrix,
     ValidationError,
+    apply_transform,
 )
+from dfsdist.optics import jones_transform, loss_channel, overlap_split, pbs
 
 
 def exact_click_parts(efficiency: float, dark: float,
@@ -74,3 +81,56 @@ def dm_visibilities(dm: PolarizationDensityMatrix) -> tuple[float, float]:
     xx = np.kron(np.array([[0, 1], [1, 0]]), np.array([[0, 1], [1, 0]]))
     vx = float(np.real(np.trace(rho @ xx)))
     return vz, vx
+
+
+def direct_train(cfg, reg):
+    """The optical train at the config's own T and overlap s, one element
+    at a time: the channel loss of a loss variant, the flip, the overlap
+    split (none at s = 1), the PBS and the herald analyzer."""
+    if cfg.variant == "direct_no_dfs":
+        return []
+    train = []
+    if cfg.variant == "forward_all_from_bob":
+        train.append(loss_channel(reg, "A", cfg.transmittance, "LA"))
+    if cfg.variant == "single_photon_ancilla":
+        train.append(loss_channel(reg, "R", cfg.transmittance, "LR"))
+    train.append(jones_transform(reg, "R", np.array([[0.0, 1.0], [1.0, 0.0]])))
+    if cfg.overlap_amplitude < 1.0:
+        train.append(overlap_split(reg, "R", cfg.overlap_amplitude))
+    return [*train, pbs(reg, "A", "R", "E", "F"),
+            jones_transform(reg, "F", protocol._analyzer_matrix("D"))]
+
+
+def source_phase_state(cfg, phi_h=None, phi_v=None, direct=False):
+    """The final state with the collective phase put in at the source: each
+    initial term times e^{i (n_H phi_H + n_V phi_V)}, n_H and n_V its photons
+    on the phase-carrying modes, then the optical train without labels.
+    With no phase, each term is labelled by n_V instead, for the phase
+    average.
+
+    The train is the engine's, at s^2 = T = 1/2, or with ``direct`` the
+    ``direct_train`` at the config's own s and T, returned with a plan
+    that reads its tables as they are."""
+    plan = protocol._build_plan(cfg)
+    reg = plan.registry
+    v_modes = plan.charge_indices
+    h_modes = [reg.index(reg.modes[i]._replace(pol=H)) for i in v_modes]
+    state = protocol._initial_state(cfg, reg)
+    n_h = state.occupations[:, h_modes].sum(axis=1)
+    n_v = state.occupations[:, v_modes].sum(axis=1)
+    if phi_h is None:
+        amplitudes, labels = state.amplitudes, n_v
+    else:
+        amplitudes = state.amplitudes * np.exp(1j * (n_h * phi_h + n_v * phi_v))
+        labels = None
+    state = FockStateVector.from_arrays(reg, cfg.cutoff, state.occupations,
+                                        amplitudes, state.truncated_weight,
+                                        labels)
+    if direct:
+        train = direct_train(cfg, reg)
+        plan = replace(plan, overlap_s2=0.5, transmittance=0.5)
+    else:
+        train = protocol._receiver(cfg.variant)
+    for transform in train:
+        state = apply_transform(state, transform)
+    return plan, state

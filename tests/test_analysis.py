@@ -27,7 +27,7 @@ from dfsdist.protocol import (
     run_phase_averaged,
     visibilities,
 )
-from helpers import exact_click_parts
+from helpers import exact_click_parts, source_phase_state
 
 PAPER = ExperimentConfig()
 CAL_S0 = 0.940918  # reference calibration output, re-derived in tests below
@@ -112,28 +112,28 @@ def test_calibration_raises_when_bisection_does_not_converge(monkeypatch):
     # met; unchecked, the bisection returns s0 -> 0 as if calibrated.  Both
     # ends of the range are checked before any bisection step, on the one
     # propagated train.
-    calls = _count_calls(monkeypatch, "_propagate")
+    calls = _count_calls(monkeypatch, "_final_state")
     with pytest.raises(CalibrationError, match="minimum attainable"):
         calibrate_overlap(PAPER, target_v_x=-0.5)
-    assert calls == {"_propagate": 1}
+    assert calls == {"_final_state": 1}
 
 
 @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
 def test_calibration_rejects_non_finite_target(monkeypatch, target):
     # NaN fails every comparison, so unchecked it bisected 80 steps and then
     # reported the target as not met.
-    calls = _count_calls(monkeypatch, "_propagate")
+    calls = _count_calls(monkeypatch, "_final_state")
     with pytest.raises(ValidationError, match="must be finite"):
         calibrate_overlap(PAPER, target_v_x=target)
-    assert calls == {"_propagate": 0}
+    assert calls == {"_final_state": 0}
 
 
 def test_calibration_propagates_once(monkeypatch):
     # Every V_X of the bisection, both range checks included, reweights the
     # rows of one click table.
-    calls = _count_calls(monkeypatch, "_propagate", "click_table")
+    calls = _count_calls(monkeypatch, "_final_state", "click_table")
     res = calibrate_overlap(PAPER)
-    assert calls == {"_propagate": 1, "click_table": 1}
+    assert calls == {"_final_state": 1, "click_table": 1}
     assert res.iterations > 1
     assert abs(res.s0 - CAL_S0) < 1e-3
 
@@ -244,10 +244,10 @@ def test_delay_width_calibration_roundtrip():
 def test_fwhm_targeted_delay_study_propagates_once(monkeypatch):
     # The width calibration, the scan, the zero-delay visibility and the
     # FWHM all read one propagated train through one click table.
-    calls = _count_calls(monkeypatch, "_propagate", "click_table")
+    calls = _count_calls(monkeypatch, "_final_state", "click_table")
     study = delay_study(replace(PAPER, overlap_s0=CAL_S0),
                         np.linspace(-100.0, 100.0, 5), 180.0)
-    assert calls == {"_propagate": 1, "click_table": 1}
+    assert calls == {"_final_state": 1, "click_table": 1}
     assert study.fwhm_um == pytest.approx(180.0, abs=0.5)
     assert study.sigma_um != PAPER.overlap_sigma_um
 
@@ -257,11 +257,11 @@ def test_fwhm_targeted_delay_study_propagates_once(monkeypatch):
 def test_delay_studies_reject_a_variant_without_pulse(monkeypatch,
                                                       target_fwhm_um):
     # No pulse, no dip: rejected before any propagation.
-    calls = _count_calls(monkeypatch, "_propagate")
+    calls = _count_calls(monkeypatch, "_final_state")
     cfg = replace(ExperimentConfig(variant="direct_no_dfs"), overlap_s0=0.94)
     with pytest.raises(ConfigurationError, match="has no pulse"):
         delay_study(cfg, np.linspace(-200.0, 200.0, 9), target_fwhm_um)
-    assert calls == {"_propagate": 0}
+    assert calls == {"_final_state": 0}
 
 
 def test_tomography_ideal_and_reference():
@@ -308,16 +308,17 @@ def test_sample_events_rates_converge_to_exact():
 
 
 def _exact_pattern_probabilities(cfg):
-    """``exact_pattern_probabilities`` term by term in exact rationals: E
-    and G watch all their modes, F the herald's H modes."""
-    plan, states = protocol.phase_point_states(cfg)
-    reg, dets = plan.registry, plan.detectors
-    sides = [(dets["E"], reg.indices(plan.side_e)),
-             (dets["G"], reg.indices(plan.side_g))]
-    if plan.herald is not None:
-        sides.insert(1, (dets["F"], reg.indices(plan.herald, pol=H)))
+    """``exact_pattern_probabilities`` term by term in exact rationals,
+    each phase of ``PHASE_SET_8`` propagated at the config's own overlap
+    and T: E and G watch all their modes, F the herald's H modes."""
     exact = {}
-    for k, state in enumerate(states):
+    for k, phase in enumerate(protocol.PHASE_SET_8):
+        plan, state = source_phase_state(cfg, *phase, direct=True)
+        reg, dets = plan.registry, plan.detectors
+        sides = [(dets["E"], reg.indices(plan.side_e)),
+                 (dets["G"], reg.indices(plan.side_g))]
+        if plan.herald is not None:
+            sides.insert(1, (dets["F"], reg.indices(plan.herald, pol=H)))
         dist = {}
         for occ, amp in state.terms.items():
             parts = [exact_click_parts(det.efficiency, det.dark,
@@ -331,7 +332,7 @@ def _exact_pattern_probabilities(cfg):
                 dist[key] = dist.get(key, 0) + p
         norm = sum(dist.values())
         for bits, p in dist.items():
-            exact[(k, bits)] = p / (norm * len(states))
+            exact[(k, bits)] = p / (norm * len(protocol.PHASE_SET_8))
     return exact
 
 

@@ -243,6 +243,7 @@ def test_cli_oracle_check(tmp_path):
     payload = json.loads((tmp_path / "oracle.json").read_text())
     assert payload["passed"] is True
     assert payload["max_deviation"] < 1e-9
+    assert payload["max_relative_deviation"] <= 1e-12
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded():

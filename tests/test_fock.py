@@ -689,39 +689,30 @@ def test_each_distinct_input_pattern_expanded_once(expansions):
 
 def test_second_propagation_expands_nothing(expansions):
     cfg = replace(protocol.ExperimentConfig(), overlap_s0=0.9)
-    plan = protocol._build_plan(cfg)
-    first = protocol._final_state(cfg, plan)
+    _, first = protocol._final_state(cfg)
     assert expansions
     expansions.clear()
-    again = protocol._final_state(cfg, plan)
+    _, again = protocol._final_state(cfg)
     assert expansions == []
     assert np.array_equal(first.amplitudes, again.amplitudes)
 
 
-@pytest.mark.parametrize("variant", ["single_photon_ancilla",
-                                     "forward_all_from_bob"])
-def test_new_transmittance_expands_only_the_channel(monkeypatch, variant):
-    # The receiver map does not depend on T, so its expansions serve every
-    # T; only the T-dependent channel loss meets new patterns.
-    monkeypatch.setattr(fock, "_EXPANSIONS", fock.OrderedDict())
-    expanded = []
-    expand = fock._Expansions._expand
-
-    def counted(self, matrix, *args):
-        expanded.append(matrix.tobytes())
-        return expand(self, matrix, *args)
-
-    monkeypatch.setattr(fock._Expansions, "_expand", counted)
+@pytest.mark.parametrize("variant", protocol.VARIANTS)
+def test_new_transmittance_or_overlap_expands_nothing(expansions, variant):
+    # The train runs at s^2 = T = 1/2 whatever the config's overlap, delay
+    # and T, so every later config finds its expansions in the memo and
+    # gets the same state.
     cfg = protocol.ExperimentConfig(variant=variant, overlap_s0=0.9)
-    protocol._final_state(cfg, protocol._build_plan(cfg))
-    assert len(set(expanded)) == 2
-    expanded.clear()
-    cfg = replace(cfg, transmittance=0.03)
-    plan = protocol._build_plan(cfg)
-    channel, receiver = protocol._transforms(cfg, plan.registry)
-    assert receiver.name.startswith("receiver[")
-    protocol._final_state(cfg, plan)
-    assert expanded == [channel.matrix.tobytes()]
+    _, first = protocol._final_state(cfg)
+    expansions.clear()
+    for changed in (replace(cfg, transmittance=0.03),
+                    replace(cfg, overlap_s0=0.5),
+                    replace(cfg, delay_um=40.0, overlap_sigma_um=80.0)):
+        _, again = protocol._final_state(changed)
+        assert expansions == []
+        for name in ("occupations", "amplitudes", "labels"):
+            assert np.array_equal(getattr(again, name), getattr(first, name))
+        assert again.truncated_weight == first.truncated_weight
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -216,6 +216,27 @@ def test_random_circuit_agreement_twenty_seeds():
     assert report.max_deviation < 1e-9
 
 
+def test_protocol_agreement_is_relative_to_each_statistic():
+    # Z:HV is ~1e-12 at the reference: an engine twice it off would pass
+    # the absolute bound alone.
+    report = oracle_check(replace(ExperimentConfig(overlap_s0=0.94091796875),
+                                  cutoff=3), n_seeds=20)
+    assert report.n_checks == 854
+    assert report.passed, report.worst_relative_case
+    assert 0.0 < report.max_relative_deviation <= 1e-12
+
+
+def test_report_fails_on_a_relative_deviation():
+    small = (2e-12, 1e-12, "Z:HV")
+    report = oracle._report([(0.5, 0.5, "triple"), small])
+    assert report.max_deviation == 1e-12 and report.worst_case == "Z:HV"
+    assert report.max_relative_deviation == 1.0
+    assert not report.passed
+    assert oracle._report([(1e-300, 0.0, "zero")]).max_relative_deviation \
+        == math.inf
+    assert oracle._report([(0.0, 0.0, "zero")]).passed
+
+
 @pytest.mark.parametrize("base_seed", [6845, 1, 100, 12345])
 def test_random_circuits_allow_repeated_loss_on_one_label(base_seed):
     # Seed 6845 draws two losses on one label within its first circuits.

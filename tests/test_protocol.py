@@ -16,6 +16,7 @@ from dfsdist.fock import (
     FockStateVector,
     Mode,
     ModeRegistry,
+    ModeTransform,
     ValidationError,
     apply_transform,
     fidelity_to_phi_plus,
@@ -32,7 +33,7 @@ from dfsdist.protocol import (
     f_low,
     forward_variant_scaling,
     overlap_x_visibility,
-    phase_point_states,
+    pattern_distribution,
     prepare_final_state,
     run_fixed_phase,
     run_phase_averaged,
@@ -44,6 +45,7 @@ from dfsdist.sources import DetectorModel
 from helpers import (
     dm_visibilities,
     exact_click_parts,
+    source_phase_state,
     states_allclose,
     trace_distance,
 )
@@ -146,14 +148,14 @@ def test_phase_average_measures_each_v_photon_number_once(monkeypatch,
     # number above unchanged to rounding and shows only in the labels.
     cfg = replace(PAPER, overlap_s0=0.94, **overrides)
     measured, propagated = [], []
-    measure, propagate = protocol._measure, protocol._propagate
+    measure, propagate = protocol._measure, protocol._final_state
 
     def counted(plan, state):
         measured.append(state)
         return measure(plan, state)
 
     monkeypatch.setattr(protocol, "_measure", counted)
-    monkeypatch.setattr(protocol, "_propagate",
+    monkeypatch.setattr(protocol, "_final_state",
                         lambda *args: propagated.append(None) or propagate(*args))
     run_phase_averaged(cfg)
     assert len(measured) == len(propagated) == 1
@@ -303,8 +305,8 @@ def test_state_outputs_propagate_each_class_once(monkeypatch):
     from dfsdist.analysis import tomography_payload
 
     calls = []
-    propagate = protocol._propagate
-    monkeypatch.setattr(protocol, "_propagate",
+    propagate = protocol._final_state
+    monkeypatch.setattr(protocol, "_final_state",
                         lambda *args: calls.append(None) or propagate(*args))
     distribute_qubit(ExperimentConfig.ideal(), (0.6, 0.8))
     # The n_V = 0, 1, 2 classes travel together as labels.
@@ -315,11 +317,11 @@ def test_state_outputs_propagate_each_class_once(monkeypatch):
 
 
 def test_one_propagation_per_configuration(monkeypatch):
-    # At the calibrated reference the train is one receiver map: the flip,
-    # the overlap split, the PBS and the herald analyzer; the pair photon's
-    # loss and pickoff are part of D_G.  A loss variant applies its channel
-    # loss first, as a map of its own.  Measuring adds one X rotation of
-    # both sides, and the tomography one rotation per basis pair but Z-Z.
+    # The train is one receiver map: the channel loss of a loss variant,
+    # the flip, the overlap split, the PBS and the herald analyzer; the
+    # pair photon's loss and pickoff are part of D_G.  Measuring adds one X
+    # rotation of both sides, and the tomography one rotation per basis
+    # pair but Z-Z.
     cfg = replace(PAPER, overlap_s0=CAL_S0)
     calls = []
     apply = protocol.apply_transform
@@ -328,11 +330,27 @@ def test_one_propagation_per_configuration(monkeypatch):
     single = replace(cfg, variant="single_photon_ancilla")
     for run, run_cfg, n_calls in ((run_phase_averaged, cfg, 1 + 1),
                                   (two_qubit_state, cfg, 1 + 8),
-                                  (phase_point_states, cfg, 1),
-                                  (run_phase_averaged, single, 1 + 1 + 1)):
+                                  (pattern_distribution, cfg, 1),
+                                  (run_phase_averaged, single, 1 + 1)):
         calls.clear()
         run(run_cfg)
         assert len(calls) == n_calls, (run.__name__, run_cfg.variant)
+
+
+@pytest.mark.parametrize("variant", protocol.VARIANTS)
+def test_second_final_state_builds_no_transform(monkeypatch, variant):
+    # The registry and the receiver map depend on the variant only, so
+    # they are built once per process.
+    cfg = replace(PAPER, variant=variant, overlap_s0=CAL_S0)
+    protocol._final_state(cfg)
+    built = []
+    for name in ("make_registry", "jones_transform", "loss_channel",
+                 "overlap_split", "pbs", "compose"):
+        monkeypatch.setattr(protocol, name,
+                            lambda *args, name=name, **kw: built.append(name))
+    cfg = replace(cfg, transmittance=0.03, overlap_s0=0.5)
+    protocol._final_state(cfg)
+    assert built == []
 
 
 def test_tomography_without_coincidences_is_undefined():
@@ -477,9 +495,11 @@ def test_distribute_qubit_rejects_zero():
 
 def _full_train_coincidence(cfg, delay_um, setting_e, setting_g):
     """Circular coincidence by the direct definition: the whole train at
-    this delay, separate E and G rotations putting each setting on the H
-    modes, then the product of the H-mode click probabilities."""
-    plan, state = prepare_final_state(replace(cfg, delay_um=delay_um), 0.0, 0.0)
+    this delay and the config's T, separate E and G rotations putting each
+    setting on the H modes, then the product of the H-mode click
+    probabilities."""
+    plan, state = source_phase_state(replace(cfg, delay_um=delay_um),
+                                      0.0, 0.0, direct=True)
     reg = plan.registry
     for side, setting in ((plan.side_e, setting_e), (plan.side_g, setting_g)):
         state = apply_transform(state, jones_transform(
@@ -538,13 +558,17 @@ def test_delay_evaluator_matches_full_propagation(overrides):
     dict(cutoff=6),
 ])
 def test_overlap_x_visibility_matches_averaged_runs(overrides):
-    # The reweighted table at each s against a full phase-averaged run
+    # The reweighted table at each s against the phase average of a state
     # propagated at that overlap; s = 1 and s = 0 drop the split or one of
     # its outputs, and 0.94091796875 is the committed calibration.
     cfg = replace(PAPER, **overrides)
     v_x = overlap_x_visibility(cfg)
     for s in (0.0, 0.3, 1.0 / math.sqrt(2.0), 0.9, 0.94091796875, 1.0):
-        want = visibilities(run_phase_averaged(replace(cfg, overlap_s0=s)))[1]
+        want = visibilities(protocol._measure(*source_phase_state(
+            replace(cfg, overlap_s0=s), direct=True)))[1]
+        # An averaged run reads the same table the same way.
+        assert v_x(s) == visibilities(
+            run_phase_averaged(replace(cfg, overlap_s0=s)))[1]
         assert abs(v_x(s) - want) <= 1e-13, s
     with pytest.raises(ValidationError, match="overlap amplitude"):
         v_x(math.nan)
@@ -560,7 +584,7 @@ def test_delay_evaluator_evaluates_each_overlap_once(monkeypatch):
     # Each overlap is a reweighting of the one click table built at
     # construction: no call propagates the train or measures again.
     cfg = replace(PAPER, overlap_s0=0.94, overlap_sigma_um=108.1)
-    calls = {"_propagate": 0, "click_table": 0}
+    calls = {"_final_state": 0, "click_table": 0}
 
     def counted(name):
         fn = getattr(protocol, name)
@@ -576,7 +600,7 @@ def test_delay_evaluator_evaluates_each_overlap_once(monkeypatch):
     overlaps = [replace(cfg, delay_um=dx).overlap_amplitude
                 for dx in (0.0, 60.0, -60.0, 0.0, 60.0)]
     got = [evaluate(s) for s in overlaps]
-    assert calls == {"_propagate": 1, "click_table": 1}
+    assert calls == {"_final_state": 1, "click_table": 1}
     # s(dx) is even in dx: two distinct overlaps.
     assert got[1] == got[2] == got[4] and got[0] == got[3]
     assert got[0] != got[1]
@@ -665,7 +689,10 @@ def _measure_cases(draw):
         dark_e=draw(st.floats(0.0, 1.0, exclude_max=True)),
         dark_f=draw(st.floats(0.0, 1.0, exclude_max=True)),
         dark_g=draw(st.floats(0.0, 1.0, exclude_max=True)))
-    plan = protocol._build_plan(cfg)
+    # The drawn state is measured as it is: read at s^2 = T = 1/2, where
+    # the engine propagates.
+    plan = replace(protocol._build_plan(cfg), overlap_s2=0.5,
+                   transmittance=0.5)
     reg = plan.registry
     groups = protocol._analyzed_groups(plan)
     # Photons go to the detected and pair-side modes and to one other mode.
@@ -722,26 +749,6 @@ def test_measure_matches_per_term_definition(case):
             assert _close(got[key], val), key
 
 
-def _source_phase_state(cfg, phi_h, phi_v):
-    """The final state with the collective phase put in at the source: each
-    initial term times e^{i (n_H phi_H + n_V phi_V)}, n_H and n_V its photons
-    on the phase-carrying modes, then the optical train without labels."""
-    plan = protocol._build_plan(cfg)
-    reg = plan.registry
-    v_modes = plan.charge_indices
-    h_modes = [reg.index(reg.modes[i]._replace(pol=H)) for i in v_modes]
-    state = protocol._initial_state(cfg, reg)
-    n_h = state.occupations[:, h_modes].sum(axis=1)
-    n_v = state.occupations[:, v_modes].sum(axis=1)
-    state = FockStateVector.from_arrays(
-        reg, cfg.cutoff, state.occupations,
-        state.amplitudes * np.exp(1j * (n_h * phi_h + n_v * phi_v)),
-        state.truncated_weight)
-    for transform in protocol._transforms(cfg, reg):
-        state = apply_transform(state, transform)
-    return plan, state
-
-
 @pytest.mark.parametrize("overrides", [
     dict(),
     dict(cutoff=6, pair_cutoff=3),
@@ -759,6 +766,33 @@ def test_dfs_makes_the_phase_average_exact(overrides):
     assert run_phase_averaged(cfg) == run_fixed_phase(cfg, 0.0, 0.0)
 
 
+@settings(max_examples=80, deadline=None)
+@given(s=st.floats(0.0, 1.0), t=st.floats(0.0, 1.0, exclude_min=True),
+       variant=st.sampled_from(protocol.VARIANTS),
+       feedforward=st.booleans(), dark=st.floats(0.0, 0.5))
+def test_reweighted_reads_match_the_direct_route(s, t, variant, feedforward,
+                                                 dark):
+    # Every statistic read from the one propagation at s^2 = T = 1/2
+    # against the train propagated at the config's own s and T.  That
+    # route drops amplitudes below PRUNE_THRESHOLD = 1e-15 as a tiny s or
+    # T makes them, so it misses weights below 1e-30 that the reads keep.
+    cfg = replace(PAPER, overlap_s0=s, transmittance=t, variant=variant,
+                  include_feedforward_branch=feedforward, dark_e=dark,
+                  dark_f=dark / 2.0, dark_g=dark / 3.0)
+    got = run_phase_averaged(cfg)
+    want = protocol._measure(*source_phase_state(cfg, direct=True))
+
+    def close(a, b):
+        return abs(a - b) <= 1e-14 * abs(b) + 1e-28
+
+    assert close(got.triple_probability, want.triple_probability)
+    assert got.truncated_weight == want.truncated_weight
+    for g, w in ((got.zz_probs, want.zz_probs), (got.xx_probs, want.xx_probs),
+                 (got.components, want.components)):
+        assert all(close(g.get(key, 0.0), w.get(key, 0.0))
+                   for key in {*g, *w}), (g, w)
+
+
 def test_direct_variant_loses_x_correlations_to_the_phase_average():
     cfg = replace(PAPER, variant="direct_no_dfs")
     v_z, v_x = visibilities(run_phase_averaged(cfg))
@@ -772,7 +806,7 @@ def test_direct_variant_loses_x_correlations_to_the_phase_average():
 def test_fixed_phase_matches_the_source_phase_reference(variant, phase):
     cfg = replace(PAPER, overlap_s0=CAL_S0, variant=variant)
     got = run_fixed_phase(cfg, *phase)
-    want = protocol._measure(*_source_phase_state(cfg, *phase))
+    want = protocol._measure(*source_phase_state(cfg, *phase))
 
     def close(a, b):
         return abs(a - b) <= 1e-14 * abs(b) + 1e-300
@@ -792,13 +826,33 @@ def test_fixed_phase_matches_the_source_phase_reference(variant, phase):
 ])
 def test_phase_point_states_match_fixed_phase_preparation(overrides):
     cfg = replace(PAPER, **overrides)
-    _, states = phase_point_states(cfg)
+    states = protocol._at_phases(protocol._final_state(cfg)[1], PHASE_SET_8)
     assert len(states) == len(PHASE_SET_8)
     for (phi_h, phi_v), state in zip(PHASE_SET_8, states):
-        _, want = _source_phase_state(cfg, phi_h, phi_v)
+        _, want = source_phase_state(cfg, phi_h, phi_v)
         assert states_allclose(state, want, tol=1e-15)
         assert state.truncated_weight == pytest.approx(want.truncated_weight,
                                                        rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("variant", protocol.VARIANTS)
+@pytest.mark.parametrize("overrides", [
+    dict(), dict(cutoff=6, phase_delta=(0.2, -0.4)),
+    dict(include_feedforward_branch=True, source="exact_pair")])
+def test_pattern_distribution_is_each_phase_table(variant, overrides):
+    # Each phase's rows are the labelled rows turned by unit phases, so
+    # the one table gives every phase index its patterns.
+    cfg = replace(PAPER, variant=variant, overlap_s0=CAL_S0, **overrides)
+    got = pattern_distribution(cfg)
+    plan, final = protocol._final_state(cfg)
+    states = protocol._at_phases(final, PHASE_SET_8)
+    for k, state in enumerate(states):
+        dist = protocol._table(plan, state).patterns()
+        norm = sum(dist.values())
+        for bits, p in dist.items():
+            want = p / (norm * len(states))
+            assert abs(got[(k, bits)] - want) <= 1e-15 * want, (k, bits)
+    assert len(got) == len(states) * len(dist)
 
 
 def test_f_low_monotone_in_transmittance_on_grid():
@@ -889,13 +943,21 @@ def _explicit_pair_loss(monkeypatch):
     """Make the engine propagate the pair photon's channel loss B -> LB and
     pickoff B -> G/DB as elements and measure G at eta_g, instead of
     folding both into D_G."""
-    build, transforms = protocol._build_plan, protocol._transforms
+    build, receiver = protocol._build_plan, protocol._receiver
+    trains = {}
 
     def build_explicit(cfg):
         plan = build(cfg)
         # Appended, so every mode keeps its index.
         reg = ModeRegistry([*plan.registry.modes,
                             *make_registry(["G", "LB", "DB"]).modes])
+        # The train for _final_state, which follows each plan's build: the
+        # receiver map moved onto the larger registry.
+        trains[cfg.variant] = [
+            loss_channel(reg, "B", cfg.transmittance, "LB"),
+            attenuator(reg, "B", "G", "DB", 1.0 - cfg.gp_reflectance),
+            *(ModeTransform(reg, t.input_indices, t.output_indices, t.matrix)
+              for t in receiver(cfg.variant))]
         return replace(
             plan, registry=reg, side_g="G",
             pair_side_indices=[i for lab in ("B", "G", "LB", "DB")
@@ -903,13 +965,8 @@ def _explicit_pair_loss(monkeypatch):
             detectors={**plan.detectors,
                        "G": DetectorModel("D_G", cfg.eta_g, cfg.dark_g)})
 
-    def transforms_explicit(cfg, reg):
-        return [loss_channel(reg, "B", cfg.transmittance, "LB"),
-                attenuator(reg, "B", "G", "DB", 1.0 - cfg.gp_reflectance),
-                *transforms(cfg, reg)]
-
     monkeypatch.setattr(protocol, "_build_plan", build_explicit)
-    monkeypatch.setattr(protocol, "_transforms", transforms_explicit)
+    monkeypatch.setattr(protocol, "_receiver", trains.__getitem__)
 
 
 def _fold_records(cfg):

@@ -6,6 +6,7 @@ that wrote it and any change to a committed number fails here.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -60,3 +61,12 @@ def test_tomography_json_is_reproduced(reproduced):
 
 def test_delay_scan_csv_is_reproduced(reproduced):
     _assert_reproduced(reproduced, "delay_scan.csv")
+
+
+def test_anchor_v_x_of_the_table_is_the_calibrated_one():
+    # The calibration and the sweep read one click table the same way, so
+    # the table's V_X at the anchor T = 0.1 is the calibrated V_X exactly.
+    calibration = json.loads((RESULTS / "calibration.json").read_text())
+    rows = json.loads((RESULTS / "table.json").read_text())["rows"]
+    anchor, = (row for row in rows if row["transmittance"] == 0.1)
+    assert anchor["v_x"] == calibration["v_x_achieved"]
