@@ -85,10 +85,10 @@ def calibrate_overlap(cfg: ExperimentConfig, anchor_t: float = 0.1,
     The configuration is propagated once: every V_X the bisection needs
     reads one click table at the anchor T and a new overlap.  Raises
     :class:`CalibrationError` at once if the target lies above the V_X at
-    full overlap or below the V_X at zero overlap.
+    full overlap or below the V_X at zero overlap.  The anchor and the
+    target pass the sweep's checks: at T = 0 no pulse arrives to calibrate.
     """
-    if not math.isfinite(target_v_x):
-        raise ValidationError(f"target V_X must be finite, got {target_v_x}")
+    SweepSpec((anchor_t,), anchor_t, target_v_x)
     v_x_at = overlap_x_visibility(replace(cfg, transmittance=anchor_t))
     top = v_x_at(1.0)
     if target_v_x > top + CALIBRATION_TOL:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
@@ -296,10 +297,14 @@ def _initial_state(cfg: ExperimentConfig, reg: ModeRegistry) -> FockStateVector:
         ancilla = single_photon_state(reg, cfg.cutoff, "R",
                                       phases=cfg.phase_delta)
     else:
-        mu_delivered = cfg.mu if cfg.transmittance > 0.0 else 0.0
-        ancilla = coherent_state(CoherentParams(mu_delivered), reg, cfg.cutoff,
-                                 "R", phases=cfg.phase_delta)
+        ancilla = coherent_state(CoherentParams(_delivered_mu(cfg)), reg,
+                                 cfg.cutoff, "R", phases=cfg.phase_delta)
     return tensor(pair, ancilla)
+
+
+def _delivered_mu(cfg: ExperimentConfig) -> float:
+    """The pulse's mean photon number at the receiver: none at T = 0."""
+    return cfg.mu if cfg.transmittance > 0.0 else 0.0
 
 
 @functools.cache
@@ -327,24 +332,56 @@ def _receiver(variant: str) -> tuple[ModeTransform, ...]:
     return (compose(seq, "receiver"),)
 
 
-def _final_state(cfg: ExperimentConfig) -> tuple[_Plan, FockStateVector]:
+@dataclass(eq=False)
+class _Final:
+    """A labelled final state and, built on first use, that state rotated
+    into the X basis on both sides; ``plan`` is the one it was built with."""
+
+    plan: _Plan
+    state: FockStateVector
+
+    @cached_property
+    def x_state(self) -> FockStateVector:
+        return _rotated(self.plan, self.state, "X", "X")
+
+
+# The final states of the last MEMO_STATES configurations used, least recently
+# used first: a reproduction has 12, and at cutoff 7 one is about 150 kB.
+MEMO_STATES = 32
+_FINAL_STATES: OrderedDict[tuple, _Final] = OrderedDict()
+
+
+def _final_state(cfg: ExperimentConfig) -> tuple[_Plan, _Final]:
     """The plan of ``cfg``, and its sources plus optical train propagated
-    once at s^2 = T = 1/2 (only T = 0, which turns the coherent pulse off,
-    changes the state), each term labelled with its photon number n_V on the
+    at s^2 = T = 1/2, each term labelled with its photon number n_V on the
     V modes that carry the collective phase.  The phase (phi_H, phi_V), the
     same on both channel passes, reaches those modes before any element
     mixes them.  Averaged uniformly over it, terms of different n_V never
     interfere; ``_at_phases`` merges the labels at fixed phases.
+
+    The state is propagated once per process for its key, the fields the
+    sources and the receiver map read: ``variant``, ``source``, ``gamma``,
+    ``pair_cutoff``, ``cutoff``, ``mu`` (0 at T = 0, which turns the pulse
+    off), ``phase_delta`` and ``input_qubit``.  T, s and the detectors enter
+    only the ``_Table`` reads.
     """
     plan = _build_plan(cfg)
-    state = _initial_state(cfg, plan.registry)
-    n_v = state.occupations[:, plan.charge_indices].sum(axis=1)
-    state = FockStateVector.from_arrays(
-        plan.registry, cfg.cutoff, state.occupations, state.amplitudes,
-        state.truncated_weight, n_v)
-    for receiver in _receiver(cfg.variant):
-        state = apply_transform(state, receiver)
-    return plan, state
+    key = (cfg.variant, cfg.source, cfg.gamma, cfg.pair_cutoff, cfg.cutoff,
+           _delivered_mu(cfg), cfg.phase_delta, cfg.input_qubit)
+    final = _FINAL_STATES.pop(key, None)
+    if final is None:
+        state = _initial_state(cfg, plan.registry)
+        n_v = state.occupations[:, plan.charge_indices].sum(axis=1)
+        state = FockStateVector.from_arrays(
+            plan.registry, cfg.cutoff, state.occupations, state.amplitudes,
+            state.truncated_weight, n_v)
+        for receiver in _receiver(cfg.variant):
+            state = apply_transform(state, receiver)
+        final = _Final(plan, state)
+    _FINAL_STATES[key] = final
+    if len(_FINAL_STATES) > MEMO_STATES:
+        _FINAL_STATES.popitem(last=False)
+    return plan, final
 
 
 def _at_phases(final: FockStateVector, phases: Sequence[tuple[float, float]],
@@ -363,14 +400,15 @@ def _at_phases(final: FockStateVector, phases: Sequence[tuple[float, float]],
 def prepare_final_state(cfg: ExperimentConfig, phi_h: float,
                         phi_v: float) -> tuple[_Plan, FockStateVector]:
     """Sources plus optical train for one collective phase setting."""
-    plan, state = _final_state(cfg)
-    return plan, _at_phases(state, [(phi_h, phi_v)])[0]
+    plan, final = _final_state(cfg)
+    return plan, _at_phases(final.state, [(phi_h, phi_v)])[0]
 
 
 def run_fixed_phase(cfg: ExperimentConfig, phi_h: float,
                     phi_v: float) -> ProtocolOutcome:
     """Run the protocol for one collective phase setting."""
-    return _measure(*prepare_final_state(cfg, phi_h, phi_v))
+    plan, state = prepare_final_state(cfg, phi_h, phi_v)
+    return _measure(plan, _Final(plan, state))
 
 
 @dataclass(frozen=True)
@@ -533,8 +571,8 @@ def overlap_x_visibility(cfg: ExperimentConfig) -> Callable[[float], float]:
     ``visibilities(run_phase_averaged(replace(cfg, overlap_s0=s,
     delay_um=0.0)))[1]``, read from one click table.
     """
-    plan, state = _final_state(cfg)
-    table = _table(plan, _rotated(plan, state, "X", "X"))
+    plan, final = _final_state(cfg)
+    table = _table(plan, final.x_state)
 
     def v_x(s: float) -> float:
         probs = table.at(s).kept_pair_probs("X")
@@ -560,30 +598,37 @@ def _labelled(probs: np.ndarray,
             for sg, p in zip(settings, row)}
 
 
-def _rotated(plan: _Plan, state: FockStateVector, basis_e: str,
-             basis_g: str) -> FockStateVector:
-    """The state with each side rotated so that the +1 eigenstate of its
-    analyzer basis (keys of ``ANALYZER_BASES``) lies on its H modes, both
-    sides in one composed map."""
-    rotations = [jones_transform(plan.registry, side,
+@functools.cache
+def _rotation(reg: ModeRegistry, side_e: str, basis_e: str, side_g: str,
+              basis_g: str) -> ModeTransform | None:
+    """One composed map, built once per process, that rotates each side so
+    that the +1 eigenstate of its analyzer basis (keys of
+    ``ANALYZER_BASES``) lies on its H modes; none for Z on both sides."""
+    rotations = [jones_transform(reg, side,
                                  _analyzer_matrix(ANALYZER_BASES[basis]),
                                  name=f"{side} {basis}")
-                 for side, basis in ((plan.side_e, basis_e),
-                                     (plan.side_g, basis_g)) if basis != "Z"]
-    if not rotations:
-        return state
-    return apply_transform(state, compose(rotations, "jones"))
+                 for side, basis in ((side_e, basis_e), (side_g, basis_g))
+                 if basis != "Z"]
+    return compose(rotations, "jones") if rotations else None
 
 
-def _measure(plan: _Plan, state: FockStateVector) -> ProtocolOutcome:
+def _rotated(plan: _Plan, state: FockStateVector, basis_e: str,
+             basis_g: str) -> FockStateVector:
+    """The state with each side rotated into its analyzer basis."""
+    rotation = _rotation(plan.registry, plan.side_e, basis_e, plan.side_g,
+                         basis_g)
+    return state if rotation is None else apply_transform(state, rotation)
+
+
+def _measure(plan: _Plan, final: _Final) -> ProtocolOutcome:
     """Every coincidence statistic from two click tables: one on the final
-    state and one on the state rotated into the X basis on both sides."""
-    table = _table(plan, state)
-    xx = _table(plan, _rotated(plan, state, "X", "X")).kept_pair_probs("X")
+    state and one on it rotated into the X basis on both sides."""
+    table = _table(plan, final.state)
+    xx = _table(plan, final.x_state).kept_pair_probs("X")
     triple, comps = table.triple()
     return ProtocolOutcome(_labelled(table.kept_pair_probs("Z"), Z_SETTINGS),
                            _labelled(xx, X_SETTINGS), triple, comps,
-                           state.truncated_weight)
+                           final.state.truncated_weight)
 
 
 def _tomography(plan: _Plan, state: FockStateVector) -> np.ndarray:
@@ -622,7 +667,8 @@ def pattern_distribution(cfg: ExperimentConfig,
     so ``_at_phases`` merges no rows, only turns each by a unit phase: every
     phase has the labelled state's patterns.
     """
-    dist = _table(*_final_state(cfg)).patterns()
+    plan, final = _final_state(cfg)
+    dist = _table(plan, final.state).patterns()
     norm = sum(dist.values())  # < 1 only by the recorded truncation weight
     return {(k, bits): p / (norm * len(PHASE_SET_8))
             for k in range(len(PHASE_SET_8)) for bits, p in dist.items()}
@@ -648,9 +694,9 @@ def two_qubit_state(cfg: ExperimentConfig,
     exactly averaged over the phase, as ``run_phase_averaged`` averages it.
     Raises ``ValidationError`` if the reconstruction is not a state.
     """
-    plan, state = _final_state(cfg)
-    if phase is not None:
-        state, = _at_phases(state, [phase])
+    plan, final = _final_state(cfg)
+    state = (final.state if phase is None
+             else _at_phases(final.state, [phase])[0])
     return PolarizationDensityMatrix(_tomography(plan, state))
 
 
@@ -772,8 +818,8 @@ def distribute_qubit(cfg: ExperimentConfig,
     a, b = a / norm, b / norm
     run_cfg = replace(cfg, source="exact_pair", input_qubit=(a, b))
     # Propagated once, for both the statistics and the state.
-    plan, state = _final_state(run_cfg)
-    rho = PolarizationDensityMatrix(_tomography(plan, state)).matrix
+    plan, final = _final_state(run_cfg)
+    rho = PolarizationDensityMatrix(_tomography(plan, final.state)).matrix
     target = np.array([a, 0.0, 0.0, b], dtype=complex)
     fid = float(np.real(target.conj() @ rho @ target))
-    return fid, _measure(plan, state)
+    return fid, _measure(plan, final)

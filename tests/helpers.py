@@ -134,3 +134,9 @@ def source_phase_state(cfg, phi_h=None, phi_v=None, direct=False):
     for transform in train:
         state = apply_transform(state, transform)
     return plan, state
+
+
+def measure(plan, state):
+    """``protocol._measure`` of ``state``, rotated into the X basis as the
+    engine rotates its final states."""
+    return protocol._measure(plan, protocol._Final(plan, state))

@@ -90,52 +90,44 @@ def test_calibration_unreachable_target():
     assert "maximum attainable" in str(err.value)
 
 
-def _count_calls(monkeypatch, *names) -> dict[str, int]:
-    """Count the calls of the named ``protocol`` functions from here on."""
-    calls = dict.fromkeys(names, 0)
-
-    def counted(name):
-        fn = getattr(protocol, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
-    for name in names:
-        monkeypatch.setattr(protocol, name, counted(name))
-    return calls
-
-
-def test_calibration_raises_when_bisection_does_not_converge(monkeypatch):
+def test_calibration_raises_when_bisection_does_not_converge(count_calls):
     # V_X is near 0 at zero overlap and rises with it, so -0.5 is never
     # met; unchecked, the bisection returns s0 -> 0 as if calibrated.  Both
     # ends of the range are checked before any bisection step, on the one
     # propagated train.
-    calls = _count_calls(monkeypatch, "_final_state")
+    calls = count_calls("_final_state")
     with pytest.raises(CalibrationError, match="minimum attainable"):
         calibrate_overlap(PAPER, target_v_x=-0.5)
     assert calls == {"_final_state": 1}
+    # Another anchor T and detector read the memo's states.
+    warm = count_calls("_initial_state", "jones_transform")
+    with pytest.raises(CalibrationError, match="minimum attainable"):
+        calibrate_overlap(replace(PAPER, eta=0.2), 0.03, target_v_x=-0.5)
+    assert warm == {"_initial_state": 0, "jones_transform": 0}
 
 
 @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
-def test_calibration_rejects_non_finite_target(monkeypatch, target):
+def test_calibration_rejects_non_finite_target(count_calls, target):
     # NaN fails every comparison, so unchecked it bisected 80 steps and then
     # reported the target as not met.
-    calls = _count_calls(monkeypatch, "_final_state")
+    calls = count_calls("_final_state")
     with pytest.raises(ValidationError, match="must be finite"):
         calibrate_overlap(PAPER, target_v_x=target)
     assert calls == {"_final_state": 0}
 
 
-def test_calibration_propagates_once(monkeypatch):
+def test_calibration_propagates_once(count_calls):
     # Every V_X of the bisection, both range checks included, reweights the
     # rows of one click table.
-    calls = _count_calls(monkeypatch, "_final_state", "click_table")
+    calls = count_calls("_final_state", "click_table")
     res = calibrate_overlap(PAPER)
     assert calls == {"_final_state": 1, "click_table": 1}
     assert res.iterations > 1
     assert abs(res.s0 - CAL_S0) < 1e-3
+    # Another anchor T and detector read the memo's states.
+    warm = count_calls("_initial_state", "jones_transform")
+    calibrate_overlap(replace(PAPER, eta=0.2, dark_e=1e-6), 0.03)
+    assert warm == {"_initial_state": 0, "jones_transform": 0}
 
 
 def _bisect_with_averaged_runs(cfg: ExperimentConfig, target: float,
@@ -177,6 +169,18 @@ def test_calibration_matches_bisection_over_averaged_runs(overrides):
 def test_sweep_spec_rejects_anchor_outside_unit_interval(value):
     with pytest.raises(ValidationError, match="anchor transmittances"):
         SweepSpec(anchor_t=value)
+
+
+@pytest.mark.parametrize("value", [0.0, -0.1, 1.5, math.nan])
+def test_calibration_rejects_anchor_outside_unit_interval(count_calls, value):
+    # At T = 0 no pulse arrives: unchecked, the calibration read V_X = 0 at
+    # every overlap and called the target unreachable, with a "maximum
+    # attainable" of 0.  It takes the sweep's check, before any propagation.
+    calls = count_calls("_final_state")
+    with pytest.raises(ValidationError, match="anchor transmittances") as err:
+        calibrate_overlap(PAPER, anchor_t=value)
+    assert not isinstance(err.value, CalibrationError)
+    assert calls == {"_final_state": 0}
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -241,23 +245,28 @@ def test_delay_width_calibration_roundtrip():
     assert abs(sigma - 180.0 / (2.0 * math.sqrt(math.log(2.0)))) < 0.5
 
 
-def test_fwhm_targeted_delay_study_propagates_once(monkeypatch):
+def test_fwhm_targeted_delay_study_propagates_once(count_calls):
     # The width calibration, the scan, the zero-delay visibility and the
     # FWHM all read one propagated train through one click table.
-    calls = _count_calls(monkeypatch, "_final_state", "click_table")
+    calls = count_calls("_final_state", "click_table")
     study = delay_study(replace(PAPER, overlap_s0=CAL_S0),
                         np.linspace(-100.0, 100.0, 5), 180.0)
     assert calls == {"_final_state": 1, "click_table": 1}
     assert study.fwhm_um == pytest.approx(180.0, abs=0.5)
     assert study.sigma_um != PAPER.overlap_sigma_um
+    # Another T, overlap and detector read the memo's states.
+    warm = count_calls("_initial_state", "jones_transform")
+    delay_study(replace(PAPER, overlap_s0=0.9, transmittance=0.03, eta=0.2),
+                np.linspace(-100.0, 100.0, 5), 180.0)
+    assert warm == {"_initial_state": 0, "jones_transform": 0}
 
 
 @pytest.mark.parametrize("target_fwhm_um", [180.0, None],
                          ids=["delay_study", "without_fwhm_target"])
-def test_delay_studies_reject_a_variant_without_pulse(monkeypatch,
+def test_delay_studies_reject_a_variant_without_pulse(count_calls,
                                                       target_fwhm_um):
     # No pulse, no dip: rejected before any propagation.
-    calls = _count_calls(monkeypatch, "_final_state")
+    calls = count_calls("_final_state")
     cfg = replace(ExperimentConfig(variant="direct_no_dfs"), overlap_s0=0.94)
     with pytest.raises(ConfigurationError, match="has no pulse"):
         delay_study(cfg, np.linspace(-200.0, 200.0, 9), target_fwhm_um)

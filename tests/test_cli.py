@@ -209,6 +209,30 @@ def test_cli_rejects_non_finite_extras(tmp_path, capsys, command, line):
     assert list(tmp_path.iterdir()) == [cfg_file]
 
 
+def test_cli_calibrate_rejects_an_anchor_without_pulse(tmp_path, capsys):
+    # At T = 0 no pulse arrives to calibrate against: a config error, not
+    # a target out of reach.
+    cfg_file = tmp_path / "cal.cfg"
+    cfg_file.write_text("calibrate_anchor_t = 0\n")
+    code = main(["calibrate", "--config", str(cfg_file),
+                 "--out", str(tmp_path / "cal")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert "anchor transmittances must lie in (0, 1]" in err["error"]
+    assert list(tmp_path.iterdir()) == [cfg_file]
+
+
+def test_cli_sweep_propagates_once(tmp_path, count_calls):
+    # The calibration at the anchor T and the rows at five T read one
+    # propagated state.
+    cfg_file = tmp_path / "sweep.cfg"
+    cfg_file.write_text("transmittance_list = 0.1,0.03,0.01,0.005,0.003\n")
+    calls = count_calls("_final_state", "_initial_state")
+    assert main(["sweep", "--config", str(cfg_file),
+                 "--out", str(tmp_path / "t")]) == 0
+    assert calls == {"_final_state": 1 + 5, "_initial_state": 1}
+
+
 @pytest.mark.parametrize("steps", ["0", "-1"])
 def test_cli_delay_scan_rejects_nonpositive_steps(tmp_path, capsys, steps):
     cfg_file = tmp_path / "scan.cfg"

@@ -687,28 +687,31 @@ def test_each_distinct_input_pattern_expanded_once(expansions):
     assert len(expansions) == 9
 
 
-def test_second_propagation_expands_nothing(expansions):
+def test_second_propagation_expands_nothing(expansions, final_states):
     cfg = replace(protocol.ExperimentConfig(), overlap_s0=0.9)
-    _, first = protocol._final_state(cfg)
+    first = protocol._final_state(cfg)[1].state
     assert expansions
     expansions.clear()
-    _, again = protocol._final_state(cfg)
+    final_states.clear()
+    again = protocol._final_state(cfg)[1].state
     assert expansions == []
     assert np.array_equal(first.amplitudes, again.amplitudes)
 
 
 @pytest.mark.parametrize("variant", protocol.VARIANTS)
-def test_new_transmittance_or_overlap_expands_nothing(expansions, variant):
+def test_new_transmittance_or_overlap_expands_nothing(expansions,
+                                                     final_states, variant):
     # The train runs at s^2 = T = 1/2 whatever the config's overlap, delay
-    # and T, so every later config finds its expansions in the memo and
-    # gets the same state.
+    # and T, so every later config, propagated again on an empty state
+    # memo, finds its expansions in the memo and gets the same state.
     cfg = protocol.ExperimentConfig(variant=variant, overlap_s0=0.9)
-    _, first = protocol._final_state(cfg)
+    first = protocol._final_state(cfg)[1].state
     expansions.clear()
     for changed in (replace(cfg, transmittance=0.03),
                     replace(cfg, overlap_s0=0.5),
                     replace(cfg, delay_um=40.0, overlap_sigma_um=80.0)):
-        _, again = protocol._final_state(changed)
+        final_states.clear()
+        again = protocol._final_state(changed)[1].state
         assert expansions == []
         for name in ("occupations", "amplitudes", "labels"):
             assert np.array_equal(getattr(again, name), getattr(first, name))

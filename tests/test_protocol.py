@@ -45,6 +45,7 @@ from dfsdist.sources import DetectorModel
 from helpers import (
     dm_visibilities,
     exact_click_parts,
+    measure,
     source_phase_state,
     states_allclose,
     trace_distance,
@@ -140,6 +141,7 @@ def test_sector_average_equals_mean_of_fixed_phase_runs(overrides, phases):
     (dict(variant="direct_no_dfs"), 3),
 ], ids=["reference", "cutoff6", "direct"])
 def test_phase_average_measures_each_v_photon_number_once(monkeypatch,
+                                                          count_calls,
                                                           overrides,
                                                           n_classes):
     # Photon numbers on the two sides of the PBS are conserved separately,
@@ -147,20 +149,25 @@ def test_phase_average_measures_each_v_photon_number_once(monkeypatch,
     # labelling terms by (n_H, n_V), or merging n_V classes, leaves every
     # number above unchanged to rounding and shows only in the labels.
     cfg = replace(PAPER, overlap_s0=0.94, **overrides)
-    measured, propagated = [], []
-    measure, propagate = protocol._measure, protocol._final_state
+    measured = []
+    inner = protocol._measure
 
-    def counted(plan, state):
-        measured.append(state)
-        return measure(plan, state)
+    def counted(plan, final):
+        measured.append(final.state)
+        return inner(plan, final)
 
     monkeypatch.setattr(protocol, "_measure", counted)
-    monkeypatch.setattr(protocol, "_final_state",
-                        lambda *args: propagated.append(None) or propagate(*args))
+    propagated = count_calls("_final_state")
     run_phase_averaged(cfg)
-    assert len(measured) == len(propagated) == 1
+    assert len(measured) == propagated["_final_state"] == 1
     # n_V = 0, 1, ... up to the most V photons, all in one labelled state.
     assert sorted(set(measured[0].labels.tolist())) == list(range(n_classes))
+    # Another T, overlap and detector read the memo's states.
+    warm = count_calls("_initial_state", "jones_transform")
+    run_phase_averaged(replace(cfg, transmittance=0.03, overlap_s0=0.5,
+                               eta_g=0.2))
+    assert warm == {"_initial_state": 0, "jones_transform": 0}
+    assert measured[1] is measured[0]
 
 
 def test_three_photon_state_term_structure():
@@ -301,56 +308,184 @@ def test_dark_counts_near_one_keep_statistics_and_state_valid():
     assert np.linalg.eigvalsh(dm.matrix).min() >= 0.0
 
 
-def test_state_outputs_propagate_each_class_once(monkeypatch):
+def test_state_outputs_propagate_each_class_once(count_calls):
     from dfsdist.analysis import tomography_payload
 
-    calls = []
-    propagate = protocol._final_state
-    monkeypatch.setattr(protocol, "_final_state",
-                        lambda *args: calls.append(None) or propagate(*args))
+    calls = count_calls("_final_state", "_initial_state")
     distribute_qubit(ExperimentConfig.ideal(), (0.6, 0.8))
     # The n_V = 0, 1, 2 classes travel together as labels.
-    assert len(calls) == 1
-    calls.clear()
+    assert calls == {"_final_state": 1, "_initial_state": 1}
+    calls.update(dict.fromkeys(calls, 0))
     tomography_payload(PAPER)
-    assert len(calls) == 1 + 1  # zero phase, then the labelled average
+    # Zero phase, then the labelled average, both merged from one state.
+    assert calls == {"_final_state": 1 + 1, "_initial_state": 1}
 
 
-def test_one_propagation_per_configuration(monkeypatch):
+def test_one_propagation_per_configuration(monkeypatch, final_states):
     # The train is one receiver map: the channel loss of a loss variant,
     # the flip, the overlap split, the PBS and the herald analyzer; the
     # pair photon's loss and pickoff are part of D_G.  Measuring adds one X
     # rotation of both sides, and the tomography one rotation per basis
-    # pair but Z-Z.
+    # pair but Z-Z.  Another T, overlap or detector setting reuses the
+    # memo's state and its X rotation: only the tomography rotates again.
     cfg = replace(PAPER, overlap_s0=CAL_S0)
     calls = []
     apply = protocol.apply_transform
     monkeypatch.setattr(protocol, "apply_transform",
                         lambda *args: calls.append(None) or apply(*args))
     single = replace(cfg, variant="single_photon_ancilla")
-    for run, run_cfg, n_calls in ((run_phase_averaged, cfg, 1 + 1),
-                                  (two_qubit_state, cfg, 1 + 8),
-                                  (pattern_distribution, cfg, 1),
-                                  (run_phase_averaged, single, 1 + 1)):
+    for run, run_cfg, n_calls, n_warm in (
+            (run_phase_averaged, cfg, 1 + 1, 0),
+            (two_qubit_state, cfg, 1 + 8, 8),
+            (pattern_distribution, cfg, 1, 0),
+            (run_phase_averaged, single, 1 + 1, 0)):
+        final_states.clear()
         calls.clear()
         run(run_cfg)
         assert len(calls) == n_calls, (run.__name__, run_cfg.variant)
+        for changed in (dict(transmittance=0.03), dict(overlap_s0=0.5),
+                        dict(eta=0.2, dark_e=1e-6, gp_reflectance=0.3)):
+            calls.clear()
+            run(replace(run_cfg, **changed))
+            assert len(calls) == n_warm, (run.__name__, changed)
 
 
-@pytest.mark.parametrize("variant", protocol.VARIANTS)
-def test_second_final_state_builds_no_transform(monkeypatch, variant):
-    # The registry and the receiver map depend on the variant only, so
-    # they are built once per process.
-    cfg = replace(PAPER, variant=variant, overlap_s0=CAL_S0)
-    protocol._final_state(cfg)
+def _patch_builders(monkeypatch) -> list[str]:
+    """Record each registry, element or composed map built from now on."""
     built = []
     for name in ("make_registry", "jones_transform", "loss_channel",
                  "overlap_split", "pbs", "compose"):
         monkeypatch.setattr(protocol, name,
                             lambda *args, name=name, **kw: built.append(name))
-    cfg = replace(cfg, transmittance=0.03, overlap_s0=0.5)
+    return built
+
+
+@pytest.mark.parametrize("variant", protocol.VARIANTS)
+def test_second_final_state_builds_no_transform(monkeypatch, final_states,
+                                                variant):
+    # The registry and the receiver map depend on the variant only, so
+    # they are built once per process; a new cutoff propagates again with
+    # them.
+    cfg = replace(PAPER, variant=variant, overlap_s0=CAL_S0)
+    protocol._final_state(cfg)
+    built = _patch_builders(monkeypatch)
+    cfg = replace(cfg, transmittance=0.03, overlap_s0=0.5, cutoff=5)
     protocol._final_state(cfg)
     assert built == []
+    assert len(final_states) == 2
+
+
+@pytest.mark.parametrize("variant", protocol.VARIANTS)
+def test_second_two_qubit_state_builds_no_transform(monkeypatch, variant):
+    # Each rotation into an analyzer basis depends on the variant and the
+    # bases only, so it is built once per process, and serves a new cutoff.
+    cfg = replace(PAPER, variant=variant, overlap_s0=CAL_S0,
+                  include_feedforward_branch=True)
+    want = two_qubit_state(cfg).matrix
+    run_phase_averaged(cfg)
+    built = _patch_builders(monkeypatch)
+    assert np.array_equal(two_qubit_state(cfg).matrix, want)
+    two_qubit_state(replace(cfg, cutoff=5))
+    run_phase_averaged(replace(cfg, cutoff=5))
+    assert built == []
+
+
+def _memo_reads(cfg, cold=False):
+    """Every output that reads ``cfg``'s final state, or the error it
+    raises instead, in a form that compares bit for bit, each read from
+    the memo as it is or, with ``cold``, from an empty one."""
+    from dfsdist.analysis import calibrate_overlap
+
+    reads = []
+    for read in (run_phase_averaged, lambda c: run_fixed_phase(c, 0.3, 1.1),
+                 lambda c: two_qubit_state(c).matrix.tobytes(),
+                 lambda c: two_qubit_state(c, (0.0, 0.0)).matrix.tobytes(),
+                 pattern_distribution, calibrate_overlap,
+                 lambda c: DelayEvaluator(c)(0.7)):
+        if cold:
+            protocol._FINAL_STATES.clear()
+        try:
+            reads.append(read(cfg))
+        except ValueError as err:
+            reads.append(repr(err))
+    return reads
+
+
+@pytest.mark.parametrize("variant", protocol.VARIANTS)
+@pytest.mark.parametrize("overrides", [
+    dict(),
+    dict(source="exact_pair", input_qubit=(0.6, 0.8j)),
+    dict(include_feedforward_branch=True, dark_e=1e-4, dark_f=2e-4),
+    dict(transmittance=0.0),
+    dict(phase_delta=(0.2, -0.4)),
+], ids=["spdc", "exact_pair", "feedforward_dark", "t0", "phase_delta"])
+def test_warm_memo_reads_give_the_bits_of_a_cold_one(count_calls, variant,
+                                                      overrides):
+    # States propagated for another T, overlap, delay and detectors serve
+    # every read of cfg with the bits of states propagated for cfg itself.
+    # At T = 0 the pulse is off, as it is for mu = 0 at any T.
+    cfg = replace(PAPER, variant=variant, overlap_s0=CAL_S0, **overrides)
+    calls = count_calls("_initial_state")
+    cold = _memo_reads(cfg, cold=True)
+    protocol._FINAL_STATES.clear()
+    other = replace(cfg, transmittance=0.37, overlap_s0=0.6, delay_um=30.0,
+                    eta=0.3, eta_g=0.5, dark_g=1e-3, gp_reflectance=0.2,
+                    include_feedforward_branch=not
+                    cfg.include_feedforward_branch)
+    if cfg.transmittance == 0.0:
+        other = replace(other, mu=0.0)
+    _memo_reads(other)
+    calls["_initial_state"] = 0
+    assert _memo_reads(cfg) == cold
+    # Only the calibration, at its anchor T = 0.1, sees the pulse of a
+    # config at T = 0.
+    assert calls["_initial_state"] == (cfg.transmittance == 0.0)
+
+
+def _field_change(kind, change, base=None, propagations=None):
+    name = "-".join([kind, *(base or {}), *change])
+    return pytest.param(base or {}, change, propagations, id=name)
+
+
+@pytest.mark.parametrize("base,change,propagations", [
+    *(_field_change("key", change, propagations=1) for change in [
+        dict(variant="forward_all_from_bob"), dict(source="exact_pair"),
+        dict(gamma=1e-3), dict(pair_cutoff=3), dict(cutoff=5), dict(mu=0.05),
+        dict(phase_delta=(0.2, -0.4)), dict(input_qubit=(0.6, 0.8)),
+        dict(transmittance=0.0)]),
+    *(_field_change("read", change, propagations=0) for change in [
+        dict(transmittance=0.03), dict(transmittance=1.0),
+        dict(overlap_s0=0.5), dict(overlap_sigma_um=50.0),
+        dict(delay_um=40.0), dict(eta=0.2), dict(eta_g=0.3),
+        dict(dark_g=1e-4), dict(dark_e=1e-4), dict(dark_f=1e-4),
+        dict(gp_reflectance=0.3), dict(include_feedforward_branch=True)]),
+    # At T = 0 no pulse arrives, whatever its mu, and a T > 0 turns it on.
+    _field_change("read", dict(mu=0.05), dict(transmittance=0.0), 0),
+    _field_change("key", dict(transmittance=0.1), dict(transmittance=0.0), 1),
+])
+def test_memo_key_holds_the_fields_the_propagation_reads(count_calls, base,
+                                                          change,
+                                                          propagations):
+    cfg = replace(PAPER, overlap_s0=CAL_S0, **base)
+    protocol._final_state(cfg)
+    calls = count_calls("_initial_state")
+    protocol._final_state(replace(cfg, **change))
+    assert calls == {"_initial_state": propagations}
+
+
+def test_memo_is_bounded_least_recently_used_first(final_states):
+    cfgs = [replace(PAPER, mu=mu) for mu in
+            np.linspace(0.01, 0.1, protocol.MEMO_STATES + 1).tolist()]
+    first, second = (protocol._final_state(cfg)[1] for cfg in cfgs[:2])
+    for cfg in cfgs[2:-1]:
+        protocol._final_state(cfg)
+    assert len(final_states) == protocol.MEMO_STATES
+    # The first config, used again, is kept; the second goes instead.
+    assert protocol._final_state(cfgs[0])[1] is first
+    protocol._final_state(cfgs[-1])
+    assert len(final_states) == protocol.MEMO_STATES
+    assert first in final_states.values()
+    assert second not in final_states.values()
 
 
 def test_tomography_without_coincidences_is_undefined():
@@ -564,7 +699,7 @@ def test_overlap_x_visibility_matches_averaged_runs(overrides):
     cfg = replace(PAPER, **overrides)
     v_x = overlap_x_visibility(cfg)
     for s in (0.0, 0.3, 1.0 / math.sqrt(2.0), 0.9, 0.94091796875, 1.0):
-        want = visibilities(protocol._measure(*source_phase_state(
+        want = visibilities(measure(*source_phase_state(
             replace(cfg, overlap_s0=s), direct=True)))[1]
         # An averaged run reads the same table the same way.
         assert v_x(s) == visibilities(
@@ -618,7 +753,7 @@ def test_measure_builds_two_click_tables(monkeypatch, overrides):
     build = protocol.click_table
     monkeypatch.setattr(protocol, "click_table",
                         lambda *args: tables.append(args) or build(*args))
-    protocol._measure(plan, state)
+    measure(plan, state)
     assert len(tables) == 2
 
 
@@ -728,7 +863,7 @@ def test_measure_matches_per_term_definition(case):
     cfg, plan, terms = case
     reg = plan.registry
     state = FockStateVector(reg, cfg.cutoff, terms)
-    out = protocol._measure(plan, state)
+    out = measure(plan, state)
     x_state = state
     for side in (plan.side_e, plan.side_g):
         x_state = apply_transform(x_state, jones_transform(
@@ -780,7 +915,7 @@ def test_reweighted_reads_match_the_direct_route(s, t, variant, feedforward,
                   include_feedforward_branch=feedforward, dark_e=dark,
                   dark_f=dark / 2.0, dark_g=dark / 3.0)
     got = run_phase_averaged(cfg)
-    want = protocol._measure(*source_phase_state(cfg, direct=True))
+    want = measure(*source_phase_state(cfg, direct=True))
 
     def close(a, b):
         return abs(a - b) <= 1e-14 * abs(b) + 1e-28
@@ -806,7 +941,7 @@ def test_direct_variant_loses_x_correlations_to_the_phase_average():
 def test_fixed_phase_matches_the_source_phase_reference(variant, phase):
     cfg = replace(PAPER, overlap_s0=CAL_S0, variant=variant)
     got = run_fixed_phase(cfg, *phase)
-    want = protocol._measure(*source_phase_state(cfg, *phase))
+    want = measure(*source_phase_state(cfg, *phase))
 
     def close(a, b):
         return abs(a - b) <= 1e-14 * abs(b) + 1e-300
@@ -826,7 +961,8 @@ def test_fixed_phase_matches_the_source_phase_reference(variant, phase):
 ])
 def test_phase_point_states_match_fixed_phase_preparation(overrides):
     cfg = replace(PAPER, **overrides)
-    states = protocol._at_phases(protocol._final_state(cfg)[1], PHASE_SET_8)
+    states = protocol._at_phases(protocol._final_state(cfg)[1].state,
+                                 PHASE_SET_8)
     assert len(states) == len(PHASE_SET_8)
     for (phi_h, phi_v), state in zip(PHASE_SET_8, states):
         _, want = source_phase_state(cfg, phi_h, phi_v)
@@ -845,7 +981,7 @@ def test_pattern_distribution_is_each_phase_table(variant, overrides):
     cfg = replace(PAPER, variant=variant, overlap_s0=CAL_S0, **overrides)
     got = pattern_distribution(cfg)
     plan, final = protocol._final_state(cfg)
-    states = protocol._at_phases(final, PHASE_SET_8)
+    states = protocol._at_phases(final.state, PHASE_SET_8)
     for k, state in enumerate(states):
         dist = protocol._table(plan, state).patterns()
         norm = sum(dist.values())
@@ -888,7 +1024,7 @@ def test_receiver_side_ancilla_preparation_matches_explicit_propagation():
     """
     from dfsdist.fock import apply_transform, make_registry, tensor
     from dfsdist.optics import attenuator, hwp, loss_channel, pbs, phase_shifter
-    from dfsdist.protocol import _analyzer_matrix, _measure, _Plan
+    from dfsdist.protocol import _analyzer_matrix, _Plan
     from dfsdist.optics import jones_transform
     from dfsdist.sources import (
         CoherentParams,
@@ -926,7 +1062,7 @@ def test_receiver_side_ancilla_preparation_matches_explicit_propagation():
                   "G": DetectorModel("D_G", cfg.eta_g, cfg.dark_g),
                   "F": DetectorModel("D_F", cfg.eta, cfg.dark_f)},
                  ([], []))
-    explicit = _measure(plan, state)
+    explicit = measure(plan, state)
 
     # The launched pulse (mean 0.25) loses 9.7e-9 to the cutoff.
     assert explicit.truncated_weight < 1e-8
@@ -989,10 +1125,14 @@ def _fold_records(cfg):
 
 @pytest.mark.parametrize("variant", ["counter_propagating",
                                      "single_photon_ancilla", "direct_no_dfs"])
-def test_pair_loss_fold_matches_explicit_chain(monkeypatch, variant):
+def test_pair_loss_fold_matches_explicit_chain(monkeypatch, final_states,
+                                               variant):
     # The fold is exact: both losses act alike on H and V and commute with
     # G's analyzer, and a detector of efficiency eta behind a loss T is one
     # of efficiency eta T.  Without a herald the feed-forward flag is moot.
+    # The folded configs share memo entries; the explicit train depends on
+    # T and R, which the memo's key leaves out, so each explicit config
+    # propagates on an empty memo.
     flags = [dict(dark_e=1.5e-6, dark_f=1.5e-6),
              dict(include_feedforward_branch=True, dark_g=0.0)]
     if variant == "direct_no_dfs":
@@ -1004,6 +1144,7 @@ def test_pair_loss_fold_matches_explicit_chain(monkeypatch, variant):
     folded = [_fold_records(cfg) for cfg in cfgs]
     _explicit_pair_loss(monkeypatch)
     for cfg, want in zip(cfgs, folded):
+        final_states.clear()
         got = _fold_records(cfg)
         assert set(got) == set(want), cfg
         for key, val in want.items():

@@ -1,8 +1,9 @@
 """The committed ``results/`` files, regenerated in-process byte for byte.
 
 ``scripts/reproduce_results.py`` is run once into a temporary directory,
-calibration included, so every committed file is rebuilt by the same calls
-that wrote it and any change to a committed number fails here.
+calibration included, on an empty memo of final states, so every committed
+file is rebuilt by the same calls that wrote it and any change to a
+committed number fails here.
 """
 
 import importlib.util
@@ -11,19 +12,41 @@ from pathlib import Path
 
 import pytest
 
+from dfsdist import protocol
+
 ROOT = Path(__file__).resolve().parent.parent
 RESULTS = ROOT / "results"
 
 
 @pytest.fixture(scope="module")
-def reproduced(tmp_path_factory):
+def reproduction(tmp_path_factory):
+    """The directory the script wrote and the number of propagations it
+    took."""
     spec = importlib.util.spec_from_file_location(
         "reproduce_results", ROOT / "scripts" / "reproduce_results.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     out_dir = tmp_path_factory.mktemp("results")
-    script.reproduce(out_dir)
-    return out_dir
+    propagations = []
+    initial_state = protocol._initial_state
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(protocol, "_FINAL_STATES", protocol.OrderedDict())
+        patch.setattr(protocol, "_initial_state", lambda *args: (
+            propagations.append(None) or initial_state(*args)))
+        script.reproduce(out_dir)
+    return out_dir, len(propagations)
+
+
+@pytest.fixture(scope="module")
+def reproduced(reproduction):
+    return reproduction[0]
+
+
+def test_reproduction_propagates_each_configuration_once(reproduction):
+    # 44 reads of final states (runs, calibration, delay and tomography)
+    # share 12 configurations once T, the overlap and the detectors are
+    # set aside.
+    assert reproduction[1] <= 19
 
 
 def _assert_reproduced(out_dir, name):
