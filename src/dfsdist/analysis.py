@@ -19,9 +19,9 @@ from .fock import ValidationError, fidelity_to_phi_plus
 from .optics import OverlapModel, overlap_at_delay
 from .protocol import (
     REP_RATE_HZ,
-    DelayEvaluator,
     ExperimentConfig,
     chsh_violated,
+    delay_coincidences,
     f_low,
     overlap_x_visibility,
     pattern_distribution,
@@ -233,14 +233,15 @@ class DelayScanRow:
     visibility: float
 
 
-def _at_delay(evaluate: DelayEvaluator, cfg: ExperimentConfig,
+def _at_delay(evaluate: Callable[[float], tuple[float, float]],
+              cfg: ExperimentConfig,
               ) -> Callable[[float], tuple[float, float]]:
     """(p_rd, p_ld) against delay, at the overlap s0 and width of ``cfg``."""
     overlap = OverlapModel(cfg.overlap_s0, cfg.overlap_sigma_um)
     return lambda dx: evaluate(overlap_at_delay(overlap, dx))
 
 
-def _scan_rows(evaluate: DelayEvaluator, cfg: ExperimentConfig,
+def _scan_rows(evaluate: Callable, cfg: ExperimentConfig,
                delays_um: Sequence[float]) -> list[DelayScanRow]:
     at_delay = _at_delay(evaluate, cfg)
     rows = []
@@ -260,7 +261,7 @@ def delay_scan_csv(rows: Sequence[DelayScanRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _dip_fwhm(evaluate: DelayEvaluator, cfg: ExperimentConfig) -> float:
+def _dip_fwhm(evaluate: Callable, cfg: ExperimentConfig) -> float:
     sigma_um = cfg.overlap_sigma_um
     at_delay = _at_delay(evaluate, cfg)
 
@@ -298,12 +299,13 @@ class DelayStudy:
 
 def delay_study(cfg: ExperimentConfig, delays_um: Sequence[float],
                 target_fwhm_um: float | None = None) -> DelayStudy:
-    """Delay scan, zero-delay visibility and dip FWHM from one evaluator.
+    """Delay scan, zero-delay visibility and dip FWHM from one
+    ``delay_coincidences`` read of the memo's Y-Y table.
 
-    The evaluator does not depend on the overlap width, so with a target
-    FWHM it calibrates the width first and then serves the scan at it.
+    It does not depend on the overlap width, so with a target FWHM it
+    calibrates the width first and then serves the scan at it.
     """
-    evaluate = DelayEvaluator(cfg)
+    evaluate = delay_coincidences(cfg)
     if target_fwhm_um is not None:
         # The contrast depends on delay only through s(dx), so the FWHM is
         # proportional to sigma and one measurement fixes the scale.
@@ -358,15 +360,27 @@ class EventSample:
         return float(hits.sum()) / len(self) if len(self) else 0.0
 
     def to_csv_text(self) -> str:
-        # Few distinct (phase, e, f, g) records repeat over many pulses, so
-        # each record's line suffix is formatted once, indexed by its code.
-        codes = (((self.phase_index * 2 + self.e_click) * 2 + self.f_click) * 2
-                 + self.g_click).tolist()
-        suffixes = [f",{c >> 3},{c >> 2 & 1},{c >> 1 & 1},{c & 1}"
-                    for c in range(max(codes, default=0) + 1)]
-        lines = map(str.__add__, map(str, range(len(codes))),
-                    map(suffixes.__getitem__, codes))
-        return "\n".join([self.CSV_HEADER, *lines]) + "\n"
+        # One uint8 row per pulse: its index's digits, then the suffix
+        # ",phase,e,f,g\n" of its code, 9 bytes while the phase has one digit.
+        phases = self.phase_index
+        if len(self) and not 0 <= phases.min() <= phases.max() <= 9:
+            raise ValidationError("phase indices must lie in [0, 9]")
+        codes = ((phases * 2 + self.e_click) * 2 + self.f_click) * 2 + self.g_click
+        suffixes = np.frombuffer("".join(
+            f",{c >> 3},{c >> 2 & 1},{c >> 1 & 1},{c & 1}\n"
+            for c in range(80)).encode(), np.uint8).reshape(80, 9)
+        blocks = [f"{self.CSV_HEADER}\n".encode()]
+        for width in range(1, len(str(len(self))) + 1):
+            pulses = np.arange(10 ** (width - 1) if width > 1 else 0,
+                               min(10 ** width, len(self)), dtype=np.uint32)
+            rows = np.empty((len(pulses), width + 9), np.uint8)
+            rows[:, width:] = suffixes[codes[pulses]]
+            for col in reversed(range(width)):
+                rest = pulses // 10
+                rows[:, col] = pulses - rest * 10 + ord("0")
+                pulses = rest
+            blocks.append(rows.tobytes())
+        return b"".join(blocks).decode("ascii")
 
 
 def sample_events(cfg: ExperimentConfig, n_pulses: int, seed: int) -> EventSample:
@@ -378,6 +392,8 @@ def sample_events(cfg: ExperimentConfig, n_pulses: int, seed: int) -> EventSampl
     """
     if n_pulses < 0:
         raise ValidationError("number of pulses must be >= 0")
+    if seed < 0:
+        raise ValidationError("sample seed must be >= 0")
     exact = pattern_distribution(cfg)
     flat_keys = sorted(exact)
     rng = np.random.default_rng(seed)

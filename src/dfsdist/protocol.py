@@ -21,7 +21,7 @@ import functools
 import itertools
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
@@ -56,6 +56,7 @@ from .sources import (
     CoherentParams,
     DetectorModel,
     SpdcParams,
+    _integer_power,
     click_table,
     coherent_state,
     pair_state,
@@ -334,20 +335,42 @@ def _receiver(variant: str) -> tuple[ModeTransform, ...]:
 
 @dataclass(eq=False)
 class _Final:
-    """A labelled final state and, built on first use, that state rotated
-    into the X basis on both sides; ``plan`` is the one it was built with."""
+    """A labelled final state and, built on first use, the ``_Counts`` of
+    each analyzer basis pair it is read in; ``plan`` is the one it was built
+    with."""
 
     plan: _Plan
     state: FockStateVector
+    _counts: dict = field(default_factory=dict, init=False, repr=False)
 
-    @cached_property
-    def x_state(self) -> FockStateVector:
-        return _rotated(self.plan, self.state, "X", "X")
+    def counts(self, basis_e: str, basis_g: str,
+               phase: tuple[float, float] | None = None) -> "_Counts":
+        """The ``_Counts`` of the state, at the collective ``phase`` if one
+        is given, with each side ``_rotated`` into its analyzer basis."""
+        key = (basis_e, basis_g, phase)
+        if key not in self._counts:
+            state = (self.state if phase is None
+                     else _at_phases(self.state, [phase])[0])
+            self._counts[key] = _count_table(
+                self.plan, _rotated(self.plan, state, basis_e, basis_g))
+        return self._counts[key]
+
+    @property
+    def nbytes(self) -> int:
+        """The bytes of the state's arrays and of every table held."""
+        state = self.state
+        return (state.occupations.nbytes + state.amplitudes.nbytes
+                + state.labels.nbytes
+                + sum(c.nbytes for c in self._counts.values()))
 
 
-# The final states of the last MEMO_STATES configurations used, least recently
-# used first: a reproduction has 12, and at cutoff 7 one is about 150 kB.
-MEMO_STATES = 32
+# The final states of the configurations last used, least recently used
+# first, with their count tables, while their arrays total at most
+# MEMO_BYTES.  A reproduction has 12 entries, 0.64 MB at cutoff 4 and
+# 9.9 MB at cutoff 7 (pair cutoff 3), where the bound keeps 9 and still
+# propagates each once; there an entry is 0.88 MB after an averaged read
+# and 1.41 MB once the delay scan has read it too.
+MEMO_BYTES = 8 << 20
 _FINAL_STATES: OrderedDict[tuple, _Final] = OrderedDict()
 
 
@@ -379,7 +402,10 @@ def _final_state(cfg: ExperimentConfig) -> tuple[_Plan, _Final]:
             state = apply_transform(state, receiver)
         final = _Final(plan, state)
     _FINAL_STATES[key] = final
-    if len(_FINAL_STATES) > MEMO_STATES:
+    # Reads add tables to entries after this lookup: the bound is kept at
+    # every lookup, on the entries' sizes then, and never drops this entry.
+    while (len(_FINAL_STATES) > 1 and
+           sum(f.nbytes for f in _FINAL_STATES.values()) > MEMO_BYTES):
         _FINAL_STATES.popitem(last=False)
     return plan, final
 
@@ -412,33 +438,89 @@ def run_fixed_phase(cfg: ExperimentConfig, phi_h: float,
 
 
 @dataclass(frozen=True)
-class _Table:
-    """A state's click table at the overlap s^2 = ``overlap_s2`` and the
-    plan's T: each row's photons on the ``_analyzed_groups`` (E_H, E_V, G_H,
-    G_V and, with a herald, F_H, F_V), then on the pair side, on all modes,
-    on orthogonal modes and on the loss modes LR and LA.  Each side is
-    ``_rotated`` into its analyzer basis.  The state is propagated at s^2 =
-    T = 1/2, and the overlap split and the channel loss are beamsplitter
-    dilations whose port counts each row fixes: m matched and k orthogonal
-    pulse photons past the split; lost ones on LR (or LA) and kept ones, 1 -
-    lost (or B photons - lost).  So a row's weight is its propagated one
-    times (2p)^a (2(1 - p))^b for p = s^2, (a, b) = (m, k) and for p = T,
-    (a, b) = (kept, lost).
+class _Counts:
+    """The detector-free click table of a state: each row's photons on the
+    ``_analyzed_groups`` (E_H, E_V, G_H, G_V and, with a herald, F_H, F_V),
+    then on the pair side, on all modes, on orthogonal modes and on the
+    loss modes LR and LA.  The state is propagated at s^2 = T = 1/2, and the
+    overlap split and the channel loss are beamsplitter dilations whose port
+    counts each row fixes: m matched and k orthogonal pulse photons past the
+    split; lost ones on LR (or LA) and kept ones, 1 - lost (or B photons -
+    lost).  So a row's weight at p = s^2 and T is its propagated one times
+    (2p)^a (2(1 - p))^b for (a, b) = (m, k) and for (a, b) = (kept, lost);
+    ``scaled`` holds the propagated weight times 2^(m + k + kept + lost).
     """
 
-    plan: _Plan
     counts: np.ndarray
-    heralds: list  # per-row click probability of F_H and F_V, or [1.0]
-    # Each row's weight at the plan's T times 2^(m + k), and m and k.
     scaled: np.ndarray
     matched: np.ndarray
     orthogonal: np.ndarray
+    kept: np.ndarray
+    lost: np.ndarray
+
+    @cached_property
+    def classes(self) -> tuple[list, np.ndarray]:
+        """The sorted (pair count, ancilla photon count) classes of
+        ``triple``'s components, and each row's class index."""
+        pairs, photons = self.counts[:, -5], self.counts[:, -4]
+        # One int64 key per (pairs, ancilla photons), sorted as those pairs:
+        # the ancilla count lies in [-MAX_CUTOFF, MAX_CUTOFF], negative only
+        # in states the protocol does not make.
+        radix = 2 * MAX_CUTOFF + 1
+        keys, inverse = np.unique(
+            pairs.astype(np.int64) * radix + (photons - 2 * pairs + MAX_CUTOFF),
+            return_inverse=True)
+        n_pairs_of, ancilla_of = divmod(keys, radix)
+        ancilla_of -= MAX_CUTOFF
+        return list(zip(n_pairs_of.tolist(), ancilla_of.tolist())), inverse
+
+    @property
+    def nbytes(self) -> int:
+        """The bytes of the table's arrays, ``classes`` once built."""
+        arrays = [self.counts, self.scaled, self.matched, self.orthogonal,
+                  self.kept, self.lost]
+        if "classes" in vars(self):
+            arrays.append(self.classes[1])
+        return sum(a.nbytes for a in arrays)
+
+
+def _count_table(plan: _Plan, state: FockStateVector) -> _Counts:
+    """The ``_Counts`` of ``state``, its sides already in their bases."""
+    reg = plan.registry
+    orthogonal = [i for i, mode in enumerate(reg.modes)
+                  if mode.temporal == ORTHOGONAL]
+    w, counts = click_table(state, [
+        *_analyzed_groups(plan), plan.pair_side_indices, range(reg.n_modes),
+        orthogonal, *plan.loss_indices])
+    pairs, total, k, lost_pulse, lost_pair = counts[:, -5:].T
+    # Each photon is one of a pair (two per pair-side photon) or the
+    # pulse's: lost before the split, or counted in m + k.
+    m = total - 2 * pairs - k - lost_pulse
+    pulse_loss, pair_loss = (len(modes) > 0 for modes in plan.loss_indices)
+    kept = pulse_loss * (m + k) + pair_loss * (pairs - lost_pair)
+    lost = lost_pulse + lost_pair
+    return _Counts(counts, w * _integer_power(2.0, m + k + kept + lost), m, k,
+                   kept, lost)
+
+
+@dataclass(frozen=True)
+class _Table:
+    """A ``_Counts`` read at the plan's T and detectors and at the overlap
+    s^2 = ``overlap_s2``: each row's weight, its herald click probabilities
+    and the click columns of E_H, E_V and of G_H, G_V."""
+
+    plan: _Plan
+    source: _Counts
+    heralds: list  # per-row click probability of F_H and F_V, or [1.0]
+    clicks: tuple[np.ndarray, np.ndarray]
+    scaled: np.ndarray  # each row's weight at T times 2^(m + k)
     overlap_s2: float
 
     @cached_property
     def weights(self) -> np.ndarray:
         s2 = self.overlap_s2
-        return self.scaled * s2 ** self.matched * (1.0 - s2) ** self.orthogonal
+        return (self.scaled * _integer_power(s2, self.source.matched)
+                * _integer_power(1.0 - s2, self.source.orthogonal))
 
     def at(self, s: float) -> "_Table":
         """The table read at overlap amplitude ``s``."""
@@ -450,10 +532,8 @@ class _Table:
         """Coincidences of E port i and G port j (port 0 the +1 outcome)
         with herald outcome ``herald``, as a 2x2 array.  Photons behind the
         orthogonal analyzer port are discarded, not detected."""
-        n = self.counts
-        e = (self.plan.detectors["E"].click_probability(n[:, :2])
-             * (self.weights * self.heralds[herald])[:, None])
-        return e.T @ self.plan.detectors["G"].click_probability(n[:, 2:4])
+        e, g = self.clicks
+        return (e * (self.weights * self.heralds[herald])[:, None]).T @ g
 
     def kept_pair_probs(self, basis_e: str) -> np.ndarray:
         """``pair_probs`` of the kept herald outcomes, E's analyzer basis
@@ -470,7 +550,7 @@ class _Table:
         """The probability that E, G and a kept herald outcome all click,
         and its components by (pair count, ancilla photon count, click
         origin of the pair-side detector)."""
-        n = self.counts
+        n = self.source.counts
         det_e, det_g = self.plan.detectors["E"], self.plan.detectors["G"]
         w_eh = (self.weights * det_e.click_probability(n[:, 0] + n[:, 1])
                 * sum(self.heralds[:1 + self.plan.feedforward]))
@@ -478,30 +558,19 @@ class _Table:
         n_g = n[:, 2] + n[:, 3]
         g_photon = det_g.photon_probability(n_g)
         g_dark = det_g.dark * det_g.miss_probability(n_g)
-        pairs, photons = n[:, -5], n[:, -4]
-        # One int64 key per (pairs, ancilla photons), sorted as those pairs:
-        # the ancilla count lies in [-MAX_CUTOFF, MAX_CUTOFF], negative only
-        # in states the protocol does not make.
-        radix = 2 * MAX_CUTOFF + 1
-        keys, inverse = np.unique(
-            pairs.astype(np.int64) * radix + (photons - 2 * pairs + MAX_CUTOFF),
-            return_inverse=True)
-        n_pairs_of, ancilla_of = divmod(keys, radix)
-        ancilla_of -= MAX_CUTOFF
+        classes, inverse = self.source.classes
         comps: dict[tuple[int, int, str], float] = {}
         for origin, part in (("photon", w_eh * g_photon),
                              ("dark", w_eh * g_dark)):
-            sums = np.bincount(inverse, part, len(keys))
-            for n_pairs, ancilla, val in zip(n_pairs_of.tolist(),
-                                             ancilla_of.tolist(), sums.tolist()):
-                if val:
-                    comps[(n_pairs, ancilla, origin)] = val
+            sums = np.bincount(inverse, part, len(classes))
+            comps.update({(*c, origin): val for c, val
+                          in zip(classes, sums.tolist()) if val})
         return float(w_eh @ (g_photon + g_dark)), comps
 
     def patterns(self) -> dict[tuple[bool, bool, bool], float]:
         """The probability of each (E, F, G) click pattern, F being the
         herald's |D> port; without a herald F never clicks."""
-        n = self.counts
+        n = self.source.counts
         dets = self.plan.detectors
         sides = [(dets["E"], n[:, 0] + n[:, 1]), (dets["G"], n[:, 2] + n[:, 3])]
         if self.plan.herald is not None:
@@ -518,50 +587,41 @@ class _Table:
         return dist
 
 
-def _table(plan: _Plan, state: FockStateVector) -> _Table:
-    """The click table of ``state`` at the plan's s^2 and T; see ``_Table``."""
-    reg = plan.registry
-    orthogonal = [i for i, mode in enumerate(reg.modes)
-                  if mode.temporal == ORTHOGONAL]
-    w, counts = click_table(state, [
-        *_analyzed_groups(plan), plan.pair_side_indices, range(reg.n_modes),
-        orthogonal, *plan.loss_indices])
+def _table(plan: _Plan, source: _Counts) -> _Table:
+    """``source`` read at the plan's s^2, T and detectors; see ``_Table``."""
+    n = source.counts
+    dets = plan.detectors
     heralds = ([1.0] if plan.herald is None else
-               [plan.detectors["F"].click_probability(counts[:, c])
-                for c in (4, 5)])
-    pairs, total, k, lost_pulse, lost_pair = counts[:, -5:].T
-    # Each photon is one of a pair (two per pair-side photon) or the
-    # pulse's: lost before the split, or counted in m + k.
-    m = total - 2 * pairs - k - lost_pulse
-    pulse_loss, pair_loss = (len(modes) > 0 for modes in plan.loss_indices)
-    kept = pulse_loss * (m + k) + pair_loss * (pairs - lost_pair)
-    lost = lost_pulse + lost_pair
+               [dets["F"].click_probability(n[:, c]) for c in (4, 5)])
     t = plan.transmittance
-    scaled = w * 2.0 ** (m + k + kept + lost) * t ** kept * (1.0 - t) ** lost
-    return _Table(plan, counts, heralds, scaled, m, k, plan.overlap_s2)
+    scaled = (source.scaled * _integer_power(t, source.kept)
+              * _integer_power(1.0 - t, source.lost))
+    clicks = (dets["E"].click_probability(n[:, :2]),
+              dets["G"].click_probability(n[:, 2:4]))
+    return _Table(plan, source, heralds, clicks, scaled, plan.overlap_s2)
 
 
-class DelayEvaluator:
-    """Circular-basis coincidences against the pulse overlap s for one config.
+def delay_coincidences(cfg: ExperimentConfig,
+                       ) -> Callable[[float], tuple[float, float]]:
+    """Circular-basis coincidences against the pulse overlap s.
 
-    The retained photon is heralded into a circular polarization by
-    analyzing its partner in the orthogonal circular basis, at zero channel
-    phase, since single-run interference is only visible without averaging.
-    Both sides are rotated to put R on the H modes, so the (R, L) and
-    (L, L) coincidences come from one click table, read at each s.
+    ``delay_coincidences(cfg)(s)`` is (p_rd, p_ld): the partner in L, the
+    retained photon in R or in L.  The retained photon is heralded into a
+    circular polarization by analyzing its partner in the orthogonal
+    circular basis, at zero channel phase, since single-run interference is
+    only visible without averaging.  Both sides are rotated to put R on the
+    H modes, so both coincidences come from the memo's one Y-Y table.
     """
+    if cfg.variant == "direct_no_dfs":
+        raise ConfigurationError("variant 'direct_no_dfs' has no pulse, "
+                                 "so no delay dependence")
+    plan, final = _final_state(cfg)
+    table = _table(plan, final.counts("Y", "Y", (0.0, 0.0)))
 
-    def __init__(self, cfg: ExperimentConfig):
-        if cfg.variant == "direct_no_dfs":
-            raise ConfigurationError("variant 'direct_no_dfs' has no pulse, "
-                                     "so no delay dependence")
-        plan, state = prepare_final_state(cfg, 0.0, 0.0)
-        self._table = _table(plan, _rotated(plan, state, "Y", "Y"))
-
-    def __call__(self, s: float) -> tuple[float, float]:
-        """(p_rd, p_ld): partner in L, retained photon in R or in L."""
-        probs = self._table.at(s).pair_probs()
+    def coincidences(s: float) -> tuple[float, float]:
+        probs = table.at(s).pair_probs()
         return float(probs[0, 1]), float(probs[1, 1])
+    return coincidences
 
 
 def overlap_x_visibility(cfg: ExperimentConfig) -> Callable[[float], float]:
@@ -569,10 +629,10 @@ def overlap_x_visibility(cfg: ExperimentConfig) -> Callable[[float], float]:
 
     ``overlap_x_visibility(cfg)(s)`` is
     ``visibilities(run_phase_averaged(replace(cfg, overlap_s0=s,
-    delay_um=0.0)))[1]``, read from one click table.
+    delay_um=0.0)))[1]``, read from the memo's X-X table.
     """
     plan, final = _final_state(cfg)
-    table = _table(plan, final.x_state)
+    table = _table(plan, final.counts("X", "X"))
 
     def v_x(s: float) -> float:
         probs = table.at(s).kept_pair_probs("X")
@@ -621,10 +681,9 @@ def _rotated(plan: _Plan, state: FockStateVector, basis_e: str,
 
 
 def _measure(plan: _Plan, final: _Final) -> ProtocolOutcome:
-    """Every coincidence statistic from two click tables: one on the final
-    state and one on it rotated into the X basis on both sides."""
-    table = _table(plan, final.state)
-    xx = _table(plan, final.x_state).kept_pair_probs("X")
+    """Every coincidence statistic from the Z-Z and X-X tables of ``final``."""
+    table = _table(plan, final.counts("Z", "Z"))
+    xx = _table(plan, final.counts("X", "X")).kept_pair_probs("X")
     triple, comps = table.triple()
     return ProtocolOutcome(_labelled(table.kept_pair_probs("Z"), Z_SETTINGS),
                            _labelled(xx, X_SETTINGS), triple, comps,
@@ -635,20 +694,22 @@ def _tomography(plan: _Plan, state: FockStateVector) -> np.ndarray:
     """Linear-inversion two-qubit tomography of E and G over the 3 x 3
     analyzer bases (James et al., PRA 64, 052312 (2001)).
 
-    Side E is rotated once per basis, then G once per basis pair, and each
-    pair's coincidences are normalized by their own total.  Each pair gives
-    one correlation <a x b>; each single-side Pauli expectation is the mean
-    over the three bases of the other side.  The 4x4 result has trace 1 and
-    is Hermitian by construction; with multi-photon terms it need not be
-    PSD.
+    Each basis pair's table is built on ``state`` rotated into it and not
+    kept: the tomography reads a configuration once per process (``dfsdist
+    tomography``, ``dfsdist qubit``, the reproduction), so the memo holds
+    none of the nine tables.  Each pair's coincidences are normalized
+    by their own total and give one correlation <a x b>; each single-side
+    Pauli expectation is the mean over the three bases of the other side.
+    The 4x4 result has trace 1 and is Hermitian by construction; with
+    multi-photon terms it need not be PSD.
     """
     sign = np.array([1.0, -1.0])
     eye = np.eye(2)
     rho = np.eye(4, dtype=complex)
     for a in ANALYZER_BASES:
-        on_e = _rotated(plan, state, a, "Z")
         for b in ANALYZER_BASES:
-            p = _table(plan, _rotated(plan, on_e, "Z", b)).kept_pair_probs(a)
+            p = _table(plan, _count_table(
+                plan, _rotated(plan, state, a, b))).kept_pair_probs(a)
             total = p.sum()
             if total <= 0.0:
                 raise ValidationError("no coincidences; state undefined")
@@ -668,7 +729,7 @@ def pattern_distribution(cfg: ExperimentConfig,
     phase has the labelled state's patterns.
     """
     plan, final = _final_state(cfg)
-    dist = _table(plan, final.state).patterns()
+    dist = _table(plan, final.counts("Z", "Z")).patterns()
     norm = sum(dist.values())  # < 1 only by the recorded truncation weight
     return {(k, bits): p / (norm * len(PHASE_SET_8))
             for k in range(len(PHASE_SET_8)) for bits, p in dist.items()}

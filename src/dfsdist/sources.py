@@ -11,11 +11,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .fock import (
+    MAX_CUTOFF,
     H,
     MATCHED,
     V,
@@ -163,9 +165,27 @@ def single_photon_state(registry: ModeRegistry, cutoff: int, spatial: str,
     return FockStateVector(registry, cutoff, terms)
 
 
+# Every photon number of a state within MAX_CUTOFF, every sum of two and,
+# for hand-built states only, their negatives.
+_COUNTS = np.arange(-2 * MAX_CUTOFF, 2 * MAX_CUTOFF + 1)
+
+
+def _at_counts(table: np.ndarray, n) -> np.ndarray:
+    """``table``, a formula at each count of ``_COUNTS``, read at the
+    integer counts n: the formula's bits at n, for one index per row.
+    Counts above 2 MAX_CUTOFF raise ``IndexError``."""
+    return table.take(np.add(n, 2 * MAX_CUTOFF))
+
+
+def _integer_power(base: float, n) -> np.ndarray:
+    with np.errstate(all="ignore"):  # 0^-n and the like, at negative counts
+        return _at_counts(base ** _COUNTS, n)
+
+
 @dataclass(frozen=True)
 class DetectorModel:
-    """Threshold detector: click/no-click with efficiency and dark probability."""
+    """Threshold detector: click/no-click with efficiency and dark
+    probability, each read by ``_at_counts``."""
 
     name: str
     efficiency: float
@@ -177,20 +197,28 @@ class DetectorModel:
         if not 0.0 <= self.dark < 1.0:
             raise ValidationError("dark probability must lie in [0, 1)")
 
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The miss, photon and click probabilities at every count."""
+        eta = self.efficiency
+        with np.errstate(all="ignore"):  # 0^-n and the like, at negative counts
+            miss = (1.0 - eta) ** _COUNTS
+            # 1 - miss would cancel away the digits of a small efficiency;
+            # at efficiency 1, log(0): only n = 0 is missed.
+            photon = (np.greater(_COUNTS, 0) * 1.0 if eta == 1.0
+                      else -np.expm1(np.multiply(_COUNTS, math.log1p(-eta))))
+            return miss, photon, photon + self.dark * miss
+
     def miss_probability(self, n_photons: int) -> float:
         """(1 - efficiency)^n: none of n photons is detected."""
-        return (1.0 - self.efficiency) ** n_photons
+        return _at_counts(self._tables[0], n_photons)
 
     def photon_probability(self, n_photons: int) -> float:
-        """1 - (1 - efficiency)^n, as -expm1(n log1p(-efficiency)): the
-        difference would cancel away the digits of a small efficiency."""
-        if self.efficiency == 1.0:  # log(0): only n = 0 is missed
-            return np.greater(n_photons, 0) * 1.0
-        return -np.expm1(np.multiply(n_photons, math.log1p(-self.efficiency)))
+        """1 - (1 - efficiency)^n, as -expm1(n log1p(-efficiency))."""
+        return _at_counts(self._tables[1], n_photons)
 
     def click_probability(self, n_photons: int) -> float:
-        return (self.photon_probability(n_photons)
-                + self.dark * self.miss_probability(n_photons))
+        return _at_counts(self._tables[2], n_photons)
 
     def no_click_probability(self, n_photons: int) -> float:
         """(1 - dark)(1 - efficiency)^n, free of 1 - click's cancellation."""

@@ -395,6 +395,24 @@ def test_sample_csv_equals_per_pulse_formatting(overrides):
     assert empty.to_csv_text() == _per_pulse_csv(empty)
 
 
+@pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 99, 100, 101, 12345])
+def test_sample_csv_rows_at_every_index_width(n):
+    # The writer builds one block of rows per decimal width of the pulse
+    # index; random records cover every (phase, e, f, g) code up to 63.
+    codes = np.random.default_rng(n).integers(0, 64, n)
+    sample = analysis.EventSample(codes >> 3, (codes >> 2 & 1) == 1,
+                                  (codes >> 1 & 1) == 1, (codes & 1) == 1, {})
+    assert sample.to_csv_text() == _per_pulse_csv(sample)
+
+
+def test_sample_csv_rejects_a_two_digit_phase_index():
+    # Each line's suffix has a fixed width only for one-digit phases.
+    sample = analysis.EventSample(np.array([3, 10]), *[np.zeros(2, bool)] * 3,
+                                  {})
+    with pytest.raises(ValidationError, match="phase indices"):
+        sample.to_csv_text()
+
+
 def test_sample_events_reference_scale_ten_million():
     # At the reference parameters the per-pulse triple probability is ~1e-8,
     # so ten million pulses yield at most a few counts; the empirical rate

@@ -99,6 +99,22 @@ def test_cli_sample_deterministic(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+@pytest.mark.parametrize("config,args", [("", ["--seed", "-1"]),
+                                         ("seed = -3\n", [])],
+                         ids=["flag", "config"])
+def test_cli_sample_rejects_a_negative_seed(tmp_path, capsys, config, args):
+    # numpy's generator rejects it with a ValueError, which escaped as a
+    # traceback and exit code 1.
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("n_pulses = 50\n" + config)
+    code = main(["sample", "--config", str(cfg_file),
+                 "--out", str(tmp_path / "s"), *args])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    assert json.loads(err) == {"error": "sample seed must be >= 0"}
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_cli_calls_in_one_process_share_no_arguments(tmp_path, capsys):
     # The parser is built once per process; each call parses afresh.
     cfg_file = tmp_path / "run.cfg"
@@ -168,17 +184,13 @@ def test_cli_delay_scan(tmp_path):
 
 def test_cli_fwhm_targeted_delay_scan_builds_one_evaluator(tmp_path,
                                                            monkeypatch):
-    # The evaluator does not depend on the overlap width: one, built at the
-    # configured width, calibrates the width and serves the scan, the
+    # The delay read does not depend on the overlap width: one, built at
+    # the configured width, calibrates the width and serves the scan, the
     # zero-delay visibility and the FWHM.
     widths = []
-
-    class CountedEvaluator(analysis.DelayEvaluator):
-        def __init__(self, cfg):
-            widths.append(cfg.overlap_sigma_um)
-            super().__init__(cfg)
-
-    monkeypatch.setattr(analysis, "DelayEvaluator", CountedEvaluator)
+    build = analysis.delay_coincidences
+    monkeypatch.setattr(analysis, "delay_coincidences", lambda cfg:
+                        widths.append(cfg.overlap_sigma_um) or build(cfg))
     cfg_file = tmp_path / "scan.cfg"
     cfg_file.write_text("overlap_s0 = 0.94\ndelay_fwhm_target_um = 180\n"
                         "delay_steps = 5\n")

@@ -25,10 +25,10 @@ from dfsdist.fock import (
 from dfsdist.optics import attenuator, jones_transform, loss_channel
 from dfsdist.protocol import (
     PHASE_SET_8,
-    DelayEvaluator,
     ExperimentConfig,
     chsh_violated,
     component_scaling,
+    delay_coincidences,
     distribute_qubit,
     f_low,
     forward_variant_scaling,
@@ -326,8 +326,8 @@ def test_one_propagation_per_configuration(monkeypatch, final_states):
     # the flip, the overlap split, the PBS and the herald analyzer; the
     # pair photon's loss and pickoff are part of D_G.  Measuring adds one X
     # rotation of both sides, and the tomography one rotation per basis
-    # pair but Z-Z.  Another T, overlap or detector setting reuses the
-    # memo's state and its X rotation: only the tomography rotates again.
+    # pair but Z-Z.  Another T, overlap or detector setting reads the
+    # memo's Z-Z and X-X tables: only the tomography rotates again.
     cfg = replace(PAPER, overlap_s0=CAL_S0)
     calls = []
     apply = protocol.apply_transform
@@ -390,6 +390,66 @@ def test_second_two_qubit_state_builds_no_transform(monkeypatch, variant):
     assert built == []
 
 
+@pytest.mark.parametrize("feedforward", [False, True])
+@pytest.mark.parametrize("variant", protocol.VARIANTS)
+def test_memo_tables_read_as_fresh_ones_bit_for_bit(final_states, variant,
+                                                    feedforward):
+    # The entry's tables are built by reads at another T, overlap,
+    # detectors and feed-forward flag: Z-Z and X-X by the averaged outcome
+    # and zero-phase Y-Y by the delay scan; the tomography keeps none of
+    # its nine.  Read at cfg's, each held table and each tomography table
+    # gives the bits of a table built afresh on the rotated state, with
+    # every power evaluated row by row.
+    cfg = replace(PAPER, variant=variant, overlap_s0=CAL_S0, dark_e=1e-4,
+                  dark_f=2e-4, include_feedforward_branch=feedforward)
+    other = replace(cfg, transmittance=0.37, overlap_s0=0.6, eta=0.3,
+                    dark_g=1e-3, include_feedforward_branch=not feedforward)
+    run_phase_averaged(other)
+    two_qubit_state(other)
+    two_qubit_state(other, (0.0, 0.0))
+    held = {("Z", "Z", None), ("X", "X", None)}
+    if variant != "direct_no_dfs":
+        delay_coincidences(other)
+        held.add(("Y", "Y", (0.0, 0.0)))
+    plan, final = protocol._final_state(cfg)
+    assert set(final._counts) == held
+    t, s2 = plan.transmittance, plan.overlap_s2
+    for a, b, phase in held | {(a, b, None) for a in "ZXY" for b in "ZXY"}:
+        state = (final.state if phase is None
+                 else protocol._at_phases(final.state, [phase])[0])
+        state = protocol._rotated(plan, state, a, b)
+        fresh = protocol._table(plan, protocol._count_table(plan, state))
+        source = final._counts.get((a, b, phase), fresh.source)
+        got = protocol._table(plan, source)
+        assert np.array_equal(source.counts, fresh.source.counts)
+        m, k = source.matched, source.orthogonal
+        kept, lost = source.kept, source.lost
+        want = (np.abs(state.amplitudes) ** 2 * 2.0 ** (m + k + kept + lost)
+                * t ** kept * (1.0 - t) ** lost * s2 ** m * (1.0 - s2) ** k)
+        for table in (got, fresh):
+            assert table.weights.tobytes() == want.tobytes(), (a, b, phase)
+        assert got.kept_pair_probs(a).tobytes() == \
+            fresh.kept_pair_probs(a).tobytes()
+        assert got.triple() == fresh.triple()
+        assert got.patterns() == fresh.patterns()
+
+
+def test_memo_entry_at_cutoff_7_keeps_three_tables(final_states):
+    # MEMO_BYTES is sized on this entry: every output that reads the
+    # configuration adds at most the Z-Z, X-X and zero-phase Y-Y tables,
+    # 1.41 MB with the state, and the bound keeps five such entries.
+    cfg = replace(PAPER, overlap_s0=CAL_S0, cutoff=7, pair_cutoff=3)
+    run_phase_averaged(cfg)
+    two_qubit_state(cfg)
+    two_qubit_state(cfg, (0.0, 0.0))
+    delay_coincidences(cfg)
+    (final,) = final_states.values()
+    assert set(final._counts) == {("Z", "Z", None), ("X", "X", None),
+                                  ("Y", "Y", (0.0, 0.0))}
+    assert final.nbytes <= 1.5e6
+    assert protocol.MEMO_BYTES >= 5 * final.nbytes
+
+
 def _memo_reads(cfg, cold=False):
     """Every output that reads ``cfg``'s final state, or the error it
     raises instead, in a form that compares bit for bit, each read from
@@ -401,7 +461,7 @@ def _memo_reads(cfg, cold=False):
                  lambda c: two_qubit_state(c).matrix.tobytes(),
                  lambda c: two_qubit_state(c, (0.0, 0.0)).matrix.tobytes(),
                  pattern_distribution, calibrate_overlap,
-                 lambda c: DelayEvaluator(c)(0.7)):
+                 lambda c: delay_coincidences(c)(0.7)):
         if cold:
             protocol._FINAL_STATES.clear()
         try:
@@ -473,19 +533,35 @@ def test_memo_key_holds_the_fields_the_propagation_reads(count_calls, base,
     assert calls == {"_initial_state": propagations}
 
 
-def test_memo_is_bounded_least_recently_used_first(final_states):
-    cfgs = [replace(PAPER, mu=mu) for mu in
-            np.linspace(0.01, 0.1, protocol.MEMO_STATES + 1).tolist()]
-    first, second = (protocol._final_state(cfg)[1] for cfg in cfgs[:2])
-    for cfg in cfgs[2:-1]:
-        protocol._final_state(cfg)
-    assert len(final_states) == protocol.MEMO_STATES
+def test_memo_is_bounded_least_recently_used_first(final_states,
+                                                     monkeypatch):
+    # Each lookup drops the least recently used entries until the arrays
+    # of all fit MEMO_BYTES, but never the entry it returns.
+    cfgs = [replace(PAPER, mu=mu) for mu in np.linspace(0.01, 0.1, 6).tolist()]
+    entries = [protocol._final_state(cfg)[1] for cfg in cfgs[:4]]
+    monkeypatch.setattr(protocol, "MEMO_BYTES",
+                        sum(entry.nbytes for entry in entries))
     # The first config, used again, is kept; the second goes instead.
-    assert protocol._final_state(cfgs[0])[1] is first
-    protocol._final_state(cfgs[-1])
-    assert len(final_states) == protocol.MEMO_STATES
-    assert first in final_states.values()
-    assert second not in final_states.values()
+    assert protocol._final_state(cfgs[0])[1] is entries[0]
+    fifth = protocol._final_state(cfgs[4])[1]
+    kept = list(final_states.values())
+    assert kept[-2:] == [entries[0], fifth]
+    assert entries[1] not in kept
+    assert sum(entry.nbytes for entry in kept) <= protocol.MEMO_BYTES
+    # Reads add tables to an entry after its lookup; the next lookup
+    # counts them.
+    size = fifth.nbytes
+    run_phase_averaged(cfgs[4])
+    assert fifth.nbytes > size
+    protocol._final_state(cfgs[4])
+    kept = list(final_states.values())
+    assert kept[-1] is fifth
+    assert (sum(entry.nbytes for entry in kept) <= protocol.MEMO_BYTES
+            or kept == [fifth])
+    # An entry over the bound on its own is kept until the next lookup.
+    monkeypatch.setattr(protocol, "MEMO_BYTES", 1)
+    sixth = protocol._final_state(cfgs[5])[1]
+    assert list(final_states.values()) == [sixth]
 
 
 def test_tomography_without_coincidences_is_undefined():
@@ -658,7 +734,7 @@ def _full_train_coincidence(cfg, delay_um, setting_e, setting_g):
     dict(variant="forward_all_from_bob"),
     dict(variant="single_photon_ancilla", include_feedforward_branch=True),
     # At zero delay s = 1: the full train has no overlap element, and the
-    # evaluator gives every row on the orthogonal modes weight 0.
+    # delay read gives every row on the orthogonal modes weight 0.
     dict(overlap_s0=1.0),
     # At s = 0 every row with a matched pulse photon past the split does.
     dict(overlap_s0=0.0),
@@ -672,7 +748,7 @@ def _full_train_coincidence(cfg, delay_um, setting_e, setting_g):
 def test_delay_evaluator_matches_full_propagation(overrides):
     cfg = replace(PAPER, **{"overlap_s0": 0.94, "overlap_sigma_um": 108.1,
                             **overrides})
-    evaluate = DelayEvaluator(cfg)
+    evaluate = delay_coincidences(cfg)
     for dx in (0.0, 60.0, -60.0, 250.0, -250.0):
         p_rd, p_ld = evaluate(replace(cfg, delay_um=dx).overlap_amplitude)
         want_rd = _full_train_coincidence(cfg, dx, "R", "L")
@@ -710,28 +786,18 @@ def test_overlap_x_visibility_matches_averaged_runs(overrides):
 
 
 def test_delay_evaluator_rejects_nan_delay():
-    evaluate = DelayEvaluator(replace(PAPER, overlap_s0=0.94))
+    evaluate = delay_coincidences(replace(PAPER, overlap_s0=0.94))
     with pytest.raises(ValidationError, match="overlap amplitude"):
         evaluate(math.nan)
 
 
-def test_delay_evaluator_evaluates_each_overlap_once(monkeypatch):
-    # Each overlap is a reweighting of the one click table built at
-    # construction: no call propagates the train or measures again.
+def test_delay_evaluator_evaluates_each_overlap_once(count_calls):
+    # Each overlap is a reweighting of the memo's one Y-Y click table: no
+    # call propagates the train or measures again, and neither does a
+    # second ``delay_coincidences`` of the config.
     cfg = replace(PAPER, overlap_s0=0.94, overlap_sigma_um=108.1)
-    calls = {"_final_state": 0, "click_table": 0}
-
-    def counted(name):
-        fn = getattr(protocol, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(protocol, name, counted(name))
-    evaluate = DelayEvaluator(cfg)
+    calls = count_calls("_final_state", "click_table")
+    evaluate = delay_coincidences(cfg)
     overlaps = [replace(cfg, delay_um=dx).overlap_amplitude
                 for dx in (0.0, 60.0, -60.0, 0.0, 60.0)]
     got = [evaluate(s) for s in overlaps]
@@ -739,8 +805,9 @@ def test_delay_evaluator_evaluates_each_overlap_once(monkeypatch):
     # s(dx) is even in dx: two distinct overlaps.
     assert got[1] == got[2] == got[4] and got[0] == got[3]
     assert got[0] != got[1]
-    fresh = DelayEvaluator(cfg)
+    fresh = delay_coincidences(cfg)
     assert [fresh(s) for s in overlaps[2:4]] == [got[1], got[0]]
+    assert calls == {"_final_state": 2, "click_table": 1}
 
 
 @pytest.mark.parametrize("overrides", [
@@ -983,7 +1050,8 @@ def test_pattern_distribution_is_each_phase_table(variant, overrides):
     plan, final = protocol._final_state(cfg)
     states = protocol._at_phases(final.state, PHASE_SET_8)
     for k, state in enumerate(states):
-        dist = protocol._table(plan, state).patterns()
+        dist = protocol._table(
+            plan, protocol._count_table(plan, state)).patterns()
         norm = sum(dist.values())
         for bits, p in dist.items():
             want = p / (norm * len(states))
@@ -1107,7 +1175,7 @@ def _explicit_pair_loss(monkeypatch):
 
 def _fold_records(cfg):
     """Every number the averaged and fixed-phase runs and, with a pulse,
-    the delay evaluator give for ``cfg``."""
+    the delay read give for ``cfg``."""
     records = {}
     for name, out in (("avg", run_phase_averaged(cfg)),
                       ("fixed", run_fixed_phase(cfg, 0.3, 1.1))):
@@ -1117,7 +1185,7 @@ def _fold_records(cfg):
             for key, val in getattr(out, table).items():
                 records[name, table, key] = val
     if cfg.variant != "direct_no_dfs":
-        evaluate = DelayEvaluator(cfg)
+        evaluate = delay_coincidences(cfg)
         for s in (0.0, 0.5, 1.0 / math.sqrt(2.0), CAL_S0, 1.0):
             records["delay", s] = evaluate(s)
     return records

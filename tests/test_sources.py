@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dfsdist import protocol
 from dfsdist.fock import (
+    MAX_CUTOFF,
     H,
     V,
     FockStateVector,
@@ -23,6 +24,7 @@ from dfsdist.sources import (
     CoherentParams,
     DetectorModel,
     SpdcParams,
+    _integer_power,
     click_table,
     coherent_state,
     pair_state,
@@ -167,6 +169,39 @@ def test_click_formula_matches_exact_rationals():
             clicks = det.click_probability(n)
             assert clicks[0] == dark  # no photon: the dark count, exactly
             assert [det.click_probability(int(k)) for k in n] == clicks.tolist()
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.13, 1.0])
+@pytest.mark.parametrize("dark", [0.0, 0.5])
+def test_detector_lookups_equal_the_formulas_bit_for_bit(eta, dark):
+    # Each probability is read from a table of its values at every count
+    # up to 2 MAX_CUTOFF; the formulas evaluated on the counts themselves
+    # give the same bits, for int16 counts as the click tables hold them,
+    # strided or not, and for Python ints.
+    det = DetectorModel("D", eta, dark)
+    counts = np.arange(2 * MAX_CUTOFF + 1, dtype=np.int16)
+    for n in (counts, counts[::-1], np.stack([counts, counts], axis=1)[:, 1],
+              np.array(7)):
+        miss = (1.0 - eta) ** n
+        photon = (np.greater(n, 0) * 1.0 if eta == 1.0
+                  else -np.expm1(np.multiply(n, math.log1p(-eta))))
+        for got, want in ((det.miss_probability(n), miss),
+                          (det.photon_probability(n), photon),
+                          (det.click_probability(n), photon + dark * miss),
+                          (det.no_click_probability(n), (1.0 - dark) * miss)):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), n
+    with pytest.raises(IndexError):
+        det.click_probability(np.array([2 * MAX_CUTOFF + 1]))
+
+
+def test_integer_powers_read_negative_counts_at_their_own_entries():
+    # Hand-built states give _Table negative exponents, which an index
+    # into the nonnegative powers alone would wrap to the wrong count.
+    n = np.arange(-2 * MAX_CUTOFF, 2 * MAX_CUTOFF + 1, dtype=np.int16)
+    for base in (0.13, 0.5, 1.0 - 1e-9, 2.0):
+        assert _integer_power(base, n).tobytes() == (base ** n).tobytes()
+    assert _integer_power(0.0, n[2 * MAX_CUTOFF:]).tobytes() == \
+        (0.0 ** n[2 * MAX_CUTOFF:]).tobytes()
 
 
 def _pattern(state, detectors, bits):
