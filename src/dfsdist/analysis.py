@@ -344,43 +344,68 @@ def tomography_payload(cfg: ExperimentConfig) -> dict:
 
 @dataclass
 class EventSample:
-    phase_index: np.ndarray
-    e_click: np.ndarray
-    f_click: np.ndarray
-    g_click: np.ndarray
+    codes: np.ndarray  # uint8 per pulse: phase_index << 3 | e << 2 | f << 1 | g
     exact_pattern_probabilities: dict[tuple[int, tuple[bool, ...]], float]
 
     CSV_HEADER = "pulse,phase_index,e_click,f_click,g_click"
 
     def __len__(self) -> int:
-        return len(self.phase_index)
+        return len(self.codes)
 
     def triple_rate(self) -> float:
-        hits = self.e_click & self.f_click & self.g_click
-        return float(hits.sum()) / len(self) if len(self) else 0.0
+        hits = np.count_nonzero((self.codes & 7) == 7)
+        return float(hits) / len(self) if len(self) else 0.0
 
-    def to_csv_text(self) -> str:
-        # One uint8 row per pulse: its index's digits, then the suffix
-        # ",phase,e,f,g\n" of its code, 9 bytes while the phase has one digit.
-        phases = self.phase_index
-        if len(self) and not 0 <= phases.min() <= phases.max() <= 9:
+    def to_csv_bytes(self) -> bytes:
+        # One row per pulse: its index's digits, then the 9-byte suffix
+        # ",phase,e,f,g\n" of its code, fixed while the phase has one digit.
+        codes = self.codes.astype(np.intp)
+        if len(self) and codes.max() >= 80:
             raise ValidationError("phase indices must lie in [0, 9]")
-        codes = ((phases * 2 + self.e_click) * 2 + self.f_click) * 2 + self.g_click
         suffixes = np.frombuffer("".join(
             f",{c >> 3},{c >> 2 & 1},{c >> 1 & 1},{c & 1}\n"
-            for c in range(80)).encode(), np.uint8).reshape(80, 9)
+            for c in range(80)).encode(), "V9")
         blocks = [f"{self.CSV_HEADER}\n".encode()]
-        for width in range(1, len(str(len(self))) + 1):
-            pulses = np.arange(10 ** (width - 1) if width > 1 else 0,
-                               min(10 ** width, len(self)), dtype=np.uint32)
-            rows = np.empty((len(pulses), width + 9), np.uint8)
-            rows[:, width:] = suffixes[codes[pulses]]
-            for col in reversed(range(width)):
-                rest = pulses // 10
-                rows[:, col] = pulses - rest * 10 + ord("0")
-                pulses = rest
-            blocks.append(rows.tobytes())
-        return b"".join(blocks).decode("ascii")
+        lo, width = 0, 1  # lo, 0 or 10^(width - 1), is a multiple of each p
+        while lo < len(self):  # the m pulses from lo have width digits
+            m = min(len(self), 10 ** width) - lo
+            rows = np.empty(m, [("digit", "u1", width), ("suffix", "V9")])
+            rows["suffix"] = suffixes.take(codes[lo:lo + m])
+            for col in range(width):  # digit (pulse // p) % 10, runs of p
+                p = 10 ** (width - 1 - col)
+                runs = lo // p + np.arange(min(10, -(-m // p)))
+                cycle = (runs % 10 + ord("0")).astype(np.uint8).repeat(p)
+                rows["digit"][:, col] = np.tile(cycle, -(-m // len(cycle)))[:m]
+            blocks.append(rows)
+            lo, width = lo + m, width + 1
+        return b"".join(blocks)
+
+
+def _guided_search(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``cdf.searchsorted(u, side="right")`` for u in [0, 1) and a sorted
+    ``cdf`` ending at 1, by a guide table (Chen and Asau, AIIE Trans. 6, 163
+    (1974)): u's bucket j = floor(4096 u), exact, bounds the answer by the
+    counts of cdf points <= j / 4096 and <= (j + 1) / 4096."""
+    guide = cdf.searchsorted(np.arange(4097) / 4096, side="right")
+    bucket = (u * 4096).astype(np.int32)
+    index = guide.take(bucket)
+    # Draws step forward only in buckets that hold a point; cdf[-1] > u.
+    todo = np.flatnonzero((guide[1:] > guide[:-1]).take(bucket))
+    while todo.size:
+        todo = todo[cdf[index[todo]] <= u[todo]]
+        index[todo] += 1
+    return index
+
+
+def _draw(probs: np.ndarray, n: int, seed: int) -> np.ndarray:
+    """``default_rng(seed).choice(len(probs), n, p=probs / probs.sum())``
+    by its definition: the inverse CDF of ``random(n)``."""
+    if not (np.isfinite(probs).all() and probs.min() >= 0 and probs.sum() > 0):
+        raise ValidationError("pattern probabilities must be finite, "
+                              "non-negative and not all zero")
+    cdf = (probs / probs.sum()).cumsum()
+    cdf /= cdf[-1]
+    return _guided_search(cdf, np.random.default_rng(seed).random(n))
 
 
 def sample_events(cfg: ExperimentConfig, n_pulses: int, seed: int) -> EventSample:
@@ -396,13 +421,7 @@ def sample_events(cfg: ExperimentConfig, n_pulses: int, seed: int) -> EventSampl
         raise ValidationError("sample seed must be >= 0")
     exact = pattern_distribution(cfg)
     flat_keys = sorted(exact)
-    rng = np.random.default_rng(seed)
-    probs = np.asarray([exact[key] for key in flat_keys])
-    probs = probs / probs.sum()
-    draws = rng.choice(len(flat_keys), size=n_pulses, p=probs)
-    phase_of = np.array([k for k, _ in flat_keys], dtype=np.int64)
-    e_of = np.array([bits[0] for _, bits in flat_keys], dtype=bool)
-    f_of = np.array([bits[1] for _, bits in flat_keys], dtype=bool)
-    g_of = np.array([bits[2] for _, bits in flat_keys], dtype=bool)
-    return EventSample(phase_of[draws], e_of[draws], f_of[draws], g_of[draws],
-                       exact)
+    draws = _draw(np.asarray([exact[key] for key in flat_keys]), n_pulses, seed)
+    code_of = np.array([k << 3 | e << 2 | f << 1 | g
+                        for k, (e, f, g) in flat_keys], np.uint8)
+    return EventSample(code_of.take(draws), exact)

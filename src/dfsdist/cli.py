@@ -192,7 +192,7 @@ def _cmd_sample(cfg: ExperimentConfig, extras: dict, out: str,
     use_seed = seed if seed is not None else int(extras.get("seed", 12345))
     sample = sample_events(cfg, n, use_seed)
     csv_path, json_path = _out_paths(out)
-    csv_path.write_text(sample.to_csv_text())
+    csv_path.write_bytes(sample.to_csv_bytes())
     write_json(json_path, {
         "n_pulses": n,
         "seed": use_seed,

@@ -342,6 +342,11 @@ class _Final:
     plan: _Plan
     state: FockStateVector
     _counts: dict = field(default_factory=dict, init=False, repr=False)
+    _bytes: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._bytes = [sum(a.nbytes for a in (
+            self.state.occupations, self.state.amplitudes, self.state.labels))]
 
     def counts(self, basis_e: str, basis_g: str,
                phase: tuple[float, float] | None = None) -> "_Counts":
@@ -351,17 +356,15 @@ class _Final:
         if key not in self._counts:
             state = (self.state if phase is None
                      else _at_phases(self.state, [phase])[0])
-            self._counts[key] = _count_table(
-                self.plan, _rotated(self.plan, state, basis_e, basis_g))
+            self._counts[key] = _count_table(self.plan, _rotated(
+                self.plan, state, basis_e, basis_g), self._bytes)
         return self._counts[key]
 
     @property
     def nbytes(self) -> int:
-        """The bytes of the state's arrays and of every table held."""
-        state = self.state
-        return (state.occupations.nbytes + state.amplitudes.nbytes
-                + state.labels.nbytes
-                + sum(c.nbytes for c in self._counts.values()))
+        """The bytes of the state's arrays and of every table held, in a
+        cell the tables add to: a callback would make a reference cycle."""
+        return self._bytes[0]
 
 
 # The final states of the configurations last used, least recently used
@@ -404,9 +407,9 @@ def _final_state(cfg: ExperimentConfig) -> tuple[_Plan, _Final]:
     _FINAL_STATES[key] = final
     # Reads add tables to entries after this lookup: the bound is kept at
     # every lookup, on the entries' sizes then, and never drops this entry.
-    while (len(_FINAL_STATES) > 1 and
-           sum(f.nbytes for f in _FINAL_STATES.values()) > MEMO_BYTES):
-        _FINAL_STATES.popitem(last=False)
+    total = sum(f.nbytes for f in _FINAL_STATES.values())
+    while len(_FINAL_STATES) > 1 and total > MEMO_BYTES:
+        total -= _FINAL_STATES.popitem(last=False)[1].nbytes
     return plan, final
 
 
@@ -457,6 +460,7 @@ class _Counts:
     orthogonal: np.ndarray
     kept: np.ndarray
     lost: np.ndarray
+    owner_bytes: list | None = None  # see ``_count_table``
 
     @cached_property
     def classes(self) -> tuple[list, np.ndarray]:
@@ -472,20 +476,15 @@ class _Counts:
             return_inverse=True)
         n_pairs_of, ancilla_of = divmod(keys, radix)
         ancilla_of -= MAX_CUTOFF
+        if self.owner_bytes is not None:
+            self.owner_bytes[0] += inverse.nbytes
         return list(zip(n_pairs_of.tolist(), ancilla_of.tolist())), inverse
 
-    @property
-    def nbytes(self) -> int:
-        """The bytes of the table's arrays, ``classes`` once built."""
-        arrays = [self.counts, self.scaled, self.matched, self.orthogonal,
-                  self.kept, self.lost]
-        if "classes" in vars(self):
-            arrays.append(self.classes[1])
-        return sum(a.nbytes for a in arrays)
 
-
-def _count_table(plan: _Plan, state: FockStateVector) -> _Counts:
-    """The ``_Counts`` of ``state``, its sides already in their bases."""
+def _count_table(plan: _Plan, state: FockStateVector,
+                 owner_bytes: list | None = None) -> _Counts:
+    """The ``_Counts`` of ``state``, its sides already in their bases; its
+    arrays, and ``classes`` once built, add their bytes to owner_bytes[0]."""
     reg = plan.registry
     orthogonal = [i for i, mode in enumerate(reg.modes)
                   if mode.temporal == ORTHOGONAL]
@@ -499,50 +498,54 @@ def _count_table(plan: _Plan, state: FockStateVector) -> _Counts:
     pulse_loss, pair_loss = (len(modes) > 0 for modes in plan.loss_indices)
     kept = pulse_loss * (m + k) + pair_loss * (pairs - lost_pair)
     lost = lost_pulse + lost_pair
-    return _Counts(counts, w * _integer_power(2.0, m + k + kept + lost), m, k,
-                   kept, lost)
+    table = _Counts(counts, w * _integer_power(2.0, m + k + kept + lost), m,
+                    k, kept, lost, owner_bytes)
+    if owner_bytes is not None:
+        owner_bytes[0] += sum(a.nbytes for a in (counts, table.scaled, m, k,
+                                                  kept, lost))
+    return table
 
 
 @dataclass(frozen=True)
 class _Table:
-    """A ``_Counts`` read at the plan's T and detectors and at the overlap
-    s^2 = ``overlap_s2``: each row's weight, its herald click probabilities
-    and the click columns of E_H, E_V and of G_H, G_V."""
+    """A ``_Counts`` read at the plan's T, overlap and detectors: each row's
+    weight, its herald click probabilities and the click columns of E_H,
+    E_V and of G_H, G_V.  ``pair_probs`` reads it at any other overlap."""
 
     plan: _Plan
     source: _Counts
     heralds: list  # per-row click probability of F_H and F_V, or [1.0]
     clicks: tuple[np.ndarray, np.ndarray]
     scaled: np.ndarray  # each row's weight at T times 2^(m + k)
-    overlap_s2: float
 
-    @cached_property
-    def weights(self) -> np.ndarray:
-        s2 = self.overlap_s2
+    def weights_at(self, s2: float) -> np.ndarray:
+        """Each row's weight at the overlap s^2 = ``s2``."""
         return (self.scaled * _integer_power(s2, self.source.matched)
                 * _integer_power(1.0 - s2, self.source.orthogonal))
 
-    def at(self, s: float) -> "_Table":
-        """The table read at overlap amplitude ``s``."""
-        if not 0.0 <= s <= 1.0:
-            raise ValidationError("overlap amplitude must lie in [0, 1]")
-        return replace(self, overlap_s2=s * s)
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return self.weights_at(self.plan.overlap_s2)
 
-    def pair_probs(self, herald: int = 0) -> np.ndarray:
+    def pair_probs(self, herald: int = 0,
+                   s2: float | None = None) -> np.ndarray:
         """Coincidences of E port i and G port j (port 0 the +1 outcome)
-        with herald outcome ``herald``, as a 2x2 array.  Photons behind the
-        orthogonal analyzer port are discarded, not detected."""
+        with herald outcome ``herald``, as a 2x2 array, at the overlap
+        s^2 = ``s2`` or the table's own.  Photons behind the orthogonal
+        analyzer port are discarded, not detected."""
+        w = self.weights if s2 is None else self.weights_at(s2)
         e, g = self.clicks
-        return (e * (self.weights * self.heralds[herald])[:, None]).T @ g
+        return (e * (w * self.heralds[herald])[:, None]).T @ g
 
-    def kept_pair_probs(self, basis_e: str) -> np.ndarray:
+    def kept_pair_probs(self, basis_e: str,
+                        s2: float | None = None) -> np.ndarray:
         """``pair_probs`` of the kept herald outcomes, E's analyzer basis
         being ``basis_e``.  The feed-forward branch also keeps the second
         outcome (|Dbar>): a sign flip on the retained photon restores the
         target state, i.e. its X and Y outcomes swap."""
-        probs = self.pair_probs()
+        probs = self.pair_probs(s2=s2)
         if self.plan.feedforward:
-            flipped = self.pair_probs(herald=1)
+            flipped = self.pair_probs(1, s2)
             probs = probs + (flipped if basis_e == "Z" else flipped[::-1])
         return probs
 
@@ -598,7 +601,7 @@ def _table(plan: _Plan, source: _Counts) -> _Table:
               * _integer_power(1.0 - t, source.lost))
     clicks = (dets["E"].click_probability(n[:, :2]),
               dets["G"].click_probability(n[:, 2:4]))
-    return _Table(plan, source, heralds, clicks, scaled, plan.overlap_s2)
+    return _Table(plan, source, heralds, clicks, scaled)
 
 
 def delay_coincidences(cfg: ExperimentConfig,
@@ -618,8 +621,9 @@ def delay_coincidences(cfg: ExperimentConfig,
     plan, final = _final_state(cfg)
     table = _table(plan, final.counts("Y", "Y", (0.0, 0.0)))
 
+    @functools.cache  # a symmetric scan reads each s at +dx and at -dx
     def coincidences(s: float) -> tuple[float, float]:
-        probs = table.at(s).pair_probs()
+        probs = table.pair_probs(s2=_overlap_s2(s))
         return float(probs[0, 1]), float(probs[1, 1])
     return coincidences
 
@@ -635,9 +639,16 @@ def overlap_x_visibility(cfg: ExperimentConfig) -> Callable[[float], float]:
     table = _table(plan, final.counts("X", "X"))
 
     def v_x(s: float) -> float:
-        probs = table.at(s).kept_pair_probs("X")
+        probs = table.kept_pair_probs("X", _overlap_s2(s))
         return _correlation(_labelled(probs, X_SETTINGS), X_SETTINGS)
     return v_x
+
+
+def _overlap_s2(s: float) -> float:
+    """s^2 of an overlap amplitude s, which must lie in [0, 1]."""
+    if not 0.0 <= s <= 1.0:
+        raise ValidationError("overlap amplitude must lie in [0, 1]")
+    return s * s
 
 
 def _analyzed_groups(plan: _Plan) -> list[list[int]]:

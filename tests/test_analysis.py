@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -6,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfsdist import analysis, protocol
 from dfsdist.analysis import (
@@ -292,12 +295,10 @@ def test_sample_events_deterministic_and_empty():
     assert len(empty) == 0
     a = sample_events(cfg, 5000, 99)
     b = sample_events(cfg, 5000, 99)
-    assert np.array_equal(a.phase_index, b.phase_index)
-    assert np.array_equal(a.e_click, b.e_click)
-    assert np.array_equal(a.g_click, b.g_click)
+    assert a.codes.dtype == np.uint8
+    assert np.array_equal(a.codes, b.codes)
     c = sample_events(cfg, 5000, 100)
-    assert not (np.array_equal(a.e_click, c.e_click)
-                and np.array_equal(a.phase_index, c.phase_index))
+    assert not np.array_equal(a.codes, c.codes)
 
 
 def test_sample_events_rates_converge_to_exact():
@@ -365,18 +366,18 @@ def test_sample_pattern_probabilities_match_exact_rationals(overrides):
 def test_sample_events_csv_format():
     cfg = replace(PAPER, overlap_s0=CAL_S0)
     sample = sample_events(cfg, 3, 7)
-    lines = sample.to_csv_text().splitlines()
+    lines = sample.to_csv_bytes().decode("ascii").splitlines()
     assert lines[0] == "pulse,phase_index,e_click,f_click,g_click"
     assert len(lines) == 4
     assert lines[1].startswith("0,")
 
 
-def _per_pulse_csv(sample) -> str:
+def _per_pulse_csv(sample) -> bytes:
     lines = ["pulse,phase_index,e_click,f_click,g_click"]
-    for i in range(len(sample)):
-        lines.append(f"{i},{sample.phase_index[i]},{int(sample.e_click[i])},"
-                     f"{int(sample.f_click[i])},{int(sample.g_click[i])}")
-    return "\n".join(lines) + "\n"
+    for i, code in enumerate(sample.codes.tolist()):
+        lines.append(f"{i},{code >> 3},{code >> 2 & 1},{code >> 1 & 1},"
+                     f"{code & 1}")
+    return ("\n".join(lines) + "\n").encode("ascii")
 
 
 @pytest.mark.parametrize("overrides", [
@@ -388,29 +389,27 @@ def test_sample_csv_equals_per_pulse_formatting(overrides):
     cfg = replace(PAPER, eta=1.0, eta_g=1.0, gamma=0.05, transmittance=0.5,
                   overlap_s0=1.0, dark_g=0.3, **overrides)
     sample = sample_events(cfg, 20_000, 11)
-    text = sample.to_csv_text()
+    text = sample.to_csv_bytes()
     assert text == _per_pulse_csv(sample)
-    assert len({line.split(",", 1)[1] for line in text.splitlines()[1:]}) > 8
+    assert len({line.split(b",", 1)[1] for line in text.splitlines()[1:]}) > 8
     empty = sample_events(cfg, 0, 11)
-    assert empty.to_csv_text() == _per_pulse_csv(empty)
+    assert empty.to_csv_bytes() == _per_pulse_csv(empty)
 
 
 @pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 99, 100, 101, 12345])
 def test_sample_csv_rows_at_every_index_width(n):
     # The writer builds one block of rows per decimal width of the pulse
     # index; random records cover every (phase, e, f, g) code up to 63.
-    codes = np.random.default_rng(n).integers(0, 64, n)
-    sample = analysis.EventSample(codes >> 3, (codes >> 2 & 1) == 1,
-                                  (codes >> 1 & 1) == 1, (codes & 1) == 1, {})
-    assert sample.to_csv_text() == _per_pulse_csv(sample)
+    codes = np.random.default_rng(n).integers(0, 64, n).astype(np.uint8)
+    sample = analysis.EventSample(codes, {})
+    assert sample.to_csv_bytes() == _per_pulse_csv(sample)
 
 
 def test_sample_csv_rejects_a_two_digit_phase_index():
     # Each line's suffix has a fixed width only for one-digit phases.
-    sample = analysis.EventSample(np.array([3, 10]), *[np.zeros(2, bool)] * 3,
-                                  {})
+    sample = analysis.EventSample(np.array([3 << 3, 10 << 3], np.uint8), {})
     with pytest.raises(ValidationError, match="phase indices"):
-        sample.to_csv_text()
+        sample.to_csv_bytes()
 
 
 def test_sample_events_reference_scale_ten_million():
@@ -423,6 +422,66 @@ def test_sample_events_reference_scale_ten_million():
     sample = sample_events(cfg, n, 314159)
     sigma = math.sqrt(exact / n)
     assert abs(sample.triple_rate() - exact) <= 3.0 * sigma
+
+
+def _cdf_and_draws(weights, seed):
+    """A cdf as ``_draw`` builds it, and draws that hit its points, the
+    points' lower neighbours, every bucket edge of the guide table and 0."""
+    probs = np.asarray(weights)
+    cdf = (probs / probs.sum()).cumsum()
+    cdf /= cdf[-1]
+    edges = np.arange(4096) / 4096
+    u = np.concatenate([cdf, np.nextafter(cdf, 0.0), edges,
+                        np.random.default_rng(seed).random(2000)])
+    return cdf, u[u < 1.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.just(0.0), st.sampled_from([1.0, 2.0 ** -12, 0.25]),
+                          st.floats(0.0, 1.0)), min_size=1, max_size=70)
+       .filter(lambda w: sum(w) > 0.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_guided_search_equals_searchsorted(weights, seed):
+    # Zero weights give tied cdf points; weights of 2^-12 and 1/4 put
+    # points on bucket edges, where u may equal a point and an edge.
+    cdf, u = _cdf_and_draws(weights, seed)
+    got = analysis._guided_search(cdf, u)
+    assert np.array_equal(got, cdf.searchsorted(u, side="right"))
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(),
+    dict(include_feedforward_branch=True, dark_e=0.2, dark_f=0.1),
+    dict(variant="direct_no_dfs"),
+], ids=["reference", "feedforward", "direct"])
+def test_sample_events_draws_as_generator_choice(overrides):
+    # The guide table replaces rng.choice(p=...) and must give its draws.
+    cfg = replace(PAPER, overlap_s0=CAL_S0, **overrides)
+    sample = sample_events(cfg, 200_000, 31)
+    exact = sample.exact_pattern_probabilities
+    keys = sorted(exact)
+    probs = np.array([exact[key] for key in keys])
+    draws = np.random.default_rng(31).choice(len(keys), 200_000,
+                                             p=probs / probs.sum())
+    codes = [k << 3 | e << 2 | f << 1 | g for k, (e, f, g) in keys]
+    assert np.array_equal(sample.codes, np.array(codes, np.uint8)[draws])
+
+
+def test_sample_csv_digest_at_the_committed_overlap():
+    # The bytes `dfsdist sample --config configs/reference.cfg` writes,
+    # as recorded before the draw and the writer were rewritten.
+    cfg = replace(PAPER, overlap_s0=0.94091796875)
+    text = sample_events(cfg, 100_000, 12345).to_csv_bytes()
+    assert hashlib.sha256(text).hexdigest() == (
+        "fde53b18a6fb54246dac126c9f02f57f78a480bcc4ba4d917f2d68ebc31d22f8")
+
+
+@pytest.mark.parametrize("probs", [
+    [0.5, math.nan], [0.5, math.inf], [1.0, -0.25], [0.0, 0.0]],
+    ids=["nan", "inf", "negative", "zero"])
+def test_draw_rejects_a_pattern_distribution_that_is_not_one(probs):
+    with pytest.raises(ValidationError, match="pattern probabilities"):
+        analysis._draw(np.array(probs), 10, 0)
 
 
 def test_delay_visibility_shape_is_gaussian():

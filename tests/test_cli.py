@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -112,6 +113,22 @@ def test_cli_sample_rejects_a_negative_seed(tmp_path, capsys, config, args):
     assert code == 2
     err = capsys.readouterr().err.strip().splitlines()[-1]
     assert json.loads(err) == {"error": "sample seed must be >= 0"}
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_cli_sample_rejects_a_broken_pattern_distribution(tmp_path, capsys,
+                                                          monkeypatch):
+    # Generator.choice checked p; the inverse-CDF draw checks it itself,
+    # so a NaN distribution is an error, not a CSV of garbage draws.
+    exact = {(0, (False, False, False)): 0.5, (0, (True, True, True)): math.nan}
+    monkeypatch.setattr(analysis, "pattern_distribution", lambda cfg: exact)
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("n_pulses = 50\n")
+    code = main(["sample", "--config", str(cfg_file),
+                 "--out", str(tmp_path / "s")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert "pattern probabilities must be finite" in err["error"]
     assert not (tmp_path / "s.csv").exists()
 
 

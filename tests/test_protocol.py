@@ -785,6 +785,20 @@ def test_overlap_x_visibility_matches_averaged_runs(overrides):
         v_x(math.nan)
 
 
+def test_delay_reads_each_overlap_once(monkeypatch):
+    # A symmetric scan meets each s at +dx and -dx: the second is a lookup
+    # of the first read's floats.
+    reads = []
+    pair_probs = protocol._Table.pair_probs
+    monkeypatch.setattr(protocol._Table, "pair_probs", lambda self, *args,
+                        **kwargs: reads.append(kwargs["s2"])
+                        or pair_probs(self, *args, **kwargs))
+    evaluate = delay_coincidences(replace(PAPER, overlap_s0=0.94))
+    first = [evaluate(s) for s in (0.5, 0.7, 0.0)]
+    assert [evaluate(s) for s in (0.5, 0.7, 0.0)] == first
+    assert reads == [0.25, 0.7 * 0.7, 0.0]
+
+
 def test_delay_evaluator_rejects_nan_delay():
     evaluate = delay_coincidences(replace(PAPER, overlap_s0=0.94))
     with pytest.raises(ValidationError, match="overlap amplitude"):
