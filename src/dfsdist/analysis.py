@@ -64,7 +64,6 @@ class CalibrationResult:
     v_x_achieved: float
     anchor_t: float
     target_v_x: float
-    iterations: int
 
     @property
     def implied_mode_matching(self) -> float:
@@ -72,47 +71,38 @@ class CalibrationResult:
         return self.s0 ** 2
 
 
-# The bisection stops once V_X is this close to the target; both ends of
-# the overlap range are checked first, so the step bound is only a guard.
-CALIBRATION_TOL = 1e-4
-CALIBRATION_MAX_STEPS = 80
-
-
 def calibrate_overlap(cfg: ExperimentConfig, anchor_t: float = 0.1,
                       target_v_x: float = 0.82) -> CalibrationResult:
-    """Bisect the zero-delay overlap amplitude until V_X matches the target.
+    """The zero-delay overlap amplitude at which V_X meets the target.
 
-    The configuration is propagated once: every V_X the bisection needs
-    reads one click table at the anchor T and a new overlap.  Raises
-    :class:`CalibrationError` at once if the target lies above the V_X at
-    full overlap or below the V_X at zero overlap.  The anchor and the
-    target pass the sweep's checks: at T = 0 no pulse arrives to calibrate.
+    V_X at the anchor T is a ratio of two polynomials in s^2, read from one
+    click table, so s0^2 is the root of numerator - target * denominator on
+    [0, 1], and ``v_x_achieved`` is the table read at s0.  Raises
+    :class:`CalibrationError` if the target lies outside V_X's range from
+    zero to full overlap.  The anchor and the target pass the sweep's
+    checks: at T = 0 no pulse arrives to calibrate.
     """
     SweepSpec((anchor_t,), anchor_t, target_v_x)
     v_x_at = overlap_x_visibility(replace(cfg, transmittance=anchor_t))
-    top = v_x_at(1.0)
-    if target_v_x > top + CALIBRATION_TOL:
-        raise CalibrationError(
-            f"target V_X={target_v_x} unreachable; maximum attainable {top:.6f}")
-    if abs(top - target_v_x) <= CALIBRATION_TOL:
-        return CalibrationResult(1.0, top, anchor_t, target_v_x, 1)
-    bottom = v_x_at(0.0)
-    if target_v_x < bottom - CALIBRATION_TOL:
+    bottom, top = v_x_at(0.0), v_x_at(1.0)
+    if not bottom <= target_v_x <= top:
         raise CalibrationError(
             f"target V_X={target_v_x} unreachable; minimum attainable "
-            f"{bottom:.6f}")
-    lo, hi = 0.0, 1.0
-    for it in range(1, CALIBRATION_MAX_STEPS + 1):
-        mid = 0.5 * (lo + hi)
-        val = v_x_at(mid)
-        if abs(val - target_v_x) < CALIBRATION_TOL:
-            return CalibrationResult(mid, val, anchor_t, target_v_x, it)
-        if val < target_v_x:
-            lo = mid
-        else:
-            hi = mid
-    raise CalibrationError(f"target V_X={target_v_x} not met within "
-                           f"{CALIBRATION_MAX_STEPS} bisection steps")
+            f"{bottom:.6f}, maximum attainable {top:.6f}")
+    s0 = 1.0  # at the top the root is s = 1 itself, not a rounding of it
+    if target_v_x < top:
+        numerator, denominator = v_x_at.polynomial
+        s0 = math.sqrt(_root(numerator - target_v_x * denominator, 1.0))
+    return CalibrationResult(s0, v_x_at(s0), anchor_t, target_v_x)
+
+
+def _root(poly: np.ndarray, hi: float) -> float:
+    """The root in [0, hi] of ``poly`` (coefficients, highest power first),
+    which changes sign there: of all its roots, the one nearest that
+    interval, moved into it."""
+    roots = np.roots(poly)
+    inside = roots.real.clip(0.0, hi)
+    return float(inside[np.argmin(abs(roots - inside))])
 
 
 @dataclass(frozen=True)
@@ -189,7 +179,6 @@ def sweep_transmittance(cfg: ExperimentConfig,
         "calibration": (None if calibration is None else {
             "s0": calibration.s0,
             "v_x_achieved": calibration.v_x_achieved,
-            "iterations": calibration.iterations,
             "implied_mode_matching": calibration.implied_mode_matching,
         }),
         "diagnostics": {"max_truncated_weight": max_truncated},
@@ -233,20 +222,12 @@ class DelayScanRow:
     visibility: float
 
 
-def _at_delay(evaluate: Callable[[float], tuple[float, float]],
-              cfg: ExperimentConfig,
-              ) -> Callable[[float], tuple[float, float]]:
-    """(p_rd, p_ld) against delay, at the overlap s0 and width of ``cfg``."""
-    overlap = OverlapModel(cfg.overlap_s0, cfg.overlap_sigma_um)
-    return lambda dx: evaluate(overlap_at_delay(overlap, dx))
-
-
 def _scan_rows(evaluate: Callable, cfg: ExperimentConfig,
                delays_um: Sequence[float]) -> list[DelayScanRow]:
-    at_delay = _at_delay(evaluate, cfg)
+    overlap = OverlapModel(cfg.overlap_s0, cfg.overlap_sigma_um)
     rows = []
     for dx in delays_um:
-        p_rd, p_ld = at_delay(dx)
+        p_rd, p_ld = evaluate(overlap_at_delay(overlap, dx))
         total = p_rd + p_ld
         vis = abs(p_rd - p_ld) / total if total > 0 else 0.0
         rows.append(DelayScanRow(float(dx), p_rd, p_ld, vis))
@@ -261,32 +242,20 @@ def delay_scan_csv(rows: Sequence[DelayScanRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _dip_fwhm(evaluate: Callable, cfg: ExperimentConfig) -> float:
-    sigma_um = cfg.overlap_sigma_um
-    at_delay = _at_delay(evaluate, cfg)
+def _dip_width(evaluate: Callable, s0: float) -> float:
+    """The dip's FWHM in units of the overlap width sigma.
 
-    def contrast(dx: float) -> float:
-        p_rd, p_ld = at_delay(dx)
-        return abs(p_rd - p_ld)
-
-    c0 = contrast(0.0)
-    if c0 <= 0.0:
+    The contrast p_rd - p_ld is a polynomial in s^2 that is 0 at s = 0, so
+    it falls to half its value c0 at s0 at one root p of contrast - c0 / 2
+    on [0, s0^2], and s0 exp(-x^2 / 2) = sqrt(p) at x = sqrt(ln(s0^2 / p)).
+    """
+    p_rd, p_ld = evaluate(s0)
+    c0 = p_rd - p_ld
+    if c0 == 0.0:
         raise ValidationError("no interference contrast at zero delay")
-    half = 0.5 * c0
-    lo, hi = 0.0, sigma_um
-    while contrast(hi) > half:
-        hi *= 2.0
-        if hi > 1e6:
-            raise ValidationError("contrast does not decay; check overlap model")
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if contrast(mid) > half:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-9 * sigma_um:
-            break
-    return lo + hi  # 2 * half-width
+    rd, ld = evaluate.polynomial
+    p = _root(np.polysub(rd - ld, [0.5 * c0]), s0 * s0)
+    return 2.0 * math.sqrt(math.log(s0 * s0 / p))
 
 
 @dataclass(frozen=True)
@@ -302,18 +271,17 @@ def delay_study(cfg: ExperimentConfig, delays_um: Sequence[float],
     """Delay scan, zero-delay visibility and dip FWHM from one
     ``delay_coincidences`` read of the memo's Y-Y table.
 
-    It does not depend on the overlap width, so with a target FWHM it
-    calibrates the width first and then serves the scan at it.
+    The contrast depends on delay only through s(dx), so the FWHM is
+    sigma times ``_dip_width``: with a target FWHM the width is the target
+    over it, and the scan is served at that width.
     """
     evaluate = delay_coincidences(cfg)
+    width = _dip_width(evaluate, cfg.overlap_s0)
     if target_fwhm_um is not None:
-        # The contrast depends on delay only through s(dx), so the FWHM is
-        # proportional to sigma and one measurement fixes the scale.
-        cfg = replace(cfg, overlap_sigma_um=cfg.overlap_sigma_um
-                      * target_fwhm_um / _dip_fwhm(evaluate, cfg))
+        cfg = replace(cfg, overlap_sigma_um=target_fwhm_um / width)
     return DelayStudy(cfg.overlap_sigma_um, _scan_rows(evaluate, cfg, delays_um),
                       _scan_rows(evaluate, cfg, [0.0])[0].visibility,
-                      _dip_fwhm(evaluate, cfg))
+                      cfg.overlap_sigma_um * width)
 
 
 # --- tomography ---------------------------------------------------------------

@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -145,16 +146,9 @@ def _cmd_sweep(cfg: ExperimentConfig, extras: dict, out: str) -> int:
 
 def _cmd_calibrate(cfg: ExperimentConfig, extras: dict, out: str) -> int:
     res = calibrate_overlap(cfg, **_set_keys(extras, _CALIBRATION_KEYS))
-    payload = {
-        "s0": res.s0,
-        "v_x_achieved": res.v_x_achieved,
-        "anchor_t": res.anchor_t,
-        "target_v_x": res.target_v_x,
-        "iterations": res.iterations,
-        "implied_mode_matching": res.implied_mode_matching,
-        "version": __version__,
-    }
-    write_json(_out_paths(out, ".json")[1], payload)
+    write_json(_out_paths(out, ".json")[1], {
+        **asdict(res), "implied_mode_matching": res.implied_mode_matching,
+        "version": __version__})
     print(f"calibrated s0={res.s0:.6f}")
     return 0
 

@@ -55,14 +55,9 @@ def pbs(registry: ModeRegistry, in_1: str, in_2: str, out_1: str,
         for (src, pol), (dst, _) in routing.items():
             inputs.append(registry.index(Mode(src, pol, tau)))
             outputs.append(registry.index(Mode(dst, pol, tau)))
-    seen: list[int] = []
-    for i in outputs:
-        if i in seen:
-            raise ConfigurationError("PBS output modes collide")
-        seen.append(i)
-    mat = np.zeros((len(outputs), len(inputs)), dtype=complex)
-    for k in range(len(inputs)):
-        mat[k, k] = 1.0
+    if len(set(outputs)) < len(outputs):
+        raise ConfigurationError("PBS output modes collide")
+    mat = np.eye(len(outputs), len(inputs), dtype=complex)
     return ModeTransform(registry, tuple(inputs), tuple(outputs), mat, name="PBS")
 
 
@@ -119,22 +114,13 @@ def attenuator(registry: ModeRegistry, src: str, dst: str, dump: str,
     """Route src -> dst with amplitude sqrt(T), remainder into the dump label."""
     if not 0.0 <= transmittance <= 1.0:
         raise ValidationError("transmittance must lie in [0, 1]")
-    t = math.sqrt(transmittance)
-    r = math.sqrt(1.0 - transmittance)
-    inputs: list[int] = []
-    outputs: list[int] = []
-    for i in registry.indices(src):
-        mode = registry.modes[i]
-        inputs.append(i)
-        outputs.append(registry.index(Mode(dst, mode.pol, mode.temporal)))
-    for i in inputs:
-        mode = registry.modes[i]
-        outputs.append(registry.index(Mode(dump, mode.pol, mode.temporal)))
-    n = len(inputs)
-    mat = np.zeros((2 * n, n), dtype=complex)
-    for k in range(n):
-        mat[k, k] = t
-        mat[n + k, k] = r
+    inputs = registry.indices(src)
+    outputs = [registry.index(Mode(label, mode.pol, mode.temporal))
+               for label in (dst, dump)
+               for mode in (registry.modes[i] for i in inputs)]
+    eye = np.eye(len(inputs))
+    mat = np.vstack([math.sqrt(transmittance) * eye,
+                     math.sqrt(1.0 - transmittance) * eye]).astype(complex)
     return ModeTransform(registry, tuple(inputs), tuple(outputs), mat,
                          name=f"attenuator(T={transmittance:.4g})")
 

@@ -370,9 +370,9 @@ class _Final:
 # The final states of the configurations last used, least recently used
 # first, with their count tables, while their arrays total at most
 # MEMO_BYTES.  A reproduction has 12 entries, 0.64 MB at cutoff 4 and
-# 9.9 MB at cutoff 7 (pair cutoff 3), where the bound keeps 9 and still
-# propagates each once; there an entry is 0.88 MB after an averaged read
-# and 1.41 MB once the delay scan has read it too.
+# 10.1 MB at cutoff 7 (pair cutoff 3), where the bound keeps 9 and still
+# propagates each once; there an entry is 0.89 MB after an averaged read
+# and 1.45 MB once the delay scan has read it too.
 MEMO_BYTES = 8 << 20
 _FINAL_STATES: OrderedDict[tuple, _Final] = OrderedDict()
 
@@ -467,24 +467,35 @@ class _Counts:
         """The sorted (pair count, ancilla photon count) classes of
         ``triple``'s components, and each row's class index."""
         pairs, photons = self.counts[:, -5], self.counts[:, -4]
-        # One int64 key per (pairs, ancilla photons), sorted as those pairs:
-        # the ancilla count lies in [-MAX_CUTOFF, MAX_CUTOFF], negative only
+        # The ancilla count lies in [-MAX_CUTOFF, MAX_CUTOFF], negative only
         # in states the protocol does not make.
-        radix = 2 * MAX_CUTOFF + 1
-        keys, inverse = np.unique(
-            pairs.astype(np.int64) * radix + (photons - 2 * pairs + MAX_CUTOFF),
-            return_inverse=True)
-        n_pairs_of, ancilla_of = divmod(keys, radix)
-        ancilla_of -= MAX_CUTOFF
+        n_pairs_of, ancilla_of, inverse = self._index(
+            pairs, photons - 2 * pairs + MAX_CUTOFF, 2 * MAX_CUTOFF + 1)
+        return list(zip(n_pairs_of.tolist(),
+                        (ancilla_of - MAX_CUTOFF).tolist())), inverse
+
+    @cached_property
+    def overlap_classes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (m, k) classes, whose rows the overlap scales alike; m < 0
+        only in states the protocol does not make."""
+        return self._index(self.matched, self.orthogonal, MAX_CUTOFF + 1)
+
+    def _index(self, high: np.ndarray, low: np.ndarray,
+               radix: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sorted distinct (high, low) pairs of the rows, 0 <= low <
+        radix, as an array of each, and each row's pair index."""
+        keys, inverse = np.unique(high.astype(np.int64) * radix + low,
+                                  return_inverse=True)
+        inverse = inverse.astype(np.int16)  # far fewer than 2^15 pairs
         if self.owner_bytes is not None:
             self.owner_bytes[0] += inverse.nbytes
-        return list(zip(n_pairs_of.tolist(), ancilla_of.tolist())), inverse
+        return *divmod(keys, radix), inverse
 
 
 def _count_table(plan: _Plan, state: FockStateVector,
                  owner_bytes: list | None = None) -> _Counts:
     """The ``_Counts`` of ``state``, its sides already in their bases; its
-    arrays, and ``classes`` once built, add their bytes to owner_bytes[0]."""
+    arrays and class indices add their bytes to owner_bytes[0]."""
     reg = plan.registry
     orthogonal = [i for i, mode in enumerate(reg.modes)
                   if mode.temporal == ORTHOGONAL]
@@ -519,9 +530,12 @@ class _Table:
     scaled: np.ndarray  # each row's weight at T times 2^(m + k)
 
     def weights_at(self, s2: float) -> np.ndarray:
-        """Each row's weight at the overlap s^2 = ``s2``."""
-        return (self.scaled * _integer_power(s2, self.source.matched)
-                * _integer_power(1.0 - s2, self.source.orthogonal))
+        """Each row's weight at the overlap s^2 = ``s2``, with the powers of
+        s2 and 1 - s2 taken once per ``overlap_classes`` class."""
+        m, k, inverse = self.source.overlap_classes
+        with np.errstate(all="ignore"):  # 0^-m at negative counts
+            return (self.scaled * (s2 ** m).take(inverse)
+                    * ((1.0 - s2) ** k).take(inverse))
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -537,17 +551,39 @@ class _Table:
         e, g = self.clicks
         return (e * (w * self.heralds[herald])[:, None]).T @ g
 
+    def pair_polynomial(self, herald: int = 0) -> np.ndarray:
+        """``pair_probs(herald, s2)`` as 2x2 coefficients of s2, highest
+        power first: the rows summed once per ``overlap_classes`` class
+        (m, k), which contributes s2^m (1 - s2)^k times its sum."""
+        m, k, inverse = self.source.overlap_classes
+        e, g = self.clicks
+        ew = e * (self.scaled * self.heralds[herald])[:, None]
+        sums = np.array([[np.bincount(inverse, ew[:, i] * g[:, j], len(m))
+                          for j in (0, 1)] for i in (0, 1)]).transpose(2, 0, 1)
+        poly = np.zeros((int((m + k).max()) + 1, 2, 2))
+        for mc, kc, s in zip(m.tolist(), k.tolist(), sums):
+            for j in range(kc + 1):
+                poly[mc + j] += (-1) ** j * math.comb(kc, j) * s
+        return poly[::-1]
+
     def kept_pair_probs(self, basis_e: str,
                         s2: float | None = None) -> np.ndarray:
         """``pair_probs`` of the kept herald outcomes, E's analyzer basis
-        being ``basis_e``.  The feed-forward branch also keeps the second
-        outcome (|Dbar>): a sign flip on the retained photon restores the
-        target state, i.e. its X and Y outcomes swap."""
-        probs = self.pair_probs(s2=s2)
+        being ``basis_e``; see ``kept``."""
+        return self.kept(basis_e, functools.partial(self.pair_probs, s2=s2))
+
+    def kept(self, basis_e: str,
+             probs: Callable[[int], np.ndarray]) -> np.ndarray:
+        """``probs(herald)``, E port by G port in its last two axes, summed
+        over the kept herald outcomes.  The feed-forward branch also keeps
+        the second outcome (|Dbar>): a sign flip on the retained photon
+        restores the target state, i.e. its X and Y outcomes swap."""
+        kept = probs(0)
         if self.plan.feedforward:
-            flipped = self.pair_probs(1, s2)
-            probs = probs + (flipped if basis_e == "Z" else flipped[::-1])
-        return probs
+            flipped = probs(1)
+            kept = kept + (flipped if basis_e == "Z"
+                           else flipped[..., ::-1, :])
+        return kept
 
     def triple(self) -> tuple[float, dict[tuple[int, int, str], float]]:
         """The probability that E, G and a kept herald outcome all click,
@@ -613,7 +649,8 @@ def delay_coincidences(cfg: ExperimentConfig,
     circular polarization by analyzing its partner in the orthogonal
     circular basis, at zero channel phase, since single-run interference is
     only visible without averaging.  Both sides are rotated to put R on the
-    H modes, so both coincidences come from the memo's one Y-Y table.
+    H modes, so both coincidences come from the memo's one Y-Y table.  Its
+    ``polynomial`` holds both as ``_Table.pair_polynomial`` coefficients.
     """
     if cfg.variant == "direct_no_dfs":
         raise ConfigurationError("variant 'direct_no_dfs' has no pulse, "
@@ -625,6 +662,7 @@ def delay_coincidences(cfg: ExperimentConfig,
     def coincidences(s: float) -> tuple[float, float]:
         probs = table.pair_probs(s2=_overlap_s2(s))
         return float(probs[0, 1]), float(probs[1, 1])
+    coincidences.polynomial = tuple(table.pair_polynomial()[:, :, 1].T)
     return coincidences
 
 
@@ -633,7 +671,9 @@ def overlap_x_visibility(cfg: ExperimentConfig) -> Callable[[float], float]:
 
     ``overlap_x_visibility(cfg)(s)`` is
     ``visibilities(run_phase_averaged(replace(cfg, overlap_s0=s,
-    delay_um=0.0)))[1]``, read from the memo's X-X table.
+    delay_um=0.0)))[1]``, read from the memo's X-X table.  Its
+    ``polynomial`` holds V_X's numerator and denominator as polynomials in
+    s^2, highest power first.
     """
     plan, final = _final_state(cfg)
     table = _table(plan, final.counts("X", "X"))
@@ -641,6 +681,9 @@ def overlap_x_visibility(cfg: ExperimentConfig) -> Callable[[float], float]:
     def v_x(s: float) -> float:
         probs = table.kept_pair_probs("X", _overlap_s2(s))
         return _correlation(_labelled(probs, X_SETTINGS), X_SETTINGS)
+    poly = table.kept("X", table.pair_polynomial)
+    sign = np.array([1.0, -1.0])
+    v_x.polynomial = (sign @ poly @ sign, poly.sum(axis=(1, 2)))
     return v_x
 
 

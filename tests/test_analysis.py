@@ -33,7 +33,7 @@ from dfsdist.protocol import (
 from helpers import exact_click_parts, source_phase_state
 
 PAPER = ExperimentConfig()
-CAL_S0 = 0.940918  # reference calibration output, re-derived in tests below
+CAL_S0 = 0.940896  # reference calibration output, re-derived in tests below
 
 
 def test_fit_loglog_slope_exact_power_laws():
@@ -71,12 +71,12 @@ def test_rate_crossing_of_exact_power_laws():
 def test_calibration_matches_target_and_is_idempotent():
     res = calibrate_overlap(PAPER)
     assert 0.0 < res.s0 < 1.0
-    assert abs(res.v_x_achieved - 0.82) < 1e-4
-    assert abs(res.s0 - CAL_S0) < 1e-3
+    assert abs(res.v_x_achieved - 0.82) <= 1e-12
+    assert abs(res.s0 - CAL_S0) < 1e-6
     # Re-calibrating against the model's own achieved value returns the same
-    # overlap within the bisection tolerance.
+    # overlap to rounding.
     again = calibrate_overlap(PAPER, target_v_x=res.v_x_achieved)
-    assert abs(again.s0 - res.s0) < 1e-4
+    assert abs(again.s0 - res.s0) <= 1e-12
     assert abs(res.implied_mode_matching - res.s0 ** 2) < 1e-12
 
 
@@ -91,13 +91,16 @@ def test_calibration_unreachable_target():
     with pytest.raises(CalibrationError) as err:
         calibrate_overlap(PAPER, target_v_x=0.999)
     assert "maximum attainable" in str(err.value)
+    # No tolerance above the top: a target just over V_X(1) is not met.
+    top = visibilities(run_phase_averaged(replace(PAPER, overlap_s0=1.0)))[1]
+    with pytest.raises(CalibrationError, match="maximum attainable"):
+        calibrate_overlap(PAPER, target_v_x=top + 1e-6)
 
 
 def test_calibration_raises_when_bisection_does_not_converge(count_calls):
     # V_X is near 0 at zero overlap and rises with it, so -0.5 is never
-    # met; unchecked, the bisection returns s0 -> 0 as if calibrated.  Both
-    # ends of the range are checked before any bisection step, on the one
-    # propagated train.
+    # met; unchecked, the root search would return an s0 as if calibrated.
+    # Both ends of the range are checked first, on the one propagated train.
     calls = count_calls("_final_state")
     with pytest.raises(CalibrationError, match="minimum attainable"):
         calibrate_overlap(PAPER, target_v_x=-0.5)
@@ -111,8 +114,7 @@ def test_calibration_raises_when_bisection_does_not_converge(count_calls):
 
 @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
 def test_calibration_rejects_non_finite_target(count_calls, target):
-    # NaN fails every comparison, so unchecked it bisected 80 steps and then
-    # reported the target as not met.
+    # NaN fails every comparison, so unchecked it passed both range checks.
     calls = count_calls("_final_state")
     with pytest.raises(ValidationError, match="must be finite"):
         calibrate_overlap(PAPER, target_v_x=target)
@@ -120,12 +122,11 @@ def test_calibration_rejects_non_finite_target(count_calls, target):
 
 
 def test_calibration_propagates_once(count_calls):
-    # Every V_X of the bisection, both range checks included, reweights the
-    # rows of one click table.
+    # The range checks, the polynomial the root comes from and the V_X
+    # achieved all read the rows of one click table.
     calls = count_calls("_final_state", "click_table")
     res = calibrate_overlap(PAPER)
     assert calls == {"_final_state": 1, "click_table": 1}
-    assert res.iterations > 1
     assert abs(res.s0 - CAL_S0) < 1e-3
     # Another anchor T and detector read the memo's states.
     warm = count_calls("_initial_state", "jones_transform")
@@ -133,25 +134,10 @@ def test_calibration_propagates_once(count_calls):
     assert warm == {"_initial_state": 0, "jones_transform": 0}
 
 
-def _bisect_with_averaged_runs(cfg: ExperimentConfig, target: float,
-                               ) -> tuple[float, int]:
-    """The calibration's bisection, one full averaged run per V_X."""
-    def v_x_at(s0):
-        return visibilities(run_phase_averaged(
-            replace(cfg, transmittance=0.1, overlap_s0=s0, delay_um=0.0)))[1]
-
-    top = v_x_at(1.0)
-    assert v_x_at(0.0) < target < top
-    if abs(top - target) <= analysis.CALIBRATION_TOL:
-        return 1.0, 1
-    lo, hi = 0.0, 1.0
-    for it in range(1, analysis.CALIBRATION_MAX_STEPS + 1):
-        mid = 0.5 * (lo + hi)
-        val = v_x_at(mid)
-        if abs(val - target) < analysis.CALIBRATION_TOL:
-            return mid, it
-        lo, hi = (mid, hi) if val < target else (lo, mid)
-    raise AssertionError("bisection did not converge")
+def _averaged_v_x(cfg: ExperimentConfig, s0: float) -> float:
+    """V_X of a full averaged run at the anchor T = 0.1 and overlap s0."""
+    return visibilities(run_phase_averaged(
+        replace(cfg, transmittance=0.1, overlap_s0=s0, delay_um=0.0)))[1]
 
 
 @pytest.mark.parametrize("overrides", [
@@ -160,12 +146,26 @@ def _bisect_with_averaged_runs(cfg: ExperimentConfig, target: float,
     dict(include_feedforward_branch=True),
     dict(cutoff=5),
 ])
-def test_calibration_matches_bisection_over_averaged_runs(overrides):
-    # The config's own transmittance is not the anchor: both bisections
-    # must evaluate V_X at T = 0.1.
+def test_calibration_meets_target_over_averaged_runs(overrides):
+    # The config's own transmittance is not the anchor: the root and the
+    # check must both read V_X at T = 0.1.
     cfg = replace(PAPER, transmittance=0.03, **overrides)
     res = calibrate_overlap(cfg)
-    assert (res.s0, res.iterations) == _bisect_with_averaged_runs(cfg, 0.82)
+    assert 0.0 < res.s0 < 1.0
+    assert abs(_averaged_v_x(cfg, res.s0) - 0.82) <= 1e-12
+    assert res.v_x_achieved == _averaged_v_x(cfg, res.s0)
+
+
+def test_calibration_tells_truncations_apart():
+    # The roots differ by 3.5e-5 in s0 between 6 / 3 and 7 / 3: a search
+    # that stops within 1e-4 of the target V_X cannot tell them apart.
+    s0 = {}
+    for cutoff, pair_cutoff in ((6, 3), (7, 3), (8, 4)):
+        cfg = replace(PAPER, cutoff=cutoff, pair_cutoff=pair_cutoff)
+        s0[cutoff] = calibrate_overlap(cfg).s0
+        assert abs(_averaged_v_x(cfg, s0[cutoff]) - 0.82) <= 1e-12
+    assert s0[7] - s0[6] == pytest.approx(3.5e-5, abs=1e-6)
+    assert s0[6] < s0[7] < s0[8]
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, 1.5])
@@ -243,9 +243,26 @@ def test_delay_width_calibration_roundtrip():
     cfg = replace(PAPER, overlap_s0=CAL_S0, overlap_sigma_um=100.0)
     study = delay_study(cfg, [], 180.0)
     sigma, fwhm = study.sigma_um, study.fwhm_um
-    assert abs(fwhm - 180.0) < 0.5
+    assert abs(fwhm - 180.0) <= 1e-12 * 180.0
     # Analytic Gaussian relation as a cross-check: FWHM = 2 sqrt(ln 2) sigma.
     assert abs(sigma - 180.0 / (2.0 * math.sqrt(math.log(2.0)))) < 0.5
+    # The width found is the configured one's FWHM scaled to the target.
+    assert delay_study(replace(cfg, overlap_sigma_um=sigma), []).fwhm_um == \
+        pytest.approx(180.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(), dict(overlap_s0=0.6, transmittance=0.03),
+    dict(include_feedforward_branch=True), dict(cutoff=6, pair_cutoff=3)])
+def test_dip_half_width_halves_the_contrast(overrides):
+    # At half the returned FWHM the contrast read through the delay
+    # coincidences is half its zero-delay value.
+    cfg = replace(PAPER, **{"overlap_s0": CAL_S0, **overrides})
+    study = delay_study(cfg, [])
+    evaluate = protocol.delay_coincidences(cfg)
+    c0 = np.subtract(*evaluate(cfg.overlap_s0))
+    half = replace(cfg, delay_um=0.5 * study.fwhm_um).overlap_amplitude
+    assert abs(np.subtract(*evaluate(half)) - 0.5 * c0) <= 1e-12 * 0.5 * c0
 
 
 def test_fwhm_targeted_delay_study_propagates_once(count_calls):

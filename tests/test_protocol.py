@@ -274,7 +274,7 @@ def test_visibility_examples():
 
 
 T_GRID = (0.1, 0.03, 0.01, 0.005, 0.003)
-CAL_S0 = 0.940918  # results/calibration.json
+CAL_S0 = 0.940896  # results/calibration.json
 
 
 @pytest.mark.parametrize("overrides", [
@@ -437,7 +437,7 @@ def test_memo_tables_read_as_fresh_ones_bit_for_bit(final_states, variant,
 def test_memo_entry_at_cutoff_7_keeps_three_tables(final_states):
     # MEMO_BYTES is sized on this entry: every output that reads the
     # configuration adds at most the Z-Z, X-X and zero-phase Y-Y tables,
-    # 1.41 MB with the state, and the bound keeps five such entries.
+    # 1.45 MB with the state, and the bound keeps five such entries.
     cfg = replace(PAPER, overlap_s0=CAL_S0, cutoff=7, pair_cutoff=3)
     run_phase_averaged(cfg)
     two_qubit_state(cfg)
@@ -771,7 +771,7 @@ def test_delay_evaluator_matches_full_propagation(overrides):
 def test_overlap_x_visibility_matches_averaged_runs(overrides):
     # The reweighted table at each s against the phase average of a state
     # propagated at that overlap; s = 1 and s = 0 drop the split or one of
-    # its outputs, and 0.94091796875 is the committed calibration.
+    # its outputs, and 0.94091796875 lies near the calibrated overlap.
     cfg = replace(PAPER, **overrides)
     v_x = overlap_x_visibility(cfg)
     for s in (0.0, 0.3, 1.0 / math.sqrt(2.0), 0.9, 0.94091796875, 1.0):
