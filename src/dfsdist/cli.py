@@ -180,10 +180,9 @@ def _cmd_tomography(cfg: ExperimentConfig, extras: dict, out: str) -> int:
     return 0
 
 
-def _cmd_sample(cfg: ExperimentConfig, extras: dict, out: str,
-                seed: int | None) -> int:
+def _cmd_sample(cfg: ExperimentConfig, extras: dict, out: str) -> int:
     n = int(extras.get("n_pulses", 100_000))
-    use_seed = seed if seed is not None else int(extras.get("seed", 12345))
+    use_seed = int(extras.get("seed", 12345))
     sample = sample_events(cfg, n, use_seed)
     csv_path, json_path = _out_paths(out)
     csv_path.write_bytes(sample.to_csv_bytes())
@@ -260,16 +259,17 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg, extras = load_config(args.config)
+        if getattr(args, "seed", None) is not None:  # sample's --seed wins
+            extras["seed"] = args.seed
         handler = {
             "sweep": _cmd_sweep,
             "calibrate": _cmd_calibrate,
             "delay-scan": _cmd_delay_scan,
             "tomography": _cmd_tomography,
+            "sample": _cmd_sample,
             "oracle-check": _cmd_oracle_check,
             "qubit": _cmd_qubit,
         }
-        if args.command == "sample":
-            return _cmd_sample(cfg, extras, args.out, args.seed)
         return handler[args.command](cfg, extras, args.out)
     except (ConfigurationError, ValidationError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

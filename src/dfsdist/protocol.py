@@ -210,21 +210,55 @@ class ProtocolOutcome:
                    if org == "dark")
 
 
-@dataclass
-class _Plan:
+@dataclass(eq=False)
+class _Wiring:
+    """One variant's modes, sides and receiver map, built once per process
+    by ``_wiring``, and the mode groups derived from them: the click
+    table's ``groups`` (E_H, E_V, G_H, G_V and, with a herald, F_H, F_V;
+    then the pair side, all modes, the orthogonal modes and the loss modes
+    LR and LA), the phase-carrying V modes ``charge`` and ``losses``,
+    whether the pulse (LR) and the pair photon (LA) have a loss port."""
+
     registry: ModeRegistry
     side_e: str
     side_g: str
-    herald: str | None
-    pair_side_indices: list[int]
+    herald: str | None  # its analyzer puts |D> on F_H; none without a pulse
+    pair_side: Sequence[str]
+    # The source labels whose V modes carry the collective phase.
+    charged: Sequence[str] = ()
+    receiver: tuple[ModeTransform, ...] = ()
+    groups: list = field(init=False)
+    charge: list[int] = field(init=False)
+    losses: tuple[bool, bool] = field(init=False)
+
+    def __post_init__(self):
+        reg = self.registry
+        sides = [side for side in (self.side_e, self.side_g, self.herald)
+                 if side is not None]
+        lost = [[i for i, mode in enumerate(reg.modes) if mode.spatial == lab]
+                for lab in ("LR", "LA")]
+        self.groups = [
+            *(reg.indices(side, pol=pol) for side in sides for pol in (H, V)),
+            [i for lab in self.pair_side for i in reg.indices(lab)],
+            range(reg.n_modes),
+            [i for i, mode in enumerate(reg.modes)
+             if mode.temporal == ORTHOGONAL],
+            *lost]
+        self.charge = [i for lab in self.charged
+                       for i in reg.indices(lab, pol=V)]
+        self.losses = (len(lost[0]) > 0, len(lost[1]) > 0)
+
+
+@dataclass
+class _Plan:
+    """What a read needs besides the state: the wiring, the detectors, the
+    feed-forward flag (it keeps the second herald outcome too, so needs a
+    herald) and the s^2 and T ``_table`` reads at: 1/2 reads a state as it
+    was propagated."""
+
+    wiring: _Wiring
     detectors: dict[str, DetectorModel]
-    # V modes of the source labels that carry the collective phase.
-    charge_indices: list[int]
-    # Keep the second herald outcome too (needs a herald).
     feedforward: bool = False
-    # The loss modes of the pulse (LR) and the pair photon (LA), and the s^2
-    # and T ``_table`` reads at: 1/2 reads a state as it was propagated.
-    loss_indices: tuple[Sequence[int], Sequence[int]] = ((), ())
     overlap_s2: float = 0.5
     transmittance: float = 0.5
 
@@ -237,51 +271,55 @@ def _analyzer_matrix(setting: str) -> np.ndarray:
                      [np.conj(ket2[0]), np.conj(ket2[1])]], dtype=complex)
 
 
-def _charge_indices(reg: ModeRegistry, labels: Sequence[str]) -> list[int]:
-    return [i for lab in labels for i in reg.indices(lab, pol=V)]
-
-
 # Each loss variant's lossy label and the loss modes its photons go to.
 _CHANNEL_LOSS = {"single_photon_ancilla": ("R", "LR"),
                  "forward_all_from_bob": ("A", "LA")}
 
 
 @functools.cache
-def _registry(variant: str) -> ModeRegistry:
-    """The modes of ``variant``, one registry per process."""
+def _wiring(variant: str) -> _Wiring:
+    """The wiring of ``variant``.  Its receiver is the phase-independent
+    optical train after the sources as one composed map, none without a
+    pulse.  It runs at the s^2 = T = 1/2 that ``_table`` reads from: the
+    channel loss, if the variant has one, the polarization flip, the
+    overlap split, the PBS and the herald analyzer."""
     if variant == "direct_no_dfs":
-        return make_registry(["A", "B"])
-    loss = [(_CHANNEL_LOSS[variant][1], True)] if variant in _CHANNEL_LOSS else []
-    return make_registry([("A", True), ("R", True), ("E", True), ("F", True),
-                          "B", *loss])
+        return _Wiring(make_registry(["A", "B"]), "A", "B", None, ["B"],
+                       charged=["B"])
+    forward = variant == "forward_all_from_bob"
+    loss = [_CHANNEL_LOSS[variant]] if variant in _CHANNEL_LOSS else []
+    reg = make_registry([("A", True), ("R", True), ("E", True), ("F", True),
+                         "B", *((lost, True) for _, lost in loss)])
+    receiver = compose([
+        *(loss_channel(reg, label, 0.5, lost) for label, lost in loss),
+        # Polarization flip before the PBS, built as the exact swap.
+        jones_transform(reg, "R", _PAULI["X"], name="waveplate(flip)"),
+        overlap_split(reg, "R", _SQ2),
+        pbs(reg, "A", "R", "E", "F"),
+        # The herald analyzer puts |D> on the H modes F's detector watches;
+        # |Dbar> leaves through the unused port.
+        jones_transform(reg, "F", _analyzer_matrix("D"), name="F analyzer")],
+        "receiver")
+    return _Wiring(reg, "E", "B", "F", ["B"],
+                   charged=["A" if forward else "B", "R"],
+                   receiver=(receiver,))
 
 
 def _build_plan(cfg: ExperimentConfig) -> _Plan:
-    det_e = DetectorModel("D_E", cfg.eta, cfg.dark_e)
-    det_f = DetectorModel("D_F", cfg.eta, cfg.dark_f)
-    # Where the pair photon B crosses the channel, its loss and the pickoff
-    # plate act alike on H and V and nothing interferes with B after them:
-    # they commute with its analyzer and are part of D_G's efficiency.
+    wiring = _wiring(cfg.variant)
     eta_g = cfg.eta_g
-    if cfg.variant != "forward_all_from_bob":
+    # Without a loss port LA the pair photon B crosses the channel: its loss
+    # and the pickoff plate act alike on H and V and nothing interferes with
+    # B after them, so they commute with its analyzer and are part of D_G's
+    # efficiency.
+    if not wiring.losses[1]:
         eta_g *= cfg.transmittance * (1.0 - cfg.gp_reflectance)
-    det_g = DetectorModel("D_G", eta_g, cfg.dark_g)
-    reg = _registry(cfg.variant)
     s = cfg.overlap_amplitude
-    reads = dict(overlap_s2=s * s, transmittance=cfg.transmittance)
-
-    if cfg.variant == "direct_no_dfs":
-        return _Plan(reg, "A", "B", None, reg.indices("B"),
-                     {"E": det_e, "G": det_g}, _charge_indices(reg, ["B"]),
-                     **reads)
-
-    forward = cfg.variant == "forward_all_from_bob"
-    loss = (reg.indices("LR") if cfg.variant == "single_photon_ancilla"
-            else [], reg.indices("LA") if forward else [])
-    return _Plan(reg, "E", "B", "F", reg.indices("B"),
-                 {"E": det_e, "G": det_g, "F": det_f},
-                 _charge_indices(reg, ["A" if forward else "B", "R"]),
-                 cfg.include_feedforward_branch, loss, **reads)
+    return _Plan(wiring, {"E": DetectorModel("D_E", cfg.eta, cfg.dark_e),
+                          "G": DetectorModel("D_G", eta_g, cfg.dark_g),
+                          "F": DetectorModel("D_F", cfg.eta, cfg.dark_f)},
+                 cfg.include_feedforward_branch and wiring.herald is not None,
+                 s * s, cfg.transmittance)
 
 
 def _initial_state(cfg: ExperimentConfig, reg: ModeRegistry) -> FockStateVector:
@@ -308,38 +346,12 @@ def _delivered_mu(cfg: ExperimentConfig) -> float:
     return cfg.mu if cfg.transmittance > 0.0 else 0.0
 
 
-@functools.cache
-def _receiver(variant: str) -> tuple[ModeTransform, ...]:
-    """The phase-independent optical train after the sources as one
-    composed map on the variant's registry, built once per process; none
-    without a pulse.  It runs at the s^2 = T = 1/2 that ``_table`` reads
-    from: the channel loss, if the variant has one, the polarization flip,
-    the overlap split, the PBS and the herald analyzer."""
-    if variant == "direct_no_dfs":
-        return ()
-    reg = _registry(variant)
-    seq = []
-    if variant in _CHANNEL_LOSS:
-        label, lost = _CHANNEL_LOSS[variant]
-        seq.append(loss_channel(reg, label, 0.5, lost))
-    seq += [
-        # Polarization flip before the PBS, built as the exact swap.
-        jones_transform(reg, "R", _PAULI["X"], name="waveplate(flip)"),
-        overlap_split(reg, "R", _SQ2),
-        pbs(reg, "A", "R", "E", "F"),
-        # The herald analyzer puts |D> on the H modes F's detector watches;
-        # |Dbar> leaves through the unused port.
-        jones_transform(reg, "F", _analyzer_matrix("D"), name="F analyzer")]
-    return (compose(seq, "receiver"),)
-
-
 @dataclass(eq=False)
 class _Final:
-    """A labelled final state and, built on first use, the ``_Counts`` of
-    each analyzer basis pair it is read in; ``plan`` is the one it was built
-    with."""
+    """A labelled final state on ``wiring`` and, built on first use, the
+    ``_Counts`` of each analyzer basis pair it is read in."""
 
-    plan: _Plan
+    wiring: _Wiring
     state: FockStateVector
     _counts: dict = field(default_factory=dict, init=False, repr=False)
     _bytes: list = field(init=False, repr=False)
@@ -351,13 +363,15 @@ class _Final:
     def counts(self, basis_e: str, basis_g: str,
                phase: tuple[float, float] | None = None) -> "_Counts":
         """The ``_Counts`` of the state, at the collective ``phase`` if one
-        is given, with each side ``_rotated`` into its analyzer basis."""
+        is given, with each side rotated into its analyzer basis."""
         key = (basis_e, basis_g, phase)
         if key not in self._counts:
             state = (self.state if phase is None
-                     else _at_phases(self.state, [phase])[0])
-            self._counts[key] = _count_table(self.plan, _rotated(
-                self.plan, state, basis_e, basis_g), self._bytes)
+                     else _at_phases(self.state, phase))
+            rotation = _rotation(self.wiring, basis_e, basis_g)
+            if rotation is not None:
+                state = apply_transform(state, rotation)
+            self._counts[key] = _count_table(self.wiring, state, self._bytes)
         return self._counts[key]
 
     @property
@@ -392,18 +406,19 @@ def _final_state(cfg: ExperimentConfig) -> tuple[_Plan, _Final]:
     only the ``_Table`` reads.
     """
     plan = _build_plan(cfg)
+    wiring = plan.wiring
     key = (cfg.variant, cfg.source, cfg.gamma, cfg.pair_cutoff, cfg.cutoff,
            _delivered_mu(cfg), cfg.phase_delta, cfg.input_qubit)
     final = _FINAL_STATES.pop(key, None)
     if final is None:
-        state = _initial_state(cfg, plan.registry)
-        n_v = state.occupations[:, plan.charge_indices].sum(axis=1)
+        state = _initial_state(cfg, wiring.registry)
+        n_v = state.occupations[:, wiring.charge].sum(axis=1)
         state = FockStateVector.from_arrays(
-            plan.registry, cfg.cutoff, state.occupations, state.amplitudes,
+            wiring.registry, cfg.cutoff, state.occupations, state.amplitudes,
             state.truncated_weight, n_v)
-        for receiver in _receiver(cfg.variant):
+        for receiver in wiring.receiver:
             state = apply_transform(state, receiver)
-        final = _Final(plan, state)
+        final = _Final(wiring, state)
     _FINAL_STATES[key] = final
     # Reads add tables to entries after this lookup: the bound is kept at
     # every lookup, on the entries' sizes then, and never drops this entry.
@@ -413,39 +428,39 @@ def _final_state(cfg: ExperimentConfig) -> tuple[_Plan, _Final]:
     return plan, final
 
 
-def _at_phases(final: FockStateVector, phases: Sequence[tuple[float, float]],
-               ) -> list[FockStateVector]:
-    """The labelled ``final`` state at each collective phase (phi_H, phi_V):
+def _at_phases(final: FockStateVector,
+               phase: tuple[float, float]) -> FockStateVector:
+    """The labelled ``final`` state at the collective phase (phi_H, phi_V):
     its n_V labels summed with the characters e^{i n_V (phi_V - phi_H)}.
 
     Every element keeps the photon number N = n_H + n_V of the phase-carrying
     modes and each final row fixes N, so phi_H only adds one phase
     e^{i N phi_H} per row.  That changes no statistic and is dropped.
     """
-    return _merge_labels(final, [np.exp(1j * (phi_v - phi_h) * final.labels)
-                                 for phi_h, phi_v in phases])
+    phi_h, phi_v = phase
+    return _merge_labels(final, np.exp(1j * (phi_v - phi_h) * final.labels))
 
 
 def prepare_final_state(cfg: ExperimentConfig, phi_h: float,
                         phi_v: float) -> tuple[_Plan, FockStateVector]:
     """Sources plus optical train for one collective phase setting."""
     plan, final = _final_state(cfg)
-    return plan, _at_phases(final.state, [(phi_h, phi_v)])[0]
+    return plan, _at_phases(final.state, (phi_h, phi_v))
 
 
 def run_fixed_phase(cfg: ExperimentConfig, phi_h: float,
                     phi_v: float) -> ProtocolOutcome:
     """Run the protocol for one collective phase setting."""
     plan, state = prepare_final_state(cfg, phi_h, phi_v)
-    return _measure(plan, _Final(plan, state))
+    return _measure(plan, _Final(plan.wiring, state))
 
 
 @dataclass(frozen=True)
 class _Counts:
-    """The detector-free click table of a state: each row's photons on the
-    ``_analyzed_groups`` (E_H, E_V, G_H, G_V and, with a herald, F_H, F_V),
-    then on the pair side, on all modes, on orthogonal modes and on the
-    loss modes LR and LA.  The state is propagated at s^2 = T = 1/2, and the
+    """The detector-free click table of a state: each row's photons on its
+    wiring's ``groups``: E_H, E_V, G_H, G_V and, with a herald, F_H, F_V,
+    then the pair side, all modes, orthogonal modes and the loss modes LR
+    and LA.  The state is propagated at s^2 = T = 1/2, and the
     overlap split and the channel loss are beamsplitter dilations whose port
     counts each row fixes: m matched and k orthogonal pulse photons past the
     split; lost ones on LR (or LA) and kept ones, 1 - lost (or B photons -
@@ -492,21 +507,17 @@ class _Counts:
         return *divmod(keys, radix), inverse
 
 
-def _count_table(plan: _Plan, state: FockStateVector,
+def _count_table(wiring: _Wiring, state: FockStateVector,
                  owner_bytes: list | None = None) -> _Counts:
-    """The ``_Counts`` of ``state``, its sides already in their bases; its
-    arrays and class indices add their bytes to owner_bytes[0]."""
-    reg = plan.registry
-    orthogonal = [i for i, mode in enumerate(reg.modes)
-                  if mode.temporal == ORTHOGONAL]
-    w, counts = click_table(state, [
-        *_analyzed_groups(plan), plan.pair_side_indices, range(reg.n_modes),
-        orthogonal, *plan.loss_indices])
+    """The ``_Counts`` of ``state`` on ``wiring``, its sides already in
+    their bases; its arrays and class indices add their bytes to
+    owner_bytes[0]."""
+    w, counts = click_table(state, wiring.groups)
     pairs, total, k, lost_pulse, lost_pair = counts[:, -5:].T
     # Each photon is one of a pair (two per pair-side photon) or the
     # pulse's: lost before the split, or counted in m + k.
     m = total - 2 * pairs - k - lost_pulse
-    pulse_loss, pair_loss = (len(modes) > 0 for modes in plan.loss_indices)
+    pulse_loss, pair_loss = wiring.losses
     kept = pulse_loss * (m + k) + pair_loss * (pairs - lost_pair)
     lost = lost_pulse + lost_pair
     table = _Counts(counts, w * _integer_power(2.0, m + k + kept + lost), m,
@@ -612,7 +623,7 @@ class _Table:
         n = self.source.counts
         dets = self.plan.detectors
         sides = [(dets["E"], n[:, 0] + n[:, 1]), (dets["G"], n[:, 2] + n[:, 3])]
-        if self.plan.herald is not None:
+        if self.plan.wiring.herald is not None:
             sides.insert(1, (dets["F"], n[:, 4]))
         columns = [(det.no_click_probability(k), det.click_probability(k))
                    for det, k in sides]
@@ -630,7 +641,7 @@ def _table(plan: _Plan, source: _Counts) -> _Table:
     """``source`` read at the plan's s^2, T and detectors; see ``_Table``."""
     n = source.counts
     dets = plan.detectors
-    heralds = ([1.0] if plan.herald is None else
+    heralds = ([1.0] if plan.wiring.herald is None else
                [dets["F"].click_probability(n[:, c]) for c in (4, 5)])
     t = plan.transmittance
     scaled = (source.scaled * _integer_power(t, source.kept)
@@ -694,18 +705,6 @@ def _overlap_s2(s: float) -> float:
     return s * s
 
 
-def _analyzed_groups(plan: _Plan) -> list[list[int]]:
-    """Mode groups E_H, E_V, G_H, G_V and, with a herald, F_H, F_V.
-
-    The herald analyzer puts |D> on F_H and |Dbar> on F_V.
-    """
-    reg = plan.registry
-    sides = [plan.side_e, plan.side_g]
-    if plan.herald is not None:
-        sides.append(plan.herald)
-    return [reg.indices(side, pol=pol) for side in sides for pol in (H, V)]
-
-
 def _labelled(probs: np.ndarray,
               settings: tuple[str, str]) -> dict[tuple[str, str], float]:
     return {(se, sg): p for se, row in zip(settings, probs.tolist())
@@ -713,25 +712,18 @@ def _labelled(probs: np.ndarray,
 
 
 @functools.cache
-def _rotation(reg: ModeRegistry, side_e: str, basis_e: str, side_g: str,
+def _rotation(wiring: _Wiring, basis_e: str,
               basis_g: str) -> ModeTransform | None:
-    """One composed map, built once per process, that rotates each side so
-    that the +1 eigenstate of its analyzer basis (keys of
+    """One composed map, built once per process, that rotates each side of
+    ``wiring`` so that the +1 eigenstate of its analyzer basis (keys of
     ``ANALYZER_BASES``) lies on its H modes; none for Z on both sides."""
-    rotations = [jones_transform(reg, side,
+    rotations = [jones_transform(wiring.registry, side,
                                  _analyzer_matrix(ANALYZER_BASES[basis]),
                                  name=f"{side} {basis}")
-                 for side, basis in ((side_e, basis_e), (side_g, basis_g))
+                 for side, basis in ((wiring.side_e, basis_e),
+                                     (wiring.side_g, basis_g))
                  if basis != "Z"]
     return compose(rotations, "jones") if rotations else None
-
-
-def _rotated(plan: _Plan, state: FockStateVector, basis_e: str,
-             basis_g: str) -> FockStateVector:
-    """The state with each side rotated into its analyzer basis."""
-    rotation = _rotation(plan.registry, plan.side_e, basis_e, plan.side_g,
-                         basis_g)
-    return state if rotation is None else apply_transform(state, rotation)
 
 
 def _measure(plan: _Plan, final: _Final) -> ProtocolOutcome:
@@ -744,26 +736,25 @@ def _measure(plan: _Plan, final: _Final) -> ProtocolOutcome:
                            final.state.truncated_weight)
 
 
-def _tomography(plan: _Plan, state: FockStateVector) -> np.ndarray:
+def _tomography(plan: _Plan, final: _Final) -> np.ndarray:
     """Linear-inversion two-qubit tomography of E and G over the 3 x 3
     analyzer bases (James et al., PRA 64, 052312 (2001)).
 
-    Each basis pair's table is built on ``state`` rotated into it and not
-    kept: the tomography reads a configuration once per process (``dfsdist
-    tomography``, ``dfsdist qubit``, the reproduction), so the memo holds
-    none of the nine tables.  Each pair's coincidences are normalized
-    by their own total and give one correlation <a x b>; each single-side
-    Pauli expectation is the mean over the three bases of the other side.
-    The 4x4 result has trace 1 and is Hermitian by construction; with
-    multi-photon terms it need not be PSD.
+    Each basis pair's table is read through ``final.counts``.  Callers pass
+    an entry the memo does not hold: the tomography reads a configuration
+    once per process (``dfsdist tomography``, ``dfsdist qubit``, the
+    reproduction), so the memo keeps none of the nine tables.  Each pair's
+    coincidences are normalized by their own total and give one correlation
+    <a x b>; each single-side Pauli expectation is the mean over the three
+    bases of the other side.  The 4x4 result has trace 1 and is Hermitian
+    by construction; with multi-photon terms it need not be PSD.
     """
     sign = np.array([1.0, -1.0])
     eye = np.eye(2)
     rho = np.eye(4, dtype=complex)
     for a in ANALYZER_BASES:
         for b in ANALYZER_BASES:
-            p = _table(plan, _count_table(
-                plan, _rotated(plan, state, a, b))).kept_pair_probs(a)
+            p = _table(plan, final.counts(a, b)).kept_pair_probs(a)
             total = p.sum()
             if total <= 0.0:
                 raise ValidationError("no coincidences; state undefined")
@@ -810,9 +801,9 @@ def two_qubit_state(cfg: ExperimentConfig,
     Raises ``ValidationError`` if the reconstruction is not a state.
     """
     plan, final = _final_state(cfg)
-    state = (final.state if phase is None
-             else _at_phases(final.state, [phase])[0])
-    return PolarizationDensityMatrix(_tomography(plan, state))
+    state = final.state if phase is None else _at_phases(final.state, phase)
+    return PolarizationDensityMatrix(_tomography(plan,
+                                                 _Final(final.wiring, state)))
 
 
 def _correlation(probs: Mapping[tuple[str, str], float],
@@ -932,9 +923,11 @@ def distribute_qubit(cfg: ExperimentConfig,
         raise ValidationError("qubit amplitudes must not both vanish")
     a, b = a / norm, b / norm
     run_cfg = replace(cfg, source="exact_pair", input_qubit=(a, b))
-    # Propagated once, for both the statistics and the state.
+    # Propagated once, for both the statistics and the state; the outcome
+    # reads the Z-Z and X-X tables the tomography built on its own entry.
     plan, final = _final_state(run_cfg)
-    rho = PolarizationDensityMatrix(_tomography(plan, final.state)).matrix
+    final = _Final(final.wiring, final.state)
+    rho = PolarizationDensityMatrix(_tomography(plan, final)).matrix
     target = np.array([a, 0.0, 0.0, b], dtype=complex)
     fid = float(np.real(target.conj() @ rho @ target))
     return fid, _measure(plan, final)

@@ -112,8 +112,8 @@ def source_phase_state(cfg, phi_h=None, phi_v=None, direct=False):
     ``direct_train`` at the config's own s and T, returned with a plan
     that reads its tables as they are."""
     plan = protocol._build_plan(cfg)
-    reg = plan.registry
-    v_modes = plan.charge_indices
+    reg = plan.wiring.registry
+    v_modes = plan.wiring.charge
     h_modes = [reg.index(reg.modes[i]._replace(pol=H)) for i in v_modes]
     state = protocol._initial_state(cfg, reg)
     n_h = state.occupations[:, h_modes].sum(axis=1)
@@ -130,7 +130,7 @@ def source_phase_state(cfg, phi_h=None, phi_v=None, direct=False):
         train = direct_train(cfg, reg)
         plan = replace(plan, overlap_s2=0.5, transmittance=0.5)
     else:
-        train = protocol._receiver(cfg.variant)
+        train = plan.wiring.receiver
     for transform in train:
         state = apply_transform(state, transform)
     return plan, state
@@ -139,4 +139,4 @@ def source_phase_state(cfg, phi_h=None, phi_v=None, direct=False):
 def measure(plan, state):
     """``protocol._measure`` of ``state``, rotated into the X basis as the
     engine rotates its final states."""
-    return protocol._measure(plan, protocol._Final(plan, state))
+    return protocol._measure(plan, protocol._Final(plan.wiring, state))

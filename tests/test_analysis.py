@@ -341,11 +341,12 @@ def _exact_pattern_probabilities(cfg):
     exact = {}
     for k, phase in enumerate(protocol.PHASE_SET_8):
         plan, state = source_phase_state(cfg, *phase, direct=True)
-        reg, dets = plan.registry, plan.detectors
-        sides = [(dets["E"], reg.indices(plan.side_e)),
-                 (dets["G"], reg.indices(plan.side_g))]
-        if plan.herald is not None:
-            sides.insert(1, (dets["F"], reg.indices(plan.herald, pol=H)))
+        wiring, dets = plan.wiring, plan.detectors
+        reg = wiring.registry
+        sides = [(dets["E"], reg.indices(wiring.side_e)),
+                 (dets["G"], reg.indices(wiring.side_g))]
+        if wiring.herald is not None:
+            sides.insert(1, (dets["F"], reg.indices(wiring.herald, pol=H)))
         dist = {}
         for occ, amp in state.terms.items():
             parts = [exact_click_parts(det.efficiency, det.dark,

@@ -254,10 +254,10 @@ def _two_qubit_state(state):
     """Polarization state of the labels A and B by the protocol's
     tomography, with ideal detectors."""
     det = DetectorModel("D", 1.0, 0.0)
-    plan = protocol._Plan(state.registry, "A", "B", None, [],
-                          {"E": det, "G": det}, ([], []))
+    wiring = protocol._Wiring(state.registry, "A", "B", None, ())
+    plan = protocol._Plan(wiring, {"E": det, "G": det})
     return PolarizationDensityMatrix(
-        protocol._tomography(plan, state))
+        protocol._tomography(plan, protocol._Final(wiring, state)))
 
 
 def test_reduce_exact_bell_state():

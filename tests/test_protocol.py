@@ -186,7 +186,7 @@ def test_three_photon_state_term_structure():
     from dfsdist.optics import phase_shifter
     from dfsdist.sources import pair_state, single_photon_state
 
-    reg = plan.registry
+    reg = plan.wiring.registry
     state = tensor(pair_state(reg, cfg.cutoff, "A", "B"),
                    single_photon_state(reg, cfg.cutoff, "R",
                                        phases=(phi_h, phi_v)))
@@ -326,17 +326,23 @@ def test_one_propagation_per_configuration(monkeypatch, final_states):
     # the flip, the overlap split, the PBS and the herald analyzer; the
     # pair photon's loss and pickoff are part of D_G.  Measuring adds one X
     # rotation of both sides, and the tomography one rotation per basis
-    # pair but Z-Z.  Another T, overlap or detector setting reads the
-    # memo's Z-Z and X-X tables: only the tomography rotates again.
+    # pair but Z-Z; ``distribute_qubit`` measures on the tomography's
+    # tables.  Another T, overlap or detector setting reads the memo's Z-Z
+    # and X-X tables: only the tomography rotates again.
     cfg = replace(PAPER, overlap_s0=CAL_S0)
     calls = []
     apply = protocol.apply_transform
     monkeypatch.setattr(protocol, "apply_transform",
                         lambda *args: calls.append(None) or apply(*args))
     single = replace(cfg, variant="single_photon_ancilla")
+
+    def qubit(run_cfg):
+        return distribute_qubit(run_cfg, (0.6, 0.8))
+
     for run, run_cfg, n_calls, n_warm in (
             (run_phase_averaged, cfg, 1 + 1, 0),
             (two_qubit_state, cfg, 1 + 8, 8),
+            (qubit, cfg, 1 + 8, 8),
             (pattern_distribution, cfg, 1, 0),
             (run_phase_averaged, single, 1 + 1, 0)):
         final_states.clear()
@@ -416,9 +422,12 @@ def test_memo_tables_read_as_fresh_ones_bit_for_bit(final_states, variant,
     t, s2 = plan.transmittance, plan.overlap_s2
     for a, b, phase in held | {(a, b, None) for a in "ZXY" for b in "ZXY"}:
         state = (final.state if phase is None
-                 else protocol._at_phases(final.state, [phase])[0])
-        state = protocol._rotated(plan, state, a, b)
-        fresh = protocol._table(plan, protocol._count_table(plan, state))
+                 else protocol._at_phases(final.state, phase))
+        rotation = protocol._rotation(final.wiring, a, b)
+        if rotation is not None:
+            state = apply_transform(state, rotation)
+        fresh = protocol._table(plan,
+                                protocol._count_table(final.wiring, state))
         source = final._counts.get((a, b, phase), fresh.source)
         got = protocol._table(plan, source)
         assert np.array_equal(source.counts, fresh.source.counts)
@@ -691,12 +700,20 @@ def test_forward_variant_unwanted_constant_in_t():
 
 
 def test_distribute_qubit_examples():
+    # The outcome, read from the tomography's Z-Z and X-X tables, has the
+    # bits of the averaged run of the same exact-pair configuration.
     cfg = ExperimentConfig.ideal()
     for amps in ((1.0, 0.0), (0.0, 1.0),
                  (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)),
                  (math.sqrt(0.8), math.sqrt(0.2))):
-        fid, _ = distribute_qubit(cfg, amps)
+        fid, outcome = distribute_qubit(cfg, amps)
         assert abs(fid - 1.0) < 1e-10
+        # Normalized as distribute_qubit normalizes them.
+        norm = math.sqrt(abs(amps[0]) ** 2 + abs(amps[1]) ** 2)
+        qubit = (complex(amps[0]) / norm, complex(amps[1]) / norm)
+        want = run_phase_averaged(replace(cfg, source="exact_pair",
+                                          input_qubit=qubit))
+        assert outcome == want, amps
 
 
 def test_distribute_qubit_rejects_zero():
@@ -711,14 +728,16 @@ def _full_train_coincidence(cfg, delay_um, setting_e, setting_g):
     probabilities."""
     plan, state = source_phase_state(replace(cfg, delay_um=delay_um),
                                       0.0, 0.0, direct=True)
-    reg = plan.registry
-    for side, setting in ((plan.side_e, setting_e), (plan.side_g, setting_g)):
+    wiring = plan.wiring
+    reg = wiring.registry
+    for side, setting in ((wiring.side_e, setting_e),
+                          (wiring.side_g, setting_g)):
         state = apply_transform(state, jones_transform(
             reg, side, protocol._analyzer_matrix(setting)))
-    groups = [(plan.detectors["E"], reg.indices(plan.side_e, pol=H)),
-              (plan.detectors["G"], reg.indices(plan.side_g, pol=H))]
-    if plan.herald is not None:
-        groups.append((plan.detectors["F"], reg.indices(plan.herald, pol=H)))
+    groups = [(plan.detectors["E"], reg.indices(wiring.side_e, pol=H)),
+              (plan.detectors["G"], reg.indices(wiring.side_g, pol=H))]
+    if wiring.herald is not None:
+        groups.append((plan.detectors["F"], reg.indices(wiring.herald, pol=H)))
     total = 0.0
     for occ, amp in state.terms.items():
         w = abs(amp) ** 2
@@ -844,27 +863,29 @@ def _click(det, n):
 
 def _per_term_measurement(plan, state, x_state, feedforward):
     """Triple probability, components and Z/X pairs, one term at a time."""
-    reg = plan.registry
+    wiring = plan.wiring
+    reg = wiring.registry
     det_e, det_g = plan.detectors["E"], plan.detectors["G"]
-    heralds = [None] if plan.herald is None else [H, V][:1 + feedforward]
+    heralds = [None] if wiring.herald is None else [H, V][:1 + feedforward]
 
     def count(occ, side, pol=None):
         return sum(occ[i] for i in reg.indices(side, pol=pol))
 
     def herald_click(occ, pol):
         return (1.0 if pol is None
-                else _click(plan.detectors["F"], count(occ, plan.herald, pol)))
+                else _click(plan.detectors["F"], count(occ, wiring.herald, pol)))
 
     triple, comps = 0.0, {}
     zz = dict.fromkeys([(a, b) for a in "HV" for b in "HV"], 0.0)
     for occ, amp in state.terms.items():
         w = abs(amp) ** 2
-        pairs = sum(occ[i] for i in plan.pair_side_indices)
-        n_g = count(occ, plan.side_g)
+        pairs = sum(occ[i] for lab in wiring.pair_side
+                    for i in reg.indices(lab))
+        n_g = count(occ, wiring.side_g)
         photon, dark = map(float, exact_click_parts(det_g.efficiency,
                                                     det_g.dark, n_g))
         for pol in heralds:
-            x = w * herald_click(occ, pol) * _click(det_e, count(occ, plan.side_e))
+            x = w * herald_click(occ, pol) * _click(det_e, count(occ, wiring.side_e))
             triple += x * (photon + dark)
             for origin, part in (("photon", photon), ("dark", dark)):
                 key = (pairs, sum(occ) - 2 * pairs, origin)
@@ -872,8 +893,8 @@ def _per_term_measurement(plan, state, x_state, feedforward):
             for se in "HV":
                 for sg in "HV":
                     zz[(se, sg)] += (w * herald_click(occ, pol)
-                                     * _click(det_e, count(occ, plan.side_e, se))
-                                     * _click(det_g, count(occ, plan.side_g, sg)))
+                                     * _click(det_e, count(occ, wiring.side_e, se))
+                                     * _click(det_g, count(occ, wiring.side_g, sg)))
     xx = dict.fromkeys([(a, b) for a in ("D", "Dbar") for b in ("D", "Dbar")],
                        0.0)
     for occ, amp in x_state.terms.items():
@@ -884,8 +905,8 @@ def _per_term_measurement(plan, state, x_state, feedforward):
                     # the retained photon's X outcomes.
                     label = se if pol != V else {"D": "Dbar", "Dbar": "D"}[se]
                     xx[(label, sg)] += (abs(amp) ** 2 * herald_click(occ, pol)
-                                        * _click(det_e, count(occ, plan.side_e, pe))
-                                        * _click(det_g, count(occ, plan.side_g, pg)))
+                                        * _click(det_e, count(occ, wiring.side_e, pe))
+                                        * _click(det_g, count(occ, wiring.side_g, pg)))
     return triple, {k: v for k, v in comps.items() if v}, zz, xx
 
 
@@ -909,13 +930,14 @@ def _measure_cases(draw):
     # the engine propagates.
     plan = replace(protocol._build_plan(cfg), overlap_s2=0.5,
                    transmittance=0.5)
-    reg = plan.registry
-    groups = protocol._analyzed_groups(plan)
-    # Photons go to the detected and pair-side modes and to one other mode.
-    measured = {*plan.pair_side_indices, *(i for g in groups for i in g)}
+    wiring = plan.wiring
+    reg = wiring.registry
+    # Photons go to the detected and pair-side modes, the groups before
+    # all modes, the orthogonal ones and the loss ports, and to one other.
+    measured = {i for group in wiring.groups[:-4] for i in group}
     modes = sorted(measured) + sorted(set(range(reg.n_modes)) - measured)[:1]
-    e_hv = [reg.index(Mode(plan.side_e, pol)) for pol in (H, V)]
-    g_hv = [reg.index(Mode(plan.side_g, pol)) for pol in (H, V)]
+    e_hv = [reg.index(Mode(wiring.side_e, pol)) for pol in (H, V)]
+    g_hv = [reg.index(Mode(wiring.side_g, pol)) for pol in (H, V)]
     # Up to one photon on E and on G, and up to two more on those modes.
     base = draw(st.lists(
         st.tuples(st.lists(st.sampled_from(e_hv), max_size=1),
@@ -942,14 +964,15 @@ def _measure_cases(draw):
 @given(_measure_cases())
 def test_measure_matches_per_term_definition(case):
     cfg, plan, terms = case
-    reg = plan.registry
+    wiring = plan.wiring
+    reg = wiring.registry
     state = FockStateVector(reg, cfg.cutoff, terms)
     out = measure(plan, state)
     x_state = state
-    for side in (plan.side_e, plan.side_g):
+    for side in (wiring.side_e, wiring.side_g):
         x_state = apply_transform(x_state, jones_transform(
             reg, side, protocol._analyzer_matrix("D")))
-    feedforward = cfg.include_feedforward_branch and plan.herald is not None
+    feedforward = cfg.include_feedforward_branch and wiring.herald is not None
     triple, comps, zz, xx = _per_term_measurement(plan, state, x_state,
                                                   feedforward)
     assert _close(out.triple_probability, triple)
@@ -1042,10 +1065,9 @@ def test_fixed_phase_matches_the_source_phase_reference(variant, phase):
 ])
 def test_phase_point_states_match_fixed_phase_preparation(overrides):
     cfg = replace(PAPER, **overrides)
-    states = protocol._at_phases(protocol._final_state(cfg)[1].state,
-                                 PHASE_SET_8)
-    assert len(states) == len(PHASE_SET_8)
-    for (phi_h, phi_v), state in zip(PHASE_SET_8, states):
+    final = protocol._final_state(cfg)[1].state
+    for phi_h, phi_v in PHASE_SET_8:
+        state = protocol._at_phases(final, (phi_h, phi_v))
         _, want = source_phase_state(cfg, phi_h, phi_v)
         assert states_allclose(state, want, tol=1e-15)
         assert state.truncated_weight == pytest.approx(want.truncated_weight,
@@ -1062,15 +1084,15 @@ def test_pattern_distribution_is_each_phase_table(variant, overrides):
     cfg = replace(PAPER, variant=variant, overlap_s0=CAL_S0, **overrides)
     got = pattern_distribution(cfg)
     plan, final = protocol._final_state(cfg)
-    states = protocol._at_phases(final.state, PHASE_SET_8)
-    for k, state in enumerate(states):
+    for k, phase in enumerate(PHASE_SET_8):
+        state = protocol._at_phases(final.state, phase)
         dist = protocol._table(
-            plan, protocol._count_table(plan, state)).patterns()
+            plan, protocol._count_table(final.wiring, state)).patterns()
         norm = sum(dist.values())
         for bits, p in dist.items():
-            want = p / (norm * len(states))
+            want = p / (norm * len(PHASE_SET_8))
             assert abs(got[(k, bits)] - want) <= 1e-15 * want, (k, bits)
-    assert len(got) == len(states) * len(dist)
+    assert len(got) == len(PHASE_SET_8) * len(dist)
 
 
 def test_f_low_monotone_in_transmittance_on_grid():
@@ -1106,7 +1128,7 @@ def test_receiver_side_ancilla_preparation_matches_explicit_propagation():
     """
     from dfsdist.fock import apply_transform, make_registry, tensor
     from dfsdist.optics import attenuator, hwp, loss_channel, pbs, phase_shifter
-    from dfsdist.protocol import _analyzer_matrix, _Plan
+    from dfsdist.protocol import _analyzer_matrix, _Plan, _Wiring
     from dfsdist.optics import jones_transform
     from dfsdist.sources import (
         CoherentParams,
@@ -1138,12 +1160,10 @@ def test_receiver_side_ancilla_preparation_matches_explicit_propagation():
     state = apply_transform(state, pbs(reg, "A", "R", "E", "F"))
     state = apply_transform(state, jones_transform(reg, "F",
                                                    _analyzer_matrix("D")))
-    plan = _Plan(reg, "E", "G", "F",
-                 [i for lab in ("B", "G", "LB", "DB") for i in reg.indices(lab)],
+    plan = _Plan(_Wiring(reg, "E", "G", "F", ("B", "G", "LB", "DB")),
                  {"E": DetectorModel("D_E", cfg.eta, cfg.dark_e),
                   "G": DetectorModel("D_G", cfg.eta_g, cfg.dark_g),
-                  "F": DetectorModel("D_F", cfg.eta, cfg.dark_f)},
-                 ([], []))
+                  "F": DetectorModel("D_F", cfg.eta, cfg.dark_f)})
     explicit = measure(plan, state)
 
     # The launched pulse (mean 0.25) loses 9.7e-9 to the cutoff.
@@ -1157,34 +1177,30 @@ def test_receiver_side_ancilla_preparation_matches_explicit_propagation():
         assert abs(got - want) <= 1e-5 * want
 
 
-def _explicit_pair_loss(monkeypatch):
-    """Make the engine propagate the pair photon's channel loss B -> LB and
-    pickoff B -> G/DB as elements and measure G at eta_g, instead of
-    folding both into D_G."""
-    build, receiver = protocol._build_plan, protocol._receiver
-    trains = {}
+def _explicit_pair_loss(monkeypatch, cfg):
+    """Make the engine propagate ``cfg``'s pair photon channel loss
+    B -> LB and pickoff B -> G/DB as elements and measure G at eta_g,
+    instead of folding both into D_G."""
+    build, wiring = protocol._build_plan, protocol._wiring(cfg.variant)
+    # Appended, so every mode keeps its index.
+    reg = ModeRegistry([*wiring.registry.modes,
+                        *make_registry(["G", "LB", "DB"]).modes])
+    explicit = replace(
+        wiring, registry=reg, side_g="G", pair_side=("B", "G", "LB", "DB"),
+        receiver=(
+            loss_channel(reg, "B", cfg.transmittance, "LB"),
+            attenuator(reg, "B", "G", "DB", 1.0 - cfg.gp_reflectance),
+            # The receiver map moved onto the larger registry.
+            *(ModeTransform(reg, t.input_indices, t.output_indices, t.matrix)
+              for t in wiring.receiver)))
 
     def build_explicit(cfg):
         plan = build(cfg)
-        # Appended, so every mode keeps its index.
-        reg = ModeRegistry([*plan.registry.modes,
-                            *make_registry(["G", "LB", "DB"]).modes])
-        # The train for _final_state, which follows each plan's build: the
-        # receiver map moved onto the larger registry.
-        trains[cfg.variant] = [
-            loss_channel(reg, "B", cfg.transmittance, "LB"),
-            attenuator(reg, "B", "G", "DB", 1.0 - cfg.gp_reflectance),
-            *(ModeTransform(reg, t.input_indices, t.output_indices, t.matrix)
-              for t in receiver(cfg.variant))]
-        return replace(
-            plan, registry=reg, side_g="G",
-            pair_side_indices=[i for lab in ("B", "G", "LB", "DB")
-                               for i in reg.indices(lab)],
-            detectors={**plan.detectors,
-                       "G": DetectorModel("D_G", cfg.eta_g, cfg.dark_g)})
+        det_g = DetectorModel("D_G", cfg.eta_g, cfg.dark_g)
+        return replace(plan, detectors={**plan.detectors, "G": det_g})
 
+    monkeypatch.setattr(protocol, "_wiring", {cfg.variant: explicit}.get)
     monkeypatch.setattr(protocol, "_build_plan", build_explicit)
-    monkeypatch.setattr(protocol, "_receiver", trains.__getitem__)
 
 
 def _fold_records(cfg):
@@ -1224,10 +1240,11 @@ def test_pair_loss_fold_matches_explicit_chain(monkeypatch, final_states,
             for t in (0.0, 1e-6, 0.003, 0.1, 1.0)
             for r in (0.0, 0.05, 0.4) for extra in flags]
     folded = [_fold_records(cfg) for cfg in cfgs]
-    _explicit_pair_loss(monkeypatch)
     for cfg, want in zip(cfgs, folded):
         final_states.clear()
-        got = _fold_records(cfg)
+        with monkeypatch.context() as patch:
+            _explicit_pair_loss(patch, cfg)
+            got = _fold_records(cfg)
         assert set(got) == set(want), cfg
         for key, val in want.items():
             for g, w in zip(np.ravel(got[key]), np.ravel(val)):

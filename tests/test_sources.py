@@ -311,10 +311,10 @@ def _bell_with_labels(reg):
 def _tomography(state, det_e, det_g, herald=None):
     """The protocol's tomography of E and G on a bare state, heralded by
     F's H modes if a herald detector is given."""
-    plan = protocol._Plan(state.registry, "E", "G",
-                          None if herald is None else "F", [],
-                          {"E": det_e, "G": det_g, "F": herald}, ([], []))
-    return protocol._tomography(plan, state)
+    wiring = protocol._Wiring(state.registry, "E", "G",
+                              None if herald is None else "F", ())
+    plan = protocol._Plan(wiring, {"E": det_e, "G": det_g, "F": herald})
+    return protocol._tomography(plan, protocol._Final(wiring, state))
 
 
 def _conditioned(state, det_e, det_g, herald=None):
