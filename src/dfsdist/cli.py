@@ -12,7 +12,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,13 +37,11 @@ from .protocol import ExperimentConfig, distribute_qubit
 _BOOL = {"true": True, "1": True, "yes": True, "on": True,
          "false": False, "0": False, "no": False, "off": False}
 
-_CONFIG_FIELDS = {
-    "gamma": float, "mu": float, "transmittance": float, "eta": float,
-    "eta_g": float, "dark_g": float, "dark_e": float, "dark_f": float,
-    "overlap_s0": float, "overlap_sigma_um": float, "delay_um": float,
-    "gp_reflectance": float, "cutoff": int, "pair_cutoff": int,
-    "variant": str, "source": str, "include_feedforward_branch": "bool",
-}
+# Every scalar ExperimentConfig field, by its annotation; phase_delta and
+# input_qubit are set through the extras below.
+_KINDS = {"float": float, "int": int, "str": str, "bool": "bool"}
+_CONFIG_FIELDS = {f.name: _KINDS[f.type] for f in fields(ExperimentConfig)
+                  if f.type in _KINDS}
 
 _EXTRA_FIELDS = {
     "phase_delta_h": float, "phase_delta_v": float,
@@ -202,16 +200,8 @@ def _cmd_oracle_check(cfg: ExperimentConfig, extras: dict, out: str) -> int:
     if n_seeds < 1:
         raise ConfigurationError("oracle_seeds must be >= 1")
     report = oracle_check(cfg, n_seeds=n_seeds)
-    payload = {
-        "max_deviation": report.max_deviation,
-        "max_relative_deviation": report.max_relative_deviation,
-        "n_checks": report.n_checks,
-        "worst_case": report.worst_case,
-        "worst_relative_case": report.worst_relative_case,
-        "passed": report.passed,
-        "version": __version__,
-    }
-    write_json(_out_paths(out, ".json")[1], payload)
+    write_json(_out_paths(out, ".json")[1], {
+        **asdict(report), "passed": report.passed, "version": __version__})
     print(f"oracle max deviation {report.max_deviation:.3e} "
           f"({'pass' if report.passed else 'FAIL'})")
     return 0 if report.passed else 1

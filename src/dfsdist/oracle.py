@@ -36,13 +36,7 @@ from .optics import (
     phase_shifter as sparse_phase_shifter,
     qwp as sparse_qwp,
 )
-from .protocol import (
-    ANALYZER_BASES,
-    PHASE_SET_8,
-    ExperimentConfig,
-    _analyzer_matrix,
-    run_fixed_phase,
-)
+from .protocol import ANALYZERS, PHASE_SET_8, ExperimentConfig, run_fixed_phase
 from .sources import DetectorModel, click_table
 
 
@@ -342,12 +336,12 @@ def oracle_protocol_probabilities(cfg: ExperimentConfig, phi_h: float,
     for src, dst in pairs:
         perm[pos[dst], pos[src]] = 1.0
     psi = rotate(psi, [idx[name] for name in order], perm)
-    psi = rotate(psi, [idx["FH"], idx["FV"]], _analyzer_matrix("D"))
+    psi = rotate(psi, [idx["FH"], idx["FV"]], ANALYZERS["X"])
     # Both X-basis analyzers put D on the H modes; rotate once per point.
     psi_x = psi
     for side in ("E", "B"):
         psi_x = rotate(psi_x, [idx[side + "H"], idx[side + "V"]],
-                       _analyzer_matrix("D"))
+                       ANALYZERS["X"])
 
     herald = space.click_povm([idx["FH"]], cfg.eta, cfg.dark_f)
 
@@ -496,24 +490,24 @@ def _random_circuit_check(seed: int, space: DenseFockSpace,
             found.append((sparse, dense, f"random circuit seed {seed}: "
                                          f"pattern P={want_p} Q={want_q}"))
 
-    jones = {basis: _analyzer_matrix(ANALYZER_BASES[basis])
-             for basis in ("X", "Y")}  # Z, the H/V basis, needs no analyzer
-    # The engine's analyzer transforms, each built (and checked) once.
-    transforms = {(lab, basis): jones_transform(reg, lab, mat)
-                  for lab in labels for basis, mat in jones.items()}
+    # The engine's analyzer transforms, each built (and checked) once; Z,
+    # the H/V basis, needs no analyzer.
+    transforms = {(lab, basis): jones_transform(reg, lab, ANALYZERS[basis])
+                  for lab in labels for basis in ("X", "Y")}
 
     def analyze(sparse, dense, lab: str, basis: str):
         """Both states with the +1 eigenstate of ``basis`` on lab's H mode."""
         if basis == "Z":
             return sparse, dense
-        u = space.mode_unitary([didx[lab + "H"], didx[lab + "V"]], jones[basis])
+        u = space.mode_unitary([didx[lab + "H"], didx[lab + "V"]],
+                               ANALYZERS[basis])
         return apply_transform(sparse, transforms[lab, basis]), u @ dense
 
     # The 36 tomography probabilities: P port i and Q port j click in each
     # of the 3 x 3 analyzer basis pairs.
-    for basis_p in ANALYZER_BASES:
+    for basis_p in ANALYZERS:
         state_p, psi_p = analyze(state, psi, "P", basis_p)
-        for basis_q in ANALYZER_BASES:
+        for basis_q in ANALYZERS:
             state_pq, psi_pq = analyze(state_p, psi_p, "Q", basis_q)
             w, n = click_table(state_pq,
                                [reg.indices(*name) for name in dense_names])

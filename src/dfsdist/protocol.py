@@ -78,21 +78,16 @@ VARIANTS = ("counter_propagating", "forward_all_from_bob",
 SOURCES = ("spdc", "exact_pair")
 
 _SQ2 = 1.0 / math.sqrt(2.0)
-ANALYZER_KETS: dict[str, tuple[complex, complex]] = {
-    "H": (1.0, 0.0),
-    "V": (0.0, 1.0),
-    "D": (_SQ2, _SQ2),
-    "Dbar": (_SQ2, -_SQ2),
-    "R": (_SQ2, 1j * _SQ2),
-    "L": (_SQ2, -1j * _SQ2),
-}
 Z_SETTINGS = ("H", "V")
 X_SETTINGS = ("D", "Dbar")
-# The analyzer setting each tomography basis puts on the H modes: the +1
-# eigenstate of its Pauli operator.
-ANALYZER_BASES = {"Z": "H", "X": "D", "Y": "R"}
 _PAULI = {"Z": np.diag([1.0, -1.0]), "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
           "Y": np.array([[0.0, -1j], [1j, 0.0]])}
+# Each analyzer basis, in the order the tomography sums them: rows are the
+# bras of the +1 and -1 eigenstates of its Pauli operator, so the analyzer
+# puts the +1 eigenstate (H, D or R) on the H modes.
+ANALYZERS = {"Z": np.eye(2, dtype=complex),
+             "X": _SQ2 * np.array([[1, 1], [1, -1]], dtype=complex),
+             "Y": _SQ2 * np.array([[1, -1j], [1, 1j]], dtype=complex)}
 
 
 @dataclass(frozen=True)
@@ -263,14 +258,6 @@ class _Plan:
     transmittance: float = 0.5
 
 
-def _analyzer_matrix(setting: str) -> np.ndarray:
-    ket = ANALYZER_KETS[setting]
-    orth = {"H": "V", "V": "H", "D": "Dbar", "Dbar": "D", "R": "L", "L": "R"}
-    ket2 = ANALYZER_KETS[orth[setting]]
-    return np.array([[np.conj(ket[0]), np.conj(ket[1])],
-                     [np.conj(ket2[0]), np.conj(ket2[1])]], dtype=complex)
-
-
 # Each loss variant's lossy label and the loss modes its photons go to.
 _CHANNEL_LOSS = {"single_photon_ancilla": ("R", "LR"),
                  "forward_all_from_bob": ("A", "LA")}
@@ -298,7 +285,7 @@ def _wiring(variant: str) -> _Wiring:
         pbs(reg, "A", "R", "E", "F"),
         # The herald analyzer puts |D> on the H modes F's detector watches;
         # |Dbar> leaves through the unused port.
-        jones_transform(reg, "F", _analyzer_matrix("D"), name="F analyzer")],
+        jones_transform(reg, "F", ANALYZERS["X"], name="F analyzer")],
         "receiver")
     return _Wiring(reg, "E", "B", "F", ["B"],
                    charged=["A" if forward else "B", "R"],
@@ -360,14 +347,12 @@ class _Final:
         self._bytes = [sum(a.nbytes for a in (
             self.state.occupations, self.state.amplitudes, self.state.labels))]
 
-    def counts(self, basis_e: str, basis_g: str,
-               phase: tuple[float, float] | None = None) -> "_Counts":
-        """The ``_Counts`` of the state, at the collective ``phase`` if one
-        is given, with each side rotated into its analyzer basis."""
-        key = (basis_e, basis_g, phase)
+    def counts(self, basis_e: str, basis_g: str) -> "_Counts":
+        """The ``_Counts`` of the state with each side rotated into its
+        analyzer basis."""
+        key = (basis_e, basis_g)
         if key not in self._counts:
-            state = (self.state if phase is None
-                     else _at_phases(self.state, phase))
+            state = self.state
             rotation = _rotation(self.wiring, basis_e, basis_g)
             if rotation is not None:
                 state = apply_transform(state, rotation)
@@ -658,16 +643,18 @@ def delay_coincidences(cfg: ExperimentConfig,
     ``delay_coincidences(cfg)(s)`` is (p_rd, p_ld): the partner in L, the
     retained photon in R or in L.  The retained photon is heralded into a
     circular polarization by analyzing its partner in the orthogonal
-    circular basis, at zero channel phase, since single-run interference is
-    only visible without averaging.  Both sides are rotated to put R on the
-    H modes, so both coincidences come from the memo's one Y-Y table.  Its
-    ``polynomial`` holds both as ``_Table.pair_polynomial`` coefficients.
+    circular basis.  Both sides are rotated to put R on the H modes, so both
+    coincidences come from the memo's one Y-Y table of the labelled state.
+    In every pulse variant the DFS makes that phase average read exactly as
+    the state at zero collective phase; only ``direct_no_dfs``, which has no
+    pulse, depends on the phase.  Its ``polynomial`` holds both as
+    ``_Table.pair_polynomial`` coefficients.
     """
     if cfg.variant == "direct_no_dfs":
         raise ConfigurationError("variant 'direct_no_dfs' has no pulse, "
                                  "so no delay dependence")
     plan, final = _final_state(cfg)
-    table = _table(plan, final.counts("Y", "Y", (0.0, 0.0)))
+    table = _table(plan, final.counts("Y", "Y"))
 
     @functools.cache  # a symmetric scan reads each s at +dx and at -dx
     def coincidences(s: float) -> tuple[float, float]:
@@ -716,9 +703,8 @@ def _rotation(wiring: _Wiring, basis_e: str,
               basis_g: str) -> ModeTransform | None:
     """One composed map, built once per process, that rotates each side of
     ``wiring`` so that the +1 eigenstate of its analyzer basis (keys of
-    ``ANALYZER_BASES``) lies on its H modes; none for Z on both sides."""
-    rotations = [jones_transform(wiring.registry, side,
-                                 _analyzer_matrix(ANALYZER_BASES[basis]),
+    ``ANALYZERS``) lies on its H modes; none for Z on both sides."""
+    rotations = [jones_transform(wiring.registry, side, ANALYZERS[basis],
                                  name=f"{side} {basis}")
                  for side, basis in ((wiring.side_e, basis_e),
                                      (wiring.side_g, basis_g))
@@ -752,8 +738,8 @@ def _tomography(plan: _Plan, final: _Final) -> np.ndarray:
     sign = np.array([1.0, -1.0])
     eye = np.eye(2)
     rho = np.eye(4, dtype=complex)
-    for a in ANALYZER_BASES:
-        for b in ANALYZER_BASES:
+    for a in ANALYZERS:
+        for b in ANALYZERS:
             p = _table(plan, final.counts(a, b)).kept_pair_probs(a)
             total = p.sum()
             if total <= 0.0:

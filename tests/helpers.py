@@ -98,7 +98,7 @@ def direct_train(cfg, reg):
     if cfg.overlap_amplitude < 1.0:
         train.append(overlap_split(reg, "R", cfg.overlap_amplitude))
     return [*train, pbs(reg, "A", "R", "E", "F"),
-            jones_transform(reg, "F", protocol._analyzer_matrix("D"))]
+            jones_transform(reg, "F", protocol.ANALYZERS["X"])]
 
 
 def source_phase_state(cfg, phi_h=None, phi_v=None, direct=False):

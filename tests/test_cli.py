@@ -52,6 +52,10 @@ def test_build_config_phases_and_qubit():
     # The collective phase is always averaged uniformly; there is no set.
     with pytest.raises(ConfigurationError, match="unknown config key"):
         build_config({"phase_count": "4"})
+    # The tuple fields are set only through their extras.
+    for key in ("phase_delta", "input_qubit"):
+        with pytest.raises(ConfigurationError, match="unknown config key"):
+            build_config({key: "0.0"})
 
 
 def test_cli_sweep_and_calibrate(tmp_path):
@@ -294,6 +298,9 @@ def test_cli_oracle_check(tmp_path):
     assert main(["oracle-check", "--config", str(cfg_file),
                  "--out", str(out)]) == 0
     payload = json.loads((tmp_path / "oracle.json").read_text())
+    assert set(payload) == {"max_deviation", "max_relative_deviation",
+                            "n_checks", "worst_case", "worst_relative_case",
+                            "passed", "version"}
     assert payload["passed"] is True
     assert payload["max_deviation"] < 1e-9
     assert payload["max_relative_deviation"] <= 1e-12

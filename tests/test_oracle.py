@@ -13,7 +13,7 @@ from dfsdist.oracle import (
     oracle_check,
     oracle_protocol_probabilities,
 )
-from dfsdist.protocol import PHASE_SET_8, ExperimentConfig, _analyzer_matrix
+from dfsdist.protocol import ANALYZERS, PHASE_SET_8, ExperimentConfig
 from helpers import exact_click_parts
 
 
@@ -62,7 +62,7 @@ def test_block_mode_unitary_matches_full_expm():
         perm[order.index(dst), order.index(src)] = 1.0
         perm[order.index(src), order.index(dst)] = 1.0
     cases = [
-        (["FH", "FV"], _analyzer_matrix("D")),
+        (["FH", "FV"], ANALYZERS["X"]),
         (["RH", "RV"], np.array([[0.0, 1.0], [1.0, 0.0]])),
         (["BH", "BV"], np.diag([np.exp(0.3j), np.exp(1.1j)])),
         (order, perm),
@@ -170,7 +170,7 @@ def test_factor_update_matches_dense_density_matrix():
     # A tiny column stays: branches are dropped only when exactly zero.
     psi = psi / np.linalg.norm(psi) * [1.0, 1.0, 1e-30]
     rho = psi @ psi.conj().T
-    u = space.mode_unitary([0, 2], _analyzer_matrix("D"))
+    u = space.mode_unitary([0, 2], ANALYZERS["X"])
     rotated = u @ psi
     dense_u = u.toarray()
     assert np.abs(rotated @ rotated.conj().T

@@ -402,10 +402,11 @@ def test_memo_tables_read_as_fresh_ones_bit_for_bit(final_states, variant,
                                                     feedforward):
     # The entry's tables are built by reads at another T, overlap,
     # detectors and feed-forward flag: Z-Z and X-X by the averaged outcome
-    # and zero-phase Y-Y by the delay scan; the tomography keeps none of
-    # its nine.  Read at cfg's, each held table and each tomography table
-    # gives the bits of a table built afresh on the rotated state, with
-    # every power evaluated row by row.
+    # and Y-Y by the delay scan, each keyed by its basis pair alone; the
+    # tomography keeps none of its nine.  Read at cfg's, each held table and
+    # each tomography table gives the bits of a table built afresh on the
+    # rotated labelled state, with every power evaluated row by row.  The
+    # held Y-Y table also gives those of one built on the zero-phase merge.
     cfg = replace(PAPER, variant=variant, overlap_s0=CAL_S0, dark_e=1e-4,
                   dark_f=2e-4, include_feedforward_branch=feedforward)
     other = replace(cfg, transmittance=0.37, overlap_s0=0.6, eta=0.3,
@@ -413,14 +414,16 @@ def test_memo_tables_read_as_fresh_ones_bit_for_bit(final_states, variant,
     run_phase_averaged(other)
     two_qubit_state(other)
     two_qubit_state(other, (0.0, 0.0))
-    held = {("Z", "Z", None), ("X", "X", None)}
+    held = {("Z", "Z"), ("X", "X")}
+    cases = [(a, b, None) for a in "ZXY" for b in "ZXY"]
     if variant != "direct_no_dfs":
         delay_coincidences(other)
-        held.add(("Y", "Y", (0.0, 0.0)))
+        held.add(("Y", "Y"))
+        cases.append(("Y", "Y", (0.0, 0.0)))
     plan, final = protocol._final_state(cfg)
     assert set(final._counts) == held
     t, s2 = plan.transmittance, plan.overlap_s2
-    for a, b, phase in held | {(a, b, None) for a in "ZXY" for b in "ZXY"}:
+    for a, b, phase in cases:
         state = (final.state if phase is None
                  else protocol._at_phases(final.state, phase))
         rotation = protocol._rotation(final.wiring, a, b)
@@ -428,7 +431,7 @@ def test_memo_tables_read_as_fresh_ones_bit_for_bit(final_states, variant,
             state = apply_transform(state, rotation)
         fresh = protocol._table(plan,
                                 protocol._count_table(final.wiring, state))
-        source = final._counts.get((a, b, phase), fresh.source)
+        source = final._counts.get((a, b), fresh.source)
         got = protocol._table(plan, source)
         assert np.array_equal(source.counts, fresh.source.counts)
         m, k = source.matched, source.orthogonal
@@ -445,16 +448,15 @@ def test_memo_tables_read_as_fresh_ones_bit_for_bit(final_states, variant,
 
 def test_memo_entry_at_cutoff_7_keeps_three_tables(final_states):
     # MEMO_BYTES is sized on this entry: every output that reads the
-    # configuration adds at most the Z-Z, X-X and zero-phase Y-Y tables,
-    # 1.45 MB with the state, and the bound keeps five such entries.
+    # configuration adds at most the Z-Z, X-X and Y-Y tables, 1.45 MB with
+    # the state, and the bound keeps five such entries.
     cfg = replace(PAPER, overlap_s0=CAL_S0, cutoff=7, pair_cutoff=3)
     run_phase_averaged(cfg)
     two_qubit_state(cfg)
     two_qubit_state(cfg, (0.0, 0.0))
     delay_coincidences(cfg)
     (final,) = final_states.values()
-    assert set(final._counts) == {("Z", "Z", None), ("X", "X", None),
-                                  ("Y", "Y", (0.0, 0.0))}
+    assert set(final._counts) == {("Z", "Z"), ("X", "X"), ("Y", "Y")}
     assert final.nbytes <= 1.5e6
     assert protocol.MEMO_BYTES >= 5 * final.nbytes
 
@@ -730,10 +732,13 @@ def _full_train_coincidence(cfg, delay_um, setting_e, setting_g):
                                       0.0, 0.0, direct=True)
     wiring = plan.wiring
     reg = wiring.registry
+    # The Y analyzer puts R on the H modes; with its rows swapped, L.
+    circular = {"R": protocol.ANALYZERS["Y"],
+                "L": protocol.ANALYZERS["Y"][::-1]}
     for side, setting in ((wiring.side_e, setting_e),
                           (wiring.side_g, setting_g)):
         state = apply_transform(state, jones_transform(
-            reg, side, protocol._analyzer_matrix(setting)))
+            reg, side, circular[setting]))
     groups = [(plan.detectors["E"], reg.indices(wiring.side_e, pol=H)),
               (plan.detectors["G"], reg.indices(wiring.side_g, pol=H))]
     if wiring.herald is not None:
@@ -971,7 +976,7 @@ def test_measure_matches_per_term_definition(case):
     x_state = state
     for side in (wiring.side_e, wiring.side_g):
         x_state = apply_transform(x_state, jones_transform(
-            reg, side, protocol._analyzer_matrix("D")))
+            reg, side, protocol.ANALYZERS["X"]))
     feedforward = cfg.include_feedforward_branch and wiring.herald is not None
     triple, comps, zz, xx = _per_term_measurement(plan, state, x_state,
                                                   feedforward)
@@ -998,11 +1003,35 @@ def test_measure_matches_per_term_definition(case):
     dict(variant="forward_all_from_bob"),
 ], ids=["counter", "counter_c6", "feedforward", "exact_pair", "single_c4",
         "single_c6", "forward"])
-def test_dfs_makes_the_phase_average_exact(overrides):
+def test_dfs_makes_the_phase_average_exact(monkeypatch, final_states,
+                                          overrides):
     # The whole state, not only its post-selected part, is immune to the
     # collective phase: averaging over it changes no bit of any statistic.
+    # So the delay scan reads the Y-Y table of the labelled state: at each
+    # s, and in its polynomial, it gives the bits of the zero-phase merge.
     cfg = replace(PAPER, overlap_s0=CAL_S0, **overrides)
     assert run_phase_averaged(cfg) == run_fixed_phase(cfg, 0.0, 0.0)
+    got = delay_coincidences(cfg)
+    plan, final = protocol._final_state(cfg)
+    merged = protocol._Final(final.wiring,
+                             protocol._at_phases(final.state, (0.0, 0.0)))
+    monkeypatch.setattr(protocol, "_final_state", lambda c: (plan, merged))
+    want = delay_coincidences(cfg)
+    for s in (0.0, 0.3, 0.7, CAL_S0, 1.0):
+        assert got(s) == want(s), s
+    assert len(got.polynomial) == len(want.polynomial) == 2
+    for g, w in zip(got.polynomial, want.polynomial):
+        assert g.tobytes() == w.tobytes()
+
+
+def test_analyzers_put_each_eigenstate_on_its_port():
+    # Each analyzer's rows are the bras of the +1 and -1 eigenstates of its
+    # Pauli operator, keyed in the order the tomography sums the bases.
+    assert list(protocol.ANALYZERS) == ["Z", "X", "Y"]
+    for basis, a in protocol.ANALYZERS.items():
+        assert np.abs(a @ a.conj().T - np.eye(2)).max() <= 1e-15, basis
+        assert np.abs(a @ protocol._PAULI[basis] @ a.conj().T
+                      - np.diag([1.0, -1.0])).max() <= 1e-15, basis
 
 
 @settings(max_examples=80, deadline=None)
@@ -1128,7 +1157,7 @@ def test_receiver_side_ancilla_preparation_matches_explicit_propagation():
     """
     from dfsdist.fock import apply_transform, make_registry, tensor
     from dfsdist.optics import attenuator, hwp, loss_channel, pbs, phase_shifter
-    from dfsdist.protocol import _analyzer_matrix, _Plan, _Wiring
+    from dfsdist.protocol import ANALYZERS, _Plan, _Wiring
     from dfsdist.optics import jones_transform
     from dfsdist.sources import (
         CoherentParams,
@@ -1158,8 +1187,7 @@ def test_receiver_side_ancilla_preparation_matches_explicit_propagation():
     state = apply_transform(state, attenuator(reg, "B", "G", "DB", 1.0 - r_gp))
     state = apply_transform(state, hwp(reg, "R", math.pi / 4.0))
     state = apply_transform(state, pbs(reg, "A", "R", "E", "F"))
-    state = apply_transform(state, jones_transform(reg, "F",
-                                                   _analyzer_matrix("D")))
+    state = apply_transform(state, jones_transform(reg, "F", ANALYZERS["X"]))
     plan = _Plan(_Wiring(reg, "E", "G", "F", ("B", "G", "LB", "DB")),
                  {"E": DetectorModel("D_E", cfg.eta, cfg.dark_e),
                   "G": DetectorModel("D_G", cfg.eta_g, cfg.dark_g),

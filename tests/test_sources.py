@@ -409,13 +409,12 @@ def _reference_tomography(state, det_e, det_g, herald=None):
     reg = state.registry
     paulis = [np.eye(2), np.array([[0, 1], [1, 0]]),
               np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
-    bases = {"Z": "H", "X": "D", "Y": "R"}
     rows, freqs = [], []
-    for be, bg in itertools.product(bases, repeat=2):
+    for be, bg in itertools.product(protocol.ANALYZERS, repeat=2):
         rotated = state
         for side, basis in (("E", be), ("G", bg)):
             rotated = apply_transform(rotated, jones_transform(
-                reg, side, protocol._analyzer_matrix(bases[basis])))
+                reg, side, protocol.ANALYZERS[basis]))
         probs = np.zeros((2, 2))
         for occ, amp in rotated.terms.items():
             w = abs(amp) ** 2
@@ -427,9 +426,8 @@ def _reference_tomography(state, det_e, det_g, herald=None):
                     sum(occ[k] for k in reg.indices("E", pol=(H, V)[i])))
                     * det_g.click_probability(
                         sum(occ[k] for k in reg.indices("G", pol=(H, V)[j]))))
-        kets = [[np.array(protocol.ANALYZER_KETS[s])
-                 for s in (bases[b], {"H": "V", "D": "Dbar", "R": "L"}[bases[b]])]
-                for b in (be, bg)]
+        # Port i detects the ket whose bra is row i of its analyzer.
+        kets = [protocol.ANALYZERS[b].conj() for b in (be, bg)]
         for i, j in itertools.product(range(2), repeat=2):
             ket = np.kron(kets[0][i], kets[1][j])
             proj = np.outer(ket, ket.conj())
