@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import expm, schur
-from scipy.sparse import csr_array, hstack, vstack
+from scipy.linalg import schur
+from scipy.sparse import csgraph, csr_array, hstack, vstack
 
 from .fock import H, V, FockStateVector, Mode, apply_transform, make_registry
 from .optics import hwp as sparse_hwp
@@ -60,6 +60,15 @@ def _sparse(vals: Sequence[float], rows: Sequence[int], cols: Sequence[int],
     return op
 
 
+def expm(gen: np.ndarray) -> np.ndarray:
+    """e^gen for anti-Hermitian gen, from ``eigh`` of each connected block."""
+    out, part = np.zeros_like(gen), csgraph.connected_components(gen != 0)[1]
+    for at in (np.ix_(part == c, part == c) for c in np.unique(part)):
+        lam, vec = np.linalg.eigh(-1j * gen[at])
+        out[at] = (vec * np.exp(1j * lam)) @ vec.conj().T
+    return out
+
+
 class DenseFockSpace:
     """Dense truncated Fock space over a fixed number of modes.
 
@@ -83,6 +92,7 @@ class DenseFockSpace:
         self._radix = (cutoff + 1) ** np.arange(n_modes - 1, -1, -1)
         self._codes = self.occupations @ self._radix
         self._annihilation: dict[int, object] = {}
+        self._hopping: dict[int, tuple] = {}
         self._layouts: dict[tuple[int, ...], tuple] = {}
         self._unitaries: dict[tuple, object] = {}
         self._kraus: dict[tuple[int, float], list] = {}
@@ -118,14 +128,16 @@ class DenseFockSpace:
         row r, column s (-1 past the cutoff)."""
         layout = self._layouts.get(modes)
         if layout is None:
-            small = DenseFockSpace(len(modes), self.cutoff)
-            m, d = small.n_modes, small.dim
-            lower = [small.annihilation(a) for a in range(m)]
-            # Block (a, b) of this product is a_a^dag a_b.
-            pairs = (vstack([x.T for x in lower]) @ hstack(lower)).tocoo()
-            (a, i), (b, j) = np.divmod(pairs.row, d), np.divmod(pairs.col, d)
-            hop = csr_array((pairs.data, (i * d + j, a * m + b)),
-                            shape=(d * d, m * m))
+            if len(modes) not in self._hopping:
+                small = DenseFockSpace(len(modes), self.cutoff)
+                m, d = small.n_modes, small.dim
+                lower = [small.annihilation(a) for a in range(m)]
+                # Block (a, b) of this product is a_a^dag a_b.
+                pairs = (vstack([x.T for x in lower]) @ hstack(lower)).tocoo()
+                (a, i), (b, j) = divmod(pairs.row, d), divmod(pairs.col, d)
+                self._hopping[m] = small, csr_array(
+                    (pairs.data, (i * d + j, a * m + b)), shape=(d * d, m * m))
+            small, hop = self._hopping[len(modes)]
             inside = self.occupations[:, list(modes)]
             _, rest = np.unique(self._codes - inside @ self._radix[list(modes)],
                                 return_inverse=True)
@@ -138,18 +150,21 @@ class DenseFockSpace:
     def mode_unitary(self, modes: Sequence[int], matrix: np.ndarray):
         """Fock-space unitary implementing a unitary map on creation operators.
 
-        Any log K of ``matrix`` serves, as Gamma(e^K) = e^{dGamma(K)}; K is
-        taken from the complex Schur form.  dGamma(K) = sum_ab k_ab a_a^dag
-        a_b keeps the photon number on ``modes`` and every other occupation,
-        so the unitary is one ``expm`` on the m-mode space of ``modes``,
-        copied into the block of each occupation of the rest, and returned
-        as a read-only CSR matrix without exact zeros.
+        Any log K of the unitary ``matrix`` serves, as Gamma(e^K) =
+        e^{dGamma(K)}; K is taken from the complex Schur form.  dGamma(K) =
+        sum_ab k_ab a_a^dag a_b keeps the photon number on ``modes`` and every
+        other occupation, so the unitary is one blockwise ``expm`` on the
+        m-mode space of ``modes``, copied into the block of each occupation
+        of the rest, and returned as read-only CSR without exact zeros.
         """
         modes = tuple(map(int, modes))
         matrix = np.asarray(matrix, dtype=complex)
         key = (modes, matrix.shape, matrix.tobytes())
         u = self._unitaries.get(key)
         if u is None:
+            if matrix.shape != (len(modes),) * 2 or np.linalg.norm(
+                    matrix.conj().T @ matrix - np.eye(len(modes))) > 1e-12:
+                raise ValueError(f"not a unitary on {len(modes)} modes")
             hop, table = self._layout(modes)
             t, z = schur(matrix, output="complex")
             k = (z * np.log(np.diag(t))) @ z.conj().T

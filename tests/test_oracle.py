@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -109,14 +110,16 @@ def test_mode_unitary_schur_log_edge_cases():
         assert np.abs(got - want).max() <= 1e-13, theta
 
 
-def test_new_mode_unitary_calls_expm_once(monkeypatch):
-    # One expm on the small space of the modes, whatever the big space.
+def test_new_mode_unitary_is_built_once_on_the_space_of_its_modes(
+        monkeypatch):
+    # One expm on the small space of the modes, whatever the big space,
+    # once per (modes, matrix): a second call returns the same object.
     calls = []
     expm = oracle.expm
 
-    def counted(a):
-        calls.append(a.shape)
-        return expm(a)
+    def counted(gen):
+        calls.append(gen.shape)
+        return expm(gen)
 
     monkeypatch.setattr(oracle, "expm", counted)
     rng = np.random.default_rng(5)
@@ -129,6 +132,17 @@ def test_new_mode_unitary_calls_expm_once(monkeypatch):
             assert calls == [(math.comb(len(modes) + 3, 3),) * 2], n_modes
             assert space.mode_unitary(modes, matrix) is u
             assert len(calls) == 1
+
+
+def test_mode_unitary_rejects_a_matrix_that_is_not_unitary():
+    space = DenseFockSpace(4, 3)
+    # Its Schur diagonal is that of the identity.
+    shear = np.array([[1.0, 1e-6], [0.0, 1.0]])
+    for matrix in (shear, 2.0 * np.eye(2), np.eye(3), np.eye(2)[:, :1]):
+        with pytest.raises(ValueError, match="not a unitary"):
+            space.mode_unitary([0, 1], matrix)
+    rotation = _random_unitary(np.random.default_rng(3), 2)
+    assert space.mode_unitary([0, 1], rotation).shape == (space.dim,) * 2
 
 
 def test_click_povm_matches_exact_rationals():
@@ -351,6 +365,22 @@ def test_oracle_check_repeats_in_one_process():
     # Per circuit: 4 click patterns and 36 basis-pair probabilities.
     assert first.n_checks == 2 * 40 + 2 * 3 * 9
     assert oracle_check(cfg, n_seeds=2) == first
+
+
+def test_oracle_check_leaves_no_thread_spinning():
+    # A BLAS worker left spinning burns CPU while the process sleeps.  An
+    # OpenBLAS pool of two or more threads spins about 0.135 s after a call
+    # large enough to thread (scipy's expm on 10 states, numpy's eigh on 35);
+    # with one thread, or a BLAS whose workers block at once, this passes
+    # at any build.  The first sleep lets a worker woken before this test,
+    # or by the warm-up, go idle well past that spin.
+    cfg = ExperimentConfig(cutoff=3)
+    oracle_check(cfg, n_seeds=2)
+    time.sleep(0.5)
+    oracle_check(cfg, n_seeds=2)
+    start = time.process_time()
+    time.sleep(0.2)
+    assert time.process_time() - start < 0.05
 
 
 def test_oracle_protocol_does_not_call_the_engine(monkeypatch):
